@@ -234,7 +234,7 @@ pub fn simulations_run() -> u64 {
 /// program (`Probe::trace`) by the collection paths.
 ///
 /// The trace-cache tooling (`examples/trace_cache.rs`, the CI trace-cache
-/// guard, `speed_test`, `core/tests/trace_equiv.rs`) samples it around a
+/// guard, `speed_test`) samples it around a
 /// warm collection pass to prove that a populated
 /// [`TraceStore`](crate::tracecache::TraceStore) serves every trace from
 /// disk — zero regenerations — while cold passes and cache rejections are

@@ -95,6 +95,17 @@ pub const LEGACY_FORMAT_VERSION: u32 = 2;
 /// current code no longer produces.
 pub const CORPUS_REVISION: u32 = 1;
 
+/// FNV-1a of the encoded corpus (timings zeroed) of the fixed tiny core
+/// collection in `crates/core/tests/golden.rs`. The golden digests and
+/// [`CORPUS_REVISION`] move together: a change that alters collection
+/// output bumps the revision and re-pins both digests in the same commit.
+pub const GOLDEN_CORE_DIGEST: u64 = 0x067d_287e_6439_bcc7;
+
+/// FNV-1a of the encoded corpus (timings zeroed) of the fixed tiny memory
+/// collection in `crates/core/tests/golden.rs`; moves with
+/// [`CORPUS_REVISION`] exactly as [`GOLDEN_CORE_DIGEST`] does.
+pub const GOLDEN_MEM_DIGEST: u64 = 0x1fa0_5a12_9662_97cc;
+
 /// Magic tag opening every serialised collection.
 const MAGIC: [u8; 4] = *b"PBCL";
 
