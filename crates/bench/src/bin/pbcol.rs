@@ -25,14 +25,7 @@
 //! resumable — those are crash-recovery state the shard's next attempt
 //! continues from (see `docs/FORMAT.md`).
 //!
-//! All four directory-walking subcommands also understand the `.pbtr`
-//! workload-trace cache files (`PERFBUG_TRACE_DIR`, written by
-//! `perfbug_core::tracecache`): `inspect` dumps a trace file's header,
-//! meta and chunk index, `verify` fully validates every probe chunk,
-//! and `prune` evicts stale or corrupt trace files plus the orphaned
-//! `*.pbtr.*.tmp` temps their writers leave behind when killed.
-//!
-//! The on-disk formats are specified byte-by-byte in `docs/FORMAT.md`.
+//! The on-disk format is specified byte-by-byte in `docs/FORMAT.md`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -48,10 +41,6 @@ use perfbug_core::persist::{
     FILE_EXTENSION, FORMAT_VERSION,
 };
 use perfbug_core::serve::is_tenant_dir_name;
-use perfbug_core::tracecache::{
-    is_trace_temp_file_name, parse_trace_file_name, verify_trace_file, TraceReader,
-    TRACE_FILE_EXTENSION, TRACE_FORMAT_VERSION, TRACE_REVISION,
-};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,10 +86,7 @@ USAGE:
     pbcol prune   <dir> [--dry-run]    evict stale cache files and dead temp
                                        files; resumable shard parts are kept
 
-inspect, verify and prune also understand `.pbtr` workload-trace cache
-files (PERFBUG_TRACE_DIR) and their `*.pbtr.*.tmp` atomic-write temps.
-
-The on-disk formats are documented in docs/FORMAT.md.";
+The on-disk format is documented in docs/FORMAT.md.";
 
 /// All `.pbcol` files under `path` (or `path` itself when it is a file),
 /// sorted for deterministic output.
@@ -120,26 +106,6 @@ fn pbcol_files(path: &Path) -> Result<Vec<PathBuf>, String> {
     } else {
         Ok(vec![path.to_path_buf()])
     }
-}
-
-/// Whether `path` is a workload-trace cache file (by extension).
-fn is_trace_path(path: &Path) -> bool {
-    path.extension().and_then(|e| e.to_str()) == Some(TRACE_FILE_EXTENSION)
-}
-
-/// All `.pbtr` trace files under `dir`, sorted for deterministic output.
-fn trace_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
-    let mut files = Vec::new();
-    for entry in entries {
-        let p = entry.map_err(|e| e.to_string())?.path();
-        if is_trace_path(&p) {
-            files.push(p);
-        }
-    }
-    files.sort();
-    Ok(files)
 }
 
 fn read_bytes(path: &Path) -> Result<Vec<u8>, String> {
@@ -221,15 +187,6 @@ fn inspect(args: &[String]) -> Result<(), String> {
             }
             continue;
         }
-        // A `.pbtr` workload-trace cache file has its own header and
-        // meta shapes; the chunk index printer is shared.
-        if is_trace_path(path) {
-            if let Err(e) = inspect_trace(path) {
-                println!("  {e}");
-                failed = true;
-            }
-            continue;
-        }
         let bytes = read_bytes(path)?;
         let (header, version) = match read_header_with_version(&bytes) {
             Ok(hv) => hv,
@@ -265,57 +222,6 @@ fn inspect(args: &[String]) -> Result<(), String> {
     } else {
         Ok(())
     }
-}
-
-/// Inspects one `.pbtr` workload-trace cache file: header, per-probe
-/// meta, name-vs-header fingerprint agreement, chunk index.
-fn inspect_trace(path: &Path) -> Result<(), String> {
-    let mut reader =
-        TraceReader::open(path, None).map_err(|e| format!("unreadable trace file: {e}"))?;
-    let header = *reader.header();
-    println!("  format:          PBTR v{TRACE_FORMAT_VERSION}");
-    println!(
-        "  trace revision:  {}{}",
-        header.trace_revision,
-        if header.trace_revision == TRACE_REVISION {
-            ""
-        } else {
-            "  (stale: this build generates under a different revision)"
-        }
-    );
-    println!("  fingerprint:     {:016x}", header.fingerprint);
-    let meta = reader.meta();
-    println!(
-        "  traces:          {} ({} probe(s) x {} instructions/interval)",
-        meta.benchmark,
-        meta.probes.len(),
-        meta.interval_len
-    );
-    // The name must agree with the header — a renamed or hand-copied
-    // file would otherwise be replayed for the wrong configuration.
-    if let Some((bench, fp)) = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .and_then(parse_trace_file_name)
-    {
-        if fp != header.fingerprint || bench != meta.benchmark {
-            return Err(format!(
-                "file name says {bench} {fp:016x}, header says {} {:016x}",
-                meta.benchmark, header.fingerprint
-            ));
-        }
-    }
-    let chunks: Vec<ChunkEntry> = reader.chunk_index().to_vec();
-    print_chunk_index(&chunks);
-    let mut total = 0u64;
-    for ordinal in 0..reader.n_probes() {
-        total += reader
-            .read_probe(ordinal)
-            .map_err(|e| format!("probe {ordinal}: {e}"))?
-            .len() as u64;
-    }
-    println!("  instructions:    {total} across all probes");
-    Ok(())
 }
 
 /// Prints the v3 chunk/offset index (footer) of a file or part prefix.
@@ -402,28 +308,16 @@ fn verify(args: &[String]) -> Result<(), String> {
         return Err("verify needs at least one file or directory".into());
     }
     let mut files = Vec::new();
-    let mut traces = Vec::new();
     for arg in &args {
-        let path = Path::new(arg.as_str());
-        if path.is_dir() {
-            files.extend(pbcol_files(path)?);
-            traces.extend(trace_files(path)?);
-        } else if is_trace_path(path) {
-            traces.push(path.to_path_buf());
-        } else {
-            files.extend(pbcol_files(path)?);
-        }
+        files.extend(pbcol_files(Path::new(arg.as_str()))?);
     }
-    if files.is_empty() && traces.is_empty() {
-        return Err("no .pbcol or .pbtr files found".into());
+    if files.is_empty() {
+        return Err("no .pbcol files found".into());
     }
-    // Trace files are validated identically in both modes — TraceReader
-    // is chunk-at-a-time by construction.
-    let trace_errors = verify_traces(&traces);
     if stream {
-        return verify_streaming(&files, trace_errors);
+        return verify_streaming(&files);
     }
-    let mut errors = trace_errors;
+    let mut errors = 0usize;
     let mut shard_groups: BTreeMap<PassKey, Vec<(PathBuf, Collection, FileHeader)>> =
         BTreeMap::new();
     for path in &files {
@@ -505,51 +399,12 @@ fn verify(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Fully verifies `.pbtr` workload-trace files (every probe chunk
-/// decoded exactly, plus the name-vs-header fingerprint agreement
-/// check); returns the number of failures, printed `FAIL` lines style.
-fn verify_traces(files: &[PathBuf]) -> usize {
-    let mut errors = 0usize;
-    for path in files {
-        let (header, insts) = match verify_trace_file(path) {
-            Ok(ok) => ok,
-            Err(e) => {
-                println!("FAIL {}: {e}", path.display());
-                errors += 1;
-                continue;
-            }
-        };
-        if let Some((bench, fp)) = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_trace_file_name)
-        {
-            if fp != header.fingerprint {
-                println!(
-                    "FAIL {}: file name says {bench} {fp:016x}, header says {:016x}",
-                    path.display(),
-                    header.fingerprint
-                );
-                errors += 1;
-                continue;
-            }
-        }
-        println!(
-            "ok   {}: trace file, {} probe(s), {insts} instruction(s)",
-            path.display(),
-            header.n_probes
-        );
-    }
-    errors
-}
-
 /// `verify --stream`: each file is validated chunk-by-chunk with
 /// per-chunk status and O(chunk) peak memory (the non-stream path holds
 /// every decoded collection at once to prove shard sets merge). Shard
 /// completeness is still checked — from headers alone.
-/// `initial_errors` carries failures from the trace-file pass.
-fn verify_streaming(files: &[PathBuf], initial_errors: usize) -> Result<(), String> {
-    let mut errors = initial_errors;
+fn verify_streaming(files: &[PathBuf]) -> Result<(), String> {
+    let mut errors = 0usize;
     let mut shard_groups: BTreeMap<PassKey, Vec<FileHeader>> = BTreeMap::new();
     for path in files {
         println!("{}:", path.display());
@@ -695,35 +550,6 @@ fn stale_reason(path: &Path, bytes: &[u8]) -> Option<String> {
     None
 }
 
-/// Why `prune` evicts a `.pbtr` trace file; `None` means it is kept.
-/// [`verify_trace_file`] already rejects wrong format versions, stale
-/// trace revisions, corruption and truncation; the only staleness it
-/// cannot see is a renamed file whose name no longer matches the header.
-fn trace_stale_reason(path: &Path) -> Option<String> {
-    let header = match verify_trace_file(path) {
-        Ok((header, _)) => header,
-        Err(PersistError::Version { found, expected }) => {
-            return Some(format!(
-                "trace format version {found} (this build reads {expected})"
-            ));
-        }
-        Err(e) => return Some(format!("corrupt trace file: {e}")),
-    };
-    if let Some((bench, fp)) = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .and_then(parse_trace_file_name)
-    {
-        if fp != header.fingerprint {
-            return Some(format!(
-                "stale fingerprint: name says {bench} {fp:016x}, header says {:016x}",
-                header.fingerprint
-            ));
-        }
-    }
-    None
-}
-
 /// A `*.pbcol.*.tmp` in-flight temp file this old is orphaned: writers
 /// produce one with a single `fs::write` immediately followed by a
 /// rename, so no healthy writer holds one open for minutes — only a
@@ -741,27 +567,6 @@ fn temp_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
         if p.file_name()
             .and_then(|n| n.to_str())
             .is_some_and(is_temp_file_name)
-        {
-            files.push(p);
-        }
-    }
-    files.sort();
-    Ok(files)
-}
-
-/// The trace-writer atomic temp files under `dir` (see
-/// `tracecache::is_trace_temp_file_name`), sorted for deterministic
-/// output. Trace writes are single-shot (no resumable parts), so every
-/// old one is a dead orphan.
-fn trace_temp_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
-    let mut files = Vec::new();
-    for entry in entries {
-        let p = entry.map_err(|e| e.to_string())?.path();
-        if p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(is_trace_temp_file_name)
         {
             files.push(p);
         }
@@ -865,22 +670,6 @@ fn prune_dir(dir: &Path, dry_run: bool, temp_age: Duration) -> Result<(), String
         match stale_reason(&path, &bytes) {
             None => kept += 1,
             Some(reason) => evict(&path, &reason)?,
-        }
-    }
-    for path in trace_files(dir)? {
-        match trace_stale_reason(&path) {
-            None => kept += 1,
-            Some(reason) => evict(&path, &reason)?,
-        }
-    }
-    for path in trace_temp_files(dir)? {
-        if orphaned_temp(&path, temp_age) {
-            evict(
-                &path,
-                "orphaned in-flight trace temp file (writer died mid-save)",
-            )?;
-        } else {
-            kept += 1;
         }
     }
     for path in temp_files(dir)? {
@@ -1150,60 +939,6 @@ mod tests {
         prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
         assert!(!dead.exists(), "dead part must be evicted");
         assert!(resumable.exists(), "resumable part must be kept");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prune_handles_trace_files_and_their_temps() {
-        use perfbug_core::tracecache::{trace_file_name, TraceStore};
-        use perfbug_workloads::WorkloadScale;
-
-        let dir = scratch("prune-traces");
-        let scale = WorkloadScale::tiny();
-        let bench = &perfbug_workloads::spec2006()[0];
-        let store = TraceStore::new(dir.clone());
-        let program = bench.program(&scale);
-        store
-            .open_or_build(bench, &scale, &program)
-            .expect("build trace file");
-        let valid = store.trace_path(bench, &scale);
-        assert!(valid.exists());
-
-        // A renamed copy is stale: the name's fingerprint no longer
-        // matches the header, so it would never be opened — evict it.
-        let renamed = dir.join(trace_file_name(bench.name, 0x00ff));
-        std::fs::copy(&valid, &renamed).expect("copy");
-        // Not a PBTR file at all.
-        let junk = dir.join(trace_file_name("junk", 0xabcd));
-        std::fs::write(&junk, b"junk").expect("write junk");
-        // Temps: an old one is orphaned; a fresh one may have a live
-        // writer behind it and must survive.
-        let old_tmp = dir.join("x-trace-0.pbtr.123-0.tmp");
-        let fresh_tmp = dir.join("x-trace-0.pbtr.123-1.tmp");
-        for p in [&old_tmp, &fresh_tmp] {
-            std::fs::write(p, b"junk").expect("write");
-        }
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&old_tmp)
-            .expect("open")
-            .set_modified(std::time::SystemTime::UNIX_EPOCH)
-            .expect("set mtime");
-
-        prune_dir(&dir, true, ORPHAN_TEMP_AGE).expect("dry run");
-        for p in [&valid, &renamed, &junk, &old_tmp, &fresh_tmp] {
-            assert!(p.exists(), "--dry-run must not delete {}", p.display());
-        }
-
-        prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
-        assert!(valid.exists(), "a valid trace file must be kept");
-        assert!(
-            !renamed.exists(),
-            "a stale-fingerprint name must be evicted"
-        );
-        assert!(!junk.exists(), "a corrupt trace file must be evicted");
-        assert!(!old_tmp.exists(), "an orphaned trace temp must be evicted");
-        assert!(fresh_tmp.exists(), "a fresh trace temp must be kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,10 +17,7 @@
 //! `PERFBUG_FUZZ_FAMILIES`, `PERFBUG_FUZZ_COUNT`, `PERFBUG_FUZZ_BAND`) so
 //! CI can pin a corpus without wrapping the command line. Collection
 //! respects the shared cache/shard/orchestrator knobs (`PERFBUG_CACHE_DIR`
-//! et al.) exactly like the bench targets; with a cache directory set and
-//! no explicit `PERFBUG_TRACE_DIR`, the workload-trace cache defaults to
-//! `<cache-dir>/traces` so a fresh corpus (new fingerprint, no `.pbcol`
-//! to replay) still warm-starts its traces. See `docs/BUGS.md` for the
+//! et al.) exactly like the bench targets. See `docs/BUGS.md` for the
 //! family list and a walkthrough.
 
 use std::path::PathBuf;
@@ -34,7 +31,7 @@ use perfbug_core::experiment::{
 };
 use perfbug_core::fuzz::{Family, FuzzSpec, FuzzedCatalog};
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
-use perfbug_core::report::Table;
+use perfbug_core::report::{json_str, Table};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::stage2::Stage2Params;
 use perfbug_ml::GbtParams;
@@ -63,9 +60,7 @@ usage: pbeval [--seed <u64>] [--families <name,...|all>] [--count <n>]
 The leave-one-bug-type-out protocol needs at least two families per
 simulator side; requesting a lone core (or memory) family is an error.
 Collection honours PERFBUG_CACHE_DIR, PERFBUG_SHARD and the
-orchestrator knobs (PERFBUG_ORCH_WORKERS et al.). When PERFBUG_CACHE_DIR
-is set and PERFBUG_TRACE_DIR is not, traces are cached under
-<cache-dir>/traces so every fuzzed corpus replays the same traces.";
+orchestrator knobs (PERFBUG_ORCH_WORKERS et al.).";
 
 /// The post-paper families added on top of the paper's Table III types —
 /// the default corpus `pbeval` exercises.
@@ -253,21 +248,7 @@ struct FamilyReport {
     latency: Option<usize>,
 }
 
-/// Warm-start: with collections cached but no trace directory chosen,
-/// default the workload-trace cache to `<cache-dir>/traces`. Fuzzed
-/// corpora change the collection fingerprint on every seed/band tweak
-/// (no `.pbcol` replay), but the traces underneath never change — this
-/// keeps them warm across corpora. Shard workers inherit the variable.
-fn default_trace_dir() {
-    if std::env::var_os(perfbug_core::tracecache::TRACE_DIR_ENV).is_none() {
-        if let Some(dir) = perfbug_bench::cache_dir() {
-            std::env::set_var(perfbug_core::tracecache::TRACE_DIR_ENV, dir.join("traces"));
-        }
-    }
-}
-
 fn evaluate(opts: &Options) -> Result<(), String> {
-    default_trace_dir();
     let spec = FuzzSpec {
         seed: opts.seed,
         families: opts.families.clone(),
@@ -454,23 +435,22 @@ fn render_json(
         None => "null".into(),
     };
     out.push_str(&format!("  \"band\": {band},\n"));
-    let requested: Vec<String> = opts
-        .families
-        .iter()
-        .map(|f| format!("\"{}\"", f.name()))
-        .collect();
+    let requested: Vec<String> = opts.families.iter().map(|f| json_str(f.name())).collect();
     out.push_str(&format!("  \"requested\": [{}],\n", requested.join(", ")));
     out.push_str("  \"families\": [\n");
     for (i, r) in reports.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"family\": \"{}\",\n", r.name));
-        out.push_str(&format!("      \"simulator\": \"{}\",\n", r.simulator));
+        out.push_str(&format!("      \"family\": {},\n", json_str(r.name)));
+        out.push_str(&format!(
+            "      \"simulator\": {},\n",
+            json_str(r.simulator)
+        ));
         out.push_str("      \"variants\": [\n");
         for (j, (describe, severity, impact)) in r.variants.iter().enumerate() {
             out.push_str(&format!(
-                "        {{\"describe\": \"{}\", \"severity\": \"{severity:?}\", \
+                "        {{\"describe\": {}, \"severity\": \"{severity:?}\", \
                  \"impact\": {}}}{}\n",
-                json_escape(describe),
+                json_str(describe),
                 json_f(*impact),
                 comma(j, r.variants.len()),
             ));
@@ -532,19 +512,6 @@ fn json_f(v: f64) -> String {
     } else {
         "null".into()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn render_table(reports: &[FamilyReport]) -> String {

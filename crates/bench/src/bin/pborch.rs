@@ -14,7 +14,7 @@
 //!
 //! With `--hosts` (or `PERFBUG_ORCH_HOSTS`) the same supervision loop
 //! fans shards out to `pborch worker-daemon` processes over the TCP
-//! worker protocol (`docs/FORMAT.md` §9) instead of spawning local
+//! worker protocol (`docs/FORMAT.md` §8) instead of spawning local
 //! children — a dead daemon or connection is just a failed attempt, and
 //! the retry/requeue/byte-identity guarantees are unchanged.
 //!

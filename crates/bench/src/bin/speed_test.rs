@@ -126,41 +126,6 @@ fn replay_throughput() {
     let _ = std::fs::remove_dir(&dir);
 }
 
-/// Measures a cold collection pass (which builds the `.pbtr` trace
-/// cache) against a warm pass replaying the cached traces, and proves
-/// the warm pass regenerated zero traces and produced a bit-identical
-/// corpus (after timing zeroing).
-fn trace_cache_throughput() {
-    let config = tiny_collect_config(exec::default_threads());
-    let dir = std::env::temp_dir().join(format!("perfbug-speedtest-traces-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var(perfbug_core::tracecache::TRACE_DIR_ENV, &dir);
-
-    println!();
-    println!("workload-trace cache (same tiny scale):");
-    let regens0 = exec::traces_regenerated();
-    let t0 = Instant::now();
-    let mut cold = collect(&config);
-    let cold_secs = t0.elapsed().as_secs_f64();
-    let cold_regens = exec::traces_regenerated() - regens0;
-    let regens1 = exec::traces_regenerated();
-    let t1 = Instant::now();
-    let mut warm = collect(&config);
-    let warm_secs = t1.elapsed().as_secs_f64();
-    let warm_regens = exec::traces_regenerated() - regens1;
-    cold.zero_timings();
-    warm.zero_timings();
-    assert_eq!(warm, cold, "warm collection must be identical to cold");
-    assert_eq!(warm_regens, 0, "a warm pass must regenerate no traces");
-    println!("  cold collect:        {cold_secs:8.2}s  (traces regenerated: {cold_regens})");
-    println!(
-        "  warm collect:        {warm_secs:8.2}s  ({:.2}x faster; traces regenerated: {warm_regens})",
-        cold_secs / warm_secs.max(1e-9)
-    );
-    std::env::remove_var(perfbug_core::tracecache::TRACE_DIR_ENV);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 fn collection_throughput() {
     let threads = exec::default_threads();
     println!();
@@ -221,5 +186,4 @@ fn main() {
     gbt_split_throughput();
     collection_throughput();
     replay_throughput();
-    trace_cache_throughput();
 }

@@ -265,14 +265,6 @@ impl BugCatalog {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Whether every variant leaves the probe traces untouched
-    /// ([`BugSpec::perturbs_trace`] is false for all of them) — the
-    /// precondition for a collection pass to consult the persistent
-    /// trace cache ([`crate::tracecache`]).
-    pub fn trace_invariant(&self) -> bool {
-        self.variants.iter().all(|b| !b.perturbs_trace())
-    }
 }
 
 /// The memory-system bug catalogue (§IV-D).
@@ -379,14 +371,6 @@ impl MemBugCatalog {
             .filter(|(_, b)| b.type_id() == type_id)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Whether every variant leaves the probe traces untouched
-    /// ([`MemBugSpec::perturbs_trace`] is false for all of them) — the
-    /// precondition for a memory collection pass to consult the
-    /// persistent trace cache ([`crate::tracecache`]).
-    pub fn trace_invariant(&self) -> bool {
-        self.variants.iter().all(|b| !b.perturbs_trace())
     }
 }
 

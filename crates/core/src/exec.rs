@@ -230,28 +230,6 @@ pub fn simulations_run() -> u64 {
     SIMULATIONS.load(Ordering::Relaxed)
 }
 
-/// Process-wide count of probe traces regenerated from their workload
-/// program (`Probe::trace`) by the collection paths.
-///
-/// The trace-cache tooling (`examples/trace_cache.rs`, the CI trace-cache
-/// guard, `speed_test`) samples it around a
-/// warm collection pass to prove that a populated
-/// [`TraceStore`](crate::tracecache::TraceStore) serves every trace from
-/// disk — zero regenerations — while cold passes and cache rejections are
-/// visible as a non-zero delta.
-static TRACE_REGENERATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Total number of probe traces regenerated by this process so far.
-pub fn traces_regenerated() -> u64 {
-    TRACE_REGENERATIONS.load(Ordering::Relaxed)
-}
-
-/// Records one trace regeneration (called by every collection-path
-/// `Probe::trace` site, cached or not).
-pub(crate) fn note_trace_regenerated() {
-    TRACE_REGENERATIONS.fetch_add(1, Ordering::Relaxed);
-}
-
 /// One process's slice of a sharded collection pass.
 ///
 /// A shard owns a deterministic contiguous range of the probe axis of the

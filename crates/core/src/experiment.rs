@@ -502,20 +502,6 @@ pub fn collect_sharded_streaming<E>(
         &programs[idx]
     };
 
-    // Probe setup consults the persistent trace store before regenerating
-    // any trace — gated on the PERFBUG_TRACE_DIR knob and on every bug of
-    // the pass (catalogue variants *and* the presumed-bug-free defect)
-    // being trace-invariant, so a stream-perturbing bug degrades to the
-    // uncached path instead of replaying a trace it invalidates.
-    let store = crate::tracecache::TraceStore::from_env().filter(|_| {
-        config.catalog.trace_invariant()
-            && config
-                .presumed_bugfree_bug
-                .is_none_or(|b| !b.perturbs_trace())
-    });
-    let traces =
-        crate::tracecache::TraceProvider::new(store, &config.benchmarks, config.scale.workload);
-
     // Run-level parallel collection through the shared unit-grid driver
     // (`exec::collect_unit_grid_streaming`): trace generation, the
     // (probe x unit) simulation grid, per-probe counter selection and the
@@ -534,7 +520,7 @@ pub fn collect_sharded_streaming<E>(
         skip,
         &unit_grid,
         &config.engines,
-        |pi| traces.trace(&probes[pi], program_of(&probes[pi])),
+        |pi| probes[pi].trace(program_of(&probes[pi])),
         |trace: &Vec<perfbug_workloads::Inst>, u| {
             let (arch_idx, bug_idx) = grid.units[u];
             let arch = grid.archs[arch_idx];

@@ -16,7 +16,6 @@ use crate::counter_select::{select_counters, CounterMode, SelectionThresholds};
 use crate::exec;
 use crate::experiment::{Collection, EngineResult, PassIdentity, ProbeMeta, RunKey};
 use crate::stage1::{EngineSpec, FeatureSpec, RunSeries};
-use crate::tracecache::{TraceProvider, TraceStore};
 use perfbug_memsim::mem_counter_names;
 
 /// Which per-step series the stage-1 models learn to infer.
@@ -105,7 +104,6 @@ pub fn collect_memory(config: &MemCollectionConfig) -> Collection {
 /// configuration before any simulation runs. Units reference designs by
 /// index into `archs` so the struct owns all of its data.
 struct MemPreparedPass {
-    suite: Vec<perfbug_workloads::BenchmarkSpec>,
     archs: Vec<MemArchConfig>,
     units: Vec<(usize, Option<usize>)>,
     train_units: Vec<usize>,
@@ -183,7 +181,6 @@ fn prepare_mem_pass(config: &MemCollectionConfig) -> MemPreparedPass {
     assert!(!probes.is_empty(), "no memory probes extracted");
 
     MemPreparedPass {
-        suite,
         archs,
         units,
         train_units,
@@ -231,14 +228,6 @@ pub fn collect_memory_sharded_streaming<E>(
 ) -> Result<usize, E> {
     let pass = prepare_mem_pass(config);
 
-    // Probe setup consults the persistent trace store before regenerating
-    // any trace — gated on the PERFBUG_TRACE_DIR knob and on every
-    // catalogue variant being trace-invariant, so a future
-    // stream-perturbing family degrades to the uncached path instead of
-    // replaying a trace it invalidates.
-    let store = TraceStore::from_env().filter(|_| config.catalog.trace_invariant());
-    let traces = TraceProvider::new(store, &pass.suite, config.workload);
-
     // The shared unit-grid driver runs the same three-phase pipeline as
     // the core experiment; only the simulator and the counter-selection
     // policy differ, and the memory experiment captures no series.
@@ -257,7 +246,7 @@ pub fn collect_memory_sharded_streaming<E>(
         &config.engines,
         |pi| {
             let (bi, probe) = &pass.probes[pi];
-            traces.trace(probe, &pass.programs[*bi])
+            probe.trace(&pass.programs[*bi])
         },
         |trace: &Vec<perfbug_workloads::Inst>, u| {
             let (ai, bug_idx) = pass.units[u];

@@ -60,6 +60,7 @@ use crate::experiment::Collection;
 use crate::persist::{
     self, cache_file_name, shard_file_name, CacheStatus, ExperimentKind, PersistError,
 };
+use crate::report::json_str;
 
 /// Environment variable holding injected orchestrator faults.
 pub const FAULT_ENV: &str = "PERFBUG_ORCH_FAULT";
@@ -584,25 +585,6 @@ impl RunReport {
             if self.success { "success" } else { "FAILED" }
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // --------------------------------------------------------------------------

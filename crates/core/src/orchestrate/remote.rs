@@ -27,7 +27,7 @@
 //! `persist::fnv1a`): every frame is `len:u32le | tag:u8 | payload |
 //! fnv1a(tag||payload):u64le`, decoded incrementally and rejected on any
 //! truncation or bit flip. The byte-level spec lives in
-//! `docs/FORMAT.md` §9; determinism of the *corpus* is untouched because
+//! `docs/FORMAT.md` §8; determinism of the *corpus* is untouched because
 //! the protocol only moves launch requests and status — shard bytes are
 //! still written by the worker process through the atomic persist path.
 

@@ -55,7 +55,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use perfbug_uarch::{ArchSet, BugSpec};
-use perfbug_workloads::Opcode;
+use perfbug_workloads::{Opcode, ALL_OPCODES};
 
 use crate::bugs::BugCatalog;
 use crate::experiment::{
@@ -334,7 +334,7 @@ impl From<io::Error> for PersistError {
 // --------------------------------------------------------------------------
 
 /// FNV-1a 64 offset basis.
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -343,7 +343,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// [`FNV_BASIS`]; feeding a file's bytes in any split produces the same
 /// hash as one pass, which is what lets the streaming writer and
 /// verifier maintain the whole-file checksum incrementally.
-pub(crate) fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
+fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -353,7 +353,7 @@ pub(crate) fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
 
 /// 64-bit FNV-1a over a byte slice — the checksum primitive of both the
 /// cache file format and the remote worker protocol's wire frames
-/// (`docs/FORMAT.md` §9), so supervisors can cross-check daemon-reported
+/// (`docs/FORMAT.md` §8), so supervisors can cross-check daemon-reported
 /// shard checksums against local bytes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_BASIS, bytes)
@@ -517,52 +517,52 @@ pub fn parse_cache_file_name(name: &str) -> Option<ParsedCacheName> {
 // --------------------------------------------------------------------------
 
 /// Append-only encoder over a growable byte buffer.
-pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
+struct Enc {
+    buf: Vec<u8>,
 }
 
 impl Enc {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Enc { buf: Vec::new() }
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
+    fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn usize(&mut self, v: usize) {
+    fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    pub(crate) fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
-    pub(crate) fn bool(&mut self, v: bool) {
+    fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
-    pub(crate) fn str(&mut self, s: &str) {
+    fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    pub(crate) fn f64s(&mut self, vs: &[f64]) {
+    fn f64s(&mut self, vs: &[f64]) {
         self.usize(vs.len());
         for &v in vs {
             self.f64(v);
         }
     }
 
-    pub(crate) fn opt_usize(&mut self, v: Option<usize>) {
+    fn opt_usize(&mut self, v: Option<usize>) {
         match v {
             None => self.u8(0),
             Some(i) => {
@@ -572,7 +572,7 @@ impl Enc {
         }
     }
 
-    pub(crate) fn duration(&mut self, d: Duration) {
+    fn duration(&mut self, d: Duration) {
         self.u64(d.as_secs());
         self.u32(d.subsec_nanos());
     }
@@ -580,17 +580,17 @@ impl Enc {
 
 /// Cursor-based decoder; every read is bounds-checked so truncated input
 /// surfaces as [`PersistError::Corrupt`] instead of a panic.
-pub(crate) struct Dec<'b> {
-    pub(crate) bytes: &'b [u8],
-    pub(crate) pos: usize,
+struct Dec<'b> {
+    bytes: &'b [u8],
+    pos: usize,
 }
 
 impl<'b> Dec<'b> {
-    pub(crate) fn new(bytes: &'b [u8]) -> Self {
+    fn new(bytes: &'b [u8]) -> Self {
         Dec { bytes, pos: 0 }
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'b [u8], PersistError> {
+    fn take(&mut self, n: usize) -> Result<&'b [u8], PersistError> {
         let end = self
             .pos
             .checked_add(n)
@@ -601,30 +601,30 @@ impl<'b> Dec<'b> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
+    fn u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
+    fn u32(&mut self) -> Result<u32, PersistError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
+    fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
-    pub(crate) fn usize(&mut self) -> Result<usize, PersistError> {
+    fn usize(&mut self) -> Result<usize, PersistError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| PersistError::Corrupt(format!("length {v} overflows")))
     }
 
     /// A length prefix that is about to drive an allocation; bounded by
     /// the remaining payload so corrupt lengths cannot exhaust memory.
-    pub(crate) fn len(&mut self) -> Result<usize, PersistError> {
+    fn len(&mut self) -> Result<usize, PersistError> {
         let v = self.usize()?;
         if v > self.bytes.len().saturating_sub(self.pos) {
             return Err(PersistError::Corrupt(format!(
@@ -635,11 +635,11 @@ impl<'b> Dec<'b> {
         Ok(v)
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, PersistError> {
+    fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub(crate) fn bool(&mut self) -> Result<bool, PersistError> {
+    fn bool(&mut self) -> Result<bool, PersistError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -647,14 +647,14 @@ impl<'b> Dec<'b> {
         }
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, PersistError> {
+    fn str(&mut self) -> Result<String, PersistError> {
         let n = self.len()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| PersistError::Corrupt("invalid utf-8 string".into()))
     }
 
-    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, PersistError> {
+    fn f64s(&mut self) -> Result<Vec<f64>, PersistError> {
         let n = self.len()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -663,7 +663,7 @@ impl<'b> Dec<'b> {
         Ok(out)
     }
 
-    pub(crate) fn opt_usize(&mut self) -> Result<Option<usize>, PersistError> {
+    fn opt_usize(&mut self) -> Result<Option<usize>, PersistError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.usize()?)),
@@ -671,7 +671,7 @@ impl<'b> Dec<'b> {
         }
     }
 
-    pub(crate) fn duration(&mut self) -> Result<Duration, PersistError> {
+    fn duration(&mut self) -> Result<Duration, PersistError> {
         let secs = self.u64()?;
         let nanos = self.u32()?;
         if nanos >= 1_000_000_000 {
@@ -687,43 +687,22 @@ impl<'b> Dec<'b> {
 // Domain codec
 // --------------------------------------------------------------------------
 
-/// Stable wire codes for [`Opcode`]; append-only — never renumber.
-const OPCODES: [Opcode; 19] = [
-    Opcode::Add,
-    Opcode::Sub,
-    Opcode::Xor,
-    Opcode::Logic,
-    Opcode::Shift,
-    Opcode::Mul,
-    Opcode::Div,
-    Opcode::Popcnt,
-    Opcode::FpAdd,
-    Opcode::FpMul,
-    Opcode::FpDiv,
-    Opcode::VecInt,
-    Opcode::VecFp,
-    Opcode::Load,
-    Opcode::Store,
-    Opcode::Branch,
-    Opcode::Jump,
-    Opcode::IndirectBranch,
-    Opcode::Nop,
-];
-
+/// An [`Opcode`]'s wire code is its index in the append-only
+/// [`ALL_OPCODES`] table.
 fn enc_opcode(enc: &mut Enc, op: Opcode) {
-    let code = OPCODES
+    let code = ALL_OPCODES
         .iter()
         .position(|&o| o == op)
-        // pblint: allow(panic-policy) -- encode-side invariant: OPCODES is the
-        // exhaustive wire table; a missing variant is a compile-time-shaped bug,
-        // not a recoverable input condition.
+        // pblint: allow(panic-policy) -- encode-side invariant: ALL_OPCODES is
+        // the exhaustive opcode roster; a missing variant is a
+        // compile-time-shaped bug, not a recoverable input condition.
         .expect("every opcode has a wire code");
     enc.u8(code as u8);
 }
 
 fn dec_opcode(dec: &mut Dec) -> Result<Opcode, PersistError> {
     let code = dec.u8()?;
-    OPCODES
+    ALL_OPCODES
         .get(usize::from(code))
         .copied()
         .ok_or_else(|| PersistError::Corrupt(format!("invalid opcode code {code}")))
@@ -860,22 +839,22 @@ fn dec_bug(dec: &mut Dec) -> Result<BugSpec, PersistError> {
 // --------------------------------------------------------------------------
 
 /// Chunk kind: the single meta chunk (keys, engine roster, catalogue).
-pub(crate) const CHUNK_META: u8 = 0;
+const CHUNK_META: u8 = 0;
 /// Chunk kind: a probe chunk holding `n_probes >= 1` probe records.
-pub(crate) const CHUNK_PROBES: u8 = 1;
+const CHUNK_PROBES: u8 = 1;
 /// Bytes of a chunk's frame header:
 /// `kind u8 | first_probe u64 | n_probes u32 | payload_len u64`.
-pub(crate) const CHUNK_FRAME_LEN: usize = 1 + 8 + 4 + 8;
+const CHUNK_FRAME_LEN: usize = 1 + 8 + 4 + 8;
 /// Total framing overhead of one chunk: frame header plus the trailing
 /// per-chunk FNV-1a checksum.
-pub(crate) const CHUNK_OVERHEAD: usize = CHUNK_FRAME_LEN + 8;
+const CHUNK_OVERHEAD: usize = CHUNK_FRAME_LEN + 8;
 /// Probes per probe chunk emitted by this build's writers. The format
 /// itself allows any `n_probes >= 1` per chunk; one probe per chunk
 /// gives probe-granular crash recovery and random access, which is what
 /// the resume path and [`ProbeReader`] are for.
 const PROBES_PER_CHUNK: u32 = 1;
 /// Bytes of the fixed v3 trailer: `footer_offset u64 | file fnv64`.
-pub(crate) const TRAILER_LEN: usize = 16;
+const TRAILER_LEN: usize = 16;
 
 /// One row of the v3 footer's chunk index, locating and identifying a
 /// chunk without touching its bytes.
@@ -1048,12 +1027,7 @@ fn dec_probe_record(dec: &mut Dec, n_engines: usize) -> Result<ProbeRecord, Pers
 /// Frames `payload` as one chunk: frame header, payload, then the
 /// per-chunk FNV-1a checksum over frame + payload. Returns the chunk
 /// bytes and its checksum.
-pub(crate) fn build_chunk(
-    kind: u8,
-    first_probe: u64,
-    n_probes: u32,
-    payload: &[u8],
-) -> (Vec<u8>, u64) {
+fn build_chunk(kind: u8, first_probe: u64, n_probes: u32, payload: &[u8]) -> (Vec<u8>, u64) {
     let mut enc = Enc::new();
     enc.u8(kind);
     enc.u64(first_probe);
@@ -1066,20 +1040,20 @@ pub(crate) fn build_chunk(
 }
 
 /// A chunk parsed (and checksum-validated) out of a byte buffer.
-pub(crate) struct ParsedChunk<'b> {
-    pub(crate) kind: u8,
-    pub(crate) first_probe: u64,
-    pub(crate) n_probes: u32,
-    pub(crate) payload: &'b [u8],
-    pub(crate) checksum: u64,
+struct ParsedChunk<'b> {
+    kind: u8,
+    first_probe: u64,
+    n_probes: u32,
+    payload: &'b [u8],
+    checksum: u64,
     /// Total chunk length in bytes.
-    pub(crate) len: usize,
+    len: usize,
 }
 
 /// Parses the chunk starting at `bytes[offset..]`, validating the frame
 /// header, the payload bounds and the per-chunk checksum. `offset` is
 /// only used for error messages' byte positions.
-pub(crate) fn parse_chunk(bytes: &[u8], offset: usize) -> Result<ParsedChunk<'_>, PersistError> {
+fn parse_chunk(bytes: &[u8], offset: usize) -> Result<ParsedChunk<'_>, PersistError> {
     let at = |why: &str| PersistError::Corrupt(format!("chunk at byte {offset}: {why}"));
     if bytes.len() < CHUNK_OVERHEAD {
         return Err(at(&format!(
@@ -3318,6 +3292,25 @@ mod tests {
         col.catalog = BugCatalog::core_full();
         let bytes = encode_collection(&col, 0);
         assert_eq!(decode_collection(&bytes, 0).unwrap().catalog, col.catalog);
+    }
+
+    #[test]
+    fn every_opcode_round_trips() {
+        for (code, op) in ALL_OPCODES.into_iter().enumerate() {
+            let mut enc = Enc::new();
+            enc_opcode(&mut enc, op);
+            assert_eq!(
+                enc.buf,
+                [code as u8],
+                "{op:?} must encode as its table index"
+            );
+            assert_eq!(dec_opcode(&mut Dec::new(&enc.buf)).unwrap(), op);
+        }
+        let past_end = [ALL_OPCODES.len() as u8];
+        assert!(matches!(
+            dec_opcode(&mut Dec::new(&past_end)),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

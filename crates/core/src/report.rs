@@ -1,4 +1,5 @@
-//! Plain-text table and series formatting shared by the bench harness.
+//! Plain-text table and series formatting shared by the bench harness,
+//! and the JSON string escaper shared by every JSON writer.
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -110,6 +111,27 @@ pub fn stats(sample: &[f64]) -> (f64, f64, f64, f64) {
         }
     };
     (mean, var.sqrt(), quantile(0.5), quantile(0.9))
+}
+
+/// A quoted JSON string literal for `s`: quotes, backslashes and control
+/// characters are escaped. Shared by the orchestrator run report, the
+/// `pbserve` events and the `pbeval` report.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]

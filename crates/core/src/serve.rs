@@ -32,8 +32,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::exec;
-use crate::orchestrate::{json_str, report_path_for, CollectPlan};
+use crate::orchestrate::{report_path_for, CollectPlan};
 use crate::persist::{self, CacheStatus, ExperimentKind};
+use crate::report::json_str;
 
 /// Environment variable naming the address `pbserve` listens on (and
 /// `pbsub` connects to). Default: [`DEFAULT_ADDR`].

@@ -15,7 +15,6 @@ pub const OUTPUT_CRITICAL: &[&str] = &[
     "crates/core/src/orchestrate/remote.rs",
     "crates/core/src/serve.rs",
     "crates/core/src/report.rs",
-    "crates/core/src/tracecache.rs",
     "crates/bench/src/lib.rs",
     "crates/bench/src/specs.rs",
     "crates/bench/src/bin/pbcol.rs",
@@ -46,8 +45,6 @@ pub const PANIC_FREE: &[&str] = &[
     "crates/core/src/orchestrate/mod.rs",
     "crates/core/src/orchestrate/remote.rs",
     "crates/core/src/serve.rs",
-    "crates/core/src/tracecache.rs",
-    "crates/workloads/src/wire.rs",
 ];
 
 /// Rule applicability of one scanned file.
@@ -94,7 +91,7 @@ pub const ENV_REGISTRY: &[EnvVar] = &[
     },
     EnvVar {
         name: "PERFBUG_TRACE_DIR",
-        purpose: "persistent workload-trace cache directory (.pbtr files)",
+        purpose: "retired; read by nothing",
     },
     EnvVar {
         name: "PERFBUG_SHARD",

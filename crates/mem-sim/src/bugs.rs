@@ -83,31 +83,6 @@ impl MemBugSpec {
         }
     }
 
-    /// Whether this bug can change a probe's dynamic access stream.
-    ///
-    /// The memory experiment is trace driven: every current family
-    /// mis-manages the *hierarchy* (replacement state, prefetch
-    /// predictions, row-buffer policy, added latency) but never alters
-    /// the demand access stream the workload issues — the property the
-    /// persistent trace cache (`perfbug-core`'s `tracecache`) relies on
-    /// to replay one trace across all designs and bugs. The match is
-    /// exhaustive on purpose: a new family must decide here (and in the
-    /// pinning regression test in `core/tests/trace_props.rs`) whether
-    /// it perturbs the access stream, so it cannot silently reuse a
-    /// trace it invalidates.
-    pub fn perturbs_trace(&self) -> bool {
-        match self {
-            MemBugSpec::NoAgeUpdate { .. }
-            | MemBugSpec::EvictMru { .. }
-            | MemBugSpec::MissesDelay { .. }
-            | MemBugSpec::SppSignatureReset
-            | MemBugSpec::SppLeastConfidence
-            | MemBugSpec::SppDroppedPrefetch { .. }
-            | MemBugSpec::SppDegreeStride { .. }
-            | MemBugSpec::DramPageCloseDelay { .. } => false,
-        }
-    }
-
     /// Short type name.
     pub fn type_name(&self) -> &'static str {
         match self {

@@ -168,39 +168,6 @@ impl BugSpec {
         }
     }
 
-    /// Whether this bug can change a probe's dynamic instruction stream.
-    ///
-    /// The trace-driven simulation model makes every current family
-    /// timing-only: the injected defect delays, stalls or replays work
-    /// but never alters which instructions execute, their operands or
-    /// their branch outcomes — exactly the property the persistent trace
-    /// cache (`perfbug-core`'s `tracecache`) relies on to replay one
-    /// trace across all designs and bugs. The match is exhaustive on
-    /// purpose: a new family must decide here (and in the pinning
-    /// regression test in `core/tests/trace_props.rs`) whether it
-    /// perturbs the access stream, so it cannot silently reuse a trace
-    /// it invalidates.
-    pub fn perturbs_trace(&self) -> bool {
-        match self {
-            BugSpec::SerializeOpcode { .. }
-            | BugSpec::IssueOnlyIfOldest { .. }
-            | BugSpec::IfOldestIssueOnlyX { .. }
-            | BugSpec::DelayIfDependsOn { .. }
-            | BugSpec::IqBelowDelay { .. }
-            | BugSpec::RobBelowDelay { .. }
-            | BugSpec::MispredictExtraDelay { .. }
-            | BugSpec::StoresToLineDelay { .. }
-            | BugSpec::WritesToRegDelay { .. }
-            | BugSpec::L2ExtraLatency { .. }
-            | BugSpec::FewerPhysRegs { .. }
-            | BugSpec::LongBranchDelay { .. }
-            | BugSpec::OpcodeUsesRegDelay { .. }
-            | BugSpec::BtbIndexMask { .. }
-            | BugSpec::TlbPageWalkDelay { .. }
-            | BugSpec::IssueReplayEveryN { .. } => false,
-        }
-    }
-
     /// Short type name matching the paper's terminology.
     pub fn type_name(&self) -> &'static str {
         match self {

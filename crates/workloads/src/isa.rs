@@ -70,6 +70,11 @@ pub enum Opcode {
 }
 
 /// All opcodes, for iteration and bug-variant enumeration.
+///
+/// An opcode's index in this table is its opcode id in the PBCL corpus
+/// format (`perfbug-core`'s `persist`, `docs/FORMAT.md`), so the table is
+/// append-only: add new opcodes at the end and never reorder or remove
+/// one, or existing corpora would decode to the wrong opcodes.
 pub const ALL_OPCODES: [Opcode; 19] = [
     Opcode::Add,
     Opcode::Sub,

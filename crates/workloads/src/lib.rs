@@ -36,7 +36,6 @@ pub mod program;
 pub mod rowmat;
 pub mod simpoint;
 pub mod spec;
-pub mod wire;
 
 pub use isa::{FuClass, Inst, Opcode, Reg, ALL_OPCODES, FP_REG_BASE, NO_REG, NUM_ARCH_REGS};
 pub use program::{MemStreamSpec, PhaseSpec, Program, Segment, Walker};
