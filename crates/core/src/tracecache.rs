@@ -1,10 +1,9 @@
 //! The retired workload-trace cache knob.
 //!
-//! Probe traces are rebuilt from their workload program on every pass:
-//! trace generation is a negligible share of a collection pass, so the
-//! persistent trace cache that once lived here was removed.
+//! Collection passes regenerate every probe trace from its workload
+//! program (`Probe::trace`); no trace is read from or written to disk.
 
-/// The retired `PERFBUG_TRACE_DIR` environment variable. Nothing reads
-/// it; the constant stays only because the benchmark harness
-/// (`perfbench/`) still clears the variable before a run.
+/// The retired `PERFBUG_TRACE_DIR` environment variable: nothing reads
+/// it. The constant stays only for the benchmark harness (`perfbench/`),
+/// which clears the variable before a run.
 pub const TRACE_DIR_ENV: &str = "PERFBUG_TRACE_DIR";
