@@ -1,6 +1,8 @@
 //! Golden corpus digests: one fixed tiny core collection and one fixed
 //! tiny memory collection must encode to exactly the bytes pinned by
-//! [`GOLDEN_CORE_DIGEST`] and [`GOLDEN_MEM_DIGEST`].
+//! [`GOLDEN_CORE_DIGEST`] and [`GOLDEN_MEM_DIGEST`], and the core
+//! simulator's raw output over every extended-catalogue bug must hash to
+//! [`GOLDEN_SIM_DIGEST`].
 //!
 //! This is the machine check behind "the corpus is unchanged": any change
 //! to simulation, counter selection, stage-1 numerics or the PBCL codec
@@ -16,7 +18,7 @@ use perfbug_core::persist::{
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
-use perfbug_uarch::BugSpec;
+use perfbug_uarch::{presets, simulate, BugSpec};
 use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
 
 fn gbt10() -> EngineSpec {
@@ -67,5 +69,58 @@ fn corpus_digests_match_the_pinned_revision() {
         "corpus output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
          bump CORPUS_REVISION and re-pin GOLDEN_CORE_DIGEST = {core_digest:#018x}, \
          GOLDEN_MEM_DIGEST = {mem_digest:#018x}"
+    );
+}
+
+/// FNV-1a over the raw output of the core simulator: `None` plus every
+/// [`BugCatalog::core_extended`] variant, on Skylake and K8, over the first
+/// tiny-scale 426.mcf probe, sampled every 97 and every 500 cycles. Each
+/// run contributes its `total_cycles`, `total_insts`, every counter-row
+/// value's bits and every per-step IPC's bits, little-endian.
+///
+/// Unlike the corpus digests this covers all 16 bug types and every
+/// counter column, so a simulator speed-up that moves any cycle count or
+/// counter fails here. The digest moves only together with a
+/// [`CORPUS_REVISION`] bump.
+const GOLDEN_SIM_DIGEST: u64 = 0xbb11_a2f4_cdcc_f50e;
+
+#[test]
+fn simulator_digest_matches_the_pinned_revision() {
+    let scale = WorkloadScale::tiny();
+    let spec = benchmark("426.mcf").expect("suite");
+    let program = spec.program(&scale);
+    let trace = spec.probes(&scale)[0].trace(&program);
+    let bugs: Vec<Option<BugSpec>> = std::iter::once(None)
+        .chain(
+            BugCatalog::core_extended()
+                .variants()
+                .iter()
+                .copied()
+                .map(Some),
+        )
+        .collect();
+    let mut bytes = Vec::new();
+    for cfg in [presets::skylake(), presets::k8()] {
+        for &bug in &bugs {
+            for step in [97, 500] {
+                let run = simulate(&cfg, bug, &trace, step);
+                bytes.extend_from_slice(&run.total_cycles.to_le_bytes());
+                bytes.extend_from_slice(&run.total_insts.to_le_bytes());
+                for row in &run.counter_rows {
+                    for v in row {
+                        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                    }
+                }
+                for v in &run.ipc {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    let sim_digest = fnv1a(&bytes);
+    assert_eq!(
+        sim_digest, GOLDEN_SIM_DIGEST,
+        "simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
+         bump CORPUS_REVISION and re-pin GOLDEN_SIM_DIGEST = {sim_digest:#018x}"
     );
 }
