@@ -98,7 +98,7 @@ pub struct MicroarchConfig {
     /// Functional-unit latencies.
     pub fu: FuLatency,
     /// Issue ports: each port lists the functional units reachable through
-    /// it (Table III). One instruction per port per cycle.
+    /// it (Table III). One instruction per port per cycle; at most 64.
     pub ports: Vec<Vec<FuClass>>,
     /// Branch-predictor global-history table bits (2^bits counters).
     pub bp_table_bits: u32,
@@ -182,7 +182,8 @@ impl MicroarchConfig {
     /// # Panics
     ///
     /// Panics when a structural invariant is violated (zero width, no
-    /// ports, missing load/store port, ROB smaller than width, …).
+    /// ports or more than 64, missing load/store port, ROB smaller than
+    /// width, …).
     pub fn validate(&self) {
         assert!(self.width >= 1, "{}: width must be >= 1", self.name);
         assert!(
@@ -194,6 +195,11 @@ impl MicroarchConfig {
         assert!(
             !self.ports.is_empty(),
             "{}: needs at least one port",
+            self.name
+        );
+        assert!(
+            self.ports.len() <= 64,
+            "{}: at most 64 issue ports (the scheduler tracks them in a u64 mask)",
             self.name
         );
         let has = |fu: FuClass| self.ports.iter().any(|p| p.contains(&fu));
@@ -238,6 +244,23 @@ mod tests {
     fn cache_constructors() {
         assert_eq!(CacheConfig::kib(32, 8, 4).size, 32 * 1024);
         assert_eq!(CacheConfig::mib(8, 16, 34).size, 8 * 1024 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 issue ports")]
+    fn validate_rejects_more_than_64_ports() {
+        let mut cfg = presets::skylake();
+        let port = cfg.ports[0].clone();
+        cfg.ports.resize(65, port);
+        cfg.validate();
+    }
+
+    #[test]
+    fn validate_accepts_64_ports() {
+        let mut cfg = presets::skylake();
+        let port = cfg.ports[0].clone();
+        cfg.ports.resize(64, port);
+        cfg.validate();
     }
 
     #[test]

@@ -345,12 +345,13 @@ impl<'c> Pipeline<'c> {
     }
 
     /// Finds a free port able to execute `op`, honouring the non-pipelined
-    /// divider.
-    fn allocate_port(&self, op: Opcode, port_used: &[bool]) -> Option<usize> {
+    /// divider. Bit `p` of `port_used` marks port `p` as taken this cycle
+    /// ([`MicroarchConfig::validate`] caps designs at 64 ports).
+    fn allocate_port(&self, op: Opcode, port_used: u64) -> Option<usize> {
         let needs_div = matches!(op, Opcode::Div | Opcode::FpDiv);
         for fu in Self::acceptable_fus(op) {
             for (p, pool) in self.cfg.ports.iter().enumerate() {
-                if port_used[p] || !pool.contains(fu) {
+                if port_used & (1 << p) != 0 || !pool.contains(fu) {
                     continue;
                 }
                 if needs_div && *fu == FuClass::Divider && self.div_busy_until[p] > self.cycle {
@@ -394,7 +395,7 @@ impl<'c> Pipeline<'c> {
     }
 
     fn issue(&mut self) {
-        let mut port_used = vec![false; self.cfg.ports.len()];
+        let mut port_used = 0u64;
         let mut issued = 0u32;
 
         // The IQ list holds the seq numbers of unissued instructions in
@@ -411,7 +412,6 @@ impl<'c> Pipeline<'c> {
             (Some(BugSpec::IfOldestIssueOnlyX { x }), Some((_, op))) if op == x
         );
 
-        let mut issued_seqs: Vec<u64> = Vec::new();
         for iq_pos in 0..self.iq.len() {
             if issued >= self.cfg.width {
                 break;
@@ -438,13 +438,13 @@ impl<'c> Pipeline<'c> {
             }
             let ready = slot.min_issue <= self.cycle && self.deps_ready(slot);
             let port = if ready {
-                self.allocate_port(op, &port_used)
+                self.allocate_port(op, port_used)
             } else {
                 None
             };
             match port {
                 Some(p) => {
-                    port_used[p] = true;
+                    port_used |= 1 << p;
                     // Bug 16: every n-th issue grant is squashed; the
                     // instruction keeps its port for the cycle but replays
                     // t cycles later. Each instruction is squashed at most
@@ -461,7 +461,6 @@ impl<'c> Pipeline<'c> {
                         }
                     }
                     self.issue_slot(rob_idx, p);
-                    issued_seqs.push(seq);
                     issued += 1;
                 }
                 None => {
@@ -473,8 +472,9 @@ impl<'c> Pipeline<'c> {
                 }
             }
         }
-        if !issued_seqs.is_empty() {
-            self.iq.retain(|s| !issued_seqs.contains(s));
+        if issued > 0 {
+            let (rob, head_seq) = (&self.rob, self.head_seq);
+            self.iq.retain(|&s| !rob[(s - head_seq) as usize].issued);
         }
         if issued == 0 {
             self.counters.inc(Counter::IssueIdleCycles);
