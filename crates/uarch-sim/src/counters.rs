@@ -191,6 +191,17 @@ impl CounterFile {
         self.vals[c as usize]
     }
 
+    /// Adds `k` more copies of every counter's change since `since`: the
+    /// totals become `since + (k + 1) × (self − since)`. The core
+    /// simulator uses it to replay one idle cycle's increments over a
+    /// stretch of identical idle cycles it skips.
+    #[inline]
+    pub fn repeat_delta(&mut self, since: &Snapshot, k: u64) {
+        for (cur, old) in self.vals.iter_mut().zip(&since.vals) {
+            *cur += (*cur - old) * k;
+        }
+    }
+
     /// Captures the current totals as a step-boundary [`Snapshot`].
     #[inline]
     pub fn snapshot(&self) -> Snapshot {
@@ -263,6 +274,22 @@ mod tests {
         assert_eq!(row[Counter::CommittedInsts as usize], 20.0);
         // branch_frac = 5 / 20.
         assert!((row[N_RAW] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repeat_delta_scales_the_change_since_a_snapshot() {
+        let mut file = CounterFile::new();
+        file.add(Counter::Cycles, 100);
+        file.add(Counter::IqOccupancySum, 7);
+        let since = file.snapshot();
+        file.inc(Counter::Cycles);
+        file.add(Counter::IqOccupancySum, 3);
+        file.repeat_delta(&since, 4);
+        assert_eq!(file.get(Counter::Cycles), 105);
+        assert_eq!(file.get(Counter::IqOccupancySum), 22);
+        assert_eq!(file.get(Counter::CommittedInsts), 0);
+        file.repeat_delta(&file.snapshot(), 9);
+        assert_eq!(file.get(Counter::Cycles), 105);
     }
 
     #[test]

@@ -5,8 +5,32 @@
 //! and an L1I, rename with a finite physical register file, an issue queue
 //! scheduled oldest-first onto Table III port/functional-unit pools, a
 //! load/store path through a three-level cache hierarchy, and in-order
-//! commit from a re-order buffer. All fourteen bug types of §IV-C hook
-//! into this loop.
+//! commit from a re-order buffer. All sixteen bug types (§IV-C's fourteen
+//! plus the TLB and replay extensions) hook into this loop.
+//!
+//! # Idle-cycle jumps
+//!
+//! A *quiescent* cycle is one in which nothing commits, issues or is
+//! squashed, nothing is renamed and nothing is fetched (so there is no
+//! I-cache access and neither `fetch_resume_at` nor
+//! `fetch_blocked_on_branch` changes). After such a cycle the pipeline
+//! state differs only in `cycle`, and every stage decision compares
+//! `cycle` against a recorded time. Each later cycle therefore repeats the
+//! quiescent cycle's counter increments exactly until the earliest
+//! pending event, the first recorded time still ahead of `cycle`:
+//!
+//! * the ROB head's `complete_at`;
+//! * each IQ entry's `min_issue`, and the `complete_at` of each of its
+//!   issued producers;
+//! * the decode-pipe head's `ready_at`;
+//! * `fetch_resume_at`;
+//! * every non-pipelined divider's `div_busy_until`.
+//!
+//! The main loop jumps over that stretch, stopping one cycle short of the
+//! event, the next sample boundary or the watchdog limit, whichever comes
+//! first, and adds the skipped cycles' increments in one step. Sample rows
+//! land on the same cycles with the same values as a cycle-by-cycle run,
+//! and a deadlocked pipeline reaches the watchdog in one jump per sample.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -234,12 +258,13 @@ impl<'c> Pipeline<'c> {
         let max_cycles = 400 * trace.len() as u64 + 1_000_000;
 
         while self.fetch_pos < trace.len() || !self.rob.is_empty() || !self.decode_pipe.is_empty() {
+            let before = self.counters.snapshot();
             self.cycle += 1;
             self.counters.inc(Counter::Cycles);
-            self.commit();
-            self.issue();
-            self.rename();
-            self.fetch(trace);
+            let committed = self.commit();
+            let issued = self.issue();
+            let renamed = self.rename();
+            let fetched = self.fetch(trace);
             self.counters
                 .add(Counter::RobOccupancySum, self.rob.len() as u64);
             self.counters
@@ -261,6 +286,19 @@ impl<'c> Pipeline<'c> {
                 self.cycle,
                 self.bug
             );
+            if !(committed || issued || renamed || fetched) {
+                // Quiescent: the cycles up to the next event repeat this
+                // one (see the module docs), so skip them.
+                let until = self
+                    .next_event()
+                    .min(last_sample_cycle.saturating_add(step_cycles))
+                    .min(max_cycles)
+                    - 1;
+                if until > self.cycle {
+                    self.counters.repeat_delta(&before, until - self.cycle);
+                    self.cycle = until;
+                }
+            }
         }
         // Keep a trailing partial step if it covers at least half a step.
         let leftover = self.cycle - last_sample_cycle;
@@ -275,9 +313,39 @@ impl<'c> Pipeline<'c> {
         out.total_insts = self.counters.get(Counter::CommittedInsts);
     }
 
+    /// The earliest pending event of a quiescent pipeline: the first cycle
+    /// after the current one at which any stage's decision can change
+    /// (`u64::MAX` if none; see the module docs for the list).
+    fn next_event(&self) -> u64 {
+        let cycle = self.cycle;
+        let ahead = |t: u64| if t > cycle { t } else { u64::MAX };
+        let mut next = ahead(self.fetch_resume_at);
+        if let Some(head) = self.rob.front() {
+            next = next.min(ahead(head.complete_at));
+        }
+        if let Some(&(ready_at, ..)) = self.decode_pipe.front() {
+            next = next.min(ahead(ready_at));
+        }
+        for &busy in &self.div_busy_until {
+            next = next.min(ahead(busy));
+        }
+        for &seq in &self.iq {
+            let slot = &self.rob[(seq - self.head_seq) as usize];
+            next = next.min(ahead(slot.min_issue));
+            for &d in &slot.deps {
+                // Unissued producers complete at `u64::MAX`.
+                if d != NO_DEP && d >= self.head_seq {
+                    next = next.min(ahead(self.rob[(d - self.head_seq) as usize].complete_at));
+                }
+            }
+        }
+        next
+    }
+
     // ---- commit ----------------------------------------------------------
 
-    fn commit(&mut self) {
+    /// Retires up to `width` completed instructions; `true` if any did.
+    fn commit(&mut self) -> bool {
         let mut committed = 0;
         while committed < self.cfg.width {
             let Some(front) = self.rob.front() else { break };
@@ -302,6 +370,7 @@ impl<'c> Pipeline<'c> {
         } else if committed == 0 {
             self.counters.inc(Counter::CommitIdleCycles);
         }
+        committed > 0
     }
 
     // ---- issue -----------------------------------------------------------
@@ -394,7 +463,9 @@ impl<'c> Pipeline<'c> {
         }
     }
 
-    fn issue(&mut self) {
+    /// Issues ready instructions oldest-first; `true` if any issue grant
+    /// was made (a squashed grant included).
+    fn issue(&mut self) -> bool {
         let mut port_used = 0u64;
         let mut issued = 0u32;
 
@@ -480,6 +551,7 @@ impl<'c> Pipeline<'c> {
             self.counters.inc(Counter::IssueIdleCycles);
         }
         self.counters.add(Counter::IssuedInsts, issued as u64);
+        port_used != 0
     }
 
     fn issue_slot(&mut self, rob_idx: usize, port: usize) {
@@ -552,7 +624,8 @@ impl<'c> Pipeline<'c> {
 
     // ---- rename / dispatch -----------------------------------------------
 
-    fn rename(&mut self) {
+    /// Renames and dispatches decoded instructions; `true` if any was.
+    fn rename(&mut self) -> bool {
         let mut renamed = 0;
         while renamed < self.cfg.width {
             let Some(&(ready_at, inst, mispredicted)) = self.decode_pipe.front() else {
@@ -690,23 +763,27 @@ impl<'c> Pipeline<'c> {
             });
             renamed += 1;
         }
+        renamed > 0
     }
 
     // ---- fetch -----------------------------------------------------------
 
-    fn fetch(&mut self, trace: &[Inst]) {
+    /// Fetches up to `width` instructions into the decode pipe; `true`
+    /// unless fetch was idle or stalled (a fetch attempt always fetches an
+    /// instruction or accesses the I-cache).
+    fn fetch(&mut self, trace: &[Inst]) -> bool {
         if self.fetch_pos >= trace.len() {
-            return;
+            return false;
         }
         if self.decode_pipe.len() >= FRONTEND_BUFFER_FACTOR * self.cfg.width as usize {
-            return; // front-end buffer full; not a stall of interest
+            return false; // front-end buffer full; not a stall of interest
         }
         if self.fetch_blocked_on_branch || self.cycle < self.fetch_resume_at {
             self.counters.inc(Counter::FetchStallCycles);
             if self.fetch_blocked_on_branch || self.fetch_resume_at > 0 {
                 self.counters.inc(Counter::MispredictStallCycles);
             }
-            return;
+            return false;
         }
         for _ in 0..self.cfg.width {
             if self.fetch_pos >= trace.len() {
@@ -757,6 +834,7 @@ impl<'c> Pipeline<'c> {
                 break;
             }
         }
+        true
     }
 }
 
@@ -890,6 +968,23 @@ mod tests {
             500,
         );
         assert!(buggy.total_cycles > healthy.total_cycles);
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline deadlock")]
+    fn a_stuck_pipeline_still_trips_the_watchdog() {
+        // No port can execute a multiply, so the ROB head waits forever
+        // and every cycle is quiescent; the idle-cycle jumps must stop at
+        // the watchdog limit rather than run past it.
+        let mut cfg = presets::skylake();
+        for pool in &mut cfg.ports {
+            pool.retain(|fu| !matches!(fu, FuClass::IntMult | FuClass::Divider));
+        }
+        let mut mul = Inst::nop(0x1000);
+        mul.opcode = Opcode::Mul;
+        mul.dst = 1;
+        mul.src1 = 2;
+        simulate(&cfg, None, &[mul], 500);
     }
 
     #[test]
