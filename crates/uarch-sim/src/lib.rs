@@ -11,8 +11,9 @@
 //! counters are sampled every time step, producing the per-probe feature
 //! time series consumed by the stage-1 IPC models.
 //!
-//! All fourteen core bug types of §IV-C are injectable via [`BugSpec`];
-//! each is a pure timing defect parameterised for arbitrary severity.
+//! All sixteen core bug types (§IV-C's fourteen plus two extensions) are
+//! injectable via [`BugSpec`]; each is a pure timing defect parameterised
+//! for arbitrary severity.
 //!
 //! ```
 //! use perfbug_uarch::{presets, simulate};

@@ -261,10 +261,14 @@ impl<'c> Pipeline<'c> {
             let before = self.counters.snapshot();
             self.cycle += 1;
             self.counters.inc(Counter::Cycles);
-            let committed = self.commit();
-            let issued = self.issue();
-            let renamed = self.rename();
-            let fetched = self.fetch(trace);
+            // Every stage runs, in order; each reports whether it made
+            // progress.
+            let progress = [
+                self.commit(),
+                self.issue(),
+                self.rename(),
+                self.fetch(trace),
+            ];
             self.counters
                 .add(Counter::RobOccupancySum, self.rob.len() as u64);
             self.counters
@@ -286,7 +290,7 @@ impl<'c> Pipeline<'c> {
                 self.cycle,
                 self.bug
             );
-            if !(committed || issued || renamed || fetched) {
+            if !progress.contains(&true) {
                 // Quiescent: the cycles up to the next event repeat this
                 // one (see the module docs), so skip them.
                 let until = self
