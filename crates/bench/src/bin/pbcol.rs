@@ -9,10 +9,9 @@
 //! pbcol inspect <file>...            dump header + payload shapes + chunk
 //!                                    index (for a part file: the durably
 //!                                    recoverable prefix)
-//! pbcol verify  [--stream] <file-or-dir>...
-//!                                    checksum + shard-coverage validation;
-//!                                    --stream validates chunk-by-chunk in
-//!                                    O(chunk) memory with per-chunk status
+//! pbcol verify  <file-or-dir>...      chunk-by-chunk validation in O(chunk)
+//!                                    memory, then shard-set completeness
+//!                                    and mergeability
 //! pbcol merge   -o <out> <file>...   merge a shard set into one full file
 //! pbcol prune   <dir> [--dry-run]    evict stale cache files + dead temps
 //! ```
@@ -35,10 +34,10 @@ use std::time::Duration;
 use perfbug_core::experiment::Collection;
 use perfbug_core::orchestrate::{report_path_for, REPORT_EXTENSION};
 use perfbug_core::persist::{
-    decode_collection_with, is_part_file_name, is_temp_file_name, merge_collections,
-    parse_cache_file_name, read_header, read_header_with_version, save_collection_with,
-    scan_part_file, verify_stream, ChunkEntry, FileHeader, PersistError, CORPUS_REVISION,
-    FILE_EXTENSION, FORMAT_VERSION,
+    check_shard_set, decode_collection_with, is_part_file_name, is_temp_file_name,
+    merge_shard_files, parse_cache_file_name, read_header, scan_part_file, verify_stream,
+    ChunkEntry, FileHeader, PersistError, ProbeReader, CORPUS_REVISION, FILE_EXTENSION,
+    FORMAT_VERSION,
 };
 use perfbug_core::serve::is_tenant_dir_name;
 
@@ -78,10 +77,9 @@ USAGE:
                                        index (for a `.part.tmp`: the durably
                                        recoverable prefix), and the
                                        orchestrator run report when present
-    pbcol verify  [--stream] <file-or-dir>...
-                                       checksum + shard-coverage validation;
-                                       --stream goes chunk-by-chunk in
-                                       O(chunk) memory, per-chunk status
+    pbcol verify  <file-or-dir>...      chunk-by-chunk validation in O(chunk)
+                                       memory, then shard-set completeness
+                                       and mergeability
     pbcol merge   -o <out> <file>...   merge a shard set into one full file
     pbcol prune   <dir> [--dry-run]    evict stale cache files and dead temp
                                        files; resumable shard parts are kept
@@ -112,15 +110,8 @@ fn read_bytes(path: &Path) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-fn print_header(header: &FileHeader, version: u32) {
-    println!(
-        "  format version:  {version}{}",
-        if version == FORMAT_VERSION {
-            ""
-        } else {
-            "  (legacy: readable, rewritten as v3 on the next collection)"
-        }
-    );
+fn print_header(header: &FileHeader) {
+    println!("  format version:  {FORMAT_VERSION}");
     println!(
         "  corpus revision: {}{}",
         header.corpus_revision,
@@ -173,7 +164,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
         {
             match scan_part_file(path) {
                 Ok(prefix) => {
-                    print_header(&prefix.header, FORMAT_VERSION);
+                    print_header(&prefix.header);
                     println!(
                         "  in-flight part:  {} probe(s) durably recoverable, {} torn tail byte(s)",
                         prefix.probes, prefix.torn_bytes
@@ -188,15 +179,15 @@ fn inspect(args: &[String]) -> Result<(), String> {
             continue;
         }
         let bytes = read_bytes(path)?;
-        let (header, version) = match read_header_with_version(&bytes) {
-            Ok(hv) => hv,
+        let header = match read_header(&bytes) {
+            Ok(header) => header,
             Err(e) => {
                 println!("  unreadable header: {e}");
                 failed = true;
                 continue;
             }
         };
-        print_header(&header, version);
+        print_header(&header);
         match decode_collection_with(&bytes, None) {
             Ok((col, _)) => print_shapes(&col),
             Err(e) => {
@@ -204,15 +195,13 @@ fn inspect(args: &[String]) -> Result<(), String> {
                 failed = true;
             }
         }
-        // The v3 chunk/offset index enables O(chunk) random access;
-        // surface it so a human can see what `read_probe` would seek to.
-        if version == FORMAT_VERSION {
-            match perfbug_core::persist::ProbeReader::open(path, None) {
-                Ok(reader) => print_chunk_index(reader.chunk_index()),
-                Err(e) => {
-                    println!("  chunk index:     INVALID ({e})");
-                    failed = true;
-                }
+        // The chunk/offset index enables O(chunk) random access; surface
+        // it so a human can see what `read_probe` would seek to.
+        match ProbeReader::open(path, None) {
+            Ok(reader) => print_chunk_index(reader.chunk_index()),
+            Err(e) => {
+                println!("  chunk index:     INVALID ({e})");
+                failed = true;
             }
         }
         print_provenance(path);
@@ -224,7 +213,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Prints the v3 chunk/offset index (footer) of a file or part prefix.
+/// Prints the chunk/offset index (footer) of a file or part prefix.
 fn print_chunk_index(chunks: &[ChunkEntry]) {
     println!("  chunk index:     {} chunk(s)", chunks.len());
     for (i, c) in chunks.iter().enumerate() {
@@ -263,67 +252,76 @@ fn print_provenance(path: &Path) {
     }
 }
 
-/// Key grouping the shard files of one collection pass.
-type PassKey = (String, u64);
+/// The shard set a shard file belongs to, keyed exactly as
+/// `persist::load_or_assemble` groups its candidates: same directory,
+/// name prefix, experiment kind, fingerprint and partition width.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct SetKey {
+    dir: PathBuf,
+    prefix: String,
+    kind: &'static str,
+    fingerprint: u64,
+    count: u32,
+}
 
-/// Chunk-by-chunk streaming verification of one v3 file: per-chunk
-/// status lines, O(chunk) peak memory. Falls back to a full in-memory
-/// decode for a legacy v2 file (which has no chunk structure to stream).
-fn verify_one_streaming(path: &Path) -> Result<FileHeader, String> {
-    let mut n = 0usize;
-    match verify_stream(path, None, |entry: &ChunkEntry| {
-        n += 1;
-        if entry.is_meta() {
-            println!(
-                "  chunk meta    @{:>8} len {:>8} ok",
-                entry.offset, entry.len
-            );
-        } else {
-            println!(
-                "  chunk probes  @{:>8} len {:>8} probes {}..{} ok",
-                entry.offset,
-                entry.len,
-                entry.first_probe,
-                entry.probe_end()
-            );
-        }
-    }) {
-        Ok(header) => Ok(header),
-        Err(PersistError::Version { found, .. }) if found != FORMAT_VERSION => {
-            // Legacy v2: whole-file decode is the only validation.
-            let bytes = read_bytes(path)?;
-            let (_, header) = decode_collection_with(&bytes, None)
-                .map_err(|e| format!("legacy v{found} file: {e}"))?;
-            println!("  legacy v{found} file: validated by full decode (not streamable)");
-            Ok(header)
-        }
-        Err(e) => Err(e.to_string()),
+impl std::fmt::Display for SetKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} {:016x} in {} ({}-way)",
+            self.prefix,
+            self.kind,
+            self.fingerprint,
+            self.dir.display(),
+            self.count
+        )
     }
 }
 
+/// What `verify` concluded about one shard set.
+#[derive(Debug)]
+enum SetVerdict {
+    /// Every shard index is present and the set merges under this header.
+    Merges(FileHeader),
+    /// Shard indices are missing; these are the ones present.
+    Incomplete(Vec<u32>),
+    /// Every shard index is present but the set does not merge.
+    Fails(String),
+}
+
 fn verify(args: &[String]) -> Result<(), String> {
-    let stream = args.iter().any(|a| a == "--stream");
-    let args: Vec<&String> = args.iter().filter(|a| a.as_str() != "--stream").collect();
     if args.is_empty() {
         return Err("verify needs at least one file or directory".into());
     }
     let mut files = Vec::new();
-    for arg in &args {
-        files.extend(pbcol_files(Path::new(arg.as_str()))?);
+    for arg in args {
+        files.extend(pbcol_files(Path::new(arg))?);
     }
+    files.sort();
+    files.dedup();
     if files.is_empty() {
         return Err("no .pbcol files found".into());
     }
-    if stream {
-        return verify_streaming(&files);
+    let (errors, _) = verify_files(&files);
+    if errors > 0 {
+        Err(format!("{errors} file(s)/shard set(s) failed verification"))
+    } else {
+        Ok(())
     }
+}
+
+/// Validates every file chunk-by-chunk with `verify_stream` (O(chunk)
+/// memory), checks that its name agrees with its header, then checks
+/// each shard set: a set whose every shard index is present must pass
+/// `check_shard_set`, the validation `merge_shard_files` runs before it
+/// writes. Returns the failure count and the verdict on each shard set.
+fn verify_files(files: &[PathBuf]) -> (usize, BTreeMap<SetKey, SetVerdict>) {
     let mut errors = 0usize;
-    let mut shard_groups: BTreeMap<PassKey, Vec<(PathBuf, Collection, FileHeader)>> =
-        BTreeMap::new();
-    for path in &files {
-        let bytes = read_bytes(path)?;
-        let (col, header) = match decode_collection_with(&bytes, None) {
-            Ok(decoded) => decoded,
+    let mut sets: BTreeMap<SetKey, BTreeMap<u32, PathBuf>> = BTreeMap::new();
+    for path in files {
+        let mut chunks = 0usize;
+        let header = match verify_stream(path, None, |_| chunks += 1) {
+            Ok(header) => header,
             Err(e) => {
                 println!("FAIL {}: {e}", path.display());
                 errors += 1;
@@ -332,143 +330,94 @@ fn verify(args: &[String]) -> Result<(), String> {
         };
         // The name must agree with the header — a renamed or hand-copied
         // file would otherwise serve the wrong configuration or shard.
-        if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-            if let Some(parsed) = parse_cache_file_name(name) {
-                let name_shard = parsed.shard;
-                let header_shard = (!header.manifest.is_full())
-                    .then_some((header.manifest.index, header.manifest.count));
-                if parsed.fingerprint != header.fingerprint
-                    || parsed.kind != header.kind
-                    || name_shard != header_shard
-                {
-                    println!(
-                        "FAIL {}: file name says {} {:016x} shard {:?}, header says {} {:016x} {}",
-                        path.display(),
-                        parsed.kind,
-                        parsed.fingerprint,
-                        name_shard,
-                        header.kind,
-                        header.fingerprint,
-                        header.manifest
-                    );
-                    errors += 1;
-                    continue;
-                }
+        let parsed = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(parse_cache_file_name);
+        let header_shard =
+            (!header.manifest.is_full()).then_some((header.manifest.index, header.manifest.count));
+        if let Some(parsed) = &parsed {
+            if parsed.fingerprint != header.fingerprint
+                || parsed.kind != header.kind
+                || parsed.shard != header_shard
+            {
+                println!(
+                    "FAIL {}: file name says {} {:016x} shard {:?}, header says {} {:016x} {}",
+                    path.display(),
+                    parsed.kind,
+                    parsed.fingerprint,
+                    parsed.shard,
+                    header.kind,
+                    header.fingerprint,
+                    header.manifest
+                );
+                errors += 1;
+                continue;
             }
         }
         if header.manifest.is_full() {
-            println!("ok   {}: full, {}", path.display(), header.manifest);
-        } else {
-            println!("ok   {}: {}", path.display(), header.manifest);
-            shard_groups
-                .entry((header.kind.to_string(), header.fingerprint))
-                .or_default()
-                .push((path.clone(), col, header));
-        }
-    }
-    // Shard sets must at least be mergeable-or-still-incomplete; overlaps
-    // and partition mismatches are hard failures, missing shards a note.
-    for ((kind, fingerprint), group) in shard_groups {
-        let expected = group[0].2.manifest.count as usize;
-        let parts: Vec<_> = group.iter().map(|(_, c, h)| (c.clone(), *h)).collect();
-        if group.len() < expected {
-            let mut have: Vec<u32> = group.iter().map(|(_, _, h)| h.manifest.index).collect();
-            have.sort_unstable();
             println!(
-                "note {kind} {fingerprint:016x}: {}/{expected} shards present (have {have:?}) — \
-                 corpus not yet assemblable",
-                group.len()
+                "ok   {}: full, {}, {chunks} chunks",
+                path.display(),
+                header.manifest
             );
             continue;
         }
-        match merge_collections(parts) {
-            Ok((col, _)) => println!(
-                "ok   {kind} {fingerprint:016x}: {expected} shards merge into {} probes",
-                col.probes.len()
+        println!(
+            "ok   {}: {}, {chunks} chunks",
+            path.display(),
+            header.manifest
+        );
+        match parsed {
+            Some(parsed) => {
+                let key = SetKey {
+                    dir: path.parent().map(Path::to_path_buf).unwrap_or_default(),
+                    prefix: parsed.prefix,
+                    kind: header.kind.as_str(),
+                    fingerprint: header.fingerprint,
+                    count: header.manifest.count,
+                };
+                sets.entry(key)
+                    .or_default()
+                    .insert(header.manifest.index, path.clone());
+            }
+            None => println!(
+                "note {}: not named as a shard file, so no cache load assembles it",
+                path.display()
             ),
-            Err(e) => {
-                println!("FAIL {kind} {fingerprint:016x}: shard set does not merge: {e}");
-                errors += 1;
-            }
         }
     }
-    if errors > 0 {
-        Err(format!("{errors} file(s)/shard set(s) failed verification"))
-    } else {
-        Ok(())
-    }
-}
-
-/// `verify --stream`: each file is validated chunk-by-chunk with
-/// per-chunk status and O(chunk) peak memory (the non-stream path holds
-/// every decoded collection at once to prove shard sets merge). Shard
-/// completeness is still checked — from headers alone.
-fn verify_streaming(files: &[PathBuf]) -> Result<(), String> {
-    let mut errors = 0usize;
-    let mut shard_groups: BTreeMap<PassKey, Vec<FileHeader>> = BTreeMap::new();
-    for path in files {
-        println!("{}:", path.display());
-        match verify_one_streaming(path) {
-            Ok(header) => {
-                // Same name-vs-header agreement check as the full path.
-                if let Some(parsed) = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .and_then(parse_cache_file_name)
-                {
-                    let header_shard = (!header.manifest.is_full())
-                        .then_some((header.manifest.index, header.manifest.count));
-                    if parsed.fingerprint != header.fingerprint
-                        || parsed.kind != header.kind
-                        || parsed.shard != header_shard
-                    {
-                        println!(
-                            "FAIL {}: file name says {} {:016x} shard {:?}, header says {} {:016x} {}",
-                            path.display(),
-                            parsed.kind,
-                            parsed.fingerprint,
-                            parsed.shard,
-                            header.kind,
-                            header.fingerprint,
-                            header.manifest
-                        );
-                        errors += 1;
-                        continue;
-                    }
+    let verdicts = sets
+        .into_iter()
+        .map(|(key, members)| {
+            let verdict = if members.len() < key.count as usize {
+                SetVerdict::Incomplete(members.into_keys().collect())
+            } else {
+                let paths: Vec<PathBuf> = members.into_values().collect();
+                match check_shard_set(&paths) {
+                    Ok(header) => SetVerdict::Merges(header),
+                    Err(e) => SetVerdict::Fails(e.to_string()),
                 }
-                println!("ok   {}: {}", path.display(), header.manifest);
-                if !header.manifest.is_full() {
-                    shard_groups
-                        .entry((header.kind.to_string(), header.fingerprint))
-                        .or_default()
-                        .push(header);
+            };
+            match &verdict {
+                SetVerdict::Merges(header) => println!(
+                    "ok   {key}: all {} shards merge into {}",
+                    key.count, header.manifest
+                ),
+                SetVerdict::Incomplete(have) => println!(
+                    "note {key}: {}/{} shards present (have {have:?}) — corpus not yet assemblable",
+                    have.len(),
+                    key.count
+                ),
+                SetVerdict::Fails(why) => {
+                    println!("FAIL {key}: shard set does not merge: {why}");
+                    errors += 1;
                 }
             }
-            Err(e) => {
-                println!("FAIL {}: {e}", path.display());
-                errors += 1;
-            }
-        }
-    }
-    for ((kind, fingerprint), group) in shard_groups {
-        let expected = group[0].manifest.count as usize;
-        let mut have: Vec<u32> = group.iter().map(|h| h.manifest.index).collect();
-        have.sort_unstable();
-        if group.len() < expected {
-            println!(
-                "note {kind} {fingerprint:016x}: {}/{expected} shards present (have {have:?}) — \
-                 corpus not yet assemblable",
-                group.len()
-            );
-        } else {
-            println!("ok   {kind} {fingerprint:016x}: all {expected} shards present");
-        }
-    }
-    if errors > 0 {
-        Err(format!("{errors} file(s) failed streaming verification"))
-    } else {
-        Ok(())
-    }
+            (key, verdict)
+        })
+        .collect();
+    (errors, verdicts)
 }
 
 fn merge(args: &[String]) -> Result<(), String> {
@@ -488,22 +437,12 @@ fn merge(args: &[String]) -> Result<(), String> {
     if inputs.len() < 2 {
         return Err("merge needs at least two shard files".into());
     }
-    let mut parts = Vec::new();
-    for path in &inputs {
-        let bytes = read_bytes(path)?;
-        let (col, header) =
-            decode_collection_with(&bytes, None).map_err(|e| format!("{}: {e}", path.display()))?;
-        parts.push((col, header));
-    }
-    let (merged, header) = merge_collections(parts).map_err(|e| e.to_string())?;
-    save_collection_with(&out, &merged, &header)
-        .map_err(|e| format!("saving {}: {e}", out.display()))?;
+    let header = merge_shard_files(&inputs, &out).map_err(|e| e.to_string())?;
     println!(
-        "merged {} shards into {} ({} probes x {} run keys, fingerprint {:016x})",
+        "merged {} shards into {} ({} probes, fingerprint {:016x})",
         inputs.len(),
         out.display(),
-        merged.probes.len(),
-        merged.keys.len(),
+        header.manifest.total_probes,
         header.fingerprint
     );
     Ok(())
@@ -743,6 +682,12 @@ fn prune_dir(dir: &Path, dry_run: bool, temp_age: Duration) -> Result<(), String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfbug_core::experiment::{ProbeMeta, RunKey};
+    use perfbug_core::persist::{
+        cache_file_name, fnv1a, load_or_assemble, part_path_for, shard_file_name, ProbeRecord,
+        ShardManifest, ShardStreamWriter,
+    };
+    use perfbug_core::{ExperimentKind, ShardSpec};
 
     /// A scratch directory unique to this test process.
     fn scratch(tag: &str) -> PathBuf {
@@ -872,10 +817,6 @@ mod tests {
 
     #[test]
     fn prune_keeps_resumable_parts_and_evicts_dead_ones() {
-        use perfbug_core::experiment::{ProbeMeta, RunKey};
-        use perfbug_core::persist::{part_path_for, ProbeRecord, ShardManifest, ShardStreamWriter};
-        use perfbug_core::ExperimentKind;
-
         let dir = scratch("prune-parts");
         let epoch = std::time::SystemTime::UNIX_EPOCH;
         let age = |p: &Path| {
@@ -895,41 +836,9 @@ mod tests {
         // A part with one durable probe chunk is resumable and must
         // survive prune no matter how old it is.
         let target = dir.join("live-core-00aa.pbcol");
-        let header = FileHeader {
-            kind: ExperimentKind::Core,
-            corpus_revision: CORPUS_REVISION,
-            fingerprint: 0xaa,
-            manifest: ShardManifest::full(2),
-        };
-        let keys = vec![RunKey {
-            arch: "Skylake".into(),
-            set: perfbug_uarch::ArchSet::IV,
-            bug: None,
-        }];
-        let catalog = perfbug_core::BugCatalog::core_small();
-        let mut writer = ShardStreamWriter::create_or_resume(
-            &target,
-            &header,
-            &keys,
-            &["GBT-0".into()],
-            &catalog,
-        )
-        .expect("writer");
+        let mut writer = open_writer(&target, ShardManifest::full(2), "Skylake");
         writer
-            .append_probe(
-                &ProbeRecord {
-                    meta: ProbeMeta {
-                        id: "bench#0".into(),
-                        benchmark: "bench".into(),
-                        weight: 1.0,
-                    },
-                    overall: vec![1.0],
-                    agg: vec![vec![0.5]],
-                    deltas: vec![vec![0.25]],
-                    captures: Vec::new(),
-                },
-                &[(Duration::ZERO, Duration::ZERO)],
-            )
+            .append_probe(&probe_record(0), &[(Duration::ZERO, Duration::ZERO)])
             .expect("append");
         drop(writer); // unfinished on purpose: the part IS the artifact
         let resumable = part_path_for(&target);
@@ -939,6 +848,168 @@ mod tests {
         prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
         assert!(!dead.exists(), "dead part must be evicted");
         assert!(resumable.exists(), "resumable part must be kept");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fingerprint of the hand-built test corpora.
+    const FP: u64 = 0xaa;
+
+    /// A shard writer for `target` whose single run key names `arch`, so
+    /// two writers differing only in `arch` disagree on the meta chunk.
+    fn open_writer(target: &Path, manifest: ShardManifest, arch: &str) -> ShardStreamWriter {
+        let header = FileHeader {
+            kind: ExperimentKind::Core,
+            corpus_revision: CORPUS_REVISION,
+            fingerprint: FP,
+            manifest,
+        };
+        let keys = [RunKey {
+            arch: arch.into(),
+            set: perfbug_uarch::ArchSet::IV,
+            bug: None,
+        }];
+        let catalog = perfbug_core::BugCatalog::core_small();
+        ShardStreamWriter::create_or_resume(target, &header, &keys, &["GBT-0".into()], &catalog)
+            .expect("writer")
+    }
+
+    /// The one-key, one-engine record of probe `i`.
+    fn probe_record(i: u64) -> ProbeRecord {
+        ProbeRecord {
+            meta: ProbeMeta {
+                id: format!("bench#{i}"),
+                benchmark: "bench".into(),
+                weight: 1.0,
+            },
+            overall: vec![1.0],
+            agg: vec![vec![0.5]],
+            deltas: vec![vec![0.25]],
+            captures: Vec::new(),
+        }
+    }
+
+    /// Writes shard `index` of a `count`-way, `count`-probe pass (one
+    /// probe per shard) as `<prefix>-core-<FP>-s<index>of<count>.pbcol`.
+    fn write_shard(dir: &Path, prefix: &str, index: usize, count: usize, arch: &str) -> PathBuf {
+        let path = dir.join(shard_file_name(
+            prefix,
+            ExperimentKind::Core,
+            FP,
+            index,
+            count,
+        ));
+        let manifest = ShardManifest::of(ShardSpec::new(index, count), count);
+        let mut writer = open_writer(&path, manifest, arch);
+        writer
+            .append_probe(
+                &probe_record(index as u64),
+                &[(Duration::ZERO, Duration::ZERO)],
+            )
+            .expect("append");
+        writer.finish().expect("finish");
+        path
+    }
+
+    #[test]
+    fn verify_counts_shard_indices_per_prefix() {
+        // Shard 0 of a 2-way pass, plus the same file copied under another
+        // prefix: two files, but shard 1 is missing from both sets.
+        let dir = scratch("verify-incomplete");
+        let shard = write_shard(&dir, "replay-demo", 0, 2, "Skylake");
+        let copy = dir.join(shard_file_name("other", ExperimentKind::Core, FP, 0, 2));
+        std::fs::copy(&shard, &copy).expect("copy");
+
+        let (errors, sets) = verify_files(&pbcol_files(&dir).expect("list"));
+        assert_eq!(errors, 0, "an incomplete set is a note, not a failure");
+        assert_eq!(sets.len(), 2, "each prefix is its own shard set");
+        for (key, verdict) in &sets {
+            assert!(
+                matches!(verdict, SetVerdict::Incomplete(have) if have == &[0]),
+                "{key} must not be reported complete: {verdict:?}"
+            );
+        }
+        let target = dir.join(cache_file_name("replay-demo", ExperimentKind::Core, FP));
+        assert!(
+            load_or_assemble(&target, ExperimentKind::Core, FP)
+                .expect("scan")
+                .is_none(),
+            "the cache load agrees: nothing to assemble"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn verify_passes_a_complete_shard_set() {
+        let dir = scratch("verify-complete");
+        for index in 0..2 {
+            write_shard(&dir, "demo", index, 2, "Skylake");
+        }
+        let (errors, sets) = verify_files(&pbcol_files(&dir).expect("list"));
+        assert_eq!(errors, 0);
+        let verdicts: Vec<_> = sets.values().collect();
+        match verdicts.as_slice() {
+            [SetVerdict::Merges(header)] => {
+                assert!(header.manifest.is_full());
+                assert_eq!(header.manifest.total_probes, 2);
+            }
+            other => panic!("expected one mergeable set, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn verify_fails_a_shard_set_whose_meta_chunks_disagree() {
+        let dir = scratch("verify-meta");
+        write_shard(&dir, "demo", 0, 2, "Skylake");
+        write_shard(&dir, "demo", 1, 2, "Zen");
+        let (errors, sets) = verify_files(&pbcol_files(&dir).expect("list"));
+        assert_eq!(errors, 1, "both files verify alone; only the set fails");
+        let verdicts: Vec<_> = sets.values().collect();
+        match verdicts.as_slice() {
+            [SetVerdict::Fails(why)] => assert!(why.contains("meta chunk"), "{why}"),
+            other => panic!("expected one failing set, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v2_files_are_rejected_by_version_and_pruned() {
+        let dir = scratch("v2");
+        let path = dir.join(cache_file_name("old", ExperimentKind::Core, FP));
+        let mut writer = open_writer(&path, ShardManifest::full(1), "Skylake");
+        writer
+            .append_probe(&probe_record(0), &[(Duration::ZERO, Duration::ZERO)])
+            .expect("append");
+        writer.finish().expect("finish");
+        // Rewrite the header's version field to 2 and re-seal the
+        // whole-file checksum, so only the version is wrong.
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let body = bytes.len() - 8;
+        let seal = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&seal.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+
+        let is_v2 = |r: Result<(), PersistError>| {
+            matches!(
+                r,
+                Err(PersistError::Version {
+                    found: 2,
+                    expected: FORMAT_VERSION
+                })
+            )
+        };
+        assert!(is_v2(decode_collection_with(&bytes, None).map(drop)));
+        assert!(is_v2(verify_stream(&path, None, |_| {}).map(drop)));
+        assert!(is_v2(
+            load_or_assemble(&path, ExperimentKind::Core, FP).map(drop)
+        ));
+        assert_eq!(
+            stale_reason(&path, &bytes).as_deref(),
+            Some("format version 2 (this build reads 3)")
+        );
+        prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
+        assert!(!path.exists(), "prune must evict the v2 file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,14 +1,15 @@
 //! `pborch` — shard orchestrator CLI: a process-pool driver for sharded
 //! collection passes, local or distributed.
 //!
-//! PR 3's sharded collection required one hand-run `PERFBUG_SHARD=<i>/<n>`
-//! invocation per worker. `pborch run` drives the whole pass from one
-//! command: it partitions the probe axis into more shards than workers,
+//! Without a driver, sharded collection needs one hand-run
+//! `PERFBUG_SHARD=<i>/<n>` invocation per worker. `pborch run` drives the
+//! whole pass from one command: it partitions the probe axis into more shards than workers,
 //! spawns shard workers as child processes (re-invocations of this binary
 //! in `worker` mode), supervises them (exit status, shard-file
 //! verification, optional per-shard timeout), requeues shards from
 //! dead/hung/failed workers with a bounded retry budget, assembles the
-//! merged corpus through `persist::merge_collections`, and writes a JSON
+//! merged corpus through `persist::load_or_assemble` (streaming
+//! `persist::merge_shard_files`), and writes a JSON
 //! run report beside the cache file (printed by `pbcol inspect` as
 //! shard-attempt provenance).
 //!

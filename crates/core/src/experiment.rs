@@ -9,6 +9,7 @@
 //! classifiers (or the baseline) are re-fit per held-out bug type from the
 //! collected error matrix.
 
+use std::convert::Infallible;
 use std::time::Duration;
 
 use perfbug_uarch::{presets, simulate, ArchSet, BugSpec, MicroarchConfig};
@@ -379,7 +380,52 @@ fn subsample_probes(per_benchmark: Vec<Vec<Probe>>, max: Option<usize>) -> Vec<P
 /// Panics if the configuration has no engines, no benchmarks, or no
 /// designs in a required set.
 pub fn collect(config: &CollectionConfig) -> Collection {
-    collect_sharded(config, exec::ShardSpec::full()).0
+    collect_in_memory(pass_identity(config), |sink| {
+        collect_sharded_streaming(config, exec::ShardSpec::full(), 0, sink)
+    })
+}
+
+/// The in-memory body of [`collect`] and [`crate::memory::collect_memory`]:
+/// runs `stream` — a whole-pass call of [`collect_sharded_streaming`] or
+/// its memory twin — and appends each streamed probe to a [`Collection`]
+/// laid out from `identity`. Engine timings sum over probes.
+pub(crate) fn collect_in_memory(
+    identity: PassIdentity,
+    stream: impl FnOnce(
+        &mut dyn FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), Infallible>,
+    ) -> Result<usize, Infallible>,
+) -> Collection {
+    let mut col = Collection {
+        keys: identity.keys,
+        probes: Vec::new(),
+        engines: identity
+            .engine_names
+            .into_iter()
+            .map(|name| EngineResult {
+                name,
+                deltas: Vec::new(),
+                train_time: Duration::ZERO,
+                infer_time: Duration::ZERO,
+            })
+            .collect(),
+        overall_ipc: Vec::new(),
+        agg_features: Vec::new(),
+        captures: Vec::new(),
+        catalog: identity.catalog,
+    };
+    let Ok(_) = stream(&mut |meta, po| {
+        col.probes.push(meta);
+        col.overall_ipc.push(po.overall);
+        col.agg_features.push(po.agg);
+        for (engine, o) in col.engines.iter_mut().zip(po.engines) {
+            engine.deltas.push(o.deltas);
+            engine.train_time += o.train_time;
+            engine.infer_time += o.infer_time;
+            col.captures.extend(o.captures);
+        }
+        Ok(())
+    });
+    col
 }
 
 /// The simulation-independent shape of a collection pass, derivable from
@@ -474,7 +520,11 @@ pub fn pass_identity(config: &CollectionConfig) -> PassIdentity {
 /// A `sink` error aborts the pass (the error is returned verbatim);
 /// nothing is retried. Every probe's pipeline depends only on its own
 /// trace, so the streamed outputs are bit-identical to the corresponding
-/// slice of [`collect_sharded`] for any `skip`.
+/// slice of a full [`collect`] for any `shard` and `skip`; merging a
+/// disjoint covering set of shard files
+/// ([`crate::persist::merge_shard_files`]) therefore reassembles the
+/// single-process collection exactly (wall-clock timings aside, which sum
+/// over shards).
 ///
 /// # Panics
 ///
@@ -588,66 +638,6 @@ pub fn collect_sharded_streaming<E>(
         },
     )?;
     Ok(probes.len())
-}
-
-/// Runs one shard of the collection pass: only the probes in
-/// `shard.probe_range(total)` are simulated and trained, producing a
-/// partial [`Collection`] whose per-probe vectors cover exactly that
-/// range (the run-key axis is always complete). Returns the shard's
-/// collection and the total probe count of the full pass, so callers can
-/// build the persistence manifest (`crate::persist::ShardManifest`).
-///
-/// Every probe's pipeline depends only on its own trace, so a probe's
-/// results are bit-identical whether collected in a full pass or in any
-/// shard; merging a disjoint covering set of shards
-/// (`crate::persist::merge_collections`) reassembles the single-process
-/// collection exactly (wall-clock timings aside, which sum over shards).
-///
-/// # Panics
-///
-/// As [`collect`]. A shard may legitimately own zero probes (more shards
-/// than probes); the *global* probe set must still be non-empty.
-pub fn collect_sharded(config: &CollectionConfig, shard: exec::ShardSpec) -> (Collection, usize) {
-    let identity = pass_identity(config);
-    let mut col = Collection {
-        keys: identity.keys,
-        probes: Vec::new(),
-        engines: identity
-            .engine_names
-            .into_iter()
-            .map(|name| EngineResult {
-                name,
-                deltas: Vec::new(),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
-            })
-            .collect(),
-        overall_ipc: Vec::new(),
-        agg_features: Vec::new(),
-        captures: Vec::new(),
-        catalog: identity.catalog,
-    };
-    let total = {
-        let col = &mut col;
-        let result: Result<usize, std::convert::Infallible> =
-            collect_sharded_streaming(config, shard, 0, |meta, po| {
-                col.probes.push(meta);
-                col.overall_ipc.push(po.overall);
-                col.agg_features.push(po.agg);
-                for (engine, o) in col.engines.iter_mut().zip(po.engines) {
-                    engine.deltas.push(o.deltas);
-                    engine.train_time += o.train_time;
-                    engine.infer_time += o.infer_time;
-                    col.captures.extend(o.captures);
-                }
-                Ok(())
-            });
-        match result {
-            Ok(total) => total,
-            Err(never) => match never {},
-        }
-    };
-    (col, total)
 }
 
 // --------------------------------------------------------------------------

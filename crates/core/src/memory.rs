@@ -9,12 +9,10 @@ use perfbug_memsim::{self as memsim, simulate_memory, MemArchConfig, MemBugSpec}
 use perfbug_uarch::ArchSet;
 use perfbug_workloads::{Probe, Program, RowMatrix, WorkloadScale};
 
-use std::time::Duration;
-
 use crate::bugs::{BugCatalog, MemBugCatalog};
 use crate::counter_select::{select_counters, CounterMode, SelectionThresholds};
 use crate::exec;
-use crate::experiment::{Collection, EngineResult, PassIdentity, ProbeMeta, RunKey};
+use crate::experiment::{collect_in_memory, Collection, PassIdentity, ProbeMeta, RunKey};
 use crate::stage1::{EngineSpec, FeatureSpec, RunSeries};
 use perfbug_memsim::mem_counter_names;
 
@@ -97,7 +95,9 @@ fn mem_set(set: memsim::ArchSet) -> ArchSet {
 ///
 /// Panics if no engines are configured.
 pub fn collect_memory(config: &MemCollectionConfig) -> Collection {
-    collect_memory_sharded(config, exec::ShardSpec::full()).0
+    collect_in_memory(mem_pass_identity(config), |sink| {
+        collect_memory_sharded_streaming(config, exec::ShardSpec::full(), 0, sink)
+    })
 }
 
 /// Everything [`collect_memory_sharded_streaming`] derives from the
@@ -274,61 +274,6 @@ pub fn collect_memory_sharded_streaming<E>(
     Ok(pass.probes.len())
 }
 
-/// Runs one shard of the memory collection pass (the memory-experiment
-/// sibling of [`crate::experiment::collect_sharded`]): only the probes in
-/// `shard.probe_range(total)` run, the returned partial [`Collection`]
-/// covers exactly that range, and the second value is the full pass's
-/// total probe count for the persistence manifest.
-///
-/// # Panics
-///
-/// As [`collect_memory`]; a shard may own zero probes.
-pub fn collect_memory_sharded(
-    config: &MemCollectionConfig,
-    shard: exec::ShardSpec,
-) -> (Collection, usize) {
-    let identity = mem_pass_identity(config);
-    let mut col = Collection {
-        keys: identity.keys,
-        probes: Vec::new(),
-        engines: identity
-            .engine_names
-            .into_iter()
-            .map(|name| EngineResult {
-                name,
-                deltas: Vec::new(),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
-            })
-            .collect(),
-        overall_ipc: Vec::new(),
-        agg_features: Vec::new(),
-        captures: Vec::new(),
-        catalog: identity.catalog,
-    };
-    let total = {
-        let col = &mut col;
-        let result: Result<usize, std::convert::Infallible> =
-            collect_memory_sharded_streaming(config, shard, 0, |meta, po| {
-                col.probes.push(meta);
-                col.overall_ipc.push(po.overall);
-                col.agg_features.push(po.agg);
-                for (engine, o) in col.engines.iter_mut().zip(po.engines) {
-                    engine.deltas.push(o.deltas);
-                    engine.train_time += o.train_time;
-                    engine.infer_time += o.infer_time;
-                    col.captures.extend(o.captures);
-                }
-                Ok(())
-            });
-        match result {
-            Ok(total) => total,
-            Err(never) => match never {},
-        }
-    };
-    (col, total)
-}
-
 /// Simulates one memory run and shapes it for stage 1.
 fn mem_run(
     config: &MemCollectionConfig,
@@ -478,36 +423,31 @@ mod tests {
     #[test]
     fn sharded_memory_collection_merges_to_the_full_one() {
         use crate::persist::{
-            mem_config_fingerprint, merge_collections, ExperimentKind, FileHeader, ShardManifest,
-            CORPUS_REVISION,
+            cache_file_name, collect_memory_shard_or_resume, load_or_assemble,
+            mem_config_fingerprint, shard_file_name, CacheStatus, ExperimentKind,
         };
         let config = tiny_mem_config();
         let mut full = collect_memory(&config);
         let fingerprint = mem_config_fingerprint(&config);
-        let parts: Vec<_> = (0..2)
-            .map(|index| {
-                let shard = exec::ShardSpec::new(index, 2);
-                let (col, total) = collect_memory_sharded(&config, shard);
-                let header = FileHeader {
-                    kind: ExperimentKind::Memory,
-                    corpus_revision: CORPUS_REVISION,
-                    fingerprint,
-                    manifest: ShardManifest::of(shard, total),
-                };
-                (col, header)
-            })
-            .collect();
-        let (mut merged, header) = merge_collections(parts).expect("merge");
-        assert!(header.manifest.is_full());
-        assert_eq!(header.kind, ExperimentKind::Memory);
-        // Wall-clock timings are the only nondeterministic fields.
-        for col in [&mut merged, &mut full] {
-            for engine in &mut col.engines {
-                engine.train_time = std::time::Duration::ZERO;
-                engine.infer_time = std::time::Duration::ZERO;
-            }
+        let kind = ExperimentKind::Memory;
+        let dir = std::env::temp_dir().join(format!("perfbug-mem-shards-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        for index in 0..2 {
+            let path = dir.join(shard_file_name("mem-test", kind, fingerprint, index, 2));
+            collect_memory_shard_or_resume(&path, &config, exec::ShardSpec::new(index, 2))
+                .expect("shard collects");
         }
+        let path = dir.join(cache_file_name("mem-test", kind, fingerprint));
+        let (mut merged, status) = load_or_assemble(&path, kind, fingerprint)
+            .expect("assemble")
+            .expect("complete shard set");
+        assert_eq!(status, CacheStatus::Assembled);
+        // Wall-clock timings are the only nondeterministic fields.
+        merged.zero_timings();
+        full.zero_timings();
         assert_eq!(merged, full);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Shard orchestration: a fault-tolerant process-pool driver for sharded
 //! collection passes.
 //!
-//! PR 3 made collection shardable (`exec::ShardSpec`, one `.pbcol` shard
-//! file per worker, `persist::merge_collections` reassembly), but shards
-//! still had to be launched and babysat by hand — one
+//! Collection is shardable (`exec::ShardSpec`, one `.pbcol` shard file
+//! per worker, `persist::merge_shard_files` reassembly), but without a
+//! driver shards must be launched and babysat by hand — one
 //! `PERFBUG_SHARD=<i>/<n>` invocation per terminal. This module is the
 //! *driver* for that workflow:
 //!
@@ -22,9 +22,11 @@
 //!   workers** with a bounded per-shard retry budget; a shard that
 //!   exhausts its budget lands on the exclusion list and the run is
 //!   reported as failed (never silently partial);
-//! * the finished pass is assembled through the existing
-//!   [`merge_collections`](crate::persist::merge_collections) path, so
-//!   the result is bit-identical (wall-clock timings aside) to a
+//! * the finished pass is assembled through
+//!   [`load_or_assemble`](crate::persist::load_or_assemble), which
+//!   streams the shard files through
+//!   [`merge_shard_files`](crate::persist::merge_shard_files), so the
+//!   result is bit-identical (wall-clock timings aside) to a
 //!   single-process collection **for any schedule of worker losses** —
 //!   shard workers write atomically (temp file + rename, see
 //!   `docs/FORMAT.md`), so a killed worker can never leave a partial

@@ -25,8 +25,8 @@
 //!   than silently reused;
 //! * a [`ShardManifest`] — which contiguous probe range of the full pass
 //!   this file covers. Full single-process files cover `0..total` in one
-//!   shard; a sharded pass (`experiment::collect_sharded` on `count`
-//!   processes) writes `count` shard files that [`merge_collections`]
+//!   shard; a sharded pass ([`collect_shard_or_resume`] on `count`
+//!   processes) writes `count` shard files that [`merge_shard_files`]
 //!   reassembles into the single-process collection after validating
 //!   disjoint, complete coverage and matching identity fields;
 //! * a trailing FNV-1a checksum over the whole header + payload —
@@ -36,7 +36,7 @@
 //! they replay a saved collection when the cache file exists, assemble it
 //! from a complete set of shard files in the same directory when one is
 //! not, and collect (then save) otherwise. Shard workers use
-//! [`collect_shard_or_load`] / [`collect_memory_shard_or_load`]. Pair
+//! [`collect_shard_or_resume`] / [`collect_memory_shard_or_resume`]. Pair
 //! them with [`cache_file_name`] / [`shard_file_name`], which embed the
 //! experiment kind and the fingerprint in the file name so distinct
 //! configurations — and the core and memory experiments sharing one cache
@@ -64,7 +64,7 @@ use crate::experiment::{
 use crate::memory::MemCollectionConfig;
 
 /// Version of the on-disk format. Bump on any layout change; readers
-/// reject every version except this one and [`LEGACY_FORMAT_VERSION`].
+/// reject every other version with [`PersistError::Version`].
 ///
 /// * v1 — magic, version, fingerprint, payload, checksum.
 /// * v2 — adds the corpus revision, the experiment kind and the shard
@@ -78,12 +78,6 @@ use crate::memory::MemCollectionConfig;
 ///   ([`merge_shard_files`]) and crash-recoverable resumable shard
 ///   writes ([`ShardStreamWriter`], [`scan_part`]).
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The previous on-disk format, still accepted by every read path
-/// (read-compat shim): v2 files in an existing `PERFBUG_CACHE_DIR`
-/// replay without recollection. Writers always emit [`FORMAT_VERSION`];
-/// the streaming/resume machinery is v3-only.
-pub const LEGACY_FORMAT_VERSION: u32 = 2;
 
 /// Version of the *corpus semantics*: what the collection pipeline would
 /// produce for a given configuration. Folded into every config
@@ -361,10 +355,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Version token frozen into the fingerprint canon. This is *not*
 /// [`FORMAT_VERSION`]: fingerprints identify what the collection pipeline
-/// would produce, and the v2→v3 codec change reshaped only the container,
-/// not the data — so v2-era cache files (and their fingerprint-bearing
-/// names) must keep matching. Bump [`CORPUS_REVISION`] — not this — when
-/// collection *output* changes.
+/// would produce, not the container it is stored in. The value is frozen:
+/// changing it would move every fingerprint, every cache file name derived
+/// from one and every pinned digest keyed by one. Bump
+/// [`CORPUS_REVISION`] — not this — when collection *output* changes.
 const FINGERPRINT_VERSION: u32 = 2;
 
 /// Fingerprint of everything in a [`CollectionConfig`] that shapes the
@@ -1093,6 +1087,76 @@ fn parse_chunk(bytes: &[u8], offset: usize) -> Result<ParsedChunk<'_>, PersistEr
     })
 }
 
+/// [`parse_chunk`] over the bytes of the chunk `entry` indexes, which must
+/// also agree with that footer entry field for field.
+fn parse_indexed_chunk<'b>(
+    bytes: &'b [u8],
+    entry: &ChunkEntry,
+) -> Result<ParsedChunk<'b>, PersistError> {
+    let parsed = parse_chunk(bytes, entry.offset as usize)?;
+    if parsed.len != entry.len as usize
+        || parsed.checksum != entry.checksum
+        || parsed.kind != entry.kind
+        || parsed.first_probe != entry.first_probe
+        || parsed.n_probes != entry.n_probes
+    {
+        return Err(PersistError::Corrupt(format!(
+            "chunk at byte {} disagrees with its footer index entry",
+            entry.offset
+        )));
+    }
+    Ok(parsed)
+}
+
+/// Decodes a meta chunk's payload, which must be consumed exactly.
+fn dec_meta_chunk(payload: &[u8]) -> Result<MetaSection, PersistError> {
+    let mut dec = Dec::new(payload);
+    let meta = dec_meta_section(&mut dec)?;
+    if dec.pos != payload.len() {
+        return Err(PersistError::Corrupt(
+            "trailing bytes after meta chunk payload".into(),
+        ));
+    }
+    Ok(meta)
+}
+
+/// Checks the footer's per-engine timing totals against the meta chunk's
+/// engine roster.
+fn check_footer_times(
+    times: &[(Duration, Duration)],
+    meta: &MetaSection,
+) -> Result<(), PersistError> {
+    if times.len() != meta.engine_names.len() {
+        return Err(PersistError::Corrupt(format!(
+            "footer times {} engines but the roster has {}",
+            times.len(),
+            meta.engine_names.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Decodes every probe record of a probe chunk that starts at byte
+/// `offset`, handing each to `each`; the payload must be consumed exactly.
+fn dec_probe_chunk(
+    chunk: &ParsedChunk,
+    offset: u64,
+    n_engines: usize,
+    mut each: impl FnMut(ProbeRecord),
+) -> Result<(), PersistError> {
+    let mut dec = Dec::new(chunk.payload);
+    for _ in 0..chunk.n_probes {
+        each(dec_probe_record(&mut dec, n_engines)?);
+    }
+    if dec.pos != chunk.payload.len() {
+        return Err(PersistError::Corrupt(format!(
+            "{} trailing bytes after probe chunk payload at byte {offset}",
+            chunk.payload.len() - dec.pos
+        )));
+    }
+    Ok(())
+}
+
 /// Serialises the v3 footer: the chunk index followed by the per-engine
 /// wall-clock timing totals. Timings live here — not in probe chunks —
 /// because a whole collection's per-engine times cannot be attributed to
@@ -1223,153 +1287,17 @@ fn validate_chunk_table(
     Ok(())
 }
 
-/// Serialises the legacy v2 monolithic payload (the whole collection as
-/// one blob). Retained only for the v2 read-compat fixture encoder; v3
-/// writers go through the chunked layout above.
-fn enc_collection_v2(enc: &mut Enc, col: &Collection) {
-    enc.usize(col.keys.len());
-    for key in &col.keys {
-        enc.str(&key.arch);
-        enc_arch_set(enc, key.set);
-        enc.opt_usize(key.bug);
-    }
-    enc.usize(col.probes.len());
-    for p in &col.probes {
-        enc.str(&p.id);
-        enc.str(&p.benchmark);
-        enc.f64(p.weight);
-    }
-    enc.usize(col.engines.len());
-    for e in &col.engines {
-        enc.str(&e.name);
-        enc.duration(e.train_time);
-        enc.duration(e.infer_time);
-        enc.usize(e.deltas.len());
-        for row in &e.deltas {
-            enc.f64s(row);
-        }
-    }
-    enc.usize(col.overall_ipc.len());
-    for row in &col.overall_ipc {
-        enc.f64s(row);
-    }
-    enc.usize(col.agg_features.len());
-    for probe_rows in &col.agg_features {
-        enc.usize(probe_rows.len());
-        for row in probe_rows {
-            enc.f64s(row);
-        }
-    }
-    enc.usize(col.captures.len());
-    for c in &col.captures {
-        enc.str(&c.probe_id);
-        enc.str(&c.arch);
-        enc.opt_usize(c.bug);
-        enc.str(&c.engine);
-        enc.f64s(&c.simulated);
-        enc.f64s(&c.inferred);
-    }
-    enc.usize(col.catalog.len());
-    for bug in col.catalog.variants() {
-        enc_bug(enc, bug);
-    }
-}
-
-/// Decodes the legacy v2 monolithic payload (read-compat shim).
-fn dec_collection_v2(dec: &mut Dec) -> Result<Collection, PersistError> {
-    let n_keys = dec.len()?;
-    let mut keys = Vec::with_capacity(n_keys);
-    for _ in 0..n_keys {
-        keys.push(RunKey {
-            arch: dec.str()?,
-            set: dec_arch_set(dec)?,
-            bug: dec.opt_usize()?,
-        });
-    }
-    let n_probes = dec.len()?;
-    let mut probes = Vec::with_capacity(n_probes);
-    for _ in 0..n_probes {
-        probes.push(ProbeMeta {
-            id: dec.str()?,
-            benchmark: dec.str()?,
-            weight: dec.f64()?,
-        });
-    }
-    let n_engines = dec.len()?;
-    let mut engines = Vec::with_capacity(n_engines);
-    for _ in 0..n_engines {
-        let name = dec.str()?;
-        let train_time = dec.duration()?;
-        let infer_time = dec.duration()?;
-        let n_rows = dec.len()?;
-        let mut deltas = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            deltas.push(dec.f64s()?);
-        }
-        engines.push(EngineResult {
-            name,
-            deltas,
-            train_time,
-            infer_time,
-        });
-    }
-    let n_overall = dec.len()?;
-    let mut overall_ipc = Vec::with_capacity(n_overall);
-    for _ in 0..n_overall {
-        overall_ipc.push(dec.f64s()?);
-    }
-    let n_agg = dec.len()?;
-    let mut agg_features = Vec::with_capacity(n_agg);
-    for _ in 0..n_agg {
-        let n_rows = dec.len()?;
-        let mut rows = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            rows.push(dec.f64s()?);
-        }
-        agg_features.push(rows);
-    }
-    let n_caps = dec.len()?;
-    let mut captures = Vec::with_capacity(n_caps);
-    for _ in 0..n_caps {
-        captures.push(CapturedSeries {
-            probe_id: dec.str()?,
-            arch: dec.str()?,
-            bug: dec.opt_usize()?,
-            engine: dec.str()?,
-            simulated: dec.f64s()?,
-            inferred: dec.f64s()?,
-        });
-    }
-    let n_bugs = dec.len()?;
-    if n_bugs == 0 {
-        return Err(PersistError::Corrupt("empty bug catalogue".into()));
-    }
-    let mut variants = Vec::with_capacity(n_bugs);
-    for _ in 0..n_bugs {
-        variants.push(dec_bug(dec)?);
-    }
-    Ok(Collection {
-        keys,
-        probes,
-        engines,
-        overall_ipc,
-        agg_features,
-        captures,
-        catalog: BugCatalog::new(variants),
-    })
-}
-
 // --------------------------------------------------------------------------
 // File format
 // --------------------------------------------------------------------------
 
-/// Size of the fixed v2 header: magic, version, corpus revision, kind,
+/// Size of the fixed file header: magic, version, corpus revision, kind,
 /// fingerprint and the five shard-manifest fields (see `docs/FORMAT.md`).
 const HEADER_LEN: usize = 4 + 4 + 4 + 1 + 8 + (4 + 4 + 8 + 8 + 8);
 
-fn enc_header(enc: &mut Enc, header: &FileHeader, version: u32) {
+fn enc_header(enc: &mut Enc, header: &FileHeader) {
     enc.buf.extend_from_slice(&MAGIC);
-    enc.u32(version);
+    enc.u32(FORMAT_VERSION);
     enc.u32(header.corpus_revision);
     enc.u8(header.kind.wire());
     enc.u64(header.fingerprint);
@@ -1380,12 +1308,12 @@ fn enc_header(enc: &mut Enc, header: &FileHeader, version: u32) {
     enc.u64(header.manifest.total_probes);
 }
 
-fn dec_header(dec: &mut Dec) -> Result<(FileHeader, u32), PersistError> {
+fn dec_header(dec: &mut Dec) -> Result<FileHeader, PersistError> {
     if dec.take(4)? != MAGIC {
         return Err(PersistError::Corrupt("bad magic".into()));
     }
     let version = dec.u32()?;
-    if version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(PersistError::Version {
             found: version,
             expected: FORMAT_VERSION,
@@ -1402,15 +1330,12 @@ fn dec_header(dec: &mut Dec) -> Result<(FileHeader, u32), PersistError> {
         total_probes: dec.u64()?,
     };
     manifest.validate()?;
-    Ok((
-        FileHeader {
-            kind,
-            corpus_revision,
-            fingerprint,
-            manifest,
-        },
-        version,
-    ))
+    Ok(FileHeader {
+        kind,
+        corpus_revision,
+        fingerprint,
+        manifest,
+    })
 }
 
 /// Splits a collection into per-probe [`ProbeRecord`]s, bucketing the
@@ -1474,7 +1399,7 @@ pub fn encode_collection_with(col: &Collection, header: &FileHeader) -> Vec<u8> 
         "shard manifest must cover exactly the collection's probes"
     );
     let mut enc = Enc::new();
-    enc_header(&mut enc, header, FORMAT_VERSION);
+    enc_header(&mut enc, header);
     let mut chunks = Vec::with_capacity(col.probes.len() + 1);
     let mut push_chunk = |enc: &mut Enc, kind, first_probe, n_probes, payload: &[u8]| {
         let offset = enc.buf.len() as u64;
@@ -1521,23 +1446,6 @@ pub fn encode_collection_with(col: &Collection, header: &FileHeader) -> Vec<u8> 
     enc.buf
 }
 
-/// Serialises a collection in the **legacy v2** monolithic layout.
-/// Production writers always emit v3 — this exists so tests can mint v2
-/// fixtures and prove the read-compat shim keeps old caches loadable.
-pub fn encode_collection_v2_with(col: &Collection, header: &FileHeader) -> Vec<u8> {
-    assert_eq!(
-        header.manifest.probes(),
-        col.probes.len() as u64,
-        "shard manifest must cover exactly the collection's probes"
-    );
-    let mut enc = Enc::new();
-    enc_header(&mut enc, header, LEGACY_FORMAT_VERSION);
-    enc_collection_v2(&mut enc, col);
-    let checksum = fnv1a(&enc.buf);
-    enc.u64(checksum);
-    enc.buf
-}
-
 /// Serialises a full (unsharded) core-experiment collection under a
 /// config fingerprint; the general form is [`encode_collection_with`].
 pub fn encode_collection(col: &Collection, fingerprint: u64) -> Vec<u8> {
@@ -1558,13 +1466,6 @@ pub fn encode_collection(col: &Collection, fingerprint: u64) -> Vec<u8> {
 /// tooling uses this to triage files cheaply; anything that consumes the
 /// payload must go through [`decode_collection_with`].
 pub fn read_header(bytes: &[u8]) -> Result<FileHeader, PersistError> {
-    dec_header(&mut Dec::new(bytes)).map(|(h, _)| h)
-}
-
-/// [`read_header`] that also reports the file's format version (2 or 3),
-/// for tooling that must branch between the legacy monolithic layout and
-/// the v3 chunked one.
-pub fn read_header_with_version(bytes: &[u8]) -> Result<(FileHeader, u32), PersistError> {
     dec_header(&mut Dec::new(bytes))
 }
 
@@ -1581,7 +1482,7 @@ pub fn read_header_checked(bytes: &[u8]) -> Result<FileHeader, PersistError> {
         )));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let (header, _) = dec_header(&mut Dec::new(body))?;
+    let header = dec_header(&mut Dec::new(body))?;
     let stored_checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
     if fnv1a(body) != stored_checksum {
         return Err(PersistError::Corrupt("checksum mismatch".into()));
@@ -1592,8 +1493,7 @@ pub fn read_header_checked(bytes: &[u8]) -> Result<FileHeader, PersistError> {
 /// Decodes a serialised collection, validating magic, version, checksum,
 /// then (when `expected` is given) the config fingerprint, then the
 /// payload and its consistency with the shard manifest. Accepts both full
-/// and shard files in either the v3 chunked or the legacy v2 monolithic
-/// layout; the returned header says which shard this was.
+/// and shard files; the returned header says which shard this was.
 pub fn decode_collection_with(
     bytes: &[u8],
     expected: Option<u64>,
@@ -1605,8 +1505,7 @@ pub fn decode_collection_with(
         )));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut dec = Dec::new(body);
-    let (header, version) = dec_header(&mut dec)?;
+    let header = dec_header(&mut Dec::new(body))?;
     let stored_checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
     if fnv1a(body) != stored_checksum {
         return Err(PersistError::Corrupt("checksum mismatch".into()));
@@ -1619,18 +1518,7 @@ pub fn decode_collection_with(
             });
         }
     }
-    let col = if version == LEGACY_FORMAT_VERSION {
-        let col = dec_collection_v2(&mut dec)?;
-        if dec.pos != body.len() {
-            return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                body.len() - dec.pos
-            )));
-        }
-        col
-    } else {
-        decode_v3_body(body, &header)?
-    };
+    let col = decode_v3_body(body, &header)?;
     if header.manifest.probes() != col.probes.len() as u64 {
         return Err(PersistError::Corrupt(format!(
             "manifest covers {} probes but payload holds {}",
@@ -1681,37 +1569,10 @@ fn assemble_v3(
                 "chunk at byte {offset} extends past end of file"
             )));
         }
-        let parsed = parse_chunk(&bytes[offset..end], offset)?;
-        if parsed.len != entry.len as usize
-            || parsed.checksum != entry.checksum
-            || parsed.kind != entry.kind
-            || parsed.first_probe != entry.first_probe
-            || parsed.n_probes != entry.n_probes
-        {
-            return Err(PersistError::Corrupt(format!(
-                "chunk at byte {offset} disagrees with its footer index entry"
-            )));
-        }
-        Ok(parsed)
+        parse_indexed_chunk(&bytes[offset..end], entry)
     };
-    let meta_chunk = chunk_at(&chunks[0])?;
-    let meta = {
-        let mut dec = Dec::new(meta_chunk.payload);
-        let meta = dec_meta_section(&mut dec)?;
-        if dec.pos != meta_chunk.payload.len() {
-            return Err(PersistError::Corrupt(
-                "trailing bytes after meta chunk payload".into(),
-            ));
-        }
-        meta
-    };
-    if times.len() != meta.engine_names.len() {
-        return Err(PersistError::Corrupt(format!(
-            "footer times {} engines but the roster has {}",
-            times.len(),
-            meta.engine_names.len()
-        )));
-    }
+    let meta = dec_meta_chunk(chunk_at(&chunks[0])?.payload)?;
+    check_footer_times(times, &meta)?;
     let mut col = Collection {
         keys: meta.keys,
         probes: Vec::new(),
@@ -1731,11 +1592,9 @@ fn assemble_v3(
         captures: Vec::new(),
         catalog: meta.catalog,
     };
+    let n_engines = col.engines.len();
     for entry in &chunks[1..] {
-        let chunk = chunk_at(entry)?;
-        let mut dec = Dec::new(chunk.payload);
-        for _ in 0..chunk.n_probes {
-            let rec = dec_probe_record(&mut dec, col.engines.len())?;
+        dec_probe_chunk(&chunk_at(entry)?, entry.offset, n_engines, |rec| {
             col.probes.push(rec.meta);
             col.overall_ipc.push(rec.overall);
             col.agg_features.push(rec.agg);
@@ -1743,14 +1602,7 @@ fn assemble_v3(
                 engine.deltas.push(row);
             }
             col.captures.extend(rec.captures);
-        }
-        if dec.pos != chunk.payload.len() {
-            return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes after probe chunk payload at byte {}",
-                chunk.payload.len() - dec.pos,
-                entry.offset
-            )));
-        }
+        })?;
     }
     Ok(col)
 }
@@ -1758,7 +1610,7 @@ fn assemble_v3(
 /// Decodes a *full* serialised collection, validating magic, version,
 /// checksum and the config fingerprint (in that order). A shard file is
 /// rejected with [`PersistError::Shard`] — partial corpora must go
-/// through [`merge_collections`].
+/// through [`merge_shard_files`].
 pub fn decode_collection(bytes: &[u8], expected: u64) -> Result<Collection, PersistError> {
     let (col, header) = decode_collection_with(bytes, Some(expected))?;
     if !header.manifest.is_full() {
@@ -1806,17 +1658,10 @@ pub struct RecoveredPrefix {
 /// scans cleanly — its footer bytes simply fail to parse as a chunk and
 /// count as torn tail, so callers should try a normal load first.
 ///
-/// Only [`FORMAT_VERSION`] parts are resumable; a v2 file is rejected
-/// with [`PersistError::Version`].
+/// A part of any other format version is rejected with
+/// [`PersistError::Version`].
 pub fn scan_part(bytes: &[u8]) -> Result<RecoveredPrefix, PersistError> {
-    let mut dec = Dec::new(bytes);
-    let (header, version) = dec_header(&mut dec)?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::Version {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
+    let header = dec_header(&mut Dec::new(bytes))?;
     let meta_chunk = parse_chunk(&bytes[HEADER_LEN..], HEADER_LEN)
         .map_err(|e| PersistError::Corrupt(format!("part file has no valid meta chunk: {e}")))?;
     if meta_chunk.kind != CHUNK_META || meta_chunk.first_probe != 0 || meta_chunk.n_probes != 0 {
@@ -1824,18 +1669,9 @@ pub fn scan_part(bytes: &[u8]) -> Result<RecoveredPrefix, PersistError> {
             "part file's first chunk is not a meta chunk".into(),
         ));
     }
-    let meta = {
-        let mut dec = Dec::new(meta_chunk.payload);
-        let meta = dec_meta_section(&mut dec).map_err(|e| {
-            PersistError::Corrupt(format!("part file's meta chunk does not decode: {e}"))
-        })?;
-        if dec.pos != meta_chunk.payload.len() {
-            return Err(PersistError::Corrupt(
-                "trailing bytes after part file's meta chunk payload".into(),
-            ));
-        }
-        meta
-    };
+    let meta = dec_meta_chunk(meta_chunk.payload).map_err(|e| {
+        PersistError::Corrupt(format!("part file's meta chunk does not decode: {e}"))
+    })?;
     let n_engines = meta.engine_names.len();
     let mut chunks = vec![ChunkEntry {
         offset: HEADER_LEN as u64,
@@ -1863,12 +1699,7 @@ pub fn scan_part(bytes: &[u8]) -> Result<RecoveredPrefix, PersistError> {
         }
         // A checksum-valid chunk whose payload does not decode is still
         // torn — never resume on top of undecodable probe data.
-        let decodes = {
-            let mut dec = Dec::new(chunk.payload);
-            (0..chunk.n_probes).all(|_| dec_probe_record(&mut dec, n_engines).is_ok())
-                && dec.pos == chunk.payload.len()
-        };
-        if !decodes {
+        if dec_probe_chunk(&chunk, offset as u64, n_engines, drop).is_err() {
             break;
         }
         chunks.push(ChunkEntry {
@@ -1910,7 +1741,7 @@ pub fn scan_part_file(path: &Path) -> Result<RecoveredPrefix, PersistError> {
 /// truncates the torn tail and continues from the first missing probe.
 ///
 /// Consistency model: process kill, not power loss — chunks are not
-/// fsynced (matching the v2 writer's temp-file + rename discipline).
+/// fsynced (matching [`save_collection`]'s temp-file + rename discipline).
 /// Engine wall-clock timings accumulate in memory and land in the
 /// footer; a resumed attempt restarts them at zero, so recovered files
 /// compare bit-identical to uninterrupted ones only after
@@ -1953,7 +1784,7 @@ impl ShardStreamWriter {
         catalog: &BugCatalog,
     ) -> Result<Self, PersistError> {
         let mut expected = Enc::new();
-        enc_header(&mut expected, header, FORMAT_VERSION);
+        enc_header(&mut expected, header);
         let meta = MetaSection {
             keys: keys.to_vec(),
             engine_names: engine_names.to_vec(),
@@ -2154,21 +1985,12 @@ fn read_trailer_and_footer(
     Ok((footer_offset, stored_fnv, chunks, times))
 }
 
-/// Reads the fixed header of an open file, requiring the v3 layout (a v2
-/// file surfaces as [`PersistError::Version`] so callers can fall back
-/// to a full decode).
-fn read_v3_file_header(file: &mut fs::File) -> Result<FileHeader, PersistError> {
+/// Reads and validates the fixed header of an open file.
+fn read_file_header(file: &mut fs::File) -> Result<FileHeader, PersistError> {
     let mut buf = [0u8; HEADER_LEN];
     file.seek(SeekFrom::Start(0))?;
     file.read_exact(&mut buf)?;
-    let (header, version) = dec_header(&mut Dec::new(&buf))?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::Version {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    Ok(header)
+    dec_header(&mut Dec::new(&buf))
 }
 
 /// Reads one chunk of an open file into `buf` and validates it against
@@ -2191,19 +2013,7 @@ fn read_chunk_at<'b>(
     buf.resize(entry.len as usize, 0);
     file.seek(SeekFrom::Start(entry.offset))?;
     file.read_exact(buf)?;
-    let parsed = parse_chunk(buf, entry.offset as usize)?;
-    if parsed.len != entry.len as usize
-        || parsed.checksum != entry.checksum
-        || parsed.kind != entry.kind
-        || parsed.first_probe != entry.first_probe
-        || parsed.n_probes != entry.n_probes
-    {
-        return Err(PersistError::Corrupt(format!(
-            "chunk at byte {} disagrees with its footer index entry",
-            entry.offset
-        )));
-    }
-    Ok(parsed)
+    parse_indexed_chunk(buf, entry)
 }
 
 /// Random-access reader over one v3 collection file: opening touches only
@@ -2230,11 +2040,11 @@ pub struct ProbeReader {
 impl ProbeReader {
     /// Opens `path`, validating header, footer, chunk table and the meta
     /// chunk — but no probe chunk. When `expected` is given, the config
-    /// fingerprint must match. A v2 file is [`PersistError::Version`].
+    /// fingerprint must match.
     pub fn open(path: &Path, expected: Option<u64>) -> Result<Self, PersistError> {
         let mut file = fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        let header = read_v3_file_header(&mut file)?;
+        let header = read_file_header(&mut file)?;
         if let Some(expected) = expected {
             if header.fingerprint != expected {
                 return Err(PersistError::Fingerprint {
@@ -2246,24 +2056,9 @@ impl ProbeReader {
         let (footer_offset, _, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
         validate_chunk_table(&chunks, footer_offset, &header)?;
         let mut buf = Vec::new();
-        let meta_chunk = read_chunk_at(&mut file, file_len, &chunks[0], &mut buf)?;
-        let meta = {
-            let mut dec = Dec::new(meta_chunk.payload);
-            let meta = dec_meta_section(&mut dec)?;
-            if dec.pos != meta_chunk.payload.len() {
-                return Err(PersistError::Corrupt(
-                    "trailing bytes after meta chunk payload".into(),
-                ));
-            }
-            meta
-        };
-        if times.len() != meta.engine_names.len() {
-            return Err(PersistError::Corrupt(format!(
-                "footer times {} engines but the roster has {}",
-                times.len(),
-                meta.engine_names.len()
-            )));
-        }
+        let meta =
+            dec_meta_chunk(read_chunk_at(&mut file, file_len, &chunks[0], &mut buf)?.payload)?;
+        check_footer_times(&times, &meta)?;
         Ok(ProbeReader {
             file,
             file_len,
@@ -2348,9 +2143,6 @@ impl ProbeReader {
 /// finally compared against the stored trailer value. `on_chunk` fires
 /// after each chunk validates — tooling uses it for per-chunk status.
 /// Returns the header on success.
-///
-/// A v2 file is [`PersistError::Version`]; callers that still want to
-/// verify it fall back to a full [`decode_collection_with`].
 pub fn verify_stream(
     path: &Path,
     expected: Option<u64>,
@@ -2358,7 +2150,7 @@ pub fn verify_stream(
 ) -> Result<FileHeader, PersistError> {
     let mut file = fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    let header = read_v3_file_header(&mut file)?;
+    let header = read_file_header(&mut file)?;
     if let Some(expected) = expected {
         if header.fingerprint != expected {
             return Err(PersistError::Fingerprint {
@@ -2378,31 +2170,13 @@ pub fn verify_stream(
     let mut n_engines = None;
     for entry in &chunks {
         let chunk = read_chunk_at(&mut file, file_len, entry, &mut buf)?;
-        let mut dec = Dec::new(chunk.payload);
         match n_engines {
             None => {
-                let meta = dec_meta_section(&mut dec)?;
-                if times.len() != meta.engine_names.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "footer times {} engines but the roster has {}",
-                        times.len(),
-                        meta.engine_names.len()
-                    )));
-                }
+                let meta = dec_meta_chunk(chunk.payload)?;
+                check_footer_times(&times, &meta)?;
                 n_engines = Some(meta.engine_names.len());
             }
-            Some(n) => {
-                for _ in 0..chunk.n_probes {
-                    dec_probe_record(&mut dec, n)?;
-                }
-            }
-        }
-        if dec.pos != chunk.payload.len() {
-            return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes after chunk payload at byte {}",
-                chunk.payload.len() - dec.pos,
-                entry.offset
-            )));
+            Some(n) => dec_probe_chunk(&chunk, entry.offset, n, drop)?,
         }
         hash = fnv1a_update(hash, &buf);
         on_chunk(entry);
@@ -2430,30 +2204,23 @@ fn temp_sibling(path: &Path) -> PathBuf {
     path.with_extension(format!("{FILE_EXTENSION}.{}-{seq}.tmp", std::process::id()))
 }
 
-/// Reassembles a full collection file at `out` by **streaming
-/// concatenation** of v3 shard files — probe chunks are copied verbatim
-/// (their frames carry absolute probe indices and their checksums do not
-/// depend on position), validated chunk-by-chunk during the copy, with
-/// only the footer and trailer rewritten. Peak memory is O(chunk), never
-/// O(corpus), and the output is byte-identical to encoding the merged
-/// collection directly (engine times sum over shards).
-///
-/// Validates the same identity and coverage invariants as
-/// [`merge_collections`]: matching fingerprint, kind, corpus revision,
-/// partition width and byte-identical meta chunks, and a disjoint,
-/// complete probe partition. Publication is atomic (temp + rename).
-///
-/// Any v2 shard aborts with [`PersistError::Version`] — the caller falls
-/// back to the in-memory [`merge_collections`] path.
-pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, PersistError> {
-    struct Part {
-        file: fs::File,
-        file_len: u64,
-        header: FileHeader,
-        chunks: Vec<ChunkEntry>,
-        times: Vec<(Duration, Duration)>,
-        meta_bytes: Vec<u8>,
-    }
+/// One opened, header- and footer-validated shard file of a shard set.
+struct OpenShard {
+    file: fs::File,
+    file_len: u64,
+    header: FileHeader,
+    chunks: Vec<ChunkEntry>,
+    times: Vec<(Duration, Duration)>,
+    meta_bytes: Vec<u8>,
+}
+
+/// Opens every shard file of `parts` and validates that together they
+/// form one complete pass: matching fingerprint, kind, corpus revision,
+/// partition width and byte-identical meta chunks, and probe ranges that
+/// are disjoint and cover `0..total_probes`. Any violation is a
+/// [`PersistError::Shard`] naming the offending shards and ranges. Input
+/// order is irrelevant — the shards come back sorted by probe range.
+fn open_shard_set(parts: &[PathBuf]) -> Result<Vec<OpenShard>, PersistError> {
     if parts.is_empty() {
         return Err(PersistError::Shard("no shards to merge".into()));
     }
@@ -2461,13 +2228,13 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
     for path in parts {
         let mut file = fs::File::open(path)?;
         let file_len = file.metadata()?.len();
-        let header = read_v3_file_header(&mut file)?;
+        let header = read_file_header(&mut file)?;
         let (footer_offset, _, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
         validate_chunk_table(&chunks, footer_offset, &header)
             .map_err(|e| PersistError::Corrupt(format!("shard file {}: {e}", path.display())))?;
         let mut meta_bytes = Vec::new();
         read_chunk_at(&mut file, file_len, &chunks[0], &mut meta_bytes)?;
-        opened.push(Part {
+        opened.push(OpenShard {
             file,
             file_len,
             header,
@@ -2552,15 +2319,47 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
             first.manifest.total_probes
         )));
     }
+    Ok(opened)
+}
 
-    let out_header = FileHeader {
+/// The header of the full file a validated shard set merges into.
+fn merged_header(opened: &[OpenShard]) -> FileHeader {
+    let first = opened[0].header;
+    FileHeader {
         manifest: ShardManifest::full(first.manifest.total_probes as usize),
         ..first
-    };
+    }
+}
+
+/// The validation half of [`merge_shard_files`]: checks that `parts` form
+/// one complete, consistent shard set — the same identity and coverage
+/// checks the merge runs before it writes a byte — and returns the header
+/// the merged file would carry. Reads only headers, footers and meta
+/// chunks; pair it with [`verify_stream`] per file to cover every chunk.
+pub fn check_shard_set(parts: &[PathBuf]) -> Result<FileHeader, PersistError> {
+    open_shard_set(parts).map(|opened| merged_header(&opened))
+}
+
+/// Reassembles a full collection file at `out` by **streaming
+/// concatenation** of shard files — probe chunks are copied verbatim
+/// (their frames carry absolute probe indices and their checksums do not
+/// depend on position), validated chunk-by-chunk during the copy, with
+/// only the footer and trailer rewritten. Peak memory is O(chunk), never
+/// O(corpus), and the output is byte-identical to encoding the merged
+/// collection directly (engine times sum over shards).
+///
+/// Because every probe's collection pipeline is deterministic and
+/// independent, the merged corpus is identical to the one a
+/// single-process pass produces, except for the per-engine wall-clock
+/// times. The shard set is validated first ([`check_shard_set`]);
+/// publication is atomic (temp + rename).
+pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, PersistError> {
+    let mut opened = open_shard_set(parts)?;
+    let out_header = merged_header(&opened);
     let tmp = temp_sibling(out);
     let result = (|| -> Result<(), PersistError> {
         let mut head = Enc::new();
-        enc_header(&mut head, &out_header, FORMAT_VERSION);
+        enc_header(&mut head, &out_header);
         head.buf.extend_from_slice(&opened[0].meta_bytes);
         let mut hash = fnv1a(&head.buf);
         let mut offset = head.buf.len() as u64;
@@ -2606,142 +2405,6 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
 }
 
 // --------------------------------------------------------------------------
-// Shard merging
-// --------------------------------------------------------------------------
-
-/// Reassembles a full [`Collection`] from decoded shard parts.
-///
-/// Validates that the parts share every identity field (fingerprint,
-/// kind, corpus revision, shard count, total probe count, run keys,
-/// engine roster and bug catalogue) and that their probe ranges are
-/// disjoint and cover `0..total_probes` completely; any violation is a
-/// [`PersistError::Shard`] naming the offending shards and ranges. Input
-/// order is irrelevant — parts are sorted by probe range.
-///
-/// Because every probe's collection pipeline is deterministic and
-/// independent, the merged collection is identical to the one a
-/// single-process pass produces, except for the per-engine wall-clock
-/// `train_time` / `infer_time`, which sum over shards instead of being
-/// measured in one process. Returns the merged collection and the full
-/// header it should be saved under.
-pub fn merge_collections(
-    mut parts: Vec<(Collection, FileHeader)>,
-) -> Result<(Collection, FileHeader), PersistError> {
-    if parts.is_empty() {
-        return Err(PersistError::Shard("no shards to merge".into()));
-    }
-    parts.sort_by_key(|(_, h)| {
-        (
-            h.manifest.probe_start,
-            h.manifest.probe_end,
-            h.manifest.index,
-        )
-    });
-    let first = parts[0].1;
-    for (_, h) in &parts {
-        if h.fingerprint != first.fingerprint {
-            return Err(PersistError::Shard(format!(
-                "fingerprint mismatch: shard {} was collected under {:016x}, shard {} under {:016x}",
-                first.manifest.index, first.fingerprint, h.manifest.index, h.fingerprint
-            )));
-        }
-        if h.kind != first.kind {
-            return Err(PersistError::Shard(format!(
-                "experiment kind mismatch: {} vs {}",
-                first.kind, h.kind
-            )));
-        }
-        if h.corpus_revision != first.corpus_revision {
-            return Err(PersistError::Shard(format!(
-                "corpus revision mismatch: {} vs {}",
-                first.corpus_revision, h.corpus_revision
-            )));
-        }
-        if h.manifest.count != first.manifest.count
-            || h.manifest.total_probes != first.manifest.total_probes
-        {
-            return Err(PersistError::Shard(format!(
-                "partition mismatch: {} vs {}",
-                first.manifest, h.manifest
-            )));
-        }
-    }
-    let expected_shards = first.manifest.count as usize;
-    if parts.len() != expected_shards {
-        let have: Vec<u32> = parts.iter().map(|(_, h)| h.manifest.index).collect();
-        return Err(PersistError::Shard(format!(
-            "expected {expected_shards} shards, got {} (indices {have:?})",
-            parts.len()
-        )));
-    }
-    let mut cursor = 0u64;
-    for (_, h) in &parts {
-        let m = &h.manifest;
-        match m.probe_start.cmp(&cursor) {
-            std::cmp::Ordering::Less => {
-                return Err(PersistError::Shard(format!(
-                    "shard {} overlaps probes {}..{cursor}",
-                    m.index, m.probe_start
-                )));
-            }
-            std::cmp::Ordering::Greater => {
-                return Err(PersistError::Shard(format!(
-                    "probes {cursor}..{} missing (next is shard {})",
-                    m.probe_start, m.index
-                )));
-            }
-            std::cmp::Ordering::Equal => cursor = m.probe_end,
-        }
-    }
-    if cursor != first.manifest.total_probes {
-        return Err(PersistError::Shard(format!(
-            "probes {cursor}..{} missing at the end of the partition",
-            first.manifest.total_probes
-        )));
-    }
-
-    let mut parts = parts.into_iter();
-    let (mut merged, _) = parts
-        .next()
-        .ok_or_else(|| PersistError::Shard("no shards to merge".to_string()))?;
-    for (col, h) in parts {
-        if col.keys != merged.keys {
-            return Err(PersistError::Shard(format!(
-                "shard {} disagrees on the run-key axis",
-                h.manifest.index
-            )));
-        }
-        if col.catalog != merged.catalog {
-            return Err(PersistError::Shard(format!(
-                "shard {} disagrees on the bug catalogue",
-                h.manifest.index
-            )));
-        }
-        let names = |c: &Collection| c.engines.iter().map(|e| e.name.clone()).collect::<Vec<_>>();
-        if names(&col) != names(&merged) {
-            return Err(PersistError::Shard(format!(
-                "shard {} disagrees on the engine roster",
-                h.manifest.index
-            )));
-        }
-        merged.probes.extend(col.probes);
-        merged.overall_ipc.extend(col.overall_ipc);
-        merged.agg_features.extend(col.agg_features);
-        merged.captures.extend(col.captures);
-        for (into, from) in merged.engines.iter_mut().zip(col.engines) {
-            into.deltas.extend(from.deltas);
-            into.train_time += from.train_time;
-            into.infer_time += from.infer_time;
-        }
-    }
-    let header = FileHeader {
-        manifest: ShardManifest::full(merged.probes.len()),
-        ..first
-    };
-    Ok((merged, header))
-}
-
-// --------------------------------------------------------------------------
 // Files and front doors
 // --------------------------------------------------------------------------
 
@@ -2758,23 +2421,13 @@ fn save_bytes(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
 }
 
 /// Saves a full core-experiment collection to `path` (atomically), tagged
-/// with `fingerprint`; the general form is [`save_collection_with`].
+/// with `fingerprint`.
 pub fn save_collection(
     path: &Path,
     col: &Collection,
     fingerprint: u64,
 ) -> Result<(), PersistError> {
     save_bytes(path, &encode_collection(col, fingerprint))
-}
-
-/// Saves a collection (full or one shard) to `path` (atomically) under an
-/// explicit header.
-pub fn save_collection_with(
-    path: &Path,
-    col: &Collection,
-    header: &FileHeader,
-) -> Result<(), PersistError> {
-    save_bytes(path, &encode_collection_with(col, header))
 }
 
 /// Loads a full collection from `path`, rejecting version, checksum and
@@ -2797,105 +2450,33 @@ pub enum CacheStatus {
 }
 
 /// Scans `dir` for shard files of the pass identified by `(prefix, kind,
-/// fingerprint)` and merges them when they form a complete partition.
+/// fingerprint)` and returns the first complete partition's paths in
+/// shard-index order. `Ok(None)` when no group is complete — other worker
+/// processes may still be collecting.
 ///
 /// Candidates are selected **by file name** ([`shard_file_name`]
 /// grammar): only names whose prefix (when `prefix` is given), kind and
-/// fingerprint segments match are even opened, so foreign `.pbcol` files
-/// — including other targets' shards under a shared directory and large
-/// full corpora — cost nothing. A candidate that then fails to decode,
-/// or whose header disagrees with its name, is an error — like a stale
-/// cache, never silently ignored.
+/// fingerprint segments match are even opened, and then only their fixed
+/// header is read, so foreign `.pbcol` files — including other targets'
+/// shards under a shared directory and large full corpora — cost nothing.
+/// A candidate whose header fails to decode, or disagrees with its name,
+/// is an error — like a stale cache, never silently ignored.
 ///
 /// Shards are grouped by their partition's shard count (a crashed
 /// `n`-way pass may leave stale shards beside a complete `m`-way one);
-/// the first complete group merges. Returns `Ok(None)` when no group is
-/// complete — other worker processes may still be collecting.
-pub fn assemble_from_shards(
-    dir: &Path,
-    prefix: Option<&str>,
-    kind: ExperimentKind,
-    fingerprint: u64,
-) -> Result<Option<Collection>, PersistError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    // Group candidate shard parts by their partition's shard count.
-    let mut groups: std::collections::BTreeMap<u32, Vec<(Collection, FileHeader)>> =
-        std::collections::BTreeMap::new();
-    for entry in entries {
-        let path = entry?.path();
-        let parsed = match path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_cache_file_name)
-        {
-            Some(parsed) => parsed,
-            None => continue,
-        };
-        if parsed.kind != kind
-            || parsed.fingerprint != fingerprint
-            || parsed.shard.is_none()
-            || prefix.is_some_and(|p| parsed.prefix != p)
-        {
-            continue;
-        }
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            // Pruned or still being renamed into place: not ours to judge.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e.into()),
-        };
-        let (col, header) = decode_collection_with(&bytes, Some(fingerprint))
-            .map_err(|e| PersistError::Corrupt(format!("shard file {}: {e}", path.display())))?;
-        if header.kind != kind
-            || parsed.shard != Some((header.manifest.index, header.manifest.count))
-        {
-            return Err(PersistError::Shard(format!(
-                "{} is named for a different shard than its header ({})",
-                path.display(),
-                header.manifest
-            )));
-        }
-        groups
-            .entry(header.manifest.count)
-            .or_default()
-            .push((col, header));
-    }
-    for (count, parts) in groups {
-        let mut indices: Vec<u32> = parts.iter().map(|(_, h)| h.manifest.index).collect();
-        indices.sort_unstable();
-        indices.dedup();
-        if indices.len() == count as usize {
-            return merge_collections(parts).map(|(col, _)| Some(col));
-        }
-        // Incomplete group: workers of this partition may still be
-        // running; try the next partition width.
-    }
-    Ok(None)
-}
-
-/// Scans `dir` for shard files of the pass identified by `(prefix, kind,
-/// fingerprint)` — same name-based candidate selection as
-/// [`assemble_from_shards`] — reading only each candidate's fixed header,
-/// and returns the first complete partition as `(path, format version)`
-/// pairs in probe order. `Ok(None)` when no group is complete.
-#[allow(clippy::type_complexity)]
+/// a group is complete when it holds every shard index once.
 fn complete_shard_group(
     dir: &Path,
     prefix: Option<&str>,
     kind: ExperimentKind,
     fingerprint: u64,
-) -> Result<Option<Vec<(PathBuf, u32)>>, PersistError> {
+) -> Result<Option<Vec<PathBuf>>, PersistError> {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut groups: std::collections::BTreeMap<u32, Vec<(u32, PathBuf, u32)>> =
-        std::collections::BTreeMap::new();
+    let mut groups: BTreeMap<u32, BTreeMap<u32, PathBuf>> = BTreeMap::new();
     for entry in entries {
         let path = entry?.path();
         let parsed = match path
@@ -2919,12 +2500,9 @@ fn complete_shard_group(
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e.into()),
         };
-        let mut buf = [0u8; HEADER_LEN];
         let corrupt =
             |e: PersistError| PersistError::Corrupt(format!("shard file {}: {e}", path.display()));
-        file.read_exact(&mut buf)
-            .map_err(|e| corrupt(PersistError::Io(e)))?;
-        let (header, version) = dec_header(&mut Dec::new(&buf)).map_err(corrupt)?;
+        let header = read_file_header(&mut file).map_err(corrupt)?;
         if header.fingerprint != fingerprint {
             return Err(corrupt(PersistError::Fingerprint {
                 found: header.fingerprint,
@@ -2940,27 +2518,17 @@ fn complete_shard_group(
                 header.manifest
             )));
         }
-        groups.entry(header.manifest.count).or_default().push((
-            header.manifest.index,
-            path,
-            version,
-        ));
+        groups
+            .entry(header.manifest.count)
+            .or_default()
+            .insert(header.manifest.index, path);
     }
-    for (count, mut members) in groups {
-        members.sort_by_key(|(index, ..)| *index);
-        members.dedup_by_key(|(index, ..)| *index);
-        if members.len() == count as usize {
-            return Ok(Some(
-                members
-                    .into_iter()
-                    .map(|(_, path, version)| (path, version))
-                    .collect(),
-            ));
-        }
-        // Incomplete group: workers of this partition may still be
-        // running; try the next partition width.
-    }
-    Ok(None)
+    // An incomplete group's workers may still be running; try the next
+    // partition width.
+    Ok(groups
+        .into_iter()
+        .find(|(count, members)| members.len() == *count as usize)
+        .map(|(_, members)| members.into_values().collect()))
 }
 
 /// Replays `path` when it exists, otherwise tries to assemble the corpus
@@ -2971,10 +2539,9 @@ fn complete_shard_group(
 /// `Ok(None)` on a genuine cache miss — a stale or corrupt cache is
 /// still an error.
 ///
-/// An all-v3 shard set assembles by [`merge_shard_files`] — streaming
+/// A complete shard set assembles by [`merge_shard_files`] — streaming
 /// concatenation in O(chunk) memory — and the merged file is then decoded
-/// once as its validation pass. A set containing legacy v2 shards falls
-/// back to the in-memory [`assemble_from_shards`] path.
+/// once as its validation pass.
 pub fn load_or_assemble(
     path: &Path,
     kind: ExperimentKind,
@@ -2994,36 +2561,18 @@ pub fn load_or_assemble(
         .and_then(|n| n.to_str())
         .and_then(parse_cache_file_name);
     let prefix = parsed.as_ref().map(|p| p.prefix.as_str());
-    let group = match complete_shard_group(dir, prefix, kind, fingerprint)? {
-        Some(group) => group,
-        None => return Ok(None),
+    let Some(paths) = complete_shard_group(dir, prefix, kind, fingerprint)? else {
+        return Ok(None);
     };
-    if group.iter().all(|&(_, version)| version == FORMAT_VERSION) {
-        let paths: Vec<PathBuf> = group.into_iter().map(|(path, _)| path).collect();
-        merge_shard_files(&paths, path)?;
-        // The full decode of the merged file is its validation pass; on
-        // failure, remove the output so a bad merge is never replayed.
-        match load_collection(path, fingerprint) {
-            Ok(col) => Ok(Some((col, CacheStatus::Assembled))),
-            Err(e) => {
-                let _ = fs::remove_file(path);
-                Err(e)
-            }
+    merge_shard_files(&paths, path)?;
+    // The full decode of the merged file is its validation pass; on
+    // failure, remove the output so a bad merge is never replayed.
+    match load_collection(path, fingerprint) {
+        Ok(col) => Ok(Some((col, CacheStatus::Assembled))),
+        Err(e) => {
+            let _ = fs::remove_file(path);
+            Err(e)
         }
-    } else if let Some(col) = assemble_from_shards(dir, prefix, kind, fingerprint)? {
-        save_collection_with(
-            path,
-            &col,
-            &FileHeader {
-                kind,
-                corpus_revision: CORPUS_REVISION,
-                fingerprint,
-                manifest: ShardManifest::full(col.probes.len()),
-            },
-        )?;
-        Ok(Some((col, CacheStatus::Assembled)))
-    } else {
-        Ok(None)
     }
 }
 
@@ -3120,25 +2669,6 @@ pub fn collect_memory_shard_or_resume(
             .map(|_| ())
         },
     )
-}
-
-/// [`collect_shard_or_resume`] flattened to the legacy `(Collection,
-/// CacheStatus)` shape, for callers indifferent to resume accounting.
-pub fn collect_shard_or_load(
-    path: &Path,
-    config: &CollectionConfig,
-    shard: crate::exec::ShardSpec,
-) -> Result<(Collection, CacheStatus), PersistError> {
-    collect_shard_or_resume(path, config, shard).map(|o| (o.collection, o.status))
-}
-
-/// [`collect_shard_or_load`] for the memory experiment.
-pub fn collect_memory_shard_or_load(
-    path: &Path,
-    config: &MemCollectionConfig,
-    shard: crate::exec::ShardSpec,
-) -> Result<(Collection, CacheStatus), PersistError> {
-    collect_memory_shard_or_resume(path, config, shard).map(|o| (o.collection, o.status))
 }
 
 /// Appends one streamed probe result to a shard writer: flattens the
@@ -3474,14 +3004,41 @@ mod tests {
         ));
     }
 
+    /// A scratch directory unique to this test process and `tag`.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("perfbug-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    /// Saves `col` under `header` as a shard file named for `prefix` in
+    /// `dir` and returns its path.
+    fn save_shard(dir: &Path, prefix: &str, col: &Collection, header: &FileHeader) -> PathBuf {
+        let m = &header.manifest;
+        let path = dir.join(shard_file_name(
+            prefix,
+            header.kind,
+            header.fingerprint,
+            m.index as usize,
+            m.count as usize,
+        ));
+        save_bytes(&path, &encode_collection_with(col, header)).expect("save shard");
+        path
+    }
+
     #[test]
     fn merge_reassembles_partition_in_any_order() {
+        let dir = scratch("merge-order");
         let parts = vec![
-            (shard_part(1), shard_header(1, 2, 1, 2, 2)),
-            (shard_part(0), shard_header(0, 2, 0, 1, 2)),
+            save_shard(&dir, "a", &shard_part(1), &shard_header(1, 2, 1, 2, 2)),
+            save_shard(&dir, "a", &shard_part(0), &shard_header(0, 2, 0, 1, 2)),
         ];
-        let (merged, header) = merge_collections(parts).expect("merge");
+        let out = dir.join("merged.pbcol");
+        let header = merge_shard_files(&parts, &out).expect("merge");
         assert!(header.manifest.is_full());
+        assert_eq!(check_shard_set(&parts).expect("check"), header);
+        let merged = load_collection(&out, 7).expect("merged file loads");
         assert_eq!(merged.probes.len(), 2);
         assert_eq!(merged.probes[0].id, "458.sjeng#0");
         assert_eq!(merged.probes[1].id, "458.sjeng#1");
@@ -3491,100 +3048,116 @@ mod tests {
             merged.engines[0].train_time,
             sample_collection().engines[0].train_time * 2
         );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn merge_rejects_missing_and_overlapping_shards() {
-        let missing = merge_collections(vec![(shard_part(0), shard_header(0, 2, 0, 1, 2))]);
-        match missing {
+        let dir = scratch("merge-coverage");
+        let out = dir.join("merged.pbcol");
+        let first = save_shard(&dir, "a", &shard_part(0), &shard_header(0, 2, 0, 1, 2));
+        match merge_shard_files(std::slice::from_ref(&first), &out) {
             Err(PersistError::Shard(msg)) => assert!(msg.contains("expected 2 shards"), "{msg}"),
             other => panic!("expected shard error, got {other:?}"),
         }
 
-        let overlap = merge_collections(vec![
-            (shard_part(0), shard_header(0, 2, 0, 2, 2)),
-            (shard_part(1), shard_header(1, 2, 1, 2, 2)),
-        ]);
-        match overlap {
+        let two = Collection {
+            probes: vec![
+                shard_part(0).probes[0].clone(),
+                shard_part(1).probes[0].clone(),
+            ],
+            overall_ipc: vec![vec![1.75, 1.5]; 2],
+            agg_features: vec![vec![vec![0.5, -1.0]]; 2],
+            engines: vec![EngineResult {
+                deltas: vec![vec![0.25, 17.5]; 2],
+                ..sample_collection().engines[0].clone()
+            }],
+            ..shard_part(0)
+        };
+        let wide = save_shard(&dir, "b", &two, &shard_header(0, 2, 0, 2, 2));
+        let second = save_shard(&dir, "b", &shard_part(1), &shard_header(1, 2, 1, 2, 2));
+        match merge_shard_files(&[wide, second], &out) {
             Err(PersistError::Shard(msg)) => assert!(msg.contains("overlaps"), "{msg}"),
             other => panic!("expected overlap error, got {other:?}"),
         }
+        assert!(!out.exists(), "a rejected merge must write nothing");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn merge_rejects_identity_mismatches() {
+        let dir = scratch("merge-identity");
+        let first = save_shard(&dir, "a", &shard_part(0), &shard_header(0, 2, 0, 1, 2));
         let mut other_fp = shard_header(1, 2, 1, 2, 2);
         other_fp.fingerprint = 8;
-        assert!(matches!(
-            merge_collections(vec![
-                (shard_part(0), shard_header(0, 2, 0, 1, 2)),
-                (shard_part(1), other_fp),
-            ]),
-            Err(PersistError::Shard(_))
-        ));
-
+        let mut other_kind = shard_header(1, 2, 1, 2, 2);
+        other_kind.kind = ExperimentKind::Memory;
         let mut other_keys = shard_part(1);
         other_keys.keys[0].arch = "Zen".into();
-        assert!(matches!(
-            merge_collections(vec![
-                (shard_part(0), shard_header(0, 2, 0, 1, 2)),
-                (other_keys, shard_header(1, 2, 1, 2, 2)),
-            ]),
-            Err(PersistError::Shard(_))
-        ));
+        let mismatches = [
+            save_shard(&dir, "fp", &shard_part(1), &other_fp),
+            save_shard(&dir, "kind", &shard_part(1), &other_kind),
+            save_shard(&dir, "keys", &other_keys, &shard_header(1, 2, 1, 2, 2)),
+        ];
+        for (second, why) in mismatches
+            .into_iter()
+            .zip(["fingerprint", "kind", "meta chunk"])
+        {
+            let parts = [first.clone(), second];
+            match check_shard_set(&parts) {
+                Err(PersistError::Shard(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected a {why} mismatch, got {other:?}"),
+            }
+            let out = dir.join("merged.pbcol");
+            assert!(matches!(
+                merge_shard_files(&parts, &out),
+                Err(PersistError::Shard(_))
+            ));
+            assert!(!out.exists(), "a rejected merge must write nothing");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn assembly_honours_prefix_and_partition_groups() {
-        let dir =
-            std::env::temp_dir().join(format!("perfbug-assemble-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("temp dir");
+        let dir = scratch("assemble");
         let kind = ExperimentKind::Core;
-        let save = |name: String, col: &Collection, header: &FileHeader| {
-            save_collection_with(&dir.join(name), col, header).expect("save shard");
-        };
+        let target =
+            |prefix: &str, fingerprint| dir.join(cache_file_name(prefix, kind, fingerprint));
         // A complete 2-way partition under prefix "a" ...
-        save(
-            shard_file_name("a", kind, 7, 0, 2),
-            &shard_part(0),
-            &shard_header(0, 2, 0, 1, 2),
-        );
-        save(
-            shard_file_name("a", kind, 7, 1, 2),
-            &shard_part(1),
-            &shard_header(1, 2, 1, 2, 2),
-        );
+        save_shard(&dir, "a", &shard_part(0), &shard_header(0, 2, 0, 1, 2));
+        save_shard(&dir, "a", &shard_part(1), &shard_header(1, 2, 1, 2, 2));
         // ... plus a stale leftover of an abandoned 4-way pass of the same
         // prefix and fingerprint: it must not block assembly.
-        save(
-            shard_file_name("a", kind, 7, 0, 4),
-            &shard_part(0),
-            &shard_header(0, 4, 0, 1, 2),
-        );
+        save_shard(&dir, "a", &shard_part(0), &shard_header(0, 4, 0, 1, 2));
 
         // Another prefix sees none of these shards.
-        assert!(assemble_from_shards(&dir, Some("b"), kind, 7)
+        assert!(load_or_assemble(&target("b", 7), kind, 7)
             .expect("scan")
             .is_none());
-        // Prefix "a" assembles the complete 2-way group.
-        let col = assemble_from_shards(&dir, Some("a"), kind, 7)
+        // A wrong fingerprint matches nothing.
+        assert!(load_or_assemble(&target("a", 8), kind, 8)
+            .expect("scan")
+            .is_none());
+        // Prefix "a" assembles the complete 2-way group and saves it.
+        let (col, status) = load_or_assemble(&target("a", 7), kind, 7)
             .expect("assemble")
             .expect("complete group");
+        assert_eq!(status, CacheStatus::Assembled);
         assert_eq!(col.probes.len(), 2);
-        // A wrong fingerprint matches nothing.
-        assert!(assemble_from_shards(&dir, Some("a"), kind, 8)
-            .expect("scan")
-            .is_none());
+        let (replayed, status) = load_or_assemble(&target("a", 7), kind, 7)
+            .expect("replay")
+            .expect("saved");
+        assert_eq!(status, CacheStatus::Replayed);
+        assert_eq!(replayed, col);
 
         // A shard file whose name disagrees with its header is an error,
         // never silently used.
-        save(
-            shard_file_name("c", kind, 7, 0, 2),
-            &shard_part(1),
-            &shard_header(1, 2, 1, 2, 2),
-        );
+        let misnamed = dir.join(shard_file_name("c", kind, 7, 0, 2));
+        let bytes = encode_collection_with(&shard_part(1), &shard_header(1, 2, 1, 2, 2));
+        save_bytes(&misnamed, &bytes).expect("save");
         assert!(matches!(
-            assemble_from_shards(&dir, Some("c"), kind, 7),
+            load_or_assemble(&target("c", 7), kind, 7),
             Err(PersistError::Shard(_))
         ));
 

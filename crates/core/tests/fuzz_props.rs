@@ -14,11 +14,12 @@ use std::sync::OnceLock;
 
 use perfbug_core::bugs::Severity;
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{
-    collect, collect_sharded, Collection, CollectionConfig, ProbeScale,
-};
+use perfbug_core::experiment::{collect, Collection, CollectionConfig, ProbeScale};
 use perfbug_core::fuzz::{core_impact, mem_impact, Family, FuzzSpec};
-use perfbug_core::persist::{config_fingerprint, encode_collection, merge_collections};
+use perfbug_core::persist::{
+    cache_file_name, collect_shard_or_resume, config_fingerprint, encode_collection,
+    load_or_assemble, shard_file_name, CacheStatus, ExperimentKind,
+};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_memsim::MemBugSpec;
 use perfbug_ml::GbtParams;
@@ -173,27 +174,27 @@ fn fuzzed_collection_is_worker_count_invariant() {
     );
 }
 
-/// Shard-partition invariance: collecting the fuzzed corpus in 3 shards
-/// and merging reassembles the single-process pass bit for bit.
+/// Shard-partition invariance: collecting the fuzzed corpus as 3 shard
+/// files and assembling them reassembles the single-process pass bit for
+/// bit.
 #[test]
 fn fuzzed_collection_is_shard_partition_invariant() {
     let config = fuzz_config(2);
     let fp = config_fingerprint(&config);
-    let parts: Vec<_> = (0..3)
-        .map(|index| {
-            let shard = ShardSpec::new(index, 3);
-            let (col, total) = collect_sharded(&config, shard);
-            let header = perfbug_core::persist::FileHeader {
-                kind: perfbug_core::persist::ExperimentKind::Core,
-                corpus_revision: perfbug_core::persist::CORPUS_REVISION,
-                fingerprint: fp,
-                manifest: perfbug_core::persist::ShardManifest::of(shard, total),
-            };
-            (col, header)
-        })
-        .collect();
-    let (mut merged, header) = merge_collections(parts).expect("complete partition merges");
-    assert!(header.manifest.is_full());
+    let kind = ExperimentKind::Core;
+    let dir = std::env::temp_dir().join(format!("perfbug-fuzz-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for index in 0..3 {
+        let path = dir.join(shard_file_name("fuzz", kind, fp, index, 3));
+        collect_shard_or_resume(&path, &config, ShardSpec::new(index, 3)).expect("shard collects");
+    }
+    let (mut merged, status) =
+        load_or_assemble(&dir.join(cache_file_name("fuzz", kind, fp)), kind, fp)
+            .expect("assemble")
+            .expect("complete partition merges");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(status, CacheStatus::Assembled);
     let mut full = reference_collection().clone();
     merged.zero_timings();
     full.zero_timings();

@@ -13,7 +13,7 @@ use perfbug_core::experiment::{
 use perfbug_core::persist::{
     cache_file_name, collect_or_load, config_fingerprint, decode_collection, encode_collection,
     load_collection, parse_cache_file_name, save_collection, shard_file_name, CacheStatus,
-    ExperimentKind, PersistError, FORMAT_VERSION, LEGACY_FORMAT_VERSION,
+    ExperimentKind, PersistError, FORMAT_VERSION,
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
@@ -174,9 +174,9 @@ proptest! {
 
     #[test]
     fn wrong_version_is_rejected(version in any::<u32>()) {
-        // v2 is the read-compat version, not a rejected one (the bytes
-        // would then fail as corrupt, not as a version mismatch).
-        prop_assume!(version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION);
+        // Every other version — older ones included — is a typed
+        // version error, never a reinterpretation of the bytes.
+        prop_assume!(version != FORMAT_VERSION);
         let col = synth_collection(1, 1, 0, &[2.5], false);
         let mut bytes = encode_collection(&col, 1);
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
@@ -263,7 +263,7 @@ fn collection_with_catalog(catalog: BugCatalog) -> Collection {
 
 /// Every extended-catalogue variant — the post-paper core types and the
 /// memory types via their same-id core placeholder — survives the PBCL
-/// codec and the streaming verifier (`pbcol verify --stream`'s engine).
+/// codec and the streaming verifier (`pbcol verify`'s engine).
 #[test]
 fn extended_catalogs_round_trip_and_verify() {
     use perfbug_core::bugs::MemBugCatalog;

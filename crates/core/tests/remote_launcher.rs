@@ -25,7 +25,7 @@ use perfbug_core::orchestrate::{
     WorkerHandle,
 };
 use perfbug_core::persist::{
-    self, collect_shard_or_load, config_fingerprint, encode_collection, load_or_assemble,
+    self, collect_shard_or_resume, config_fingerprint, encode_collection, load_or_assemble,
     ExperimentKind,
 };
 use perfbug_core::stage1::EngineSpec;
@@ -391,7 +391,7 @@ struct CollectAgent {
 impl ShardAgent for CollectAgent {
     fn launch(&self, req: &LaunchRequest) -> io::Result<Box<dyn WorkerHandle + Send>> {
         let path = self.plan.shard_path(req.shard);
-        collect_shard_or_load(&path, &self.config, req.shard)
+        collect_shard_or_resume(&path, &self.config, req.shard)
             .map_err(|e| io::Error::other(format!("shard collection: {e}")))?;
         Ok(Box::new(ScriptedHandle {
             script: Script::Succeed,

@@ -1,19 +1,20 @@
 //! Shard determinism: any shard partition of the (probe × unit) grid,
-//! merged in any order, reassembles the single-process collection
-//! bit-identically (wall-clock timings aside, which sum over shards), and
-//! overlapping or missing shard sets are rejected with precise errors.
+//! written as shard files and merged in any order, reassembles the
+//! single-process collection bit-identically (wall-clock timings aside,
+//! which sum over shards), and overlapping or missing shard sets are
+//! rejected with precise errors.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{
-    collect, collect_sharded, CaptureSpec, Collection, CollectionConfig, ProbeScale,
-};
+use perfbug_core::experiment::{collect, CaptureSpec, Collection, CollectionConfig, ProbeScale};
 use perfbug_core::persist::{
-    collect_shard_or_load, config_fingerprint, encode_collection, merge_collections, CacheStatus,
-    ExperimentKind, FileHeader, PersistError, ShardManifest, CORPUS_REVISION,
+    collect_shard_or_resume, config_fingerprint, encode_collection, load_collection,
+    merge_shard_files, shard_file_name, CacheStatus, ExperimentKind, FileHeader, PersistError,
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
@@ -60,13 +61,60 @@ fn full_collection() -> &'static Collection {
     FULL.get_or_init(|| collect(&tiny_config()))
 }
 
-/// One decoded shard: its collection and the header it was written under.
-type ShardPart = (Collection, FileHeader);
+/// A scratch directory unique to one test case, removed on drop.
+struct Scratch(PathBuf);
 
-/// Shard parts per shard count, collected once per count and shared
-/// across property cases (each count costs one full collection pass).
-fn shard_parts(count: usize) -> Vec<ShardPart> {
-    static CACHE: OnceLock<Mutex<HashMap<usize, Vec<ShardPart>>>> = OnceLock::new();
+impl Scratch {
+    fn new() -> Self {
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "perfbug-shard-props-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        Scratch(dir)
+    }
+
+    /// Writes the shard files of a `count`-way pass into this directory
+    /// and returns their paths in shard-index order.
+    fn shard_files(&self, count: usize) -> Vec<PathBuf> {
+        shard_file_bytes(count)
+            .into_iter()
+            .map(|(name, bytes)| {
+                let path = self.0.join(name);
+                std::fs::write(&path, bytes).expect("write shard file");
+                path
+            })
+            .collect()
+    }
+
+    /// Merges `parts` with `merge_shard_files` and loads the merged file.
+    fn merge(&self, parts: &[PathBuf]) -> Result<(Collection, FileHeader), PersistError> {
+        let out = self.0.join("merged.pbcol");
+        let header = merge_shard_files(parts, &out)?;
+        Ok((
+            load_collection(&out, config_fingerprint(&tiny_config()))?,
+            header,
+        ))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One shard file as `(file name, bytes)`.
+type ShardFile = (String, Vec<u8>);
+
+/// The shard files of a `count`-way pass, written once per count by
+/// `collect_shard_or_resume` and shared across property cases (each count
+/// costs one full collection pass).
+fn shard_file_bytes(count: usize) -> Vec<ShardFile> {
+    static CACHE: OnceLock<Mutex<HashMap<usize, Vec<ShardFile>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut cache = cache.lock().expect("shard cache lock");
     cache
@@ -74,17 +122,20 @@ fn shard_parts(count: usize) -> Vec<ShardPart> {
         .or_insert_with(|| {
             let config = tiny_config();
             let fingerprint = config_fingerprint(&config);
+            let dir = Scratch::new();
             (0..count)
                 .map(|index| {
-                    let shard = ShardSpec::new(index, count);
-                    let (col, total) = collect_sharded(&config, shard);
-                    let header = FileHeader {
-                        kind: ExperimentKind::Core,
-                        corpus_revision: CORPUS_REVISION,
+                    let name = shard_file_name(
+                        "shard-props",
+                        ExperimentKind::Core,
                         fingerprint,
-                        manifest: ShardManifest::of(shard, total),
-                    };
-                    (col, header)
+                        index,
+                        count,
+                    );
+                    let path = dir.0.join(&name);
+                    collect_shard_or_resume(&path, &config, ShardSpec::new(index, count))
+                        .expect("shard collects");
+                    (name, std::fs::read(&path).expect("read shard file"))
                 })
                 .collect()
         })
@@ -112,10 +163,11 @@ proptest! {
         order_seed in any::<u64>(),
     ) {
         let count = SHARD_COUNTS[count_idx];
-        let mut parts = shard_parts(count);
+        let dir = Scratch::new();
+        let mut parts = dir.shard_files(count);
         shuffle(&mut parts, order_seed);
 
-        let (mut merged, header) = merge_collections(parts).expect("complete partition merges");
+        let (mut merged, header) = dir.merge(&parts).expect("complete partition merges");
         prop_assert!(header.manifest.is_full());
 
         let mut full = full_collection().clone();
@@ -135,10 +187,11 @@ proptest! {
         drop_seed in any::<u64>(),
     ) {
         let count = SHARD_COUNTS[count_idx];
-        let mut parts = shard_parts(count);
+        let dir = Scratch::new();
+        let mut parts = dir.shard_files(count);
         let dropped = (drop_seed as usize) % parts.len();
         parts.remove(dropped);
-        match merge_collections(parts) {
+        match dir.merge(&parts) {
             Err(PersistError::Shard(msg)) => prop_assert!(
                 msg.contains(&format!("expected {count} shards")),
                 "error must name the expected shard count: {msg}"
@@ -150,11 +203,12 @@ proptest! {
 
 #[test]
 fn overlapping_shards_are_rejected_with_the_overlap() {
-    // Shard 0's part presented as covering shard 1's range too: the same
-    // probes appear twice under a consistent-looking count.
-    let parts = shard_parts(2);
+    // Shard 0's file presented twice: the same probes appear twice under
+    // a consistent-looking count.
+    let dir = Scratch::new();
+    let parts = dir.shard_files(2);
     let dup = vec![parts[0].clone(), parts[0].clone()];
-    match merge_collections(dup) {
+    match dir.merge(&dup) {
         // Same index twice with identical ranges: caught as overlap.
         Err(PersistError::Shard(msg)) => {
             assert!(msg.contains("overlap"), "imprecise error: {msg}")
@@ -166,10 +220,11 @@ fn overlapping_shards_are_rejected_with_the_overlap() {
 #[test]
 fn partition_mismatch_is_rejected() {
     // A shard from a 2-way split cannot complete a 3-way split.
-    let two = shard_parts(2);
-    let three = shard_parts(3);
+    let dir = Scratch::new();
+    let two = dir.shard_files(2);
+    let three = dir.shard_files(3);
     let mixed = vec![two[0].clone(), three[1].clone(), three[2].clone()];
-    match merge_collections(mixed) {
+    match dir.merge(&mixed) {
         Err(PersistError::Shard(msg)) => {
             assert!(msg.contains("partition mismatch"), "imprecise error: {msg}")
         }
@@ -187,12 +242,12 @@ fn empty_shards_round_trip_through_files() {
     let shard = ShardSpec::new(6, 7);
     let path = dir.join("empty-shard.pbcol");
     let _ = std::fs::remove_file(&path);
-    let (col, status) = collect_shard_or_load(&path, &config, shard).expect("save empty shard");
-    assert_eq!(status, CacheStatus::Collected);
-    assert!(col.probes.is_empty());
-    let (back, status) = collect_shard_or_load(&path, &config, shard).expect("replay empty shard");
-    assert_eq!(status, CacheStatus::Replayed);
-    assert_eq!(back, col);
+    let saved = collect_shard_or_resume(&path, &config, shard).expect("save empty shard");
+    assert_eq!(saved.status, CacheStatus::Collected);
+    assert!(saved.collection.probes.is_empty());
+    let back = collect_shard_or_resume(&path, &config, shard).expect("replay empty shard");
+    assert_eq!(back.status, CacheStatus::Replayed);
+    assert_eq!(back.collection, saved.collection);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
 }

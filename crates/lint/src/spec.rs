@@ -45,7 +45,6 @@ pub fn check_format_spec(doc: &str, code: &str) -> Vec<Finding> {
     let contract: &[(&str, &str)] = &[
         ("magic", "MAGIC"),
         ("format version", "FORMAT_VERSION"),
-        ("legacy format version", "LEGACY_FORMAT_VERSION"),
         ("header bytes", "HEADER_LEN"),
         ("trailer bytes", "TRAILER_LEN"),
         ("chunk frame bytes", "CHUNK_FRAME_LEN"),
@@ -102,16 +101,6 @@ fn parse_format_md(doc: &str, findings: &mut Vec<Finding>) -> BTreeMap<&'static 
             vals.insert("format version", SpecValue::Num(n));
         }
         None => miss(findings, "format version", "(this spec: "),
-    }
-    match num_after(&flat, "`LEGACY_FORMAT_VERSION` ") {
-        Some(n) => {
-            vals.insert("legacy format version", SpecValue::Num(n));
-        }
-        None => miss(
-            findings,
-            "legacy format version",
-            "`LEGACY_FORMAT_VERSION` ",
-        ),
     }
     match num_between(&flat, "The fixed header is ", " bytes") {
         Some(n) => {
@@ -201,7 +190,6 @@ fn take_digits(rest: &str) -> Option<u64> {
 const CONST_NAMES: &[&str] = &[
     "MAGIC",
     "FORMAT_VERSION",
-    "LEGACY_FORMAT_VERSION",
     "HEADER_LEN",
     "TRAILER_LEN",
     "CHUNK_FRAME_LEN",
@@ -350,12 +338,10 @@ The fixed header is 53 bytes; the fixed trailer is the last 16 bytes.
 The 21-byte frame plus the 8-byte checksum make the fixed per-chunk
 overhead 29 bytes.
 offset basis `0xcbf29ce484222325`, prime `0x00000100000001b3`.
-the read-compatible `LEGACY_FORMAT_VERSION` 2, which dispatches
 "#;
 
     const CODE: &str = r#"
 pub const FORMAT_VERSION: u32 = 3;
-pub const LEGACY_FORMAT_VERSION: u32 = 2;
 const MAGIC: [u8; 4] = *b"PBCL";
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
