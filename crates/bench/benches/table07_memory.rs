@@ -32,7 +32,7 @@ fn main() {
             config.max_probes = Some(12);
         }
         println!("collecting memory probes with {} target...", metric.label());
-        let col = perfbug_bench::collect_memory_cached("table07", &config);
+        let col = perfbug_bench::collect_cached("table07", &config);
         for (e, engine) in col.engines.iter().enumerate() {
             let eval = evaluate_two_stage(&col, e, Stage2Params::default());
             let sev = severity_cells(&eval.metrics);

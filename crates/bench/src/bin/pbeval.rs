@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use perfbug_bench::{collect_cached, collect_memory_cached};
+use perfbug_bench::collect_cached;
 use perfbug_core::bugs::{BugCatalog, MemBugCatalog, Severity};
 use perfbug_core::detmetrics::{Decision, DetectionMetrics};
 use perfbug_core::experiment::{
@@ -280,7 +280,7 @@ fn evaluate(opts: &Options) -> Result<(), String> {
             mem.variants().len(),
             mem.type_ids().len()
         );
-        let col = collect_memory_cached("pbeval-mem", &mem_config(mem));
+        let col = collect_cached("pbeval-mem", &mem_config(mem));
         let (fams, pooled) = eval_side(&col, Side::Mem, &catalog, params);
         reports.extend(fams);
         overall_mem = Some(pooled);

@@ -46,7 +46,7 @@ use perfbug_bench::specs::{
     flag_value, parse_num, resolve_spec, run_worker, worker_command, SpecConfig, SPECS,
 };
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::Collection;
+use perfbug_core::experiment::{collect, Collection};
 use perfbug_core::orchestrate::{self, remote, CollectPlan, Fault, OrchestratorConfig};
 use perfbug_core::persist::{encode_collection_with, FileHeader, ShardManifest, CORPUS_REVISION};
 
@@ -241,7 +241,7 @@ fn run(args: &[String]) -> Result<(), String> {
             manifest: ShardManifest::full(col.probes.len()),
         };
         let mut orchestrated = run.collection;
-        let mut reference = common.spec.collect_full();
+        let mut reference = collect(common.spec.experiment());
         orchestrated.zero_timings();
         reference.zero_timings();
         let orch_bytes = encode_collection_with(&orchestrated, &header(&orchestrated));

@@ -80,8 +80,7 @@ fn tiny_collect_config(threads: usize) -> CollectionConfig {
 /// Times one `collect()` pass and returns (runs simulated, seconds).
 fn timed_collect(threads: usize) -> (usize, f64) {
     let config = tiny_collect_config(threads);
-    let n_units =
-        perfbug_core::experiment::simulation_units_per_probe(&config.partition, &config.catalog);
+    let n_units = perfbug_core::experiment::simulation_units_per_probe(&config);
     let t0 = Instant::now();
     let col = collect(&config);
     let secs = t0.elapsed().as_secs_f64();

@@ -11,8 +11,8 @@
 //! # Orchestrated collection
 //!
 //! Setting `PERFBUG_ORCH_WORKERS=<n>` (with `PERFBUG_CACHE_DIR`) makes
-//! [`collect_cached`] / [`collect_memory_cached`] drive the whole
-//! collection through `perfbug_core::orchestrate`: the probe axis is
+//! [`collect_cached`] drive the whole collection through
+//! `perfbug_core::orchestrate`: the probe axis is
 //! split into more shards than workers (default `2n`,
 //! `PERFBUG_ORCH_SHARDS` overrides), `n` child processes — re-invocations
 //! of the current binary with `PERFBUG_SHARD=<i>/<m>` and
@@ -29,7 +29,7 @@
 //!
 //! Collection (simulate + train stage 1) dominates every target's runtime;
 //! evaluation is cheap. When `PERFBUG_CACHE_DIR` is set, [`collect_cached`]
-//! / [`collect_memory_cached`] persist each collection to
+//! persists each collection — core or memory — to
 //! `<dir>/<target>-<kind>-<config fingerprint>.pbcol` and later
 //! invocations replay it from disk without invoking the simulator. The
 //! experiment kind and the fingerprint are part of the file name, so
@@ -57,8 +57,7 @@ use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{collect, Collection, CollectionConfig, ProbeScale};
-use perfbug_core::memory::{collect_memory, MemCollectionConfig};
+use perfbug_core::experiment::{collect, Collection, CollectionConfig, Experiment, ProbeScale};
 use perfbug_core::orchestrate::{self, CollectPlan, Fault, OrchestratorConfig};
 use perfbug_core::persist::{self, CacheStatus, ExperimentKind, PersistError};
 use perfbug_core::stage1::EngineSpec;
@@ -212,11 +211,11 @@ fn report(status: CacheStatus, path: &Path) {
 fn run_shard_worker(
     dir: &Path,
     name: &str,
-    kind: ExperimentKind,
+    config: &dyn Experiment,
     fingerprint: u64,
     shard: ShardSpec,
-    collect_shard: impl FnOnce(&Path) -> Result<persist::ShardOutcome, PersistError>,
 ) -> Collection {
+    let kind = config.kind();
     let shard_path = dir.join(persist::shard_file_name(
         name,
         kind,
@@ -224,7 +223,7 @@ fn run_shard_worker(
         shard.index,
         shard.count,
     ));
-    let outcome = collect_shard(&shard_path)
+    let outcome = persist::collect_shard_or_resume(&shard_path, config, shard)
         .unwrap_or_else(|e| panic!("shard cache {}: {e}", shard_path.display()));
     match outcome.status {
         CacheStatus::Replayed => println!("  [shard] replayed {}", shard_path.display()),
@@ -328,13 +327,14 @@ fn run_orchestrated(
     }
 }
 
-/// Runs (or replays) a core collection. With `PERFBUG_CACHE_DIR` unset
-/// this is plain [`collect`]; with it set, the collection persists under
-/// `name` and subsequent runs replay it without simulating. With
-/// `PERFBUG_SHARD=<i>/<n>` also set, this process becomes shard worker
-/// `i` of `n`; with `PERFBUG_ORCH_WORKERS=<n>` set instead, it becomes
-/// the supervisor of an orchestrated pass (see the module docs).
-pub fn collect_cached(name: &str, config: &CollectionConfig) -> Collection {
+/// Runs (or replays) a collection of either experiment. With
+/// `PERFBUG_CACHE_DIR` unset this is plain [`collect`]; with it set, the
+/// collection persists under `name` and subsequent runs replay it without
+/// simulating. With `PERFBUG_SHARD=<i>/<n>` also set, this process
+/// becomes shard worker `i` of `n`; with `PERFBUG_ORCH_WORKERS=<n>` set
+/// instead, it becomes the supervisor of an orchestrated pass (see the
+/// module docs).
+pub fn collect_cached(name: &str, config: &dyn Experiment) -> Collection {
     let Some(dir) = cache_dir() else {
         assert!(
             shard_from_env().is_none(),
@@ -350,51 +350,13 @@ pub fn collect_cached(name: &str, config: &CollectionConfig) -> Collection {
     if let Some(shard) = shard_from_env() {
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
-        return run_shard_worker(&dir, name, ExperimentKind::Core, fingerprint, shard, |p| {
-            persist::collect_shard_or_resume(p, config, shard)
-        });
+        return run_shard_worker(&dir, name, config, fingerprint, shard);
     }
     if let Some(orch) = orch_from_env() {
-        return run_orchestrated(&dir, name, ExperimentKind::Core, fingerprint, &orch);
+        return run_orchestrated(&dir, name, config.kind(), fingerprint, &orch);
     }
-    let path = cache_path(&dir, name, ExperimentKind::Core, fingerprint);
+    let path = cache_path(&dir, name, config.kind(), fingerprint);
     let (col, status) = persist::collect_or_load(&path, config)
-        .unwrap_or_else(|e| panic!("collection cache {}: {e}", path.display()));
-    report(status, &path);
-    col
-}
-
-/// [`collect_cached`] for the memory experiment.
-pub fn collect_memory_cached(name: &str, config: &MemCollectionConfig) -> Collection {
-    let Some(dir) = cache_dir() else {
-        assert!(
-            shard_from_env().is_none(),
-            "PERFBUG_SHARD requires PERFBUG_CACHE_DIR (shards live in the cache directory)"
-        );
-        assert!(
-            orch_from_env().is_none(),
-            "PERFBUG_ORCH_WORKERS requires PERFBUG_CACHE_DIR (shards live in the cache directory)"
-        );
-        return collect_memory(config);
-    };
-    let fingerprint = persist::mem_config_fingerprint(config);
-    if let Some(shard) = shard_from_env() {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
-        return run_shard_worker(
-            &dir,
-            name,
-            ExperimentKind::Memory,
-            fingerprint,
-            shard,
-            |p| persist::collect_memory_shard_or_resume(p, config, shard),
-        );
-    }
-    if let Some(orch) = orch_from_env() {
-        return run_orchestrated(&dir, name, ExperimentKind::Memory, fingerprint, &orch);
-    }
-    let path = cache_path(&dir, name, ExperimentKind::Memory, fingerprint);
-    let (col, status) = persist::collect_memory_or_load(&path, config)
         .unwrap_or_else(|e| panic!("collection cache {}: {e}", path.display()));
     report(status, &path);
     col

@@ -12,10 +12,10 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{collect, Collection, CollectionConfig};
-use perfbug_core::memory::{collect_memory, MemCollectionConfig, TargetMetric};
+use perfbug_core::experiment::{CollectionConfig, Experiment};
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::orchestrate::{self, remote, CollectPlan, OrchestratorConfig};
-use perfbug_core::persist::{self, CacheStatus, ExperimentKind, PersistError};
+use perfbug_core::persist::{self, ExperimentKind};
 use perfbug_core::serve::{ExperimentBackend, RunOutcome, SubmitRequest};
 use perfbug_ml::GbtParams;
 use perfbug_workloads::WorkloadScale;
@@ -31,49 +31,22 @@ pub enum SpecConfig {
 }
 
 impl SpecConfig {
+    /// The spec's experiment: what every collection path runs.
+    pub fn experiment(&self) -> &dyn Experiment {
+        match self {
+            SpecConfig::Core(c) => c,
+            SpecConfig::Memory(c) => c,
+        }
+    }
+
     /// Experiment kind of this spec.
     pub fn kind(&self) -> ExperimentKind {
-        match self {
-            SpecConfig::Core(_) => ExperimentKind::Core,
-            SpecConfig::Memory(_) => ExperimentKind::Memory,
-        }
+        self.experiment().kind()
     }
 
     /// Config fingerprint of this spec.
     pub fn fingerprint(&self) -> u64 {
-        match self {
-            SpecConfig::Core(c) => persist::config_fingerprint(c),
-            SpecConfig::Memory(c) => persist::mem_config_fingerprint(c),
-        }
-    }
-
-    /// Collects (or resumes) one shard into `path`.
-    pub fn collect_shard_or_resume(
-        &self,
-        path: &Path,
-        shard: ShardSpec,
-    ) -> Result<persist::ShardOutcome, PersistError> {
-        match self {
-            SpecConfig::Core(c) => persist::collect_shard_or_resume(path, c, shard),
-            SpecConfig::Memory(c) => persist::collect_memory_shard_or_resume(path, c, shard),
-        }
-    }
-
-    /// Full collection through the cache (replay / shard-assembly fast
-    /// paths included) — the in-process service path.
-    pub fn collect_or_load(&self, path: &Path) -> Result<(Collection, CacheStatus), PersistError> {
-        match self {
-            SpecConfig::Core(c) => persist::collect_or_load(path, c),
-            SpecConfig::Memory(c) => persist::collect_memory_or_load(path, c),
-        }
-    }
-
-    /// Uncached single-process collection (the `--check-full` reference).
-    pub fn collect_full(&self) -> Collection {
-        match self {
-            SpecConfig::Core(c) => collect(c),
-            SpecConfig::Memory(c) => collect_memory(c),
-        }
+        persist::config_fingerprint(self.experiment())
     }
 }
 
@@ -174,8 +147,7 @@ pub fn run_worker(args: &[String]) -> Result<(), String> {
         shard.index,
         shard.count,
     ));
-    let outcome = spec
-        .collect_shard_or_resume(&path, shard)
+    let outcome = persist::collect_shard_or_resume(&path, spec.experiment(), shard)
         .map_err(|e| format!("shard {}: {e}", path.display()))?;
     println!(
         "worker: shard {}/{} ({} probes, resumed={}) -> {}",
@@ -237,9 +209,9 @@ impl ExperimentBackend for BenchBackend {
     fn run(&self, submit: &SubmitRequest, plan: &CollectPlan) -> Result<RunOutcome, String> {
         let spec = resolve_spec(&submit.spec)?;
         if submit.workers == 0 {
-            let (collection, status) = spec
-                .collect_or_load(&plan.full_path())
-                .map_err(|e| format!("{}: {e}", submit.spec))?;
+            let (collection, status) =
+                persist::collect_or_load(&plan.full_path(), spec.experiment())
+                    .map_err(|e| format!("{}: {e}", submit.spec))?;
             return Ok(RunOutcome {
                 status,
                 probes: collection.probes.len(),

@@ -5,8 +5,9 @@
 //! (probe, engine) stage-1 training job is independent — but the work is
 //! heavily skewed: buggy runs stall pipelines for many more cycles than
 //! healthy ones, and neural engines train orders of magnitude longer than
-//! boosted trees. This module provides the scheduler the collection passes
-//! (`experiment::collect`, `memory::collect_memory`) are built on:
+//! boosted trees. This module provides the scheduler the collection pass
+//! (`experiment::collect` and the cache front doors of `persist`, for the
+//! core and memory experiments alike) is built on:
 //!
 //! * a sharded **work-stealing index scheduler** ([`Scheduler`]) — each
 //!   worker owns a contiguous shard of the task range and claims indices
@@ -19,11 +20,11 @@
 //! * [`parallel_map`] / [`parallel_map_with`] — scoped-thread drivers that
 //!   tie the two together and preserve index order, so results are
 //!   byte-identical regardless of worker count;
-//! * [`collect_unit_grid`] — the shared three-phase collection driver over
-//!   a (probe × unit) simulation grid. The core and memory experiments
-//!   used to each carry their own copy of this pipeline (~120 structurally
-//!   identical lines); both now parameterise this single driver with their
-//!   trace builder, simulator and counter-selection policy;
+//! * [`collect_unit_grid_streaming`] — the three-phase collection driver
+//!   over a (probe × unit) simulation grid, parameterised by a trace
+//!   builder, a simulator and a counter-selection policy. The one
+//!   collection pass (`experiment`'s, over its `Experiment` trait) runs
+//!   through it; [`collect_unit_grid`] is its in-memory form;
 //! * [`ShardSpec`] — multi-process scale-out. A shard restricts the driver
 //!   to a deterministic contiguous probe range of the grid; because every
 //!   probe's pipeline is independent and deterministic, the union of any
@@ -217,7 +218,8 @@ where
 // Shared unit-grid collection driver
 // --------------------------------------------------------------------------
 
-/// Process-wide count of simulation units run by [`collect_unit_grid`].
+/// Process-wide count of simulation units run by
+/// [`collect_unit_grid_streaming`].
 ///
 /// Incremented once per (probe, unit) simulation task. The replay tooling
 /// (`examples/replay.rs`, the CI replay guard, `speed_test`) samples it
@@ -333,6 +335,38 @@ pub struct GridOutput {
     pub captures: Vec<CapturedSeries>,
 }
 
+impl GridOutput {
+    /// An output with no probes for the named engines.
+    pub(crate) fn new(engine_names: &[String]) -> Self {
+        GridOutput {
+            engines: engine_names
+                .iter()
+                .map(|name| EngineResult {
+                    name: name.clone(),
+                    deltas: Vec::new(),
+                    train_time: Duration::ZERO,
+                    infer_time: Duration::ZERO,
+                })
+                .collect(),
+            overall: Vec::new(),
+            agg_features: Vec::new(),
+            captures: Vec::new(),
+        }
+    }
+
+    /// Appends one probe's output; engine timings sum over probes.
+    pub(crate) fn push(&mut self, po: ProbeOutput) {
+        self.overall.push(po.overall);
+        self.agg_features.push(po.agg);
+        for (engine, o) in self.engines.iter_mut().zip(po.engines) {
+            engine.deltas.push(o.deltas);
+            engine.train_time += o.train_time;
+            engine.infer_time += o.infer_time;
+            self.captures.extend(o.captures);
+        }
+    }
+}
+
 /// Output of one (probe, engine) stage-1 training task, as surfaced per
 /// probe by [`collect_unit_grid_streaming`].
 #[derive(Debug)]
@@ -360,27 +394,8 @@ pub struct ProbeOutput {
     pub engines: Vec<EngineProbeOutput>,
 }
 
-/// Runs the shared three-phase collection pipeline over a (probe × unit)
-/// grid on the work-stealing pool:
-///
-/// * **Phase A** — the (probe × unit) simulation grid (`simulate`), fed by
-///   one trace per probe (`make_trace`);
-/// * **Phase B** — per-probe counter selection (`prepare`) plus the
-///   baseline's aggregated mean-row features and overall-metric vector;
-/// * **Phase C** — the (probe × engine) stage-1 training grid, producing
-///   Eq.-(1) inference errors (ceiling-clamped at
-///   `experiment::DELTA_CEILING`) and optional captured series
-///   (`capture`).
-///
-/// `shard` restricts the driver to that shard's probe range
-/// ([`ShardSpec::probe_range`]); probe indices handed to the callbacks are
-/// always absolute grid indices, so a probe's pipeline is bit-identical
-/// whether it runs in a full pass or inside any shard.
-///
-/// Probes are processed in blocks of `max(threads, 2)` to bound peak
-/// memory; results are published into per-task slots and assembled in
-/// deterministic index order, so the output is identical for any worker
-/// count and any block size.
+/// [`collect_unit_grid_streaming`] over a whole shard, with no skip,
+/// folding every probe's output into one [`GridOutput`].
 // One parameter per pipeline customisation point; bundling them into a
 // struct of closures would only move the argument list.
 #[allow(clippy::too_many_arguments)]
@@ -402,22 +417,9 @@ where
     Prep: Fn(usize, &[(RunSeries, f64)]) -> FeatureSpec + Sync,
     Cap: Fn(usize, usize, &EngineSpec, &RunSeries, &[f64]) -> Option<CapturedSeries> + Sync,
 {
-    let shard_len = shard.probe_range(n_probes).len();
-    let mut out = GridOutput {
-        engines: engines
-            .iter()
-            .map(|e| EngineResult {
-                name: e.name(),
-                deltas: Vec::with_capacity(shard_len),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
-            })
-            .collect(),
-        overall: Vec::with_capacity(shard_len),
-        agg_features: Vec::with_capacity(shard_len),
-        captures: Vec::new(),
-    };
-    let result: Result<(), std::convert::Infallible> = collect_unit_grid_streaming(
+    let names: Vec<String> = engines.iter().map(EngineSpec::name).collect();
+    let mut out = GridOutput::new(&names);
+    let Ok(()) = collect_unit_grid_streaming::<_, _, _, _, _, std::convert::Infallible>(
         n_probes,
         threads,
         shard,
@@ -429,30 +431,41 @@ where
         prepare,
         capture,
         |_probe, po| {
-            out.overall.push(po.overall);
-            out.agg_features.push(po.agg);
-            for (engine, o) in out.engines.iter_mut().zip(po.engines) {
-                engine.deltas.push(o.deltas);
-                engine.train_time += o.train_time;
-                engine.infer_time += o.infer_time;
-                out.captures.extend(o.captures);
-            }
+            out.push(po);
             Ok(())
         },
     );
-    match result {
-        Ok(()) => out,
-        Err(never) => match never {},
-    }
+    out
 }
 
-/// The streaming variant of [`collect_unit_grid`]: identical pipeline,
-/// but each probe's complete output is handed to `on_probe(absolute
-/// probe index, output)` as soon as its block's deterministic assembly
-/// reaches it, instead of being accumulated in memory. The callback runs
-/// on the calling thread, in strictly increasing probe order, and may
-/// fail — a `Err` aborts the pass immediately (work already queued in
-/// the current block is finished first).
+/// Runs the shared three-phase collection pipeline over a (probe × unit)
+/// grid on the work-stealing pool:
+///
+/// * **Phase A** — the (probe × unit) simulation grid (`simulate`), fed by
+///   one trace per probe (`make_trace`);
+/// * **Phase B** — per-probe counter selection (`prepare`) plus the
+///   baseline's aggregated mean-row features and overall-metric vector;
+/// * **Phase C** — the (probe × engine) stage-1 training grid, producing
+///   Eq.-(1) inference errors (ceiling-clamped at
+///   `experiment::DELTA_CEILING`) and optional captured series
+///   (`capture`).
+///
+/// `shard` restricts the driver to that shard's probe range
+/// ([`ShardSpec::probe_range`]); probe indices handed to the callbacks are
+/// always absolute grid indices, so a probe's pipeline is bit-identical
+/// whether it runs in a full pass or inside any shard.
+///
+/// Probes are processed in blocks of `max(threads, 2)` to bound peak
+/// memory; results are published into per-task slots and assembled in
+/// deterministic index order, so the output is identical for any worker
+/// count and any block size.
+///
+/// Each probe's complete output is handed to `on_probe(absolute probe
+/// index, output)` as soon as its block's deterministic assembly reaches
+/// it, instead of being accumulated in memory. The callback runs on the
+/// calling thread, in strictly increasing probe order, and may fail — a
+/// `Err` aborts the pass immediately (work already queued in the current
+/// block is finished first).
 ///
 /// `skip` drops the first `skip` probes of the shard's range without
 /// simulating them — the resume path: a crashed worker whose durable
@@ -460,6 +473,8 @@ where
 /// one. Because every probe's pipeline depends only on its own trace,
 /// the probes that *are* run produce bit-identical output regardless of
 /// `skip` (block boundaries shift, which affects nothing but batching).
+// One parameter per pipeline customisation point; bundling them into a
+// struct of closures would only move the argument list.
 #[allow(clippy::too_many_arguments)]
 pub fn collect_unit_grid_streaming<T, MkTrace, Sim, Prep, Cap, E>(
     n_probes: usize,

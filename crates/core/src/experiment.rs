@@ -8,14 +8,23 @@
 //! per-run inference errors. The cheap phase is *evaluation*: stage-2
 //! classifiers (or the baseline) are re-fit per held-out bug type from the
 //! collected error matrix.
+//!
+//! Collection is written once, over the [`Experiment`] trait: the core
+//! experiment ([`CollectionConfig`]) and the memory-system experiment
+//! (`memory::MemCollectionConfig`) answer only what differs between them
+//! — designs, probes, the simulator, the counter policy — and share the
+//! unit grid, [`pass_identity`], the streaming pass and [`collect`].
 
 use std::convert::Infallible;
 use std::time::Duration;
 
 use perfbug_uarch::{presets, simulate, ArchSet, BugSpec, MicroarchConfig};
-use perfbug_workloads::{spec2006, BenchmarkSpec, Probe, Program, RowMatrix, WorkloadScale};
+use perfbug_workloads::{
+    extract_probes, spec2006, BenchmarkSpec, Inst, Probe, Program, RowMatrix, WorkloadScale,
+};
 
 use crate::exec;
+use crate::persist::ExperimentKind;
 
 use crate::baseline::{BaselineClassifier, BaselineParams, BaselineSample};
 use crate::bugs::{BugCatalog, Severity};
@@ -105,6 +114,21 @@ impl ArchPartition {
             .chain(&self.stage2_extra)
             .chain(&self.test)
             .collect()
+    }
+
+    /// Every design with its role, in unit-grid order: Set I, then
+    /// [`eval_archs`](Self::eval_archs). Validation runs are the members
+    /// of `val`, not whichever designs carry a Set-II tag — custom
+    /// partitions may deliberately mix tags and vectors.
+    fn roles(&self) -> impl Iterator<Item = (&MicroarchConfig, DesignRole)> {
+        [
+            (&self.train, DesignRole::Train),
+            (&self.val, DesignRole::Validate),
+            (&self.stage2_extra, DesignRole::Evaluate),
+            (&self.test, DesignRole::Evaluate),
+        ]
+        .into_iter()
+        .flat_map(|(archs, role)| archs.iter().map(move |a| (a, role)))
     }
 }
 
@@ -262,93 +286,193 @@ impl CollectionConfig {
     }
 }
 
-/// The simulation-unit grid of one collection pass.
-///
-/// A *unit* is one distinct (design, bug) combination; per probe, each
-/// unit is simulated exactly once and its result is shared by every
-/// consumer — stage-1 training (Set I), stage-1 validation (Set II), and
-/// every evaluation key. In particular the bug-free reference run of each
-/// design exists once per (probe, design) and is never re-simulated for
-/// the evaluation pass. The index structure is handed to the shared
-/// [`exec::collect_unit_grid`] driver as an [`exec::UnitGrid`].
-struct SimGrid<'p> {
-    /// All distinct designs: Set I first, then the evaluation designs.
-    archs: Vec<&'p MicroarchConfig>,
-    /// Distinct (arch index, catalogue bug index) combinations.
-    units: Vec<(usize, Option<usize>)>,
-    /// Unit of each Set-I bug-free training run.
-    train_units: Vec<usize>,
-    /// Unit of each Set-II bug-free validation run.
-    val_units: Vec<usize>,
-    /// Unit of each run key (same order as `keys`).
-    key_units: Vec<usize>,
-    /// The run-key list of the collection.
-    keys: Vec<RunKey>,
+// --------------------------------------------------------------------------
+// The experiment abstraction and the one collection pass over it
+// --------------------------------------------------------------------------
+
+/// How the method uses one design of an experiment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DesignRole {
+    /// A presumed-bug-free legacy design whose bug-free run trains stage 1
+    /// (Set I). Training designs have no run keys.
+    Train,
+    /// An evaluated design whose bug-free run also validates stage 1
+    /// (Set II).
+    Validate,
+    /// An evaluated design (Sets III and IV).
+    Evaluate,
 }
 
-impl<'p> SimGrid<'p> {
-    /// Builds the grid (and the aligned key list) for a partition and
-    /// catalogue.
-    fn build(partition: &'p ArchPartition, catalog: &BugCatalog) -> Self {
-        let mut archs: Vec<&MicroarchConfig> = partition.train.iter().collect();
-        let mut units = Vec::new();
-        let mut train_units = Vec::new();
-        for idx in 0..archs.len() {
-            train_units.push(units.len());
-            units.push((idx, None));
-        }
-        let mut val_units = Vec::new();
-        let mut key_units = Vec::new();
-        let mut keys = Vec::new();
-        for (ei, arch) in partition.eval_archs().into_iter().enumerate() {
-            let arch_idx = archs.len();
-            archs.push(arch);
-            let bugfree_unit = units.len();
-            units.push((arch_idx, None));
-            // Validation runs are the members of `partition.val` (the
-            // first entries of `eval_archs()`), not whichever designs
-            // happen to carry a Set-II tag — custom partitions may
-            // deliberately mix tags and vectors.
-            if ei < partition.val.len() {
-                val_units.push(bugfree_unit);
+/// One design of an experiment, as the unit grid sees it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Design {
+    /// Design name (the `arch` of its run keys).
+    pub name: String,
+    /// The design's experiment set.
+    pub set: ArchSet,
+    /// How the method uses the design.
+    pub role: DesignRole,
+}
+
+/// An experiment's stage-1 counter-selection policy.
+#[derive(Debug, Clone)]
+pub struct CounterPolicy<'a> {
+    /// Automatic selection thresholds or a manual column list.
+    pub mode: &'a CounterMode,
+    /// Counter columns automatic selection must never pick.
+    pub banned: Vec<usize>,
+    /// Whether design-parameter features are appended (§V-G).
+    pub arch_features: bool,
+    /// Stage-1 feature window size (at least 1).
+    pub window: usize,
+}
+
+impl CounterPolicy<'_> {
+    /// Per-probe counter selection over the pooled training (Set I) runs
+    /// of one probe; `sims` holds the probe's units in grid order.
+    fn features(&self, train_units: &[usize], sims: &[(RunSeries, f64)]) -> FeatureSpec {
+        let selected = match self.mode {
+            CounterMode::Automatic(thresholds) => {
+                let mut rows = RowMatrix::new(0);
+                let mut target = Vec::new();
+                for &u in train_units {
+                    rows.extend_from(&sims[u].0.rows);
+                    target.extend_from_slice(&sims[u].0.target);
+                }
+                select_counters(&rows, &target, thresholds, &self.banned)
             }
-            key_units.push(bugfree_unit);
-            keys.push(RunKey {
-                arch: arch.name.clone(),
-                set: arch.set,
-                bug: None,
-            });
-            for i in 0..catalog.len() {
-                key_units.push(units.len());
-                units.push((arch_idx, Some(i)));
-                keys.push(RunKey {
-                    arch: arch.name.clone(),
-                    set: arch.set,
-                    bug: Some(i),
-                });
-            }
-        }
-        SimGrid {
-            archs,
-            units,
-            train_units,
-            val_units,
-            key_units,
-            keys,
+            CounterMode::Manual(cols) => cols.clone(),
+        };
+        FeatureSpec {
+            selected,
+            arch_features: self.arch_features,
+            window: self.window,
         }
     }
+}
+
+/// Simulates design `d` (an index into [`Experiment::designs`]) with
+/// catalogue bug `bug` (`None` = bug-free) on one probe trace, returning
+/// the stage-1 series and the overall target metric.
+pub type UnitSimulator<'a> =
+    Box<dyn Fn(usize, Option<usize>, &[Inst]) -> (RunSeries, f64) + Sync + 'a>;
+
+/// One kind of collection experiment: the out-of-order core experiment
+/// ([`CollectionConfig`]) or the cache-hierarchy one
+/// ([`crate::memory::MemCollectionConfig`]).
+///
+/// The paper runs one unchanged two-stage method on both (§IV-D), so the
+/// trait answers only what differs between them. Everything else — the
+/// unit grid, [`pass_identity`], the streaming pass, [`collect`], the
+/// fingerprint ([`crate::persist::config_fingerprint`]) and the cache
+/// front doors ([`crate::persist::collect_or_load`],
+/// [`crate::persist::collect_shard_or_resume`]) — is written once over
+/// `&dyn Experiment`.
+pub trait Experiment: Sync {
+    /// The wire tag of the corpora this experiment produces.
+    fn kind(&self) -> ExperimentKind;
+
+    /// Everything in the configuration that shapes the collected data, as
+    /// the `|`-separated text the config fingerprint hashes after its
+    /// kind and version prefix. Worker threads are left out: the pass is
+    /// deterministic for any worker count.
+    fn fingerprint_canon(&self) -> String;
+
+    /// Stage-1 engines, trained on shared simulations.
+    fn engines(&self) -> &[EngineSpec];
+
+    /// Worker threads (clamped below at 1).
+    fn threads(&self) -> usize;
+
+    /// The designs in unit-grid order.
+    fn designs(&self) -> Vec<Design>;
+
+    /// The bug catalogue stored in the collection; the bug index of a
+    /// unit or run key indexes it.
+    fn catalog(&self) -> BugCatalog;
+
+    /// Benchmarks providing probes.
+    fn benchmarks(&self) -> Vec<BenchmarkSpec>;
+
+    /// Workload scale of the benchmarks' programs and probes.
+    fn workload(&self) -> WorkloadScale;
+
+    /// Picks the pass's probes, as `(benchmark index, probe)`, from every
+    /// benchmark's SimPoint probes (`per_benchmark`, in benchmark order).
+    fn pick_probes(&self, per_benchmark: Vec<Vec<Probe>>) -> Vec<(usize, Probe)>;
+
+    /// The simulator of one (design, bug) unit.
+    fn simulator(&self) -> UnitSimulator<'_>;
+
+    /// How counters are selected for stage 1.
+    fn counter_policy(&self) -> CounterPolicy<'_>;
+
+    /// Series to capture for figure regeneration.
+    fn captures(&self) -> &[CaptureSpec];
+}
+
+/// One simulation unit: a (design index, catalogue bug index) pair, the
+/// bug `None` for the design's bug-free run.
+type Unit = (usize, Option<usize>);
+
+/// Builds the simulation-unit grid of a pass and its aligned run-key
+/// list.
+///
+/// Units are distinct: per probe, each unit is simulated exactly once and
+/// its result is shared by every consumer — stage-1 training, stage-1
+/// validation and every evaluation key. In particular the bug-free run of
+/// a validation design is both its validation run and its bug-free key.
+fn unit_grid(designs: &[Design], n_bugs: usize) -> (Vec<Unit>, exec::UnitGrid, Vec<RunKey>) {
+    let mut units = Vec::new();
+    let mut grid = exec::UnitGrid {
+        n_units: 0,
+        train_units: Vec::new(),
+        val_units: Vec::new(),
+        key_units: Vec::new(),
+    };
+    let mut keys = Vec::new();
+    for (d, design) in designs.iter().enumerate() {
+        let bugfree = units.len();
+        units.push((d, None));
+        match design.role {
+            DesignRole::Train => {
+                grid.train_units.push(bugfree);
+                continue;
+            }
+            DesignRole::Validate => grid.val_units.push(bugfree),
+            DesignRole::Evaluate => {}
+        }
+        grid.key_units.push(bugfree);
+        keys.push(RunKey {
+            arch: design.name.clone(),
+            set: design.set,
+            bug: None,
+        });
+        for i in 0..n_bugs {
+            grid.key_units.push(units.len());
+            units.push((d, Some(i)));
+            keys.push(RunKey {
+                arch: design.name.clone(),
+                set: design.set,
+                bug: Some(i),
+            });
+        }
+    }
+    grid.n_units = units.len();
+    (units, grid, keys)
 }
 
 /// Number of distinct simulation units — (design, bug) combinations —
 /// every probe of a collection pass runs. [`collect`] simulates exactly
 /// `probes x this` runs; throughput tooling uses it to turn wall time
 /// into runs/sec without re-deriving the grid shape.
-pub fn simulation_units_per_probe(partition: &ArchPartition, catalog: &BugCatalog) -> usize {
-    SimGrid::build(partition, catalog).units.len()
+pub fn simulation_units_per_probe(exp: &dyn Experiment) -> usize {
+    unit_grid(&exp.designs(), exp.catalog().len()).0.len()
 }
 
-/// Selects up to `max` probes round-robin across benchmarks.
-fn subsample_probes(per_benchmark: Vec<Vec<Probe>>, max: Option<usize>) -> Vec<Probe> {
+/// Selects up to `max` probes round-robin across benchmarks, tagging each
+/// with its benchmark index.
+fn subsample_probes(per_benchmark: Vec<Vec<Probe>>, max: Option<usize>) -> Vec<(usize, Probe)> {
     let total: usize = per_benchmark.iter().map(Vec::len).sum();
     let budget = max.unwrap_or(total).min(total);
     let mut taken = Vec::with_capacity(budget);
@@ -360,7 +484,7 @@ fn subsample_probes(per_benchmark: Vec<Vec<Probe>>, max: Option<usize>) -> Vec<P
                 break;
             }
             if cursors[b] < probes.len() {
-                taken.push(probes[cursors[b]].clone());
+                taken.push((b, probes[cursors[b]].clone()));
                 cursors[b] += 1;
                 advanced = true;
             }
@@ -377,55 +501,27 @@ fn subsample_probes(per_benchmark: Vec<Vec<Probe>>, max: Option<usize>) -> Vec<P
 ///
 /// # Panics
 ///
-/// Panics if the configuration has no engines, no benchmarks, or no
-/// designs in a required set.
-pub fn collect(config: &CollectionConfig) -> Collection {
-    collect_in_memory(pass_identity(config), |sink| {
-        collect_sharded_streaming(config, exec::ShardSpec::full(), 0, sink)
-    })
-}
-
-/// The in-memory body of [`collect`] and [`crate::memory::collect_memory`]:
-/// runs `stream` — a whole-pass call of [`collect_sharded_streaming`] or
-/// its memory twin — and appends each streamed probe to a [`Collection`]
-/// laid out from `identity`. Engine timings sum over probes.
-pub(crate) fn collect_in_memory(
-    identity: PassIdentity,
-    stream: impl FnOnce(
-        &mut dyn FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), Infallible>,
-    ) -> Result<usize, Infallible>,
-) -> Collection {
-    let mut col = Collection {
-        keys: identity.keys,
-        probes: Vec::new(),
-        engines: identity
-            .engine_names
-            .into_iter()
-            .map(|name| EngineResult {
-                name,
-                deltas: Vec::new(),
-                train_time: Duration::ZERO,
-                infer_time: Duration::ZERO,
-            })
-            .collect(),
-        overall_ipc: Vec::new(),
-        agg_features: Vec::new(),
-        captures: Vec::new(),
-        catalog: identity.catalog,
-    };
-    let Ok(_) = stream(&mut |meta, po| {
-        col.probes.push(meta);
-        col.overall_ipc.push(po.overall);
-        col.agg_features.push(po.agg);
-        for (engine, o) in col.engines.iter_mut().zip(po.engines) {
-            engine.deltas.push(o.deltas);
-            engine.train_time += o.train_time;
-            engine.infer_time += o.infer_time;
-            col.captures.extend(o.captures);
-        }
+/// Panics if the experiment has no engines, no benchmarks, no training
+/// designs or no probes (the core experiment also needs Set IV designs).
+pub fn collect(exp: &dyn Experiment) -> Collection {
+    let pass = PreparedPass::new(exp);
+    let mut out = exec::GridOutput::new(&pass.identity.engine_names);
+    let mut probes = Vec::with_capacity(pass.identity.total_probes);
+    let Ok(()) = pass.stream::<Infallible>(exec::ShardSpec::full(), 0, |meta, po| {
+        probes.push(meta);
+        out.push(po);
         Ok(())
     });
-    col
+    let PassIdentity { keys, catalog, .. } = pass.identity;
+    Collection {
+        keys,
+        probes,
+        engines: out.engines,
+        overall_ipc: out.overall,
+        agg_features: out.agg_features,
+        captures: out.captures,
+        catalog,
+    }
 }
 
 /// The simulation-independent shape of a collection pass, derivable from
@@ -448,138 +544,223 @@ pub struct PassIdentity {
     pub total_probes: usize,
 }
 
-/// Everything [`collect_sharded_streaming`] derives from the
-/// configuration before any simulation runs.
-struct PreparedPass<'c> {
-    grid: SimGrid<'c>,
-    programs: Vec<Program>,
-    probes: Vec<Probe>,
-}
-
-/// Builds the simulation grid and probe list of a pass, validating the
-/// configuration.
-fn prepare_pass(config: &CollectionConfig) -> PreparedPass<'_> {
-    assert!(
-        !config.engines.is_empty(),
-        "collection needs at least one engine"
-    );
-    assert!(!config.benchmarks.is_empty(), "collection needs benchmarks");
-    assert!(
-        !config.partition.train.is_empty(),
-        "Set I must not be empty"
-    );
-    assert!(
-        !config.partition.test.is_empty(),
-        "Set IV must not be empty"
-    );
-
-    let grid = SimGrid::build(&config.partition, &config.catalog);
-
-    // Build programs and probes per benchmark.
-    let programs: Vec<Program> = config
-        .benchmarks
-        .iter()
-        .map(|b| b.program(&config.scale.workload))
-        .collect();
-    let per_benchmark: Vec<Vec<Probe>> = config
-        .benchmarks
-        .iter()
-        .map(|b| b.probes(&config.scale.workload))
-        .collect();
-    let probes = subsample_probes(per_benchmark, config.max_probes);
-    assert!(!probes.is_empty(), "no probes extracted");
-    PreparedPass {
-        grid,
-        programs,
-        probes,
-    }
-}
-
-/// Derives the [`PassIdentity`] of a configuration without simulating
-/// anything.
+/// Derives the [`PassIdentity`] of an experiment without simulating
+/// anything: it builds only the programs, the probes and the unit grid.
 ///
 /// # Panics
 ///
 /// As [`collect`].
-pub fn pass_identity(config: &CollectionConfig) -> PassIdentity {
-    let pass = prepare_pass(config);
-    PassIdentity {
-        keys: pass.grid.keys.clone(),
-        engine_names: config.engines.iter().map(|e| e.name()).collect(),
-        catalog: config.catalog.clone(),
-        total_probes: pass.probes.len(),
+pub fn pass_identity(exp: &dyn Experiment) -> PassIdentity {
+    PreparedPass::new(exp).identity
+}
+
+/// Everything a pass derives from its experiment before any simulation
+/// runs: the unit grid, the pass identity, the programs and the probes.
+pub(crate) struct PreparedPass<'e> {
+    exp: &'e dyn Experiment,
+    /// Every unit of the grid, in unit order.
+    units: Vec<Unit>,
+    grid: exec::UnitGrid,
+    pub(crate) identity: PassIdentity,
+    /// One program per benchmark, in benchmark order.
+    programs: Vec<Program>,
+    /// The pass's probes with their benchmark index.
+    probes: Vec<(usize, Probe)>,
+}
+
+impl<'e> PreparedPass<'e> {
+    /// Builds the unit grid and probe list, validating the experiment.
+    ///
+    /// # Panics
+    ///
+    /// As [`collect`].
+    pub(crate) fn new(exp: &'e dyn Experiment) -> Self {
+        assert!(
+            !exp.engines().is_empty(),
+            "collection needs at least one engine"
+        );
+        let designs = exp.designs();
+        assert!(
+            designs.iter().any(|d| d.role == DesignRole::Train),
+            "Set I must not be empty"
+        );
+        let catalog = exp.catalog();
+        let (units, grid, keys) = unit_grid(&designs, catalog.len());
+
+        let workload = exp.workload();
+        let benchmarks = exp.benchmarks();
+        assert!(!benchmarks.is_empty(), "collection needs benchmarks");
+        let programs: Vec<Program> = benchmarks.iter().map(|b| b.program(&workload)).collect();
+        let per_benchmark = benchmarks
+            .iter()
+            .zip(&programs)
+            .map(|(b, program)| extract_probes(program, &b.simpoint_config(&workload)))
+            .collect();
+        let probes = exp.pick_probes(per_benchmark);
+        assert!(!probes.is_empty(), "no probes extracted");
+
+        PreparedPass {
+            exp,
+            units,
+            grid,
+            identity: PassIdentity {
+                keys,
+                engine_names: exp.engines().iter().map(EngineSpec::name).collect(),
+                catalog,
+                total_probes: probes.len(),
+            },
+            programs,
+            probes,
+        }
+    }
+
+    /// The streaming heart of collection: runs the probes of `shard`,
+    /// skipping the first `skip` (already-durable probes of a resumed
+    /// attempt), and hands each probe's metadata and complete output to
+    /// `sink` in strictly increasing probe order as soon as it is
+    /// assembled.
+    ///
+    /// A `sink` error aborts the pass (the error is returned verbatim);
+    /// nothing is retried. Every probe's pipeline depends only on its own
+    /// trace, so the streamed outputs are bit-identical to the
+    /// corresponding slice of a full [`collect`] for any `shard` and
+    /// `skip`; merging a disjoint covering set of shard files
+    /// ([`crate::persist::merge_shard_files`]) therefore reassembles the
+    /// single-process collection exactly (wall-clock timings aside, which
+    /// sum over shards). A shard may own zero probes.
+    pub(crate) fn stream<E>(
+        &self,
+        shard: exec::ShardSpec,
+        skip: usize,
+        mut sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let exp = self.exp;
+        let simulate = exp.simulator();
+        let policy = exp.counter_policy();
+        let captures = exp.captures();
+        let keys = &self.identity.keys;
+        // Run-level parallel collection through the shared unit-grid
+        // driver: trace generation, the (probe x unit) simulation grid,
+        // per-probe counter selection and the (probe x engine) training
+        // grid all run on the work-stealing pool, with deterministic
+        // assembly for any worker count.
+        exec::collect_unit_grid_streaming(
+            self.probes.len(),
+            exp.threads(),
+            shard,
+            skip,
+            &self.grid,
+            exp.engines(),
+            |pi| {
+                let (b, probe) = &self.probes[pi];
+                probe.trace(&self.programs[*b])
+            },
+            |trace: &Vec<Inst>, u| {
+                let (d, bug) = self.units[u];
+                simulate(d, bug, trace)
+            },
+            |_pi, sims| policy.features(&self.grid.train_units, sims),
+            |pi, pos, engine, series, inferred| {
+                let key = &keys[pos];
+                let probe = &self.probes[pi].1;
+                let wanted = captures
+                    .iter()
+                    .any(|c| c.probe_id == probe.id() && c.arch == key.arch && c.bug == key.bug);
+                wanted.then(|| CapturedSeries {
+                    probe_id: probe.id(),
+                    arch: key.arch.clone(),
+                    bug: key.bug,
+                    engine: engine.name(),
+                    simulated: series.target.clone(),
+                    inferred: inferred.to_vec(),
+                })
+            },
+            |pi, output| {
+                let probe = &self.probes[pi].1;
+                sink(
+                    ProbeMeta {
+                        id: probe.id(),
+                        benchmark: probe.benchmark.clone(),
+                        weight: probe.weight,
+                    },
+                    output,
+                )
+            },
+        )
     }
 }
 
-/// The streaming heart of sharded collection: runs the probes of
-/// `shard`, skipping the first `skip` (already-durable probes of a
-/// resumed attempt), and hands each probe's metadata and complete output
-/// to `sink` in strictly increasing probe order as soon as it is
-/// assembled. Returns the total probe count of the full pass.
-///
-/// A `sink` error aborts the pass (the error is returned verbatim);
-/// nothing is retried. Every probe's pipeline depends only on its own
-/// trace, so the streamed outputs are bit-identical to the corresponding
-/// slice of a full [`collect`] for any `shard` and `skip`; merging a
-/// disjoint covering set of shard files
-/// ([`crate::persist::merge_shard_files`]) therefore reassembles the
-/// single-process collection exactly (wall-clock timings aside, which sum
-/// over shards).
-///
-/// # Panics
-///
-/// As [`collect`]. A shard may legitimately own zero probes (more shards
-/// than probes); the *global* probe set must still be non-empty.
-pub fn collect_sharded_streaming<E>(
-    config: &CollectionConfig,
-    shard: exec::ShardSpec,
-    skip: usize,
-    mut sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
-) -> Result<usize, E> {
-    let pass = prepare_pass(config);
-    let PreparedPass {
-        grid,
-        programs,
-        probes,
-    } = &pass;
-    let keys = &grid.keys;
-    let program_of = |probe: &Probe| -> &Program {
-        let idx = config
-            .benchmarks
-            .iter()
-            .position(|b| b.name == probe.benchmark)
-            .expect("probe from configured benchmark");
-        &programs[idx]
-    };
+impl Experiment for CollectionConfig {
+    fn kind(&self) -> ExperimentKind {
+        ExperimentKind::Core
+    }
 
-    // Run-level parallel collection through the shared unit-grid driver
-    // (`exec::collect_unit_grid_streaming`): trace generation, the
-    // (probe x unit) simulation grid, per-probe counter selection and the
-    // (probe x engine) training grid all run on the work-stealing pool,
-    // with deterministic assembly for any worker count.
-    let unit_grid = exec::UnitGrid {
-        n_units: grid.units.len(),
-        train_units: grid.train_units.clone(),
-        val_units: grid.val_units.clone(),
-        key_units: grid.key_units.clone(),
-    };
-    exec::collect_unit_grid_streaming(
-        probes.len(),
-        config.threads,
-        shard,
-        skip,
-        &unit_grid,
-        &config.engines,
-        |pi| probes[pi].trace(program_of(&probes[pi])),
-        |trace: &Vec<perfbug_workloads::Inst>, u| {
-            let (arch_idx, bug_idx) = grid.units[u];
-            let arch = grid.archs[arch_idx];
+    fn fingerprint_canon(&self) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            self.scale,
+            self.engines,
+            self.counter_mode,
+            self.window,
+            self.arch_features,
+            self.catalog.variants(),
+            // The whole benchmark specs, not just their names: k, seed and
+            // phase structure all shape the probe set and traces.
+            self.benchmarks,
+            self.max_probes,
+            self.partition,
+            self.presumed_bugfree_bug,
+            self.captures,
+        )
+    }
+
+    fn engines(&self) -> &[EngineSpec] {
+        &self.engines
+    }
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Set I, then the evaluated designs of [`ArchPartition::eval_archs`].
+    fn designs(&self) -> Vec<Design> {
+        assert!(!self.partition.test.is_empty(), "Set IV must not be empty");
+        self.partition
+            .roles()
+            .map(|(a, role)| Design {
+                name: a.name.clone(),
+                set: a.set,
+                role,
+            })
+            .collect()
+    }
+
+    fn catalog(&self) -> BugCatalog {
+        self.catalog.clone()
+    }
+
+    fn benchmarks(&self) -> Vec<BenchmarkSpec> {
+        self.benchmarks.clone()
+    }
+
+    fn workload(&self) -> WorkloadScale {
+        self.scale.workload
+    }
+
+    fn pick_probes(&self, per_benchmark: Vec<Vec<Probe>>) -> Vec<(usize, Probe)> {
+        subsample_probes(per_benchmark, self.max_probes)
+    }
+
+    fn simulator(&self) -> UnitSimulator<'_> {
+        let archs: Vec<&MicroarchConfig> = self.partition.roles().map(|(a, _)| a).collect();
+        Box::new(move |d, bug, trace| {
+            let arch = archs[d];
             // The presumed-bug-free defect contaminates every run: it is
             // part of the "design" for this experiment.
-            let bug = bug_idx
-                .map(|i| config.catalog.variants()[i])
-                .or(config.presumed_bugfree_bug);
-            let pr = simulate(arch, bug, trace, config.scale.step_cycles);
+            let bug = bug
+                .map(|i| self.catalog.variants()[i])
+                .or(self.presumed_bugfree_bug);
+            let pr = simulate(arch, bug, trace, self.scale.step_cycles);
             let overall = pr.overall_ipc();
             (
                 RunSeries {
@@ -589,55 +770,21 @@ pub fn collect_sharded_streaming<E>(
                 },
                 overall,
             )
-        },
-        |_pi, units| {
-            let selected = match &config.counter_mode {
-                CounterMode::Automatic(thresholds) => {
-                    let mut rows = RowMatrix::new(0);
-                    let mut target = Vec::new();
-                    for &u in &grid.train_units {
-                        rows.extend_from(&units[u].0.rows);
-                        target.extend_from_slice(&units[u].0.target);
-                    }
-                    select_counters(&rows, &target, thresholds, &leakage_banned_counters())
-                }
-                CounterMode::Manual(cols) => cols.clone(),
-            };
-            FeatureSpec {
-                selected,
-                arch_features: config.arch_features,
-                window: config.window.max(1),
-            }
-        },
-        |pi, pos, engine, series, inferred| {
-            let key = &keys[pos];
-            let probe = &probes[pi];
-            let wanted = config
-                .captures
-                .iter()
-                .any(|c| c.probe_id == probe.id() && c.arch == key.arch && c.bug == key.bug);
-            wanted.then(|| CapturedSeries {
-                probe_id: probe.id(),
-                arch: key.arch.clone(),
-                bug: key.bug,
-                engine: engine.name(),
-                simulated: series.target.clone(),
-                inferred: inferred.to_vec(),
-            })
-        },
-        |pi, output| {
-            let probe = &probes[pi];
-            sink(
-                ProbeMeta {
-                    id: probe.id(),
-                    benchmark: probe.benchmark.clone(),
-                    weight: probe.weight,
-                },
-                output,
-            )
-        },
-    )?;
-    Ok(probes.len())
+        })
+    }
+
+    fn counter_policy(&self) -> CounterPolicy<'_> {
+        CounterPolicy {
+            mode: &self.counter_mode,
+            banned: leakage_banned_counters(),
+            arch_features: self.arch_features,
+            window: self.window.max(1),
+        }
+    }
+
+    fn captures(&self) -> &[CaptureSpec] {
+        &self.captures
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -1003,6 +1150,24 @@ mod tests {
         let benches: std::collections::HashSet<&str> =
             col.probes.iter().map(|p| p.benchmark.as_str()).collect();
         assert_eq!(benches.len(), 2);
+    }
+
+    #[test]
+    fn same_named_benchmarks_trace_their_own_programs() {
+        // Two specs may share a name; each probe must still be traced
+        // against its own benchmark's program, not the first namesake's.
+        let mut config = tiny_config();
+        config.engines.truncate(1);
+        let base = benchmark("462.libquantum").expect("suite");
+        let mut reseeded = base.clone();
+        reseeded.seed ^= 1;
+        config.benchmarks = vec![base, reseeded.clone()];
+        config.max_probes = Some(2);
+        let both = collect(&config);
+        config.benchmarks = vec![reseeded];
+        config.max_probes = Some(1);
+        let alone = collect(&config);
+        assert_eq!(both.overall_ipc[1], alone.overall_ipc[0]);
     }
 
     #[test]

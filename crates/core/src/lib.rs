@@ -59,14 +59,13 @@ pub use experiment::{
     Collection, CollectionConfig, ProbeScale, RunKey,
 };
 pub use fuzz::{Family, FuzzSpec, FuzzedCatalog, FuzzedVariant};
-pub use memory::{collect_memory, MemCollectionConfig, TargetMetric};
+pub use memory::{MemCollectionConfig, TargetMetric};
 pub use orchestrate::{
     orchestrate_collection, run_orchestrator, CollectPlan, Fault, OrchestrateError,
     OrchestratedRun, OrchestratorConfig, RunReport,
 };
 pub use persist::{
-    collect_memory_or_load, collect_memory_shard_or_resume, collect_or_load,
-    collect_shard_or_resume, config_fingerprint, load_collection, mem_config_fingerprint,
+    collect_or_load, collect_shard_or_resume, config_fingerprint, load_collection,
     merge_shard_files, part_path_for, save_collection, scan_part, scan_part_file, verify_stream,
     CacheStatus, ChunkEntry, ExperimentKind, FileHeader, PersistError, ProbeReader,
     RecoveredPrefix, ShardManifest, ShardOutcome, ShardStreamWriter,

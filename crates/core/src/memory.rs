@@ -2,19 +2,30 @@
 //!
 //! Identical two-stage pipeline, but probes run on the ChampSim-like cache
 //! hierarchy simulator and the stage-1 target can be either IPC or AMAT.
-//! Results feed the same [`Collection`] / evaluation machinery as the core
-//! experiment.
+//! [`MemCollectionConfig`] implements the [`Experiment`] trait, so the
+//! memory experiment is collected, fingerprinted and cached by the same
+//! functions as the core experiment, and its
+//! [`Collection`](crate::experiment::Collection) feeds the same
+//! evaluation. [`collect_memory`] and [`mem_pass_identity`] are two of
+//! those functions under the older memory names existing callers use.
 
-use perfbug_memsim::{self as memsim, simulate_memory, MemArchConfig, MemBugSpec};
+use perfbug_memsim::{self as memsim, mem_counter_names, simulate_memory, MemArchConfig};
 use perfbug_uarch::ArchSet;
-use perfbug_workloads::{Probe, Program, RowMatrix, WorkloadScale};
+use perfbug_workloads::{BenchmarkSpec, Probe, WorkloadScale};
 
 use crate::bugs::{BugCatalog, MemBugCatalog};
-use crate::counter_select::{select_counters, CounterMode, SelectionThresholds};
+use crate::counter_select::{CounterMode, SelectionThresholds};
 use crate::exec;
-use crate::experiment::{collect_in_memory, Collection, PassIdentity, ProbeMeta, RunKey};
-use crate::stage1::{EngineSpec, FeatureSpec, RunSeries};
-use perfbug_memsim::mem_counter_names;
+use crate::experiment::{
+    CaptureSpec, CounterPolicy, Design, DesignRole, Experiment, UnitSimulator,
+};
+use crate::persist::ExperimentKind;
+use crate::stage1::{EngineSpec, RunSeries};
+
+/// [`crate::experiment::collect`] under its memory-experiment name.
+pub use crate::experiment::collect as collect_memory;
+/// [`crate::experiment::pass_identity`] under its memory-experiment name.
+pub use crate::experiment::pass_identity as mem_pass_identity;
 
 /// Which per-step series the stage-1 models learn to infer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,257 +96,142 @@ fn mem_set(set: memsim::ArchSet) -> ArchSet {
     }
 }
 
-/// Runs the memory-system collection pass. The returned [`Collection`]
-/// reuses the core experiment's structure (and thus its evaluation
-/// functions); the `catalog` field inside it is a placeholder mirroring
-/// the memory catalogue's shape, exposed through
-/// [`mem_catalog_as_core`].
-///
-/// # Panics
-///
-/// Panics if no engines are configured.
-pub fn collect_memory(config: &MemCollectionConfig) -> Collection {
-    collect_in_memory(mem_pass_identity(config), |sink| {
-        collect_memory_sharded_streaming(config, exec::ShardSpec::full(), 0, sink)
-    })
+/// The cache-hierarchy designs in unit-grid order: Set I first, then the
+/// evaluated designs, each group in catalogue order.
+fn grid_archs() -> Vec<MemArchConfig> {
+    let (mut archs, eval): (Vec<_>, Vec<_>) = memsim::config::all()
+        .into_iter()
+        .partition(|a| a.set == memsim::ArchSet::I);
+    archs.extend(eval);
+    archs
 }
 
-/// Everything [`collect_memory_sharded_streaming`] derives from the
-/// configuration before any simulation runs. Units reference designs by
-/// index into `archs` so the struct owns all of its data.
-struct MemPreparedPass {
-    archs: Vec<MemArchConfig>,
-    units: Vec<(usize, Option<usize>)>,
-    train_units: Vec<usize>,
-    val_units: Vec<usize>,
-    key_units: Vec<usize>,
-    keys: Vec<RunKey>,
-    programs: Vec<Program>,
-    probes: Vec<(usize, Probe)>,
-}
-
-/// Builds the memory experiment's unit grid and probe list, validating
-/// the configuration.
-fn prepare_mem_pass(config: &MemCollectionConfig) -> MemPreparedPass {
-    assert!(
-        !config.engines.is_empty(),
-        "collection needs at least one engine"
-    );
-    let archs = memsim::config::all();
-    let train: Vec<usize> = (0..archs.len())
-        .filter(|&i| archs[i].set == memsim::ArchSet::I)
-        .collect();
-    let eval: Vec<usize> = (0..archs.len())
-        .filter(|&i| archs[i].set != memsim::ArchSet::I)
-        .collect();
-
-    // The simulation-unit grid: Set-I bug-free runs first, then per
-    // evaluation design its bug-free reference run (shared between
-    // stage-1 validation and the bug-free key — the previous
-    // implementation simulated Set-II designs twice) and its bug runs.
-    let mut units: Vec<(usize, Option<usize>)> = Vec::new();
-    let mut train_units = Vec::new();
-    for &ai in &train {
-        train_units.push(units.len());
-        units.push((ai, None));
-    }
-    let mut val_units = Vec::new();
-    let mut key_units = Vec::new();
-    let mut keys = Vec::new();
-    for &ai in &eval {
-        let arch = &archs[ai];
-        let bugfree_unit = units.len();
-        units.push((ai, None));
-        if arch.set == memsim::ArchSet::II {
-            val_units.push(bugfree_unit);
-        }
-        key_units.push(bugfree_unit);
-        keys.push(RunKey {
-            arch: arch.name.clone(),
-            set: mem_set(arch.set),
-            bug: None,
-        });
-        for i in 0..config.catalog.len() {
-            key_units.push(units.len());
-            units.push((ai, Some(i)));
-            keys.push(RunKey {
-                arch: arch.name.clone(),
-                set: mem_set(arch.set),
-                bug: Some(i),
-            });
-        }
+impl Experiment for MemCollectionConfig {
+    fn kind(&self) -> ExperimentKind {
+        ExperimentKind::Memory
     }
 
-    // Probes from the 22-SimPoint memory suite.
-    let suite = memsim::memory_suite();
-    let programs: Vec<Program> = suite.iter().map(|b| b.program(&config.workload)).collect();
-    let mut probes: Vec<(usize, Probe)> = Vec::new();
-    for (bi, bench) in suite.iter().enumerate() {
-        for p in bench.probes(&config.workload) {
-            probes.push((bi, p));
-        }
+    fn fingerprint_canon(&self) -> String {
+        format!(
+            "{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            self.workload,
+            self.step_cycles,
+            self.engines,
+            self.metric,
+            self.counter_mode,
+            self.catalog.variants(),
+            self.max_probes,
+        )
     }
-    if let Some(max) = config.max_probes {
-        probes.truncate(max);
+
+    fn engines(&self) -> &[EngineSpec] {
+        &self.engines
     }
-    assert!(!probes.is_empty(), "no memory probes extracted");
 
-    MemPreparedPass {
-        archs,
-        units,
-        train_units,
-        val_units,
-        key_units,
-        keys,
-        programs,
-        probes,
+    fn threads(&self) -> usize {
+        self.threads
     }
-}
 
-/// Derives the [`PassIdentity`] of a memory configuration without
-/// simulating anything (the memory sibling of
-/// [`crate::experiment::pass_identity`]). The identity's catalogue is the
-/// core-shaped mirror ([`mem_catalog_as_core`]), matching what
-/// [`collect_memory`] stores in its collections.
-///
-/// # Panics
-///
-/// As [`collect_memory`].
-pub fn mem_pass_identity(config: &MemCollectionConfig) -> PassIdentity {
-    let pass = prepare_mem_pass(config);
-    PassIdentity {
-        keys: pass.keys.clone(),
-        engine_names: config.engines.iter().map(|e| e.name()).collect(),
-        catalog: mem_catalog_as_core(&config.catalog),
-        total_probes: pass.probes.len(),
-    }
-}
-
-/// The streaming heart of sharded memory collection (the memory sibling
-/// of [`crate::experiment::collect_sharded_streaming`]): runs the probes
-/// of `shard`, skipping the first `skip`, and hands each probe's
-/// metadata and output to `sink` in strictly increasing probe order.
-/// Returns the total probe count of the full pass.
-///
-/// # Panics
-///
-/// As [`collect_memory`]; a shard may own zero probes.
-pub fn collect_memory_sharded_streaming<E>(
-    config: &MemCollectionConfig,
-    shard: exec::ShardSpec,
-    skip: usize,
-    mut sink: impl FnMut(ProbeMeta, exec::ProbeOutput) -> Result<(), E>,
-) -> Result<usize, E> {
-    let pass = prepare_mem_pass(config);
-
-    // The shared unit-grid driver runs the same three-phase pipeline as
-    // the core experiment; only the simulator and the counter-selection
-    // policy differ, and the memory experiment captures no series.
-    let unit_grid = exec::UnitGrid {
-        n_units: pass.units.len(),
-        train_units: pass.train_units.clone(),
-        val_units: pass.val_units.clone(),
-        key_units: pass.key_units.clone(),
-    };
-    exec::collect_unit_grid_streaming(
-        pass.probes.len(),
-        config.threads,
-        shard,
-        skip,
-        &unit_grid,
-        &config.engines,
-        |pi| {
-            let (bi, probe) = &pass.probes[pi];
-            probe.trace(&pass.programs[*bi])
-        },
-        |trace: &Vec<perfbug_workloads::Inst>, u| {
-            let (ai, bug_idx) = pass.units[u];
-            let bug = bug_idx.map(|i| config.catalog.variants()[i]);
-            mem_run(config, &pass.archs[ai], bug, trace)
-        },
-        |_pi, sims| FeatureSpec {
-            selected: select_mem_counters(config, sims, &pass.train_units),
-            arch_features: true,
-            window: 1,
-        },
-        |_, _, _, _, _| None,
-        |pi, output| {
-            let (_, probe) = &pass.probes[pi];
-            sink(
-                ProbeMeta {
-                    id: probe.id(),
-                    benchmark: probe.benchmark.clone(),
-                    weight: probe.weight,
+    /// Set-II designs validate stage 1.
+    fn designs(&self) -> Vec<Design> {
+        grid_archs()
+            .into_iter()
+            .map(|a| Design {
+                role: match a.set {
+                    memsim::ArchSet::I => DesignRole::Train,
+                    memsim::ArchSet::II => DesignRole::Validate,
+                    _ => DesignRole::Evaluate,
                 },
-                output,
+                set: mem_set(a.set),
+                name: a.name,
+            })
+            .collect()
+    }
+
+    /// The core-shaped mirror of the memory catalogue
+    /// ([`mem_catalog_as_core`]).
+    fn catalog(&self) -> BugCatalog {
+        mem_catalog_as_core(&self.catalog)
+    }
+
+    /// The 22-SimPoint memory suite.
+    fn benchmarks(&self) -> Vec<BenchmarkSpec> {
+        memsim::memory_suite()
+    }
+
+    fn workload(&self) -> WorkloadScale {
+        self.workload
+    }
+
+    /// Every SimPoint in suite order, truncated to `max_probes`.
+    fn pick_probes(&self, per_benchmark: Vec<Vec<Probe>>) -> Vec<(usize, Probe)> {
+        let mut probes: Vec<(usize, Probe)> = per_benchmark
+            .into_iter()
+            .enumerate()
+            .flat_map(|(b, probes)| probes.into_iter().map(move |p| (b, p)))
+            .collect();
+        if let Some(max) = self.max_probes {
+            probes.truncate(max);
+        }
+        probes
+    }
+
+    fn simulator(&self) -> UnitSimulator<'_> {
+        let archs = grid_archs();
+        Box::new(move |d, bug, trace| {
+            let arch = &archs[d];
+            let bug = bug.map(|i| self.catalog.variants()[i]);
+            let mr = simulate_memory(arch, bug, trace, self.step_cycles);
+            let (overall, target) = match self.metric {
+                TargetMetric::Ipc => (mr.overall_ipc(), mr.ipc),
+                TargetMetric::Amat => (mr.overall_amat(), mr.amat),
+            };
+            (
+                RunSeries {
+                    rows: mr.counter_rows,
+                    target,
+                    arch_features: arch.feature_vector(),
+                },
+                overall,
             )
-        },
-    )?;
-    Ok(pass.probes.len())
-}
+        })
+    }
 
-/// Simulates one memory run and shapes it for stage 1.
-fn mem_run(
-    config: &MemCollectionConfig,
-    arch: &MemArchConfig,
-    bug: Option<MemBugSpec>,
-    trace: &[perfbug_workloads::Inst],
-) -> (RunSeries, f64) {
-    let mr = simulate_memory(arch, bug, trace, config.step_cycles);
-    let (target, overall) = match config.metric {
-        TargetMetric::Ipc => (mr.ipc.clone(), mr.overall_ipc()),
-        TargetMetric::Amat => (mr.amat.clone(), mr.overall_amat()),
-    };
-    (
-        RunSeries {
-            rows: mr.counter_rows,
-            target,
-            arch_features: arch.feature_vector(),
-        },
-        overall,
-    )
-}
-
-/// Counter selection over the pooled Set-I runs of one probe.
-fn select_mem_counters(
-    config: &MemCollectionConfig,
-    sims: &[(RunSeries, f64)],
-    train_units: &[usize],
-) -> Vec<usize> {
-    match &config.counter_mode {
-        CounterMode::Automatic(thresholds) => {
-            let mut rows = RowMatrix::new(0);
-            let mut target = Vec::new();
-            for &u in train_units {
-                rows.extend_from(&sims[u].0.rows);
-                target.extend_from_slice(&sims[u].0.target);
-            }
-            // Same feature policy as the core experiment (see
-            // `leakage_banned_counters`): only composition/rate columns
-            // are candidates. "amat" is additionally the literal target
-            // when TargetMetric::Amat is selected.
-            let allowed = [
-                "l1d_miss_rate",
-                "l2_miss_rate",
-                "llc_miss_rate",
-                "pf_accuracy",
-                "mpki",
-            ];
-            let banned: Vec<usize> = mem_counter_names()
+    /// Same feature policy as the core experiment (see
+    /// [`crate::counter_select::leakage_banned_counters`]): only
+    /// composition/rate columns are candidates. "amat" is additionally
+    /// the literal target when [`TargetMetric::Amat`] is selected.
+    fn counter_policy(&self) -> CounterPolicy<'_> {
+        let allowed = [
+            "l1d_miss_rate",
+            "l2_miss_rate",
+            "llc_miss_rate",
+            "pf_accuracy",
+            "mpki",
+        ];
+        CounterPolicy {
+            mode: &self.counter_mode,
+            banned: mem_counter_names()
                 .iter()
                 .enumerate()
-                .filter(|(_, n)| !allowed.contains(&n.to_string().as_str()))
+                .filter(|(_, n)| !allowed.contains(n))
                 .map(|(i, _)| i)
-                .collect();
-            select_counters(&rows, &target, thresholds, &banned)
+                .collect(),
+            arch_features: true,
+            window: 1,
         }
-        CounterMode::Manual(cols) => cols.clone(),
+    }
+
+    /// The memory experiment captures no series.
+    fn captures(&self) -> &[CaptureSpec] {
+        &[]
     }
 }
 
 /// Mirrors a memory catalogue into core-bug placeholders so the shared
-/// [`Collection`] evaluation (which consults type ids and names) works
-/// unchanged. The mapping preserves type ids (1–8) and variant order.
+/// [`Collection`](crate::experiment::Collection) evaluation (which
+/// consults type ids and names) works unchanged. The mapping preserves
+/// type ids (1–8) and variant order.
 pub fn mem_catalog_as_core(catalog: &MemBugCatalog) -> BugCatalog {
     use perfbug_uarch::BugSpec;
     // Type ids must match the memory catalogue's variant-to-type mapping;
@@ -382,7 +278,7 @@ pub fn mem_variant_names(catalog: &MemBugCatalog) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::evaluate_two_stage;
+    use crate::experiment::{collect, evaluate_two_stage};
     use crate::stage2::Stage2Params;
     use perfbug_ml::GbtParams;
 
@@ -404,7 +300,7 @@ mod tests {
     #[test]
     fn memory_collection_shapes() {
         let config = tiny_mem_config();
-        let col = collect_memory(&config);
+        let col = collect(&config);
         assert_eq!(col.probes.len(), 5);
         // 7 non-Set-I designs x (1 + 10 bugs).
         assert_eq!(col.keys.len(), 7 * 11);
@@ -414,7 +310,7 @@ mod tests {
     #[test]
     fn memory_detection_runs_end_to_end() {
         let config = tiny_mem_config();
-        let col = collect_memory(&config);
+        let col = collect(&config);
         let eval = evaluate_two_stage(&col, 0, Stage2Params::default());
         assert!(eval.metrics.roc_auc >= 0.0);
         assert_eq!(eval.folds.len(), 6); // six memory bug types
@@ -423,19 +319,19 @@ mod tests {
     #[test]
     fn sharded_memory_collection_merges_to_the_full_one() {
         use crate::persist::{
-            cache_file_name, collect_memory_shard_or_resume, load_or_assemble,
-            mem_config_fingerprint, shard_file_name, CacheStatus, ExperimentKind,
+            cache_file_name, collect_shard_or_resume, config_fingerprint, load_or_assemble,
+            shard_file_name, CacheStatus,
         };
         let config = tiny_mem_config();
-        let mut full = collect_memory(&config);
-        let fingerprint = mem_config_fingerprint(&config);
+        let mut full = collect(&config);
+        let fingerprint = config_fingerprint(&config);
         let kind = ExperimentKind::Memory;
         let dir = std::env::temp_dir().join(format!("perfbug-mem-shards-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("temp dir");
         for index in 0..2 {
             let path = dir.join(shard_file_name("mem-test", kind, fingerprint, index, 2));
-            collect_memory_shard_or_resume(&path, &config, exec::ShardSpec::new(index, 2))
+            collect_shard_or_resume(&path, &config, exec::ShardSpec::new(index, 2))
                 .expect("shard collects");
         }
         let path = dir.join(cache_file_name("mem-test", kind, fingerprint));

@@ -20,7 +20,7 @@
 //!   so cache tooling (`pbcol`) can triage files without recomputing
 //!   fingerprints;
 //! * the **config fingerprint** of the producing collection pass — loading
-//!   under a different [`CollectionConfig`] fails with
+//!   under a different experiment configuration fails with
 //!   [`PersistError::Fingerprint`], so a stale cache is rejected rather
 //!   than silently reused;
 //! * a [`ShardManifest`] — which contiguous probe range of the full pass
@@ -32,15 +32,17 @@
 //! * a trailing FNV-1a checksum over the whole header + payload —
 //!   truncated or corrupted files fail with [`PersistError::Corrupt`].
 //!
-//! [`collect_or_load`] / [`collect_memory_or_load`] are the front doors:
-//! they replay a saved collection when the cache file exists, assemble it
-//! from a complete set of shard files in the same directory when one is
-//! not, and collect (then save) otherwise. Shard workers use
-//! [`collect_shard_or_resume`] / [`collect_memory_shard_or_resume`]. Pair
-//! them with [`cache_file_name`] / [`shard_file_name`], which embed the
-//! experiment kind and the fingerprint in the file name so distinct
+//! [`collect_or_load`] is the front door for every experiment (anything
+//! implementing [`Experiment`], core or memory): it replays a saved
+//! collection when the cache file exists, assembles it from a complete
+//! set of shard files in the same directory when one is not, and collects
+//! (then saves) otherwise. Shard workers use [`collect_shard_or_resume`].
+//! Pair them with [`cache_file_name`] / [`shard_file_name`], which embed
+//! the experiment kind and the fingerprint in the file name so distinct
 //! configurations — and the core and memory experiments sharing one cache
-//! directory — can never collide on one path.
+//! directory — can never collide on one path. `collect_memory_or_load`
+//! and `mem_config_fingerprint` are the same functions under the older
+//! memory-experiment names existing callers use.
 
 // pblint: allow-file(slice-index) -- decode keeps raw-byte indexing for the
 // fixed-width frame fields; every site is behind an explicit length guard
@@ -58,10 +60,10 @@ use perfbug_uarch::{ArchSet, BugSpec};
 use perfbug_workloads::{Opcode, ALL_OPCODES};
 
 use crate::bugs::BugCatalog;
+use crate::exec::ShardSpec;
 use crate::experiment::{
-    CapturedSeries, Collection, CollectionConfig, EngineResult, ProbeMeta, RunKey,
+    CapturedSeries, Collection, EngineResult, Experiment, PreparedPass, ProbeMeta, RunKey,
 };
-use crate::memory::MemCollectionConfig;
 
 /// Version of the on-disk format. Bump on any layout change; readers
 /// reject every other version with [`PersistError::Version`].
@@ -106,14 +108,17 @@ const MAGIC: [u8; 4] = *b"PBCL";
 /// Canonical file extension of serialised collections.
 pub const FILE_EXTENSION: &str = "pbcol";
 
-/// Which experiment pipeline produced a collection. Part of the file
-/// header and of every cache file name, so the core and memory
-/// experiments can share one `PERFBUG_CACHE_DIR` without colliding.
+/// Which experiment produced a collection ([`Experiment::kind`]). Part
+/// of the file header, of the fingerprint canon and of every cache file
+/// name, so the core and memory experiments can share one
+/// `PERFBUG_CACHE_DIR` without colliding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentKind {
-    /// The out-of-order core experiment (`experiment::collect`).
+    /// The out-of-order core experiment
+    /// ([`CollectionConfig`](crate::experiment::CollectionConfig)).
     Core,
-    /// The cache-hierarchy experiment (`memory::collect_memory`).
+    /// The cache-hierarchy experiment
+    /// ([`MemCollectionConfig`](crate::memory::MemCollectionConfig)).
     Memory,
 }
 
@@ -197,7 +202,7 @@ impl ShardManifest {
     ///
     /// Panics if the spec's index is out of range (via
     /// [`crate::exec::ShardSpec::new`] semantics).
-    pub fn of(shard: crate::exec::ShardSpec, total: usize) -> Self {
+    pub fn of(shard: ShardSpec, total: usize) -> Self {
         let range = shard.probe_range(total);
         ShardManifest {
             index: shard.index as u32,
@@ -361,45 +366,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// [`CORPUS_REVISION`] — not this — when collection *output* changes.
 const FINGERPRINT_VERSION: u32 = 2;
 
-/// Fingerprint of everything in a [`CollectionConfig`] that shapes the
-/// collected data. `threads` is deliberately excluded: the engine is
-/// deterministic for any worker count, so parallelism is an execution
-/// detail, not part of the corpus identity.
-pub fn config_fingerprint(config: &CollectionConfig) -> u64 {
+/// Fingerprint of everything in an experiment's configuration that shapes
+/// the collected data: FNV-1a of `<kind>/v<FINGERPRINT_VERSION>/c<CORPUS_REVISION>|`
+/// followed by [`Experiment::fingerprint_canon`]. `threads` is deliberately
+/// excluded: the engine is deterministic for any worker count, so
+/// parallelism is an execution detail, not part of the corpus identity.
+pub fn config_fingerprint(config: &dyn Experiment) -> u64 {
     let canon = format!(
-        "core/v{FINGERPRINT_VERSION}/c{CORPUS_REVISION}|{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        config.scale,
-        config.engines,
-        config.counter_mode,
-        config.window,
-        config.arch_features,
-        config.catalog.variants(),
-        // The whole benchmark specs, not just their names: k, seed and
-        // phase structure all shape the probe set and traces.
-        config.benchmarks,
-        config.max_probes,
-        config.partition,
-        config.presumed_bugfree_bug,
-        config.captures,
+        "{}/v{FINGERPRINT_VERSION}/c{CORPUS_REVISION}|{}",
+        config.kind().as_str(),
+        config.fingerprint_canon()
     );
     fnv1a(canon.as_bytes())
 }
 
-/// Fingerprint of a [`MemCollectionConfig`], excluding `threads` for the
-/// same reason as [`config_fingerprint`].
-pub fn mem_config_fingerprint(config: &MemCollectionConfig) -> u64 {
-    let canon = format!(
-        "mem/v{FINGERPRINT_VERSION}/c{CORPUS_REVISION}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        config.workload,
-        config.step_cycles,
-        config.engines,
-        config.metric,
-        config.counter_mode,
-        config.catalog.variants(),
-        config.max_probes,
-    );
-    fnv1a(canon.as_bytes())
-}
+/// [`config_fingerprint`] under its memory-experiment name.
+pub use self::config_fingerprint as mem_config_fingerprint;
 
 /// The canonical cache file name for a full fingerprinted collection:
 /// `<prefix>-<kind>-<fingerprint hex>.pbcol`. Because the experiment kind
@@ -2576,38 +2558,28 @@ pub fn load_or_assemble(
     }
 }
 
-/// Front door for cached core collections: replays `path` when it exists
-/// (validating its fingerprint against `config` — a stale file is an
-/// error, never silently re-collected), assembles it from a complete set
-/// of sibling shard files when it does not, and otherwise runs
-/// [`collect`](crate::experiment::collect) and saves the result.
+/// Front door for cached collections of any experiment: replays `path`
+/// when it exists (validating its fingerprint against `config` — a stale
+/// file is an error, never silently re-collected), assembles it from a
+/// complete set of sibling shard files when it does not, and otherwise
+/// collects the pass and saves the result.
 pub fn collect_or_load(
     path: &Path,
-    config: &CollectionConfig,
+    config: &dyn Experiment,
 ) -> Result<(Collection, CacheStatus), PersistError> {
     let fingerprint = config_fingerprint(config);
-    if let Some(hit) = load_or_assemble(path, ExperimentKind::Core, fingerprint)? {
+    if let Some(hit) = load_or_assemble(path, config.kind(), fingerprint)? {
         return Ok(hit);
     }
     // Collect through the resumable streaming writer even for a full
     // pass: an interrupted single-process collection leaves a part file
     // a later run continues from instead of starting over.
-    let outcome = collect_shard_or_resume(path, config, crate::exec::ShardSpec::full())?;
+    let outcome = collect_shard_or_resume(path, config, ShardSpec::full())?;
     Ok((outcome.collection, outcome.status))
 }
 
-/// [`collect_or_load`] for the memory experiment.
-pub fn collect_memory_or_load(
-    path: &Path,
-    config: &MemCollectionConfig,
-) -> Result<(Collection, CacheStatus), PersistError> {
-    let fingerprint = mem_config_fingerprint(config);
-    if let Some(hit) = load_or_assemble(path, ExperimentKind::Memory, fingerprint)? {
-        return Ok(hit);
-    }
-    let outcome = collect_memory_shard_or_resume(path, config, crate::exec::ShardSpec::full())?;
-    Ok((outcome.collection, outcome.status))
-}
+/// [`collect_or_load`] under its memory-experiment name.
+pub use self::collect_or_load as collect_memory_or_load;
 
 /// How a shard-worker front door obtained its collection, plus how much
 /// previously collected work a resumed attempt salvaged.
@@ -2622,53 +2594,70 @@ pub struct ShardOutcome {
     pub resumed_probes: u64,
 }
 
-/// Shard-worker front door for the core experiment: replays the shard
-/// file for `shard` when it exists (validating fingerprint and manifest);
-/// otherwise collects the shard through a [`ShardStreamWriter`] —
-/// resuming from a crashed attempt's durable part-file prefix when one
-/// exists — and finally replays the finished file as its validation
-/// pass. `path` is the shard file itself (see [`shard_file_name`]).
+/// Shard-worker front door: replays the shard file for `shard` when it
+/// exists (validating fingerprint and manifest); otherwise collects the
+/// shard through a [`ShardStreamWriter`] — resuming from a crashed
+/// attempt's durable part-file prefix when one exists — and finally
+/// replays the finished file as its validation pass. `path` is the shard
+/// file itself (see [`shard_file_name`]).
 pub fn collect_shard_or_resume(
     path: &Path,
-    config: &CollectionConfig,
-    shard: crate::exec::ShardSpec,
+    config: &dyn Experiment,
+    shard: ShardSpec,
 ) -> Result<ShardOutcome, PersistError> {
     let fingerprint = config_fingerprint(config);
-    collect_shard_streaming_impl(
-        path,
-        ExperimentKind::Core,
+    match fs::read(path) {
+        Ok(bytes) => {
+            let (col, header) = decode_collection_with(&bytes, Some(fingerprint))?;
+            if header.manifest.index as usize != shard.index
+                || header.manifest.count as usize != shard.count
+            {
+                return Err(PersistError::Shard(format!(
+                    "{} holds {}, expected shard {}/{}",
+                    path.display(),
+                    header.manifest,
+                    shard.index,
+                    shard.count
+                )));
+            }
+            return Ok(ShardOutcome {
+                collection: col,
+                status: CacheStatus::Replayed,
+                resumed_probes: 0,
+            });
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e.into()),
+    }
+    let pass = PreparedPass::new(config);
+    let identity = &pass.identity;
+    let header = FileHeader {
+        kind: config.kind(),
+        corpus_revision: CORPUS_REVISION,
         fingerprint,
-        shard,
-        || crate::experiment::pass_identity(config),
-        |skip, writer| {
-            crate::experiment::collect_sharded_streaming(config, shard, skip, |meta, output| {
-                append_probe_output(writer, meta, output)
-            })
-            .map(|_| ())
-        },
-    )
-}
-
-/// [`collect_shard_or_resume`] for the memory experiment.
-pub fn collect_memory_shard_or_resume(
-    path: &Path,
-    config: &MemCollectionConfig,
-    shard: crate::exec::ShardSpec,
-) -> Result<ShardOutcome, PersistError> {
-    let fingerprint = mem_config_fingerprint(config);
-    collect_shard_streaming_impl(
+        manifest: ShardManifest::of(shard, identity.total_probes),
+    };
+    let mut writer = ShardStreamWriter::create_or_resume(
         path,
-        ExperimentKind::Memory,
-        fingerprint,
-        shard,
-        || crate::memory::mem_pass_identity(config),
-        |skip, writer| {
-            crate::memory::collect_memory_sharded_streaming(config, shard, skip, |meta, output| {
-                append_probe_output(writer, meta, output)
-            })
-            .map(|_| ())
-        },
-    )
+        &header,
+        &identity.keys,
+        &identity.engine_names,
+        &identity.catalog,
+    )?;
+    let resumed = writer.resumed_probes();
+    pass.stream(shard, resumed as usize, |meta, output| {
+        append_probe_output(&mut writer, meta, output)
+    })?;
+    writer.finish()?;
+    // Replaying the finished file is the validation pass: every chunk —
+    // recovered or fresh — decodes under the same checks a reader uses.
+    let bytes = fs::read(path)?;
+    let (collection, _) = decode_collection_with(&bytes, Some(fingerprint))?;
+    Ok(ShardOutcome {
+        collection,
+        status: CacheStatus::Collected,
+        resumed_probes: resumed,
+    })
 }
 
 /// Appends one streamed probe result to a shard writer: flattens the
@@ -2700,68 +2689,10 @@ pub fn append_probe_output(
     writer.append_probe(&rec, &times)
 }
 
-fn collect_shard_streaming_impl(
-    path: &Path,
-    kind: ExperimentKind,
-    fingerprint: u64,
-    shard: crate::exec::ShardSpec,
-    identity: impl FnOnce() -> crate::experiment::PassIdentity,
-    collect_fn: impl FnOnce(usize, &mut ShardStreamWriter) -> Result<(), PersistError>,
-) -> Result<ShardOutcome, PersistError> {
-    match fs::read(path) {
-        Ok(bytes) => {
-            let (col, header) = decode_collection_with(&bytes, Some(fingerprint))?;
-            if header.manifest.index as usize != shard.index
-                || header.manifest.count as usize != shard.count
-            {
-                return Err(PersistError::Shard(format!(
-                    "{} holds {}, expected shard {}/{}",
-                    path.display(),
-                    header.manifest,
-                    shard.index,
-                    shard.count
-                )));
-            }
-            return Ok(ShardOutcome {
-                collection: col,
-                status: CacheStatus::Replayed,
-                resumed_probes: 0,
-            });
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-    let identity = identity();
-    let header = FileHeader {
-        kind,
-        corpus_revision: CORPUS_REVISION,
-        fingerprint,
-        manifest: ShardManifest::of(shard, identity.total_probes),
-    };
-    let mut writer = ShardStreamWriter::create_or_resume(
-        path,
-        &header,
-        &identity.keys,
-        &identity.engine_names,
-        &identity.catalog,
-    )?;
-    let resumed = writer.resumed_probes();
-    collect_fn(resumed as usize, &mut writer)?;
-    writer.finish()?;
-    // Replaying the finished file is the validation pass: every chunk —
-    // recovered or fresh — decodes under the same checks a reader uses.
-    let bytes = fs::read(path)?;
-    let (collection, _) = decode_collection_with(&bytes, Some(fingerprint))?;
-    Ok(ShardOutcome {
-        collection,
-        status: CacheStatus::Collected,
-        resumed_probes: resumed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::CollectionConfig;
 
     fn sample_collection() -> Collection {
         Collection {

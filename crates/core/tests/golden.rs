@@ -11,10 +11,10 @@
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{collect, Collection, CollectionConfig, ProbeScale};
-use perfbug_core::memory::{collect_memory, MemCollectionConfig, TargetMetric};
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{
-    config_fingerprint, encode_collection, fnv1a, mem_config_fingerprint, CORPUS_REVISION,
-    GOLDEN_CORE_DIGEST, GOLDEN_MEM_DIGEST,
+    config_fingerprint, encode_collection, fnv1a, CORPUS_REVISION, GOLDEN_CORE_DIGEST,
+    GOLDEN_MEM_DIGEST,
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
@@ -62,7 +62,7 @@ fn corpus_digests_match_the_pinned_revision() {
     let core = tiny_core_config();
     let mem = tiny_mem_config();
     let core_digest = digest(collect(&core), config_fingerprint(&core));
-    let mem_digest = digest(collect_memory(&mem), mem_config_fingerprint(&mem));
+    let mem_digest = digest(collect(&mem), config_fingerprint(&mem));
     assert_eq!(
         (core_digest, mem_digest),
         (GOLDEN_CORE_DIGEST, GOLDEN_MEM_DIGEST),

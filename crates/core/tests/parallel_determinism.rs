@@ -6,7 +6,7 @@
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{collect, CollectionConfig, ProbeScale};
-use perfbug_core::memory::{collect_memory, MemCollectionConfig, TargetMetric};
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
 use perfbug_uarch::BugSpec;
@@ -83,7 +83,7 @@ fn collect_memory_is_identical_across_worker_counts() {
         config.step_cycles = 300;
         config.max_probes = Some(3);
         config.threads = threads;
-        collect_memory(&config)
+        collect(&config)
     };
     let serial = build(1);
     let parallel = build(8);

@@ -1,15 +1,16 @@
 //! Property and integration tests for collection persistence: round-trip
 //! identity, corrupt/truncated-file rejection, version and fingerprint
-//! validation, and the `collect_or_load` replay front door on a real
-//! collected corpus.
+//! validation, and the `collect_or_load` replay front door on real core
+//! and memory corpora.
 
 use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{
-    collect, CapturedSeries, Collection, CollectionConfig, EngineResult, ProbeMeta, ProbeScale,
-    RunKey,
+    collect, CapturedSeries, Collection, CollectionConfig, EngineResult, Experiment, ProbeMeta,
+    ProbeScale, RunKey,
 };
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{
     cache_file_name, collect_or_load, config_fingerprint, decode_collection, encode_collection,
     load_collection, parse_cache_file_name, save_collection, shard_file_name, CacheStatus,
@@ -18,7 +19,7 @@ use perfbug_core::persist::{
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
 use perfbug_uarch::{ArchSet, BugSpec};
-use perfbug_workloads::{benchmark, Opcode};
+use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
 use proptest::prelude::*;
 
 /// Builds a structurally valid collection from fuzzed dimensions and
@@ -319,6 +320,21 @@ fn tiny_config() -> CollectionConfig {
     config
 }
 
+fn tiny_mem_config() -> MemCollectionConfig {
+    let mut config = MemCollectionConfig::new(
+        vec![EngineSpec::Gbt(GbtParams {
+            n_trees: 25,
+            ..GbtParams::default()
+        })],
+        TargetMetric::Amat,
+    );
+    config.workload = WorkloadScale::tiny();
+    config.step_cycles = 300;
+    config.max_probes = Some(2);
+    config.threads = 2;
+    config
+}
+
 // One test (not two) on purpose: the replay assertion samples the
 // process-global `exec::simulations_run()` counter, and a sibling test
 // collecting concurrently in the same binary would move it inside the
@@ -347,25 +363,47 @@ fn real_collection_round_trips_and_replays_without_simulating() {
         Err(PersistError::Fingerprint { .. })
     ));
 
-    // The collect_or_load front door: cold pass collects and saves, warm
-    // pass replays without touching the simulator.
-    let front = dir.join(cache_file_name("front-door", ExperimentKind::Core, fp));
-    let _ = std::fs::remove_file(&front);
-    let (cold, status) = collect_or_load(&front, &config).expect("cold pass");
-    assert_eq!(status, CacheStatus::Collected);
-    assert!(front.exists());
+    // The collect_or_load front door, for a core and a memory experiment
+    // alike: the cold pass collects and saves, the warm pass replays
+    // without touching the simulator, and a changed configuration at the
+    // same path is rejected rather than silently re-collected.
+    let mem = tiny_mem_config();
+    let mut stale_mem = mem.clone();
+    stale_mem.metric = TargetMetric::Ipc;
+    let experiments: [(&dyn Experiment, &dyn Experiment); 2] =
+        [(&config, &stale), (&mem, &stale_mem)];
+    for (exp, stale) in experiments {
+        let front = dir.join(cache_file_name(
+            "front-door",
+            exp.kind(),
+            config_fingerprint(exp),
+        ));
+        let _ = std::fs::remove_file(&front);
+        let (cold, status) = collect_or_load(&front, exp).expect("cold pass");
+        assert_eq!(status, CacheStatus::Collected, "{:?}", exp.kind());
+        assert!(front.exists());
 
-    let sims_before = perfbug_core::exec::simulations_run();
-    let (warm, status) = collect_or_load(&front, &config).expect("warm pass");
-    assert_eq!(status, CacheStatus::Replayed);
-    assert_eq!(
-        perfbug_core::exec::simulations_run(),
-        sims_before,
-        "replay must not simulate"
-    );
-    assert_eq!(warm, cold);
+        let sims_before = perfbug_core::exec::simulations_run();
+        let (warm, status) = collect_or_load(&front, exp).expect("warm pass");
+        assert_eq!(status, CacheStatus::Replayed, "{:?}", exp.kind());
+        assert_eq!(
+            perfbug_core::exec::simulations_run(),
+            sims_before,
+            "replay must not simulate"
+        );
+        assert_eq!(warm, cold);
+
+        assert!(
+            matches!(
+                collect_or_load(&front, stale),
+                Err(PersistError::Fingerprint { .. })
+            ),
+            "{:?}: a changed config must not replay the cache",
+            exp.kind()
+        );
+        let _ = std::fs::remove_file(&front);
+    }
 
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&front);
     let _ = std::fs::remove_dir(&dir);
 }

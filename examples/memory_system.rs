@@ -9,8 +9,8 @@
 //! cargo run --release --example memory_system
 //! ```
 
-use perfbug_core::experiment::evaluate_two_stage;
-use perfbug_core::memory::{collect_memory, mem_variant_names, MemCollectionConfig, TargetMetric};
+use perfbug_core::experiment::{collect, evaluate_two_stage};
+use perfbug_core::memory::{mem_variant_names, MemCollectionConfig, TargetMetric};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::stage2::Stage2Params;
 use perfbug_core::MemBugCatalog;
@@ -24,7 +24,7 @@ fn main() {
 
     println!("simulating the memory probe suite on 12 hierarchies...");
     let names = mem_variant_names(&config.catalog);
-    let col = collect_memory(&config);
+    let col = collect(&config);
     println!(
         "collected {} probes x {} runs",
         col.probes.len(),

@@ -6,7 +6,7 @@ use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{
     collect, evaluate_baseline, evaluate_two_stage, CollectionConfig, ProbeScale,
 };
-use perfbug_core::memory::{collect_memory, MemCollectionConfig, TargetMetric};
+use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_core::stage2::Stage2Params;
 use perfbug_ml::GbtParams;
@@ -100,7 +100,7 @@ fn memory_pipeline_detects_memory_bugs() {
     config.workload = WorkloadScale::tiny();
     config.step_cycles = 300;
     config.max_probes = Some(6);
-    let collection = collect_memory(&config);
+    let collection = collect(&config);
     let eval = evaluate_two_stage(&collection, 0, Stage2Params::default());
     assert_eq!(eval.folds.len(), 6, "six memory bug types");
     assert!(
