@@ -1,7 +1,7 @@
-//! Developer tool: measures probe-extraction, trace-generation and
-//! simulation throughput per benchmark, cross-design IPC spreads, and the
-//! run-level parallel collection engine's throughput (runs/sec) against a
-//! serial baseline.
+//! Developer tool: measures GBT exact-vs-histogram training, the run-level
+//! parallel collection engine's throughput (runs/sec) against a serial
+//! baseline, and cold collection against replay. Per-benchmark simulation
+//! throughput is perfbench's `uarch.mcycles_per_s.*` (`--trace 1`).
 //!
 //! ```sh
 //! cargo run --release -p perfbug-bench --bin speed_test
@@ -14,44 +14,8 @@ use perfbug_core::exec;
 use perfbug_core::experiment::{collect, CollectionConfig, ProbeScale};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::{Dataset, Gbt, GbtParams, Regressor, SplitStrategy};
-use perfbug_uarch::{simulate_into, BugSpec, ProbeRun};
+use perfbug_uarch::BugSpec;
 use perfbug_workloads::Opcode;
-
-fn per_benchmark_simulation() {
-    let scale = perfbug_workloads::WorkloadScale::default();
-    // One reused ProbeRun: the simulate loop below allocates no rows.
-    let mut run = ProbeRun::empty();
-    for name in [
-        "400.perlbench",
-        "403.gcc",
-        "426.mcf",
-        "433.milc",
-        "444.namd",
-        "458.sjeng",
-        "462.libquantum",
-    ] {
-        let spec = perfbug_workloads::benchmark(name).unwrap();
-        let program = spec.program(&scale);
-        let probes = spec.probes(&scale);
-        let trace = probes[0].trace(&program);
-        let sky = perfbug_uarch::presets::skylake();
-        let ivy = perfbug_uarch::presets::ivybridge();
-        let k8 = perfbug_uarch::presets::k8();
-        let t0 = Instant::now();
-        simulate_into(&sky, None, &trace, 1000, &mut run);
-        let dt = t0.elapsed();
-        let (sky_ipc, sky_cycles, steps) = (run.overall_ipc(), run.total_cycles, run.ipc.len());
-        simulate_into(&ivy, None, &trace, 1000, &mut run);
-        let (ivy_ipc, ivy_cycles) = (run.overall_ipc(), run.total_cycles);
-        simulate_into(&k8, None, &trace, 1000, &mut run);
-        let k8_ipc = run.overall_ipc();
-        let speedup = (sky_cycles as f64 / 4.0).recip() / (ivy_cycles as f64 / 3.4).recip();
-        println!(
-            "{name:16} sky ipc {sky_ipc:.2} ivy ipc {ivy_ipc:.2} k8 ipc {k8_ipc:.2} | sky/ivy time-speedup {speedup:.2} | steps {steps} | {:.1} ms/sim",
-            dt.as_secs_f64() * 1e3
-        );
-    }
-}
 
 /// The tiny collection configuration shared by the throughput sections.
 fn tiny_collect_config(threads: usize) -> CollectionConfig {
@@ -181,7 +145,6 @@ fn gbt_split_throughput() {
 }
 
 fn main() {
-    per_benchmark_simulation();
     gbt_split_throughput();
     collection_throughput();
     replay_throughput();

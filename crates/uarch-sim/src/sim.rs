@@ -20,17 +20,39 @@
 //! pending event, the first recorded time still ahead of `cycle`:
 //!
 //! * the ROB head's `complete_at`;
-//! * each IQ entry's `min_issue`, and the `complete_at` of each of its
-//!   issued producers;
+//! * the `ready_at` of each IQ entry whose producers have all issued;
 //! * the decode-pipe head's `ready_at`;
 //! * `fetch_resume_at`;
 //! * every non-pipelined divider's `div_busy_until`.
+//!
+//! An IQ entry with a producer still unissued contributes nothing. It can
+//! become ready only when that producer issues, and an issue grant is
+//! progress, so it never falls inside a skipped stretch. Whatever first
+//! lets the producer issue is an event in this list (the producer's own
+//! `ready_at` or a divider freeing up) or another issue grant, which is
+//! progress too, so the jump still stops before the first cycle that
+//! differs.
 //!
 //! The main loop jumps over that stretch, stopping one cycle short of the
 //! event, the next sample boundary or the watchdog limit, whichever comes
 //! first, and adds the skipped cycles' increments in one step. Sample rows
 //! land on the same cycles with the same values as a cycle-by-cycle run,
 //! and a deadlocked pipeline reaches the watchdog in one jump per sample.
+//!
+//! # Wakeup-driven issue
+//!
+//! Readiness is pushed, not polled. Rename gives each instruction a
+//! `ready_at` (the cycle after rename, raised to the `complete_at` of each
+//! producer that has already issued) and links it into the consumer list
+//! of each producer that has not. When a producer issues, it walks that
+//! list once: each consumer's `ready_at` rises to the producer's
+//! `complete_at` and its count of unissued producers falls. The IQ holds
+//! `(seq, ready_at)` pairs in program order, with `ready_at = u64::MAX`
+//! while the count is nonzero, so `issue()` passes over an entry that is
+//! not ready with one integer compare and `next_event()` reads the IQ
+//! without touching the ROB. Ports are bitmasks: each functional-unit
+//! class has a mask of the ports that reach it, and the lowest free port
+//! in the first acceptable class wins.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -97,15 +119,28 @@ impl ProbeRun {
     }
 }
 
-const NO_DEP: u64 = u64::MAX;
+/// End of a consumer edge list. Edge `2 * seq + i` is source `i` of the
+/// instruction numbered `seq`.
+const NO_EDGE: u64 = u64::MAX;
+
+/// Number of [`FuClass`] variants, `Branch` being the last (the index
+/// range of the port masks).
+const FU_CLASSES: usize = FuClass::Branch as usize + 1;
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     inst: Inst,
     seq: u64,
-    deps: [u64; 2],
-    /// Earliest cycle issue is permitted (bug delays land here).
-    min_issue: u64,
+    /// While producers are unissued: the max of the earliest cycle issue
+    /// is permitted and the `complete_at` of every producer issued so far.
+    /// It moves to the IQ entry once the last producer issues.
+    ready_at: u64,
+    /// Producers not yet issued (one per source edge, so at most two).
+    pending: u8,
+    /// Head of the list of edges from this instruction to its consumers.
+    consumers: u64,
+    /// For source `i`, the next edge in its producer's consumer list.
+    next_edge: [u64; 2],
     /// Extra execution latency from bugs.
     extra_exec: u32,
     issued: bool,
@@ -117,6 +152,17 @@ struct Slot {
     /// and replayed once (each grant is squashed at most once, so replay
     /// storms stay bounded and the watchdog is never tripped).
     replayed: bool,
+}
+
+/// One issue-queue entry.
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    seq: u64,
+    /// First cycle the instruction may issue; `u64::MAX` while any of its
+    /// producers is unissued.
+    ready_at: u64,
+    /// Issued this cycle; dropped from the IQ at the end of `issue()`.
+    issued: bool,
 }
 
 /// Simulates `trace` on `cfg`, optionally with one injected bug, sampling
@@ -180,14 +226,18 @@ struct Pipeline<'c> {
     rob: VecDeque<Slot>,
     head_seq: u64,
     next_seq: u64,
-    /// Seq numbers of unissued instructions, in program order.
-    iq: Vec<u64>,
+    /// Unissued instructions, in program order.
+    iq: Vec<IqEntry>,
     lq_count: u32,
     sq_count: u32,
     free_regs: Vec<u32>,
     reg_write_counts: Vec<u32>,
     reg_map: [Option<(u64, Opcode)>; perfbug_workloads::NUM_ARCH_REGS],
     div_busy_until: Vec<u64>,
+    /// Per [`FuClass`]: bit `p` is set if port `p` reaches that class.
+    fu_ports: [u64; FU_CLASSES],
+    /// Every port's bit.
+    all_ports: u64,
     store_line_counts: HashMap<u32, u32>,
     mispredict_extra: u32,
     /// Bug 15: direct-mapped data-TLB page slots (`u64::MAX` = invalid)
@@ -218,6 +268,13 @@ impl<'c> Pipeline<'c> {
             }
             _ => {}
         }
+        let mut fu_ports = [0u64; FU_CLASSES];
+        for (p, pool) in cfg.ports.iter().enumerate() {
+            for &fu in pool {
+                fu_ports[fu as usize] |= 1 << p;
+            }
+        }
+        let all_ports = fu_ports.iter().fold(0, |all, &mask| all | mask);
         Pipeline {
             cfg,
             bug,
@@ -240,6 +297,8 @@ impl<'c> Pipeline<'c> {
             reg_write_counts: vec![0; phys_regs as usize],
             reg_map: [None; perfbug_workloads::NUM_ARCH_REGS],
             div_busy_until: vec![0; cfg.ports.len()],
+            fu_ports,
+            all_ports,
             store_line_counts: HashMap::new(),
             mispredict_extra,
             dtlb,
@@ -333,15 +392,9 @@ impl<'c> Pipeline<'c> {
         for &busy in &self.div_busy_until {
             next = next.min(ahead(busy));
         }
-        for &seq in &self.iq {
-            let slot = &self.rob[(seq - self.head_seq) as usize];
-            next = next.min(ahead(slot.min_issue));
-            for &d in &slot.deps {
-                // Unissued producers complete at `u64::MAX`.
-                if d != NO_DEP && d >= self.head_seq {
-                    next = next.min(ahead(self.rob[(d - self.head_seq) as usize].complete_at));
-                }
-            }
+        // Entries waiting on an unissued producer hold `u64::MAX`.
+        for entry in &self.iq {
+            next = next.min(ahead(entry.ready_at));
         }
         next
     }
@@ -379,17 +432,6 @@ impl<'c> Pipeline<'c> {
 
     // ---- issue -----------------------------------------------------------
 
-    fn deps_ready(&self, slot: &Slot) -> bool {
-        slot.deps.iter().all(|&d| {
-            if d == NO_DEP || d < self.head_seq {
-                return true;
-            }
-            let idx = (d - self.head_seq) as usize;
-            let producer = &self.rob[idx];
-            producer.issued && producer.complete_at <= self.cycle
-        })
-    }
-
     fn acceptable_fus(op: Opcode) -> &'static [FuClass] {
         match op {
             Opcode::Mul => &[FuClass::IntMult],
@@ -417,20 +459,25 @@ impl<'c> Pipeline<'c> {
         }
     }
 
-    /// Finds a free port able to execute `op`, honouring the non-pipelined
+    /// Finds the lowest free port able to execute `op`, trying its
+    /// acceptable classes in order and honouring the non-pipelined
     /// divider. Bit `p` of `port_used` marks port `p` as taken this cycle
     /// ([`MicroarchConfig::validate`] caps designs at 64 ports).
     fn allocate_port(&self, op: Opcode, port_used: u64) -> Option<usize> {
-        let needs_div = matches!(op, Opcode::Div | Opcode::FpDiv);
-        for fu in Self::acceptable_fus(op) {
-            for (p, pool) in self.cfg.ports.iter().enumerate() {
-                if port_used & (1 << p) != 0 || !pool.contains(fu) {
-                    continue;
+        for &fu in Self::acceptable_fus(op) {
+            let mut free = self.fu_ports[fu as usize] & !port_used;
+            if fu == FuClass::Divider {
+                let mut dividers = free;
+                while dividers != 0 {
+                    let p = dividers.trailing_zeros() as usize;
+                    if self.div_busy_until[p] > self.cycle {
+                        free &= !(1 << p);
+                    }
+                    dividers &= dividers - 1;
                 }
-                if needs_div && *fu == FuClass::Divider && self.div_busy_until[p] > self.cycle {
-                    continue;
-                }
-                return Some(p);
+            }
+            if free != 0 {
+                return Some(free.trailing_zeros() as usize);
             }
         }
         None
@@ -473,83 +520,75 @@ impl<'c> Pipeline<'c> {
         let mut port_used = 0u64;
         let mut issued = 0u32;
 
-        // The IQ list holds the seq numbers of unissued instructions in
-        // program order; scanning it (<= iq_size entries) instead of the
-        // whole ROB keeps memory-bound probes cheap.
-        let oldest_unissued = self.iq.first().map(|&s| {
-            let slot = &self.rob[(s - self.head_seq) as usize];
-            (s, slot.inst.opcode)
-        });
-        // Bug 3: when the oldest unissued instruction has opcode X, only
-        // that instruction may issue this cycle.
-        let only_oldest = matches!(
-            (self.bug, oldest_unissued),
-            (Some(BugSpec::IfOldestIssueOnlyX { x }), Some((_, op))) if op == x
-        );
+        // The IQ holds unissued instructions in program order, so its
+        // first entry is the oldest unissued instruction.
+        // Bug 3: when that instruction has opcode X, only it may issue
+        // this cycle.
+        let only_oldest = match (self.bug, self.iq.first()) {
+            (Some(BugSpec::IfOldestIssueOnlyX { x }), Some(oldest)) => {
+                self.rob[(oldest.seq - self.head_seq) as usize].inst.opcode == x
+            }
+            _ => false,
+        };
+        let serialize = matches!(self.bug, Some(BugSpec::SerializeOpcode { .. }));
+        let scan = if only_oldest { 1 } else { self.iq.len() };
 
-        for iq_pos in 0..self.iq.len() {
-            if issued >= self.cfg.width {
+        for iq_pos in 0..scan {
+            if issued >= self.cfg.width || port_used == self.all_ports {
                 break;
             }
-            let seq = self.iq[iq_pos];
+            let IqEntry { seq, ready_at, .. } = self.iq[iq_pos];
             let rob_idx = (seq - self.head_seq) as usize;
+            if ready_at > self.cycle {
+                // Bug 1: an unissued serialising instruction blocks all
+                // younger instructions from issuing.
+                if serialize && self.rob[rob_idx].serialized {
+                    break;
+                }
+                continue;
+            }
             let slot = &self.rob[rob_idx];
             let op = slot.inst.opcode;
-
-            if only_oldest && Some(seq) != oldest_unissued.map(|(s, _)| s) {
-                break; // younger than the gating oldest-X instruction
-            }
             // Bug 2: X issues only when it is the oldest unissued.
             if let Some(BugSpec::IssueOnlyIfOldest { x }) = self.bug {
-                if op == x && Some(seq) != oldest_unissued.map(|(s, _)| s) {
+                if op == x && iq_pos != 0 {
                     continue;
                 }
             }
             // Bug 1: a serialising instruction issues only once it is the
             // oldest unissued instruction, and younger instructions stall
             // until it has been issued (the Fig. 1 "Bug 2" semantics).
-            if slot.serialized && Some(seq) != oldest_unissued.map(|(s, _)| s) {
+            let serialized = slot.serialized;
+            if serialized && iq_pos != 0 {
                 break;
             }
-            let ready = slot.min_issue <= self.cycle && self.deps_ready(slot);
-            let port = if ready {
-                self.allocate_port(op, port_used)
-            } else {
-                None
-            };
-            match port {
-                Some(p) => {
-                    port_used |= 1 << p;
-                    // Bug 16: every n-th issue grant is squashed; the
-                    // instruction keeps its port for the cycle but replays
-                    // t cycles later. Each instruction is squashed at most
-                    // once, so the pathology is severe yet bounded.
-                    if let Some(BugSpec::IssueReplayEveryN { n, t }) = self.bug {
-                        self.issue_grants += 1;
-                        if !self.rob[rob_idx].replayed
-                            && self.issue_grants.is_multiple_of(n.max(1) as u64)
-                        {
-                            let slot = &mut self.rob[rob_idx];
-                            slot.replayed = true;
-                            slot.min_issue = self.cycle + t as u64;
-                            continue;
-                        }
-                    }
-                    self.issue_slot(rob_idx, p);
-                    issued += 1;
+            let Some(p) = self.allocate_port(op, port_used) else {
+                if serialized {
+                    break;
                 }
-                None => {
-                    // Bug 1: an unissued serialising instruction blocks all
-                    // younger instructions from issuing.
-                    if self.rob[rob_idx].serialized {
-                        break;
-                    }
+                continue;
+            };
+            port_used |= 1 << p;
+            // Bug 16: every n-th issue grant is squashed; the instruction
+            // keeps its port for the cycle but replays t cycles later. Each
+            // instruction is squashed at most once, so the pathology is
+            // severe yet bounded. Its consumers stay linked and wake when
+            // the replayed grant issues it.
+            if let Some(BugSpec::IssueReplayEveryN { n, t }) = self.bug {
+                self.issue_grants += 1;
+                if !self.rob[rob_idx].replayed && self.issue_grants.is_multiple_of(n.max(1) as u64)
+                {
+                    self.rob[rob_idx].replayed = true;
+                    self.iq[iq_pos].ready_at = self.cycle + t as u64;
+                    continue;
                 }
             }
+            self.issue_slot(rob_idx, p);
+            self.iq[iq_pos].issued = true;
+            issued += 1;
         }
         if issued > 0 {
-            let (rob, head_seq) = (&self.rob, self.head_seq);
-            self.iq.retain(|&s| !rob[(s - head_seq) as usize].issued);
+            self.iq.retain(|entry| !entry.issued);
         }
         if issued == 0 {
             self.counters.inc(Counter::IssueIdleCycles);
@@ -612,11 +651,11 @@ impl<'c> Pipeline<'c> {
             self.div_busy_until[port] = self.cycle + latency as u64;
         }
         let complete_at = self.cycle + latency as u64;
-        {
-            let slot = &mut self.rob[rob_idx];
-            slot.issued = true;
-            slot.complete_at = complete_at;
-        }
+        let slot = &mut self.rob[rob_idx];
+        slot.issued = true;
+        slot.complete_at = complete_at;
+        let consumers = slot.consumers;
+        self.wake_consumers(consumers, complete_at);
         if mispredicted {
             // The front end was waiting on this branch: resume after it
             // resolves plus the refill penalty (bug 7 adds to it).
@@ -626,16 +665,34 @@ impl<'c> Pipeline<'c> {
         }
     }
 
+    /// Walks a just-issued producer's consumer edges (from `edge`): each
+    /// consumer becomes ready no earlier than `complete_at`, and one whose
+    /// last unissued producer this was gets its `ready_at` in the IQ.
+    fn wake_consumers(&mut self, mut edge: u64, complete_at: u64) {
+        while edge != NO_EDGE {
+            let seq = edge / 2;
+            let consumer = &mut self.rob[(seq - self.head_seq) as usize];
+            edge = consumer.next_edge[(edge % 2) as usize];
+            consumer.ready_at = consumer.ready_at.max(complete_at);
+            consumer.pending -= 1;
+            if consumer.pending == 0 {
+                let ready_at = consumer.ready_at;
+                let pos = self.iq.partition_point(|entry| entry.seq < seq);
+                self.iq[pos].ready_at = ready_at;
+            }
+        }
+    }
+
     // ---- rename / dispatch -----------------------------------------------
 
     /// Renames and dispatches decoded instructions; `true` if any was.
     fn rename(&mut self) -> bool {
         let mut renamed = 0;
         while renamed < self.cfg.width {
-            let Some(&(ready_at, inst, mispredicted)) = self.decode_pipe.front() else {
+            let Some(&(decoded_at, inst, mispredicted)) = self.decode_pipe.front() else {
                 break;
             };
-            if ready_at > self.cycle {
+            if decoded_at > self.cycle {
                 break;
             }
             // Structural hazards.
@@ -675,17 +732,32 @@ impl<'c> Pipeline<'c> {
             self.counters.inc(Counter::DecodedInsts);
             self.counters.inc(Counter::RenamedInsts);
 
-            // Wire source dependences.
-            let mut deps = [NO_DEP; 2];
-            let mut dep_ops = [Opcode::Nop; 2];
+            // Wire source dependences: an issued producer bounds
+            // `ready_at` now, an unissued one gets a consumer edge and
+            // wakes this instruction when it issues. Committed producers
+            // constrain nothing.
+            let mut dep_ops = [None; 2];
+            let mut ready_at = self.cycle + 1;
+            let mut pending = 0u8;
+            let mut next_edge = [NO_EDGE; 2];
             for (i, src) in inst.sources().enumerate() {
                 self.counters.inc(Counter::RegReads);
-                if let Some((producer_seq, producer_op)) = self.reg_map[src as usize] {
-                    deps[i] = producer_seq;
-                    dep_ops[i] = producer_op;
+                let Some((producer_seq, producer_op)) = self.reg_map[src as usize] else {
+                    continue;
+                };
+                dep_ops[i] = Some(producer_op);
+                if producer_seq < self.head_seq {
+                    continue;
+                }
+                let producer = &mut self.rob[(producer_seq - self.head_seq) as usize];
+                if producer.issued {
+                    ready_at = ready_at.max(producer.complete_at);
+                } else {
+                    next_edge[i] = producer.consumers;
+                    producer.consumers = 2 * seq + i as u64;
+                    pending += 1;
                 }
             }
-            let min_issue = self.cycle + 1;
             let mut extra_exec = 0u32;
             let mut serialized = false;
             let phys_reg = if needs_reg {
@@ -710,14 +782,10 @@ impl<'c> Pipeline<'c> {
 
             match self.bug {
                 Some(BugSpec::SerializeOpcode { x }) if inst.opcode == x => serialized = true,
-                Some(BugSpec::DelayIfDependsOn { x, y, t }) if inst.opcode == x => {
-                    let depends_on_y = deps
-                        .iter()
-                        .zip(&dep_ops)
-                        .any(|(&d, &op)| d != NO_DEP && op == y);
-                    if depends_on_y {
-                        extra_exec += t;
-                    }
+                Some(BugSpec::DelayIfDependsOn { x, y, t })
+                    if inst.opcode == x && dep_ops.contains(&Some(y)) =>
+                {
+                    extra_exec += t;
                 }
                 Some(BugSpec::IqBelowDelay { n, t })
                     if self.cfg.iq_size - (self.iq.len() as u32) < n =>
@@ -751,12 +819,18 @@ impl<'c> Pipeline<'c> {
                 Opcode::Store => self.sq_count += 1,
                 _ => {}
             }
-            self.iq.push(seq);
+            self.iq.push(IqEntry {
+                seq,
+                ready_at: if pending == 0 { ready_at } else { u64::MAX },
+                issued: false,
+            });
             self.rob.push_back(Slot {
                 inst,
                 seq,
-                deps,
-                min_issue,
+                ready_at,
+                pending,
+                consumers: NO_EDGE,
+                next_edge,
                 extra_exec,
                 issued: false,
                 complete_at: u64::MAX,
@@ -1088,5 +1162,106 @@ mod tests {
         );
         // The retired stream is unchanged: same instruction count.
         assert_eq!(buggy.total_insts, healthy.total_insts);
+    }
+
+    // ---- wakeup edge cases ----------------------------------------------
+    //
+    // Hand-timed traces on Skylake (width 4; IntMult on ports 0 and 1,
+    // the divider on port 0, IntAlu on ports 0, 1, 5 and 6; mul 4, div 20
+    // and ALU 1 cycle). Every instruction sits in one I-cache line, which misses on
+    // cycle 1; the first fetch group arrives on cycle F, is renamed on
+    // F + 3 and may issue from F + 4. Group k (four instructions each) is
+    // fetched on F + k. An instruction completing on cycle c commits on c
+    // if it is at the ROB head by then, and the run ends on the cycle of
+    // the last commit.
+
+    /// Cycle of the first fetch group: the cycle after the cold I-cache
+    /// miss on cycle 1 resolves.
+    fn first_fetch_cycle(cfg: &MicroarchConfig) -> u64 {
+        1 + Hierarchy::new(cfg).access_inst(0x1000).latency as u64
+    }
+
+    /// An instruction at slot `i` of a one-line trace.
+    fn op(i: u32, opcode: Opcode, dst: u8, srcs: [u8; 2]) -> Inst {
+        let mut inst = Inst::nop(0x1000 + 4 * i);
+        inst.opcode = opcode;
+        inst.dst = dst;
+        [inst.src1, inst.src2] = srcs;
+        inst
+    }
+
+    const NONE: u8 = perfbug_workloads::NO_REG;
+
+    #[test]
+    fn two_sources_from_one_producer_wake_once() {
+        let cfg = presets::skylake();
+        let f = first_fetch_cycle(&cfg);
+        // r1 = mul (issues F+4, completes F+8); r2 = r1 + r1 links two
+        // edges to the multiply and must issue once both are walked, on
+        // F+8, completing and committing on F+9.
+        let trace = [
+            op(0, Opcode::Mul, 1, [NONE, NONE]),
+            op(1, Opcode::Add, 2, [1, 1]),
+        ];
+        let run = simulate(&cfg, None, &trace, 500);
+        assert_eq!(run.total_insts, 2);
+        assert_eq!(run.total_cycles, f + 9);
+    }
+
+    #[test]
+    fn consumer_renamed_after_its_producer_issued_waits_for_completion() {
+        let cfg = presets::skylake();
+        let f = first_fetch_cycle(&cfg);
+        // The multiply issues on F+4 (completes F+8), before the divide,
+        // fetched one group later, is renamed in the same cycle. The
+        // divide must take the issued multiply's completion as its ready
+        // time: issue F+8, complete and commit F+28. Treating the issued
+        // producer as already done would issue it on F+5 and end on F+25.
+        let mut trace = vec![op(0, Opcode::Mul, 1, [NONE, NONE])];
+        trace.extend((1..4).map(|i| op(i, Opcode::Nop, NONE, [NONE, NONE])));
+        trace.push(op(4, Opcode::Div, 2, [1, NONE]));
+        let run = simulate(&cfg, None, &trace, 500);
+        assert_eq!(run.total_insts, 5);
+        assert_eq!(run.total_cycles, f + 28);
+    }
+
+    #[test]
+    fn consumer_renamed_after_its_producer_committed_is_unconstrained() {
+        let cfg = presets::skylake();
+        let f = first_fetch_cycle(&cfg);
+        // r1 = add issues on F+4 and commits on F+5 with its group. The
+        // divide, fetched in the third group, is renamed on F+5 after that
+        // commit; its producer constrains nothing, so it issues on F+6 and
+        // completes and commits on F+26.
+        let mut trace = vec![op(0, Opcode::Add, 1, [NONE, NONE])];
+        trace.extend((1..8).map(|i| op(i, Opcode::Nop, NONE, [NONE, NONE])));
+        trace.push(op(8, Opcode::Div, 2, [1, NONE]));
+        let run = simulate(&cfg, None, &trace, 500);
+        assert_eq!(run.total_insts, 9);
+        assert_eq!(run.total_cycles, f + 26);
+    }
+
+    #[test]
+    fn a_squashed_producer_wakes_its_consumers_only_when_replayed() {
+        let cfg = presets::skylake();
+        let f = first_fetch_cycle(&cfg);
+        let t = 10;
+        // Every third grant is squashed. On F+4 the nops take grants 1 and
+        // 2 on ports 0 and 1, the only multiply ports, so the multiply's
+        // grant 3 comes on F+5 and is squashed (replay on F+5+t); the add
+        // waits on the multiply. The replayed multiply takes grant 4 on
+        // F+5+t and completes on F+9+t, so the add takes grant 5 then and
+        // completes and commits on F+10+t. Waking the add at the squash
+        // would let it issue early and end the run on F+9+t.
+        let trace = [
+            op(0, Opcode::Nop, NONE, [NONE, NONE]),
+            op(1, Opcode::Nop, NONE, [NONE, NONE]),
+            op(2, Opcode::Mul, 1, [NONE, NONE]),
+            op(3, Opcode::Add, 2, [1, NONE]),
+        ];
+        let bug = BugSpec::IssueReplayEveryN { n: 3, t };
+        let run = simulate(&cfg, Some(bug), &trace, 500);
+        assert_eq!(run.total_insts, 4);
+        assert_eq!(run.total_cycles, f + 10 + t as u64);
     }
 }
