@@ -53,11 +53,13 @@ pub struct BaselineSample {
 pub struct BaselineClassifier {
     models: Vec<Gbt>,
     theta: f64,
+    theta_feasible: bool,
 }
 
 impl BaselineClassifier {
     /// Trains one classifier per probe, then picks the voting threshold θ
-    /// maximising training TPR subject to the FPR budget.
+    /// maximising training TPR subject to the FPR budget. When no grid θ
+    /// meets the budget, θ stays 0.5 and [`Self::theta_feasible`] is false.
     ///
     /// `per_probe` holds, for every probe, the same number of samples in
     /// the same (design, bug) order so that votes can be assembled
@@ -75,19 +77,25 @@ impl BaselineClassifier {
             "all probes must see the same designs"
         );
 
-        // Train per-probe regressors to the 0/1 label.
+        // Train per-probe regressors to the 0/1 label. Fits run on one
+        // histogram thread: `evaluate_baseline` already runs the folds in
+        // a worker pool.
         let mut models = Vec::with_capacity(per_probe.len());
         for samples in per_probe {
             let rows: Vec<Vec<f64>> = samples.iter().map(|s| s.features.clone()).collect();
             let y: Vec<f64> = samples.iter().map(|s| f64::from(s.has_bug as u8)).collect();
             let data = Dataset::from_rows(&rows, &y).expect("aligned baseline data");
-            let mut model = Gbt::new(params.gbt);
+            let mut model = Gbt::new(params.gbt).with_hist_threads(1);
             model.fit(&data, None);
             models.push(model);
         }
 
         // Assemble training votes per design and pick θ.
-        let mut clf = BaselineClassifier { models, theta: 0.5 };
+        let mut clf = BaselineClassifier {
+            models,
+            theta: 0.5,
+            theta_feasible: false,
+        };
         let rhos: Vec<(f64, bool)> = (0..n_samples)
             .map(|i| {
                 let features: Vec<&[f64]> =
@@ -110,6 +118,7 @@ impl BaselineClassifier {
             }
         }
         clf.theta = best_theta;
+        clf.theta_feasible = best_tpr >= 0.0;
         clf
     }
 
@@ -147,6 +156,12 @@ impl BaselineClassifier {
     /// The trained voting threshold θ.
     pub fn theta(&self) -> f64 {
         self.theta
+    }
+
+    /// Whether any grid θ met `max_train_fpr` on the training designs.
+    /// When false, [`Self::theta`] is the 0.5 fallback, not a choice.
+    pub fn theta_feasible(&self) -> bool {
+        self.theta_feasible
     }
 }
 
@@ -199,6 +214,33 @@ mod tests {
         let buggy: Vec<&[f64]> = data.iter().map(|p| p[1].features.as_slice()).collect();
         let clean: Vec<&[f64]> = data.iter().map(|p| p[0].features.as_slice()).collect();
         assert!(clf.score(&buggy) > clf.score(&clean));
+    }
+
+    #[test]
+    fn reports_whether_theta_met_the_fpr_budget() {
+        let clf = BaselineClassifier::fit(&BaselineParams::default(), &toy());
+        assert!(clf.theta_feasible());
+
+        // Label-independent features: every probe predicts the base rate
+        // (above 0.5) for every design, so ρ = 1 everywhere and any θ
+        // flags every bug-free design.
+        let blind: Vec<Vec<BaselineSample>> = (0..3)
+            .map(|_| {
+                (0..20)
+                    .map(|i| BaselineSample {
+                        features: vec![1.0],
+                        has_bug: i % 4 != 0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let params = BaselineParams {
+            max_train_fpr: 0.0,
+            ..BaselineParams::default()
+        };
+        let clf = BaselineClassifier::fit(&params, &blind);
+        assert!(!clf.theta_feasible());
+        assert_eq!(clf.theta(), 0.5);
     }
 
     #[test]

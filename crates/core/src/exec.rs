@@ -222,9 +222,9 @@ where
 /// [`collect_unit_grid_streaming`].
 ///
 /// Incremented once per (probe, unit) simulation task. The replay tooling
-/// (`examples/replay.rs`, the CI replay guard, `speed_test`) samples it
-/// around a cache load to prove that an evaluation-only replay performed
-/// zero simulations.
+/// (`examples/replay.rs` and the CI replay guard) samples it around a
+/// cache load to prove that an evaluation-only replay performed zero
+/// simulations.
 static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Total number of simulation units run by this process so far.

@@ -962,10 +962,15 @@ pub fn evaluate_two_stage(col: &Collection, engine_idx: usize, params: Stage2Par
 /// Evaluates the single-stage voting baseline (§II) under the same
 /// leave-one-type-out protocol, using the collection's aggregated
 /// features.
+///
+/// The folds are independent, so they are fitted in parallel on
+/// [`exec::default_threads`] workers; results come back in type order,
+/// so the output is identical for any thread count.
 pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluation {
     let impacts = severity_impacts(col);
-    let mut folds = Vec::new();
-    for type_id in col.catalog.type_ids() {
+    let type_ids = col.catalog.type_ids();
+    let folds = exec::parallel_map(type_ids.len(), exec::default_threads(), |i| {
+        let type_id = type_ids[i];
         let held_out = col.catalog.variants_of_type(type_id);
         // Per-probe training samples over sets II and III.
         let train_keys: Vec<usize> = col
@@ -1015,12 +1020,12 @@ pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluatio
             .first()
             .map(|&v| col.catalog.variants()[v].type_name().to_string())
             .unwrap_or_default();
-        folds.push(FoldResult {
+        FoldResult {
             type_id,
             type_name,
             decisions,
-        });
-    }
+        }
+    });
     let pooled: Vec<Decision> = folds.iter().flat_map(|f| f.decisions.clone()).collect();
     Evaluation {
         metrics: DetectionMetrics::from_decisions(&pooled),

@@ -2,15 +2,19 @@
 //! tiny memory collection must encode to exactly the bytes pinned by
 //! [`GOLDEN_CORE_DIGEST`] and [`GOLDEN_MEM_DIGEST`], and the core
 //! simulator's raw output over every extended-catalogue bug must hash to
-//! [`GOLDEN_SIM_DIGEST`].
+//! [`GOLDEN_SIM_DIGEST`]. The single-stage baseline's decisions over the
+//! tiny core corpus must hash to [`GOLDEN_BASELINE_DIGEST`].
 //!
 //! This is the machine check behind "the corpus is unchanged": any change
 //! to simulation, counter selection, stage-1 numerics or the PBCL codec
 //! that moves a single output byte fails here. A deliberate change bumps
 //! [`CORPUS_REVISION`] and re-pins both digests in the same commit.
 
+use perfbug_core::baseline::BaselineParams;
 use perfbug_core::bugs::BugCatalog;
-use perfbug_core::experiment::{collect, Collection, CollectionConfig, ProbeScale};
+use perfbug_core::experiment::{
+    collect, evaluate_baseline, Collection, CollectionConfig, ProbeScale,
+};
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{
     config_fingerprint, encode_collection, fnv1a, CORPUS_REVISION, GOLDEN_CORE_DIGEST,
@@ -122,5 +126,37 @@ fn simulator_digest_matches_the_pinned_revision() {
         sim_digest, GOLDEN_SIM_DIGEST,
         "simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
          bump CORPUS_REVISION and re-pin GOLDEN_SIM_DIGEST = {sim_digest:#018x}"
+    );
+}
+
+/// FNV-1a over every leave-one-type-out fold of [`evaluate_baseline`] with
+/// default [`BaselineParams`] on the tiny core corpus: each fold's type id
+/// and decision count, then per decision its score bits, flag, label and
+/// severity (0 for bug-free, else 1 + the grade's ordinal), little-endian.
+///
+/// The corpus digest pins the baseline's input; this pins its output, so
+/// a change to baseline training, θ selection or fold scheduling that
+/// moves a single score fails here.
+const GOLDEN_BASELINE_DIGEST: u64 = 0xd89a_1b13_b8b5_6e98;
+
+#[test]
+fn baseline_digest_matches_the_pinned_revision() {
+    let eval = evaluate_baseline(&collect(&tiny_core_config()), &BaselineParams::default());
+    let mut bytes = Vec::new();
+    for fold in &eval.folds {
+        bytes.extend_from_slice(&fold.type_id.to_le_bytes());
+        bytes.extend_from_slice(&(fold.decisions.len() as u64).to_le_bytes());
+        for d in &fold.decisions {
+            bytes.extend_from_slice(&d.score.to_bits().to_le_bytes());
+            bytes.push(u8::from(d.flagged));
+            bytes.push(u8::from(d.has_bug));
+            bytes.push(d.severity.map_or(0, |s| s as u8 + 1));
+        }
+    }
+    let baseline_digest = fnv1a(&bytes);
+    assert_eq!(
+        baseline_digest, GOLDEN_BASELINE_DIGEST,
+        "baseline decisions changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
+         re-pin GOLDEN_BASELINE_DIGEST = {baseline_digest:#018x}"
     );
 }

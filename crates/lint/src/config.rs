@@ -26,14 +26,13 @@ pub const OUTPUT_CRITICAL: &[&str] = &[
 
 /// Files allowed to read wall clocks (`Instant::now`, `SystemTime::now`):
 /// the benchmark harness, the execution engine's timing fields (zeroed
-/// before any identity comparison), supervision timeouts and the timing
-/// CLI. Everything else must not read time.
+/// before any identity comparison) and supervision timeouts. Everything
+/// else must not read time.
 pub const TIMING_ALLOWED: &[&str] = &[
     "crates/compat/criterion/src/lib.rs",
     "crates/core/src/exec.rs",
     "crates/core/src/orchestrate/mod.rs",
     "crates/core/src/orchestrate/remote.rs",
-    "crates/bench/src/bin/speed_test.rs",
 ];
 
 /// Panic-free zones: codec decode/recovery paths and orchestrator

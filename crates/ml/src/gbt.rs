@@ -444,8 +444,9 @@ impl Gbt {
     /// is bit-identical for any value — each feature's histogram is
     /// accumulated by exactly one thread in row order — so this is purely
     /// a scheduling knob: callers whose fits already run inside a
-    /// saturated worker pool (stage-1 training under the collection
-    /// engine) pass 1 to avoid spawning nested threads per tree node.
+    /// saturated worker pool pass 1 to avoid spawning nested threads per
+    /// tree node. There are two: stage-1 training under the collection
+    /// engine, and the baseline's per-fold fits under `evaluate_baseline`.
     /// Not part of [`GbtParams`] on purpose: thread counts are an
     /// execution detail, not model/corpus identity.
     pub fn with_hist_threads(mut self, threads: usize) -> Self {
@@ -579,7 +580,8 @@ impl Gbt {
 
     /// Recursively grows `tree` from per-feature histograms. `hist` is the
     /// node's own histogram (consumed: the larger child's histogram is
-    /// derived from it in place via the subtraction trick).
+    /// derived from it in place via the subtraction trick), or empty for a
+    /// node at `max_depth`, which is always a leaf.
     #[allow(clippy::too_many_arguments)]
     fn grow_hist(
         &self,
@@ -653,26 +655,32 @@ impl Gbt {
                 // Reserve our slot before children are pushed.
                 tree.nodes.push(Node::Leaf { weight: 0.0 });
                 let me = tree.nodes.len() - 1;
-                // Subtraction trick: scan only the smaller child; the
-                // larger child's histogram is parent minus sibling.
-                let small_is_left = left_rows.len() <= right_rows.len();
-                let small = if small_is_left {
-                    &left_rows
+                let (left_hist, right_hist) = if depth + 1 >= self.params.max_depth {
+                    // Both children are leaves, and leaf weights come
+                    // from the row lists: they never read a histogram.
+                    (Vec::new(), Vec::new())
                 } else {
-                    &right_rows
-                };
-                let mut small_hist = vec![HistBin::default(); hist.len()];
-                binned.build_histogram(small, grad, hess, &mut small_hist, threads);
-                let mut large_hist = hist;
-                for (l, s) in large_hist.iter_mut().zip(&small_hist) {
-                    l.grad -= s.grad;
-                    l.hess -= s.hess;
-                    l.count -= s.count;
-                }
-                let (left_hist, right_hist) = if small_is_left {
-                    (small_hist, large_hist)
-                } else {
-                    (large_hist, small_hist)
+                    // Subtraction trick: scan only the smaller child; the
+                    // larger child's histogram is parent minus sibling.
+                    let small_is_left = left_rows.len() <= right_rows.len();
+                    let small = if small_is_left {
+                        &left_rows
+                    } else {
+                        &right_rows
+                    };
+                    let mut small_hist = vec![HistBin::default(); hist.len()];
+                    binned.build_histogram(small, grad, hess, &mut small_hist, threads);
+                    let mut large_hist = hist;
+                    for (l, s) in large_hist.iter_mut().zip(&small_hist) {
+                        l.grad -= s.grad;
+                        l.hess -= s.hess;
+                        l.count -= s.count;
+                    }
+                    if small_is_left {
+                        (small_hist, large_hist)
+                    } else {
+                        (large_hist, small_hist)
+                    }
                 };
                 let left = self.grow_hist(
                     tree,
