@@ -983,17 +983,14 @@ impl From<PersistError> for OrchestrateError {
     }
 }
 
-/// Verifies one shard file of `plan`: present, checksum-clean, matching
+/// Verifies one shard file of `plan`: present, intact, matching
 /// fingerprint and manifest. This is the orchestrator's success check
-/// for a zero-exit worker. Deliberately header + checksum only
-/// ([`persist::read_header_checked`]) — it catches truncation and
-/// corruption anywhere in the file without decoding the payload, which
-/// the assembly step decodes (and fully validates) exactly once anyway.
+/// for a zero-exit worker. It runs [`persist::verify_stream`], so every
+/// chunk and the whole-file checksum are checked in O(chunk) memory —
+/// the same walk the assembly step's merge repeats before it publishes.
 pub fn verify_shard_file(plan: &CollectPlan, shard: ShardSpec) -> Result<(), String> {
     let path = plan.shard_path(shard);
-    let bytes = std::fs::read(&path)
-        .map_err(|e| format!("shard file {} unreadable: {e}", path.display()))?;
-    let header = persist::read_header_checked(&bytes)
+    let header = persist::verify_stream(&path, None, |_| {})
         .map_err(|e| format!("shard file {}: {e}", path.display()))?;
     if header.fingerprint != plan.fingerprint {
         return Err(format!(

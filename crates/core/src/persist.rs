@@ -28,7 +28,8 @@
 //!   shard; a sharded pass ([`collect_shard_or_resume`] on `count`
 //!   processes) writes `count` shard files that [`merge_shard_files`]
 //!   reassembles into the single-process collection after validating
-//!   disjoint, complete coverage and matching identity fields;
+//!   disjoint, complete coverage, matching identity fields and every
+//!   shard's checksums;
 //! * a trailing FNV-1a checksum over the whole header + payload —
 //!   truncated or corrupted files fail with [`PersistError::Corrupt`].
 //!
@@ -43,11 +44,23 @@
 //! directory — can never collide on one path. `collect_memory_or_load`
 //! and `mem_config_fingerprint` are the same functions under the older
 //! memory-experiment names existing callers use.
+//!
+//! Framing lives in three private pieces. `ChunkWriter` frames and seals
+//! every file: the in-memory encode, [`ShardStreamWriter`] and the merge
+//! all write through it. `read_index` validates header, fingerprint,
+//! trailer, footer and chunk table, over a borrowed slice or a seeked
+//! file. `ChunkWalk` checks and decodes every chunk in order and compares
+//! the folded whole-file checksum with the trailer. The full decode
+//! ([`decode_collection_with`]), [`verify_stream`] and
+//! [`merge_shard_files`] all walk a file with it, so they run the same
+//! per-file checks. [`ProbeReader`] reads the index and then single
+//! chunks; [`scan_part`] recovers a part file, which has no index yet.
 
 // pblint: allow-file(slice-index) -- decode keeps raw-byte indexing for the
 // fixed-width frame fields; every site is behind an explicit length guard
-// (dec_* readers, scan_part, parse_chunk) and the whole decode surface is
-// proptested against truncation/corruption in the roundtrip suite.
+// (dec_* readers, Source::read, scan_part, parse_chunk) and the whole
+// decode surface is proptested against truncation/corruption in the
+// roundtrip suite.
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -1000,73 +1013,42 @@ fn dec_probe_record(dec: &mut Dec, n_engines: usize) -> Result<ProbeRecord, Pers
     })
 }
 
-/// Frames `payload` as one chunk: frame header, payload, then the
-/// per-chunk FNV-1a checksum over frame + payload. Returns the chunk
-/// bytes and its checksum.
-fn build_chunk(kind: u8, first_probe: u64, n_probes: u32, payload: &[u8]) -> (Vec<u8>, u64) {
-    let mut enc = Enc::new();
-    enc.u8(kind);
-    enc.u64(first_probe);
-    enc.u32(n_probes);
-    enc.u64(payload.len() as u64);
-    enc.buf.extend_from_slice(payload);
-    let checksum = fnv1a(&enc.buf);
-    enc.u64(checksum);
-    (enc.buf, checksum)
-}
-
-/// A chunk parsed (and checksum-validated) out of a byte buffer.
+/// A chunk parsed (and checksum-validated) out of a byte buffer: the
+/// index entry it has at its offset, and its payload.
 struct ParsedChunk<'b> {
-    kind: u8,
-    first_probe: u64,
-    n_probes: u32,
+    entry: ChunkEntry,
     payload: &'b [u8],
-    checksum: u64,
-    /// Total chunk length in bytes.
-    len: usize,
 }
 
-/// Parses the chunk starting at `bytes[offset..]`, validating the frame
-/// header, the payload bounds and the per-chunk checksum. `offset` is
-/// only used for error messages' byte positions.
+/// Parses the chunk starting at `bytes[0]`, which sits at byte `offset`
+/// of its file, validating the frame header, the payload bounds and the
+/// per-chunk checksum.
 fn parse_chunk(bytes: &[u8], offset: usize) -> Result<ParsedChunk<'_>, PersistError> {
     let at = |why: &str| PersistError::Corrupt(format!("chunk at byte {offset}: {why}"));
-    if bytes.len() < CHUNK_OVERHEAD {
-        return Err(at(&format!(
-            "{} bytes is too short for a chunk",
-            bytes.len()
-        )));
-    }
-    let kind = bytes[0];
+    let mut dec = Dec::new(bytes);
+    let frame =
+        (|| -> Result<_, PersistError> { Ok((dec.u8()?, dec.u64()?, dec.u32()?, dec.len()?)) })();
+    let Ok((kind, first_probe, n_probes, payload_len)) = frame else {
+        return Err(at("frame or payload runs past the end"));
+    };
     if kind != CHUNK_META && kind != CHUNK_PROBES {
         return Err(at(&format!("invalid chunk kind {kind}")));
     }
-    let first_probe = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
-    let n_probes = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes"));
-    let payload_len = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes"));
-    let payload_len = usize::try_from(payload_len)
-        .ok()
-        .filter(|&n| n <= bytes.len() - CHUNK_OVERHEAD)
-        .ok_or_else(|| {
-            at(&format!(
-                "payload length {payload_len} exceeds remaining bytes"
-            ))
-        })?;
-    let len = CHUNK_FRAME_LEN + payload_len + 8;
     let payload = &bytes[CHUNK_FRAME_LEN..CHUNK_FRAME_LEN + payload_len];
-    let stored = u64::from_le_bytes(bytes[len - 8..len].try_into().expect("8 bytes"));
-    let computed = fnv1a(&bytes[..CHUNK_FRAME_LEN + payload_len]);
-    if stored != computed {
+    let checksum = fnv1a_update(fnv1a(&bytes[..CHUNK_FRAME_LEN]), payload);
+    dec.pos += payload_len;
+    if dec.u64().ok() != Some(checksum) {
         return Err(at("chunk checksum mismatch"));
     }
-    Ok(ParsedChunk {
+    let entry = ChunkEntry {
+        offset: offset as u64,
+        len: dec.pos as u64,
         kind,
         first_probe,
         n_probes,
-        payload,
-        checksum: stored,
-        len,
-    })
+        checksum,
+    };
+    Ok(ParsedChunk { entry, payload })
 }
 
 /// [`parse_chunk`] over the bytes of the chunk `entry` indexes, which must
@@ -1076,12 +1058,7 @@ fn parse_indexed_chunk<'b>(
     entry: &ChunkEntry,
 ) -> Result<ParsedChunk<'b>, PersistError> {
     let parsed = parse_chunk(bytes, entry.offset as usize)?;
-    if parsed.len != entry.len as usize
-        || parsed.checksum != entry.checksum
-        || parsed.kind != entry.kind
-        || parsed.first_probe != entry.first_probe
-        || parsed.n_probes != entry.n_probes
-    {
+    if parsed.entry != *entry {
         return Err(PersistError::Corrupt(format!(
             "chunk at byte {} disagrees with its footer index entry",
             entry.offset
@@ -1090,180 +1067,92 @@ fn parse_indexed_chunk<'b>(
     Ok(parsed)
 }
 
+/// Runs `f` over `bytes` — the `what` of a file — which it must consume
+/// exactly.
+fn dec_exact<'b, T>(
+    bytes: &'b [u8],
+    what: &str,
+    f: impl FnOnce(&mut Dec<'b>) -> Result<T, PersistError>,
+) -> Result<T, PersistError> {
+    let mut dec = Dec::new(bytes);
+    let value = f(&mut dec)?;
+    match bytes.len() - dec.pos {
+        0 => Ok(value),
+        n => Err(PersistError::Corrupt(format!(
+            "{n} trailing bytes after {what}"
+        ))),
+    }
+}
+
 /// Decodes a meta chunk's payload, which must be consumed exactly.
 fn dec_meta_chunk(payload: &[u8]) -> Result<MetaSection, PersistError> {
-    let mut dec = Dec::new(payload);
-    let meta = dec_meta_section(&mut dec)?;
-    if dec.pos != payload.len() {
-        return Err(PersistError::Corrupt(
-            "trailing bytes after meta chunk payload".into(),
-        ));
-    }
-    Ok(meta)
+    dec_exact(payload, "the meta chunk", dec_meta_section)
 }
 
-/// Checks the footer's per-engine timing totals against the meta chunk's
-/// engine roster.
-fn check_footer_times(
-    times: &[(Duration, Duration)],
-    meta: &MetaSection,
-) -> Result<(), PersistError> {
-    if times.len() != meta.engine_names.len() {
-        return Err(PersistError::Corrupt(format!(
-            "footer times {} engines but the roster has {}",
-            times.len(),
-            meta.engine_names.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Decodes every probe record of a probe chunk that starts at byte
-/// `offset`, handing each to `each`; the payload must be consumed exactly.
+/// Decodes every probe record of a probe chunk, handing each to `each`;
+/// the payload must be consumed exactly.
 fn dec_probe_chunk(
     chunk: &ParsedChunk,
-    offset: u64,
     n_engines: usize,
     mut each: impl FnMut(ProbeRecord),
 ) -> Result<(), PersistError> {
-    let mut dec = Dec::new(chunk.payload);
-    for _ in 0..chunk.n_probes {
-        each(dec_probe_record(&mut dec, n_engines)?);
-    }
-    if dec.pos != chunk.payload.len() {
-        return Err(PersistError::Corrupt(format!(
-            "{} trailing bytes after probe chunk payload at byte {offset}",
-            chunk.payload.len() - dec.pos
-        )));
-    }
-    Ok(())
+    dec_exact(chunk.payload, "a probe chunk", |dec| {
+        for _ in 0..chunk.entry.n_probes {
+            each(dec_probe_record(dec, n_engines)?);
+        }
+        Ok(())
+    })
 }
 
-/// Serialises the v3 footer: the chunk index followed by the per-engine
-/// wall-clock timing totals. Timings live here — not in probe chunks —
-/// because a whole collection's per-engine times cannot be attributed to
-/// individual probes after the fact, and because a resumed write loses
-/// the crashed attempt's measurements anyway (bit-identity comparisons
-/// run after `Collection::zero_timings`).
-fn enc_footer(chunks: &[ChunkEntry], times: &[(Duration, Duration)]) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.usize(chunks.len());
-    for c in chunks {
-        enc.u64(c.offset);
-        enc.u64(c.len);
-        enc.u8(c.kind);
-        enc.u64(c.first_probe);
-        enc.u32(c.n_probes);
-        enc.u64(c.checksum);
+/// Checks that chunk `i` of a file, `c`, continues the chunk sequence
+/// that so far ends at byte `end` and probe `next_probe`: the meta chunk
+/// first, then probe chunks, contiguous in bytes and in probes. Returns
+/// the sequence's new end byte and next probe.
+fn follow_chunk(
+    i: usize,
+    c: &ChunkEntry,
+    end: u64,
+    next_probe: u64,
+) -> Result<(u64, u64), PersistError> {
+    let fits = if i == 0 {
+        c.is_meta() && c.first_probe == 0 && c.n_probes == 0
+    } else {
+        c.kind == CHUNK_PROBES && c.first_probe == next_probe && c.n_probes > 0
+    };
+    match c.offset.checked_add(c.len) {
+        Some(new_end) if fits && c.offset == end && c.len >= CHUNK_OVERHEAD as u64 => {
+            Ok((new_end, next_probe.saturating_add(u64::from(c.n_probes))))
+        }
+        _ => Err(PersistError::Corrupt(format!(
+            "chunk {i} (kind {}, {} probes from {}, {} bytes at byte {}) does not \
+             continue the file at byte {end}, probe {next_probe}",
+            c.kind, c.n_probes, c.first_probe, c.len, c.offset
+        ))),
     }
-    enc.usize(times.len());
-    for &(train, infer) in times {
-        enc.duration(train);
-        enc.duration(infer);
-    }
-    enc.buf
 }
 
-/// Decodes a v3 footer; `bytes` must hold exactly the footer.
-#[allow(clippy::type_complexity)]
-fn dec_footer(bytes: &[u8]) -> Result<(Vec<ChunkEntry>, Vec<(Duration, Duration)>), PersistError> {
-    let mut dec = Dec::new(bytes);
-    let n_chunks = dec.usize()?;
-    if n_chunks > bytes.len() / 37 {
-        // 37 = bytes per chunk entry; bounds the allocation below.
-        return Err(PersistError::Corrupt(format!(
-            "footer chunk count {n_chunks} exceeds footer size"
-        )));
-    }
-    let mut chunks = Vec::with_capacity(n_chunks);
-    for _ in 0..n_chunks {
-        chunks.push(ChunkEntry {
-            offset: dec.u64()?,
-            len: dec.u64()?,
-            kind: dec.u8()?,
-            first_probe: dec.u64()?,
-            n_probes: dec.u32()?,
-            checksum: dec.u64()?,
-        });
-    }
-    let n_engines = dec.len()?;
-    let mut times = Vec::with_capacity(n_engines);
-    for _ in 0..n_engines {
-        times.push((dec.duration()?, dec.duration()?));
-    }
-    if dec.pos != bytes.len() {
-        return Err(PersistError::Corrupt(format!(
-            "{} trailing bytes after footer",
-            bytes.len() - dec.pos
-        )));
-    }
-    Ok((chunks, times))
-}
-
-/// Validates a v3 chunk table against the header: exactly one meta chunk
-/// first (at the fixed header boundary), contiguous chunk extents ending
-/// at the footer, and probe chunks covering exactly the manifest's probe
-/// range in order.
+/// Validates a v3 chunk table against the header: every chunk follows
+/// its predecessor ([`follow_chunk`]) from the fixed header boundary,
+/// the chunks end exactly at the footer, and the probe chunks cover
+/// exactly the manifest's probe range.
 fn validate_chunk_table(
     chunks: &[ChunkEntry],
     footer_offset: u64,
     header: &FileHeader,
 ) -> Result<(), PersistError> {
-    let corrupt = |why: String| PersistError::Corrupt(why);
-    let first = chunks
-        .first()
-        .ok_or_else(|| corrupt("empty chunk table".into()))?;
-    if !first.is_meta()
-        || first.offset != HEADER_LEN as u64
-        || first.first_probe != 0
-        || first.n_probes != 0
-    {
-        return Err(corrupt(format!(
-            "first chunk must be the meta chunk at byte {HEADER_LEN}"
-        )));
-    }
-    let mut end = first.offset;
-    let mut next_probe = header.manifest.probe_start;
+    let m = &header.manifest;
+    let mut at = (HEADER_LEN as u64, m.probe_start);
     for (i, c) in chunks.iter().enumerate() {
-        if c.offset != end {
-            return Err(corrupt(format!(
-                "chunk {i} at byte {} is not contiguous with the previous chunk (ends {end})",
-                c.offset
-            )));
-        }
-        if c.len < CHUNK_OVERHEAD as u64 {
-            return Err(corrupt(format!("chunk {i} length {} is too short", c.len)));
-        }
-        end = c
-            .offset
-            .checked_add(c.len)
-            .ok_or_else(|| corrupt(format!("chunk {i} extent overflows")))?;
-        if i > 0 {
-            if c.kind != CHUNK_PROBES {
-                return Err(corrupt(format!(
-                    "chunk {i} has kind {} (want probes)",
-                    c.kind
-                )));
-            }
-            if c.first_probe != next_probe || c.n_probes == 0 {
-                return Err(corrupt(format!(
-                    "chunk {i} covers probes {}..{} (expected to start at {next_probe})",
-                    c.first_probe,
-                    c.probe_end()
-                )));
-            }
-            next_probe = c.probe_end();
-        }
+        at = follow_chunk(i, c, at.0, at.1)?;
     }
-    if end != footer_offset {
-        return Err(corrupt(format!(
-            "chunks end at byte {end} but the footer starts at {footer_offset}"
-        )));
-    }
-    if next_probe != header.manifest.probe_end {
-        return Err(corrupt(format!(
-            "probe chunks cover {}..{next_probe} but the manifest promises {}..{}",
-            header.manifest.probe_start, header.manifest.probe_start, header.manifest.probe_end
+    if chunks.is_empty() || at != (footer_offset, m.probe_end) {
+        return Err(PersistError::Corrupt(format!(
+            "{} chunks end at byte {} and probe {}, but the footer starts at byte \
+             {footer_offset} and the manifest ends at probe {}",
+            chunks.len(),
+            at.0,
+            at.1,
+            m.probe_end
         )));
     }
     Ok(())
@@ -1360,6 +1249,137 @@ fn collection_to_records(col: &Collection) -> Vec<ProbeRecord> {
         .collect()
 }
 
+// --------------------------------------------------------------------------
+// The chunk writer, the index reader and the chunk walker
+// --------------------------------------------------------------------------
+
+/// The one PBCL writer. It owns the write offset, the running whole-file
+/// hash, the chunk index and the per-engine timing totals of a file
+/// streamed into `out`: [`encode_collection_with`] writes into a
+/// `Vec<u8>`, [`ShardStreamWriter`] into its part file (fresh or
+/// resumed) and [`merge_shard_files`] into the merged temp file.
+struct ChunkWriter<W: Write> {
+    out: W,
+    offset: u64,
+    hash: u64,
+    chunks: Vec<ChunkEntry>,
+    times: Vec<(Duration, Duration)>,
+}
+
+impl<W: Write> ChunkWriter<W> {
+    /// Writes the header and the meta chunk; the timing totals start at
+    /// zero for each engine of the meta chunk's roster.
+    fn start(out: W, header: &FileHeader, meta: &MetaSection) -> io::Result<Self> {
+        let mut w = ChunkWriter {
+            out,
+            offset: 0,
+            hash: FNV_BASIS,
+            chunks: Vec::new(),
+            times: vec![(Duration::ZERO, Duration::ZERO); meta.engine_names.len()],
+        };
+        let mut head = Enc::new();
+        enc_header(&mut head, header);
+        w.write(&head.buf)?;
+        let mut payload = Enc::new();
+        enc_meta_section(&mut payload, meta);
+        w.push(CHUNK_META, 0, 0, &payload.buf)?;
+        Ok(w)
+    }
+
+    /// Writes `bytes` and folds them into the whole-file hash.
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.out.write_all(bytes)?;
+        self.hash = fnv1a_update(self.hash, bytes);
+        self.offset += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Frames `payload` as one chunk — frame header, payload, then the
+    /// FNV-1a checksum over frame + payload — and appends it.
+    fn push(
+        &mut self,
+        kind: u8,
+        first_probe: u64,
+        n_probes: u32,
+        payload: &[u8],
+    ) -> io::Result<()> {
+        let mut frame = Enc::new();
+        frame.u8(kind);
+        frame.u64(first_probe);
+        frame.u32(n_probes);
+        frame.usize(payload.len());
+        let checksum = fnv1a_update(fnv1a(&frame.buf), payload);
+        self.chunks.push(ChunkEntry {
+            offset: self.offset,
+            len: (CHUNK_OVERHEAD + payload.len()) as u64,
+            kind,
+            first_probe,
+            n_probes,
+            checksum,
+        });
+        self.write(&frame.buf)?;
+        self.write(payload)?;
+        self.write(&checksum.to_le_bytes())
+    }
+
+    /// Appends probe `probe`'s record as one probe chunk.
+    fn push_probe(&mut self, probe: u64, rec: &ProbeRecord) -> io::Result<()> {
+        let mut payload = Enc::new();
+        enc_probe_record(&mut payload, rec);
+        self.push(CHUNK_PROBES, probe, PROBES_PER_CHUNK, &payload.buf)
+    }
+
+    /// Appends the already framed chunk `bytes` that `entry` indexes
+    /// elsewhere. Chunk checksums do not depend on position, so only the
+    /// index entry's offset changes.
+    fn copy(&mut self, entry: &ChunkEntry, bytes: &[u8]) -> io::Result<()> {
+        self.chunks.push(ChunkEntry {
+            offset: self.offset,
+            ..*entry
+        });
+        self.write(bytes)
+    }
+
+    /// Adds per-engine `(train, infer)` wall-clock times to the totals.
+    fn add_times(&mut self, times: impl IntoIterator<Item = (Duration, Duration)>) {
+        for ((train, infer), (t, i)) in self.times.iter_mut().zip(times) {
+            *train += t;
+            *infer += i;
+        }
+    }
+
+    /// Seals the file: the footer (chunk index, then the timing totals),
+    /// the footer offset, and the whole-file checksum over every byte
+    /// before it. Returns the sink, unflushed.
+    ///
+    /// Timings live in the footer, not in probe chunks, because a whole
+    /// collection's per-engine times cannot be attributed to individual
+    /// probes after the fact, and because a resumed write loses the
+    /// crashed attempt's measurements anyway (bit-identity comparisons
+    /// run after `Collection::zero_timings`).
+    fn seal(mut self) -> io::Result<W> {
+        let mut tail = Enc::new();
+        tail.usize(self.chunks.len());
+        for c in &self.chunks {
+            tail.u64(c.offset);
+            tail.u64(c.len);
+            tail.u8(c.kind);
+            tail.u64(c.first_probe);
+            tail.u32(c.n_probes);
+            tail.u64(c.checksum);
+        }
+        tail.usize(self.times.len());
+        for &(train, infer) in &self.times {
+            tail.duration(train);
+            tail.duration(infer);
+        }
+        tail.u64(self.offset);
+        self.write(&tail.buf)?;
+        self.out.write_all(&self.hash.to_le_bytes())?;
+        Ok(self.out)
+    }
+}
+
 /// Serialises a collection (full or one shard) under its header in the
 /// v3 chunked layout.
 ///
@@ -1380,52 +1400,21 @@ pub fn encode_collection_with(col: &Collection, header: &FileHeader) -> Vec<u8> 
         col.probes.len() as u64,
         "shard manifest must cover exactly the collection's probes"
     );
-    let mut enc = Enc::new();
-    enc_header(&mut enc, header);
-    let mut chunks = Vec::with_capacity(col.probes.len() + 1);
-    let mut push_chunk = |enc: &mut Enc, kind, first_probe, n_probes, payload: &[u8]| {
-        let offset = enc.buf.len() as u64;
-        let (bytes, checksum) = build_chunk(kind, first_probe, n_probes, payload);
-        enc.buf.extend_from_slice(&bytes);
-        chunks.push(ChunkEntry {
-            offset,
-            len: bytes.len() as u64,
-            kind,
-            first_probe,
-            n_probes,
-            checksum,
-        });
-    };
     let meta = MetaSection {
         keys: col.keys.clone(),
         engine_names: col.engines.iter().map(|e| e.name.clone()).collect(),
         catalog: col.catalog.clone(),
     };
-    let mut payload = Enc::new();
-    enc_meta_section(&mut payload, &meta);
-    push_chunk(&mut enc, CHUNK_META, 0, 0, &payload.buf);
-    for (i, rec) in collection_to_records(col).iter().enumerate() {
-        let mut payload = Enc::new();
-        enc_probe_record(&mut payload, rec);
-        push_chunk(
-            &mut enc,
-            CHUNK_PROBES,
-            header.manifest.probe_start + i as u64,
-            PROBES_PER_CHUNK,
-            &payload.buf,
-        );
-    }
-    let times: Vec<(Duration, Duration)> = col
-        .engines
-        .iter()
-        .map(|e| (e.train_time, e.infer_time))
-        .collect();
-    let footer_offset = enc.buf.len() as u64;
-    enc.buf.extend_from_slice(&enc_footer(&chunks, &times));
-    enc.u64(footer_offset);
-    let checksum = fnv1a(&enc.buf);
-    enc.u64(checksum);
-    enc.buf
+    let encode = || -> io::Result<Vec<u8>> {
+        let mut w = ChunkWriter::start(Vec::new(), header, &meta)?;
+        for (i, rec) in collection_to_records(col).iter().enumerate() {
+            w.push_probe(header.manifest.probe_start + i as u64, rec)?;
+        }
+        w.add_times(col.engines.iter().map(|e| (e.train_time, e.infer_time)));
+        w.seal()
+    };
+    // pblint: allow(panic-policy) -- `Write for Vec<u8>` never fails.
+    encode().expect("writing into a Vec cannot fail")
 }
 
 /// Serialises a full (unsharded) core-experiment collection under a
@@ -1442,6 +1431,209 @@ pub fn encode_collection(col: &Collection, fingerprint: u64) -> Vec<u8> {
     )
 }
 
+/// Where the index reader and the chunk walker read from: a borrowed byte
+/// slice (the in-memory decode, which copies nothing), or an open file
+/// read by seeking into one reused buffer.
+enum Source<'b> {
+    Bytes(&'b [u8]),
+    File {
+        file: fs::File,
+        len: u64,
+        buf: Vec<u8>,
+    },
+}
+
+impl Source<'_> {
+    fn open(path: &Path) -> Result<Source<'static>, PersistError> {
+        let file = fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let buf = Vec::new();
+        Ok(Source::File { file, len, buf })
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            Source::Bytes(bytes) => bytes.len() as u64,
+            Source::File { len, .. } => *len,
+        }
+    }
+
+    /// The `n` bytes at `offset`; running past the end is `Corrupt`.
+    fn read(&mut self, offset: u64, n: u64) -> Result<&[u8], PersistError> {
+        let len = self.len();
+        let Some(end) = offset.checked_add(n).filter(|&end| end <= len) else {
+            let why = format!("{n} bytes at byte {offset} run past the {len}-byte file");
+            return Err(PersistError::Corrupt(why));
+        };
+        match self {
+            Source::Bytes(bytes) => Ok(&bytes[offset as usize..end as usize]),
+            Source::File { file, buf, .. } => {
+                buf.resize(n as usize, 0);
+                file.seek(SeekFrom::Start(offset))?;
+                file.read_exact(buf)?;
+                Ok(buf)
+            }
+        }
+    }
+
+    /// Reads and validates the fixed header: magic, version, manifest. A
+    /// file too short to hold it fails at the first missing field.
+    fn header(&mut self) -> Result<FileHeader, PersistError> {
+        let n = self.len().min(HEADER_LEN as u64);
+        dec_header(&mut Dec::new(self.read(0, n)?))
+    }
+}
+
+/// `Fingerprint` unless `header` carries the `expected` fingerprint.
+fn check_fingerprint(header: &FileHeader, expected: Option<u64>) -> Result<(), PersistError> {
+    match expected {
+        Some(expected) if header.fingerprint != expected => Err(PersistError::Fingerprint {
+            found: header.fingerprint,
+            expected,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// A file's validated index: its header, the footer's chunk table and
+/// timing totals, and the trailer's footer offset and stored checksum.
+struct Index {
+    header: FileHeader,
+    chunks: Vec<ChunkEntry>,
+    times: Vec<(Duration, Duration)>,
+    footer_offset: u64,
+    checksum: u64,
+}
+
+/// The one index reader. It validates, in order, the header (magic,
+/// version, manifest), the fingerprint when `expected` is given, the
+/// trailer's footer offset, the footer's exact decode and the chunk
+/// table. It reads no chunk.
+fn read_index(src: &mut Source<'_>, expected: Option<u64>) -> Result<Index, PersistError> {
+    let header = src.header()?;
+    check_fingerprint(&header, expected)?;
+    // A file too short for a trailer fails this read; one too short for
+    // a footer and a meta chunk fails the bounds and chunk-table checks.
+    let footer_end = src.len().saturating_sub(TRAILER_LEN as u64);
+    let mut trailer = Dec::new(src.read(footer_end, TRAILER_LEN as u64)?);
+    let (footer_offset, checksum) = (trailer.u64()?, trailer.u64()?);
+    if footer_offset < HEADER_LEN as u64 || footer_offset > footer_end {
+        return Err(PersistError::Corrupt(format!(
+            "footer offset {footer_offset} is out of bounds"
+        )));
+    }
+    let footer = src.read(footer_offset, footer_end - footer_offset)?;
+    let (chunks, times) = dec_exact(footer, "the footer", |dec| {
+        let n_chunks = dec.usize()?;
+        if n_chunks > footer.len() / 37 {
+            // 37 = bytes per chunk entry; bounds the allocation below.
+            return Err(PersistError::Corrupt(format!(
+                "footer chunk count {n_chunks} exceeds footer size"
+            )));
+        }
+        let mut chunks = Vec::with_capacity(n_chunks);
+        for _ in 0..n_chunks {
+            chunks.push(ChunkEntry {
+                offset: dec.u64()?,
+                len: dec.u64()?,
+                kind: dec.u8()?,
+                first_probe: dec.u64()?,
+                n_probes: dec.u32()?,
+                checksum: dec.u64()?,
+            });
+        }
+        let n_engines = dec.len()?;
+        let mut times = Vec::with_capacity(n_engines);
+        for _ in 0..n_engines {
+            times.push((dec.duration()?, dec.duration()?));
+        }
+        Ok((chunks, times))
+    })?;
+    validate_chunk_table(&chunks, footer_offset, &header)?;
+    Ok(Index {
+        header,
+        chunks,
+        times,
+        footer_offset,
+        checksum,
+    })
+}
+
+/// Reads, checks and decodes the meta chunk `index` points at, whose
+/// roster must match the footer's timing totals. Returns it with the
+/// chunk's raw bytes.
+fn read_meta<'a>(
+    src: &'a mut Source<'_>,
+    index: &Index,
+) -> Result<(MetaSection, &'a [u8]), PersistError> {
+    let entry = &index.chunks[0];
+    let bytes = src.read(entry.offset, entry.len)?;
+    let meta = dec_meta_chunk(parse_indexed_chunk(bytes, entry)?.payload)?;
+    if index.times.len() != meta.engine_names.len() {
+        return Err(PersistError::Corrupt(format!(
+            "footer times {} engines but the roster has {}",
+            index.times.len(),
+            meta.engine_names.len()
+        )));
+    }
+    Ok((meta, bytes))
+}
+
+/// The one sequential chunk walker. It visits an indexed file's chunks
+/// in order, checks each against its index entry, decodes its payload
+/// and folds the whole-file checksum, which it compares with the
+/// trailer's after the last chunk.
+struct ChunkWalk<'s, 'b> {
+    src: &'s mut Source<'b>,
+    index: &'s Index,
+    n_engines: usize,
+    next: usize,
+    hash: u64,
+}
+
+impl<'s, 'b> ChunkWalk<'s, 'b> {
+    /// Starts a walk over `src`; returns it with the decoded meta chunk.
+    fn start(
+        src: &'s mut Source<'b>,
+        index: &'s Index,
+    ) -> Result<(Self, MetaSection), PersistError> {
+        let hash = fnv1a(src.read(0, HEADER_LEN as u64)?);
+        let (meta, bytes) = read_meta(src, index)?;
+        let hash = fnv1a_update(hash, bytes);
+        let walk = ChunkWalk {
+            src,
+            index,
+            n_engines: meta.engine_names.len(),
+            next: 1,
+            hash,
+        };
+        Ok((walk, meta))
+    }
+
+    /// Checks and decodes the next probe chunk, handing each of its
+    /// records to `each`, and returns its entry and raw bytes. After the
+    /// last chunk it folds the footer and the footer offset, and returns
+    /// `None` only if the whole-file checksum matches the trailer's.
+    fn next(
+        &mut self,
+        each: impl FnMut(ProbeRecord),
+    ) -> Result<Option<(ChunkEntry, &[u8])>, PersistError> {
+        let Some(&entry) = self.index.chunks.get(self.next) else {
+            let (start, len) = (self.index.footer_offset, self.src.len());
+            let tail = self.src.read(start, len - 8 - start)?;
+            if fnv1a_update(self.hash, tail) != self.index.checksum {
+                return Err(PersistError::Corrupt("checksum mismatch".into()));
+            }
+            return Ok(None);
+        };
+        self.next += 1;
+        let bytes = self.src.read(entry.offset, entry.len)?;
+        dec_probe_chunk(&parse_indexed_chunk(bytes, &entry)?, self.n_engines, each)?;
+        self.hash = fnv1a_update(self.hash, bytes);
+        Ok(Some((entry, bytes)))
+    }
+}
+
 /// Reads and validates only the fixed-size header of a serialised
 /// collection: magic, version and manifest sanity — **not** the trailing
 /// checksum, so corruption inside the payload goes undetected here. Cache
@@ -1451,117 +1643,26 @@ pub fn read_header(bytes: &[u8]) -> Result<FileHeader, PersistError> {
     dec_header(&mut Dec::new(bytes))
 }
 
-/// [`read_header`] plus the trailing-checksum validation: catches
-/// truncation and corruption anywhere in the file without paying for a
-/// payload decode. This is the orchestrator's per-shard success check —
-/// full decode correctness is still enforced by the assembly step, which
-/// goes through [`decode_collection_with`].
-pub fn read_header_checked(bytes: &[u8]) -> Result<FileHeader, PersistError> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(PersistError::Corrupt(format!(
-            "{} bytes is too short for a collection file",
-            bytes.len()
-        )));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let header = dec_header(&mut Dec::new(body))?;
-    let stored_checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(body) != stored_checksum {
-        return Err(PersistError::Corrupt("checksum mismatch".into()));
-    }
-    Ok(header)
-}
-
-/// Decodes a serialised collection, validating magic, version, checksum,
-/// then (when `expected` is given) the config fingerprint, then the
-/// payload and its consistency with the shard manifest. Accepts both full
-/// and shard files; the returned header says which shard this was.
+/// Decodes a serialised collection, full or shard, in one walk over its
+/// chunks. It validates magic and version first, then the index, every
+/// chunk and the whole-file checksum, and only then (when `expected` is
+/// given) the config fingerprint, so a damaged file reports its damage
+/// rather than a stale configuration. The returned header says which
+/// shard this was.
 pub fn decode_collection_with(
     bytes: &[u8],
     expected: Option<u64>,
 ) -> Result<(Collection, FileHeader), PersistError> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(PersistError::Corrupt(format!(
-            "{} bytes is too short for a collection file",
-            bytes.len()
-        )));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let header = dec_header(&mut Dec::new(body))?;
-    let stored_checksum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(body) != stored_checksum {
-        return Err(PersistError::Corrupt("checksum mismatch".into()));
-    }
-    if let Some(expected) = expected {
-        if header.fingerprint != expected {
-            return Err(PersistError::Fingerprint {
-                found: header.fingerprint,
-                expected,
-            });
-        }
-    }
-    let col = decode_v3_body(body, &header)?;
-    if header.manifest.probes() != col.probes.len() as u64 {
-        return Err(PersistError::Corrupt(format!(
-            "manifest covers {} probes but payload holds {}",
-            header.manifest.probes(),
-            col.probes.len()
-        )));
-    }
-    Ok((col, header))
-}
-
-/// Decodes the v3 chunked body of `body` (the file minus its final
-/// whole-file checksum) into a [`Collection`]. The caller has already
-/// validated magic, version and the whole-file checksum.
-fn decode_v3_body(body: &[u8], header: &FileHeader) -> Result<Collection, PersistError> {
-    // Trailer: the last 8 bytes of `body` are the footer offset (the
-    // whole-file checksum that follows has been split off already).
-    if body.len() < HEADER_LEN + 8 {
-        return Err(PersistError::Corrupt(
-            "file too short for a v3 trailer".into(),
-        ));
-    }
-    let (rest, off_bytes) = body.split_at(body.len() - 8);
-    let footer_offset = u64::from_le_bytes(off_bytes.try_into().expect("8 bytes"));
-    let footer_offset = usize::try_from(footer_offset)
-        .ok()
-        .filter(|&o| o >= HEADER_LEN && o <= rest.len())
-        .ok_or_else(|| {
-            PersistError::Corrupt(format!("footer offset {footer_offset} is out of bounds"))
-        })?;
-    let (chunks, times) = dec_footer(&rest[footer_offset..])?;
-    validate_chunk_table(&chunks, footer_offset as u64, header)?;
-    assemble_v3(body, &chunks, &times)
-}
-
-/// Decodes the meta chunk plus every probe chunk and assembles them into
-/// a [`Collection`]. Chunk checksums are validated both against the
-/// bytes and against the footer's copy.
-fn assemble_v3(
-    bytes: &[u8],
-    chunks: &[ChunkEntry],
-    times: &[(Duration, Duration)],
-) -> Result<Collection, PersistError> {
-    let chunk_at = |entry: &ChunkEntry| -> Result<ParsedChunk<'_>, PersistError> {
-        let offset = entry.offset as usize;
-        let end = offset + entry.len as usize;
-        if end > bytes.len() {
-            return Err(PersistError::Corrupt(format!(
-                "chunk at byte {offset} extends past end of file"
-            )));
-        }
-        parse_indexed_chunk(&bytes[offset..end], entry)
-    };
-    let meta = dec_meta_chunk(chunk_at(&chunks[0])?.payload)?;
-    check_footer_times(times, &meta)?;
+    let mut src = Source::Bytes(bytes);
+    let index = read_index(&mut src, None)?;
+    let (mut walk, meta) = ChunkWalk::start(&mut src, &index)?;
     let mut col = Collection {
         keys: meta.keys,
         probes: Vec::new(),
         engines: meta
             .engine_names
             .into_iter()
-            .zip(times)
+            .zip(&index.times)
             .map(|(name, &(train_time, infer_time))| EngineResult {
                 name,
                 deltas: Vec::new(),
@@ -1574,19 +1675,18 @@ fn assemble_v3(
         captures: Vec::new(),
         catalog: meta.catalog,
     };
-    let n_engines = col.engines.len();
-    for entry in &chunks[1..] {
-        dec_probe_chunk(&chunk_at(entry)?, entry.offset, n_engines, |rec| {
-            col.probes.push(rec.meta);
-            col.overall_ipc.push(rec.overall);
-            col.agg_features.push(rec.agg);
-            for (engine, row) in col.engines.iter_mut().zip(rec.deltas) {
-                engine.deltas.push(row);
-            }
-            col.captures.extend(rec.captures);
-        })?;
-    }
-    Ok(col)
+    let push = |col: &mut Collection, rec: ProbeRecord| {
+        col.probes.push(rec.meta);
+        col.overall_ipc.push(rec.overall);
+        col.agg_features.push(rec.agg);
+        for (engine, row) in col.engines.iter_mut().zip(rec.deltas) {
+            engine.deltas.push(row);
+        }
+        col.captures.extend(rec.captures);
+    };
+    while walk.next(|rec| push(&mut col, rec))?.is_some() {}
+    check_fingerprint(&index.header, expected)?;
+    Ok((col, index.header))
 }
 
 /// Decodes a *full* serialised collection, validating magic, version,
@@ -1646,64 +1746,43 @@ pub fn scan_part(bytes: &[u8]) -> Result<RecoveredPrefix, PersistError> {
     let header = dec_header(&mut Dec::new(bytes))?;
     let meta_chunk = parse_chunk(&bytes[HEADER_LEN..], HEADER_LEN)
         .map_err(|e| PersistError::Corrupt(format!("part file has no valid meta chunk: {e}")))?;
-    if meta_chunk.kind != CHUNK_META || meta_chunk.first_probe != 0 || meta_chunk.n_probes != 0 {
-        return Err(PersistError::Corrupt(
-            "part file's first chunk is not a meta chunk".into(),
-        ));
-    }
+    let m = header.manifest;
+    let first = meta_chunk.entry;
+    follow_chunk(0, &first, HEADER_LEN as u64, m.probe_start)?;
     let meta = dec_meta_chunk(meta_chunk.payload).map_err(|e| {
         PersistError::Corrupt(format!("part file's meta chunk does not decode: {e}"))
     })?;
     let n_engines = meta.engine_names.len();
-    let mut chunks = vec![ChunkEntry {
-        offset: HEADER_LEN as u64,
-        len: meta_chunk.len as u64,
-        kind: CHUNK_META,
-        first_probe: 0,
-        n_probes: 0,
-        checksum: meta_chunk.checksum,
-    }];
-    let mut offset = HEADER_LEN + meta_chunk.len;
-    let mut next_probe = header.manifest.probe_start;
-    while offset < bytes.len() && next_probe < header.manifest.probe_end {
-        let chunk = match parse_chunk(&bytes[offset..], offset) {
-            Ok(c) => c,
-            // Torn tail: a partially flushed chunk, or (for a finished
-            // file) the footer. Either way the durable prefix ends here.
-            Err(_) => break,
+    let mut chunks = vec![first];
+    let mut offset = HEADER_LEN + first.len as usize;
+    let mut next_probe = m.probe_start;
+    while offset < bytes.len() && next_probe < m.probe_end {
+        // The durable prefix ends at the torn tail — a partially flushed
+        // chunk, or (for a finished file) the footer — at a chunk out of
+        // sequence, or at a checksum-valid chunk whose payload does not
+        // decode: never resume on top of undecodable probe data.
+        let Ok(chunk) = parse_chunk(&bytes[offset..], offset) else {
+            break;
         };
-        if chunk.kind != CHUNK_PROBES
-            || chunk.first_probe != next_probe
-            || chunk.n_probes == 0
-            || chunk.first_probe + u64::from(chunk.n_probes) > header.manifest.probe_end
-        {
+        let next = match follow_chunk(chunks.len(), &chunk.entry, offset as u64, next_probe) {
+            Ok((_, next)) if next <= m.probe_end => next,
+            _ => break,
+        };
+        if dec_probe_chunk(&chunk, n_engines, drop).is_err() {
             break;
         }
-        // A checksum-valid chunk whose payload does not decode is still
-        // torn — never resume on top of undecodable probe data.
-        if dec_probe_chunk(&chunk, offset as u64, n_engines, drop).is_err() {
-            break;
-        }
-        chunks.push(ChunkEntry {
-            offset: offset as u64,
-            len: chunk.len as u64,
-            kind: chunk.kind,
-            first_probe: chunk.first_probe,
-            n_probes: chunk.n_probes,
-            checksum: chunk.checksum,
-        });
-        next_probe += u64::from(chunk.n_probes);
-        offset += chunk.len;
+        chunks.push(chunk.entry);
+        next_probe = next;
+        offset += chunk.entry.len as usize;
     }
     Ok(RecoveredPrefix {
-        probes: next_probe - header.manifest.probe_start,
+        probes: next_probe - m.probe_start,
         durable_len: offset as u64,
         torn_bytes: (bytes.len() - offset) as u64,
         chunks,
         header,
     })
 }
-
 /// [`scan_part`] over a file on disk.
 pub fn scan_part_file(path: &Path) -> Result<RecoveredPrefix, PersistError> {
     let bytes = fs::read(path)?;
@@ -1734,14 +1813,9 @@ pub fn scan_part_file(path: &Path) -> Result<RecoveredPrefix, PersistError> {
 pub struct ShardStreamWriter {
     target: PathBuf,
     part: PathBuf,
-    file: io::BufWriter<fs::File>,
+    w: ChunkWriter<io::BufWriter<fs::File>>,
     header: FileHeader,
-    n_engines: usize,
-    chunks: Vec<ChunkEntry>,
-    offset: u64,
-    hash: u64,
     next_probe: u64,
-    times: Vec<(Duration, Duration)>,
     resumed: u64,
 }
 
@@ -1751,13 +1825,6 @@ impl ShardStreamWriter {
     /// (byte-identical header + meta chunk), and starting fresh
     /// otherwise. `keys`, `engine_names` and `catalog` are the
     /// probe-independent identity the meta chunk records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manifest's probe range is empty of meaning
-    /// (`probe_start > probe_end` is rejected by manifest validation on
-    /// every read path, so only a hand-built inconsistent header can
-    /// trip this).
     pub fn create_or_resume(
         target: &Path,
         header: &FileHeader,
@@ -1765,25 +1832,14 @@ impl ShardStreamWriter {
         engine_names: &[String],
         catalog: &BugCatalog,
     ) -> Result<Self, PersistError> {
-        let mut expected = Enc::new();
-        enc_header(&mut expected, header);
         let meta = MetaSection {
             keys: keys.to_vec(),
             engine_names: engine_names.to_vec(),
             catalog: catalog.clone(),
         };
-        let mut payload = Enc::new();
-        enc_meta_section(&mut payload, &meta);
-        let (meta_bytes, meta_checksum) = build_chunk(CHUNK_META, 0, 0, &payload.buf);
-        expected.buf.extend_from_slice(&meta_bytes);
-        let meta_entry = ChunkEntry {
-            offset: HEADER_LEN as u64,
-            len: meta_bytes.len() as u64,
-            kind: CHUNK_META,
-            first_probe: 0,
-            n_probes: 0,
-            checksum: meta_checksum,
-        };
+        // The header and meta chunk this pass writes, built in memory
+        // first so a part file's prefix can be compared against them.
+        let head = ChunkWriter::start(Vec::new(), header, &meta)?;
         let part = part_path_for(target);
 
         // A durable prefix is only worth resuming when its header and
@@ -1793,51 +1849,40 @@ impl ShardStreamWriter {
         let recovered = match fs::read(&part) {
             Ok(bytes) => scan_part(&bytes).ok().and_then(|p| {
                 let durable = usize::try_from(p.durable_len).ok()?;
-                (durable >= expected.buf.len() && bytes[..expected.buf.len()] == expected.buf[..])
+                (durable >= head.out.len() && bytes[..head.out.len()] == head.out[..])
                     .then(|| (p, fnv1a(&bytes[..durable])))
             }),
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
-        let zero = vec![(Duration::ZERO, Duration::ZERO); engine_names.len()];
-        match recovered {
+        let (w, resumed) = match recovered {
             Some((prefix, hash)) => {
                 let file = fs::OpenOptions::new().write(true).open(&part)?;
                 file.set_len(prefix.durable_len)?;
-                let mut file = io::BufWriter::new(file);
-                file.seek(SeekFrom::End(0))?;
-                Ok(ShardStreamWriter {
-                    target: target.to_path_buf(),
-                    part,
-                    file,
-                    header: *header,
-                    n_engines: engine_names.len(),
+                let mut out = io::BufWriter::new(file);
+                out.seek(SeekFrom::End(0))?;
+                let w = ChunkWriter {
+                    out,
                     offset: prefix.durable_len,
                     hash,
-                    next_probe: header.manifest.probe_start + prefix.probes,
-                    times: zero,
-                    resumed: prefix.probes,
                     chunks: prefix.chunks,
-                })
+                    times: head.times,
+                };
+                (w, prefix.probes)
             }
             None => {
-                let mut file = io::BufWriter::new(fs::File::create(&part)?);
-                file.write_all(&expected.buf)?;
-                Ok(ShardStreamWriter {
-                    target: target.to_path_buf(),
-                    part,
-                    file,
-                    header: *header,
-                    n_engines: engine_names.len(),
-                    offset: expected.buf.len() as u64,
-                    hash: fnv1a(&expected.buf),
-                    next_probe: header.manifest.probe_start,
-                    times: zero,
-                    resumed: 0,
-                    chunks: vec![meta_entry],
-                })
+                let out = io::BufWriter::new(fs::File::create(&part)?);
+                (ChunkWriter::start(out, header, &meta)?, 0)
             }
-        }
+        };
+        Ok(ShardStreamWriter {
+            target: target.to_path_buf(),
+            part,
+            w,
+            header: *header,
+            next_probe: header.manifest.probe_start + resumed,
+            resumed,
+        })
     }
 
     /// Probes already durable when this writer opened — the caller
@@ -1875,33 +1920,13 @@ impl ShardStreamWriter {
             self.next_probe < self.header.manifest.probe_end,
             "append past the manifest's probe range"
         );
-        assert_eq!(rec.deltas.len(), self.n_engines, "one delta row per engine");
-        assert_eq!(times.len(), self.n_engines, "one time pair per engine");
-        let mut payload = Enc::new();
-        enc_probe_record(&mut payload, rec);
-        let (bytes, checksum) = build_chunk(
-            CHUNK_PROBES,
-            self.next_probe,
-            PROBES_PER_CHUNK,
-            &payload.buf,
-        );
-        self.file.write_all(&bytes)?;
-        self.file.flush()?;
-        self.hash = fnv1a_update(self.hash, &bytes);
-        self.chunks.push(ChunkEntry {
-            offset: self.offset,
-            len: bytes.len() as u64,
-            kind: CHUNK_PROBES,
-            first_probe: self.next_probe,
-            n_probes: PROBES_PER_CHUNK,
-            checksum,
-        });
-        self.offset += bytes.len() as u64;
+        let n_engines = self.w.times.len();
+        assert_eq!(rec.deltas.len(), n_engines, "one delta row per engine");
+        assert_eq!(times.len(), n_engines, "one time pair per engine");
+        self.w.push_probe(self.next_probe, rec)?;
+        self.w.out.flush()?;
+        self.w.add_times(times.iter().copied());
         self.next_probe += 1;
-        for ((train, infer), &(t, i)) in self.times.iter_mut().zip(times) {
-            *train += t;
-            *infer += i;
-        }
         Ok(())
     }
 
@@ -1912,91 +1937,19 @@ impl ShardStreamWriter {
     ///
     /// Panics if the manifest's probe range has not been fully appended:
     /// a partial shard must stay a part file, never become a target.
-    pub fn finish(mut self) -> Result<FileHeader, PersistError> {
+    pub fn finish(self) -> Result<FileHeader, PersistError> {
         assert_eq!(
             self.next_probe, self.header.manifest.probe_end,
             "finish before the manifest's probe range is complete"
         );
-        let mut tail = Enc::new();
-        tail.buf = enc_footer(&self.chunks, &self.times);
-        tail.u64(self.offset);
-        self.hash = fnv1a_update(self.hash, &tail.buf);
-        tail.u64(self.hash);
-        self.file.write_all(&tail.buf)?;
-        self.file.flush()?;
-        if let Err(e) = fs::rename(&self.part, &self.target) {
-            return Err(e.into());
-        }
+        self.w.seal()?.flush()?;
+        fs::rename(&self.part, &self.target)?;
         Ok(self.header)
     }
 }
-
 // --------------------------------------------------------------------------
 // Streaming readers: random access, verification, shard concatenation
 // --------------------------------------------------------------------------
-
-/// Reads the 16-byte v3 trailer and the footer of an open file, returning
-/// `(footer_offset, stored file checksum, chunk index, engine times)`.
-/// Validates footer bounds and exact decode, not the chunk table.
-#[allow(clippy::type_complexity)]
-fn read_trailer_and_footer(
-    file: &mut fs::File,
-    file_len: u64,
-) -> Result<(u64, u64, Vec<ChunkEntry>, Vec<(Duration, Duration)>), PersistError> {
-    let min = (HEADER_LEN + CHUNK_OVERHEAD + TRAILER_LEN) as u64;
-    if file_len < min {
-        return Err(PersistError::Corrupt(format!(
-            "{file_len} bytes is too short for a v3 collection file"
-        )));
-    }
-    let mut trailer = [0u8; TRAILER_LEN];
-    file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-    file.read_exact(&mut trailer)?;
-    let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-    let stored_fnv = u64::from_le_bytes(trailer[8..].try_into().expect("8 bytes"));
-    let footer_end = file_len - TRAILER_LEN as u64;
-    if footer_offset < HEADER_LEN as u64 || footer_offset > footer_end {
-        return Err(PersistError::Corrupt(format!(
-            "footer offset {footer_offset} is out of bounds"
-        )));
-    }
-    let mut footer = vec![0u8; (footer_end - footer_offset) as usize];
-    file.seek(SeekFrom::Start(footer_offset))?;
-    file.read_exact(&mut footer)?;
-    let (chunks, times) = dec_footer(&footer)?;
-    Ok((footer_offset, stored_fnv, chunks, times))
-}
-
-/// Reads and validates the fixed header of an open file.
-fn read_file_header(file: &mut fs::File) -> Result<FileHeader, PersistError> {
-    let mut buf = [0u8; HEADER_LEN];
-    file.seek(SeekFrom::Start(0))?;
-    file.read_exact(&mut buf)?;
-    dec_header(&mut Dec::new(&buf))
-}
-
-/// Reads one chunk of an open file into `buf` and validates it against
-/// its footer index entry (bounds, frame fields and checksum).
-fn read_chunk_at<'b>(
-    file: &mut fs::File,
-    file_len: u64,
-    entry: &ChunkEntry,
-    buf: &'b mut Vec<u8>,
-) -> Result<ParsedChunk<'b>, PersistError> {
-    match entry.offset.checked_add(entry.len) {
-        Some(end) if end <= file_len => {}
-        _ => {
-            return Err(PersistError::Corrupt(format!(
-                "chunk at byte {} extends past end of file",
-                entry.offset
-            )));
-        }
-    }
-    buf.resize(entry.len as usize, 0);
-    file.seek(SeekFrom::Start(entry.offset))?;
-    file.read_exact(buf)?;
-    parse_indexed_chunk(buf, entry)
-}
 
 /// Random-access reader over one v3 collection file: opening touches only
 /// the header, trailer, footer and meta chunk, and
@@ -2004,19 +1957,17 @@ fn read_chunk_at<'b>(
 /// replaying a single probe from a full-size corpus costs O(chunk)
 /// memory, not O(corpus).
 ///
-/// Integrity model: every byte this reader consumes is covered by a
-/// validated per-chunk checksum cross-checked against the footer index;
+/// Integrity model: every probe record and every meta-chunk field this
+/// reader returns comes from a chunk whose checksum validated and whose
+/// frame agreed with its footer index entry. The header, footer and
+/// trailer are only checked for consistency, not against a checksum:
 /// the whole-file checksum is *not* recomputed (that would cost a full
 /// sequential read — use [`verify_stream`] for that).
 pub struct ProbeReader {
-    file: fs::File,
-    file_len: u64,
+    src: Source<'static>,
     header: FileHeader,
     chunks: Vec<ChunkEntry>,
-    times: Vec<(Duration, Duration)>,
-    keys: Vec<RunKey>,
-    engine_names: Vec<String>,
-    catalog: BugCatalog,
+    meta: MetaSection,
 }
 
 impl ProbeReader {
@@ -2024,32 +1975,14 @@ impl ProbeReader {
     /// chunk — but no probe chunk. When `expected` is given, the config
     /// fingerprint must match.
     pub fn open(path: &Path, expected: Option<u64>) -> Result<Self, PersistError> {
-        let mut file = fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let header = read_file_header(&mut file)?;
-        if let Some(expected) = expected {
-            if header.fingerprint != expected {
-                return Err(PersistError::Fingerprint {
-                    found: header.fingerprint,
-                    expected,
-                });
-            }
-        }
-        let (footer_offset, _, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
-        validate_chunk_table(&chunks, footer_offset, &header)?;
-        let mut buf = Vec::new();
-        let meta =
-            dec_meta_chunk(read_chunk_at(&mut file, file_len, &chunks[0], &mut buf)?.payload)?;
-        check_footer_times(&times, &meta)?;
+        let mut src = Source::open(path)?;
+        let index = read_index(&mut src, expected)?;
+        let (meta, _) = read_meta(&mut src, &index)?;
         Ok(ProbeReader {
-            file,
-            file_len,
-            header,
-            chunks,
-            times,
-            keys: meta.keys,
-            engine_names: meta.engine_names,
-            catalog: meta.catalog,
+            src,
+            header: index.header,
+            chunks: index.chunks,
+            meta,
         })
     }
 
@@ -2063,24 +1996,19 @@ impl ProbeReader {
         &self.chunks
     }
 
-    /// Per-engine `(train, infer)` wall-clock totals from the footer.
-    pub fn engine_times(&self) -> &[(Duration, Duration)] {
-        &self.times
-    }
-
     /// The run-key axis recorded in the meta chunk.
     pub fn keys(&self) -> &[RunKey] {
-        &self.keys
+        &self.meta.keys
     }
 
     /// The engine roster recorded in the meta chunk.
     pub fn engine_names(&self) -> &[String] {
-        &self.engine_names
+        &self.meta.engine_names
     }
 
     /// The bug catalogue recorded in the meta chunk.
     pub fn catalog(&self) -> &BugCatalog {
-        &self.catalog
+        &self.meta.catalog
     }
 
     /// Reads and decodes the single probe `probe` (absolute index of the
@@ -2098,23 +2026,13 @@ impl ProbeReader {
         let i = probes.partition_point(|c| c.first_probe <= probe) - 1;
         let entry = probes[i];
         debug_assert!(probe >= entry.first_probe && probe < entry.probe_end());
-        let mut buf = Vec::new();
-        let chunk = read_chunk_at(&mut self.file, self.file_len, &entry, &mut buf)?;
+        let n_engines = self.meta.engine_names.len();
+        let chunk = parse_indexed_chunk(self.src.read(entry.offset, entry.len)?, &entry)?;
         let mut dec = Dec::new(chunk.payload);
-        let mut rec = None;
-        for p in entry.first_probe..entry.probe_end() {
-            let r = dec_probe_record(&mut dec, self.engine_names.len())?;
-            if p == probe {
-                rec = Some(r);
-                break;
-            }
+        for _ in entry.first_probe..probe {
+            dec_probe_record(&mut dec, n_engines)?;
         }
-        rec.ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "chunk starting at probe {} decodes without covering probe {probe}",
-                entry.first_probe
-            ))
-        })
+        dec_probe_record(&mut dec, n_engines)
     }
 }
 
@@ -2130,76 +2048,39 @@ pub fn verify_stream(
     expected: Option<u64>,
     mut on_chunk: impl FnMut(&ChunkEntry),
 ) -> Result<FileHeader, PersistError> {
-    let mut file = fs::File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let header = read_file_header(&mut file)?;
-    if let Some(expected) = expected {
-        if header.fingerprint != expected {
-            return Err(PersistError::Fingerprint {
-                found: header.fingerprint,
-                expected,
-            });
-        }
+    let mut src = Source::open(path)?;
+    let index = read_index(&mut src, expected)?;
+    let (mut walk, _) = ChunkWalk::start(&mut src, &index)?;
+    on_chunk(&index.chunks[0]);
+    while let Some((entry, _)) = walk.next(drop)? {
+        on_chunk(&entry);
     }
-    let (footer_offset, stored_fnv, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
-    validate_chunk_table(&chunks, footer_offset, &header)?;
-    // Sequential pass with one reused buffer and an incremental hash.
-    let mut head = [0u8; HEADER_LEN];
-    file.seek(SeekFrom::Start(0))?;
-    file.read_exact(&mut head)?;
-    let mut hash = fnv1a(&head);
-    let mut buf = Vec::new();
-    let mut n_engines = None;
-    for entry in &chunks {
-        let chunk = read_chunk_at(&mut file, file_len, entry, &mut buf)?;
-        match n_engines {
-            None => {
-                let meta = dec_meta_chunk(chunk.payload)?;
-                check_footer_times(&times, &meta)?;
-                n_engines = Some(meta.engine_names.len());
-            }
-            Some(n) => dec_probe_chunk(&chunk, entry.offset, n, drop)?,
-        }
-        hash = fnv1a_update(hash, &buf);
-        on_chunk(entry);
-    }
-    // Footer + the trailer's footer-offset field are inside the
-    // whole-file checksum; only the final 8 checksum bytes are not.
-    let mut tail = vec![0u8; (file_len - 8 - footer_offset) as usize];
-    file.seek(SeekFrom::Start(footer_offset))?;
-    file.read_exact(&mut tail)?;
-    hash = fnv1a_update(hash, &tail);
-    if hash != stored_fnv {
-        return Err(PersistError::Corrupt("checksum mismatch".into()));
-    }
-    Ok(header)
+    Ok(index.header)
 }
 
-/// A sibling temp path unique per process and call, for atomic
-/// write-then-rename publication ([`is_temp_file_name`] grammar).
-fn temp_sibling(path: &Path) -> PathBuf {
-    // Unique per process and call: concurrent savers of the same path must
-    // not clobber each other's in-flight temp file — last rename wins with
-    // a complete file.
-    static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    path.with_extension(format!("{FILE_EXTENSION}.{}-{seq}.tmp", std::process::id()))
-}
-
-/// One opened, header- and footer-validated shard file of a shard set.
+/// One opened shard file of a shard set, with its validated index and
+/// decoded meta chunk.
 struct OpenShard {
-    file: fs::File,
-    file_len: u64,
-    header: FileHeader,
-    chunks: Vec<ChunkEntry>,
-    times: Vec<(Duration, Duration)>,
-    meta_bytes: Vec<u8>,
+    path: PathBuf,
+    src: Source<'static>,
+    index: Index,
+    meta: MetaSection,
+}
+
+/// Names the shard file `path` in the message of a `Corrupt` error.
+fn in_shard(path: &Path) -> impl Fn(PersistError) -> PersistError + '_ {
+    move |e| match e {
+        PersistError::Corrupt(why) => {
+            PersistError::Corrupt(format!("shard file {}: {why}", path.display()))
+        }
+        e => e,
+    }
 }
 
 /// Opens every shard file of `parts` and validates that together they
 /// form one complete pass: matching fingerprint, kind, corpus revision,
-/// partition width and byte-identical meta chunks, and probe ranges that
-/// are disjoint and cover `0..total_probes`. Any violation is a
+/// partition width and identical meta chunks, and probe ranges that are
+/// disjoint and cover `0..total_probes`. Any violation is a
 /// [`PersistError::Shard`] naming the offending shards and ranges. Input
 /// order is irrelevant — the shards come back sorted by probe range.
 fn open_shard_set(parts: &[PathBuf]) -> Result<Vec<OpenShard>, PersistError> {
@@ -2208,69 +2089,47 @@ fn open_shard_set(parts: &[PathBuf]) -> Result<Vec<OpenShard>, PersistError> {
     }
     let mut opened = Vec::with_capacity(parts.len());
     for path in parts {
-        let mut file = fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let header = read_file_header(&mut file)?;
-        let (footer_offset, _, chunks, times) = read_trailer_and_footer(&mut file, file_len)?;
-        validate_chunk_table(&chunks, footer_offset, &header)
-            .map_err(|e| PersistError::Corrupt(format!("shard file {}: {e}", path.display())))?;
-        let mut meta_bytes = Vec::new();
-        read_chunk_at(&mut file, file_len, &chunks[0], &mut meta_bytes)?;
+        let mut src = Source::open(path)?;
+        let index = read_index(&mut src, None).map_err(in_shard(path))?;
+        let (meta, _) = read_meta(&mut src, &index).map_err(in_shard(path))?;
+        let path = path.clone();
         opened.push(OpenShard {
-            file,
-            file_len,
-            header,
-            chunks,
-            times,
-            meta_bytes,
+            path,
+            src,
+            index,
+            meta,
         });
     }
-    opened.sort_by_key(|p| (p.header.manifest.probe_start, p.header.manifest.index));
-    let first = opened[0].header;
+    opened.sort_by_key(|p| {
+        let m = p.index.header.manifest;
+        (m.probe_start, m.index)
+    });
+    let (h0, meta0) = (opened[0].index.header, &opened[0].meta);
+    let describe = |h: &FileHeader| {
+        let (kind, fp, rev) = (h.kind, h.fingerprint, h.corpus_revision);
+        format!("{kind} {fp:016x} rev {rev}, {}", h.manifest)
+    };
+    let partition = |h: &FileHeader| (h.manifest.count, h.manifest.total_probes);
     for p in &opened[1..] {
-        let h = &p.header;
-        if h.fingerprint != first.fingerprint {
-            return Err(PersistError::Shard(format!(
-                "fingerprint mismatch: {:016x} vs {:016x}",
-                first.fingerprint, h.fingerprint
-            )));
-        }
-        if h.kind != first.kind {
-            return Err(PersistError::Shard(format!(
-                "experiment kind mismatch: {} vs {}",
-                first.kind, h.kind
-            )));
-        }
-        if h.corpus_revision != first.corpus_revision {
-            return Err(PersistError::Shard(format!(
-                "corpus revision mismatch: {} vs {}",
-                first.corpus_revision, h.corpus_revision
-            )));
-        }
-        if h.manifest.count != first.manifest.count
-            || h.manifest.total_probes != first.manifest.total_probes
-        {
-            return Err(PersistError::Shard(format!(
-                "partition mismatch: {} vs {}",
-                first.manifest, h.manifest
-            )));
-        }
-        if p.meta_bytes != opened[0].meta_bytes {
-            return Err(PersistError::Shard(format!(
-                "shard {} disagrees on the meta chunk (keys, engine roster or bug catalogue)",
-                h.manifest.index
-            )));
-        }
-        if p.times.len() != opened[0].times.len() {
-            return Err(PersistError::Shard(format!(
-                "shard {} disagrees on the engine roster length",
-                h.manifest.index
-            )));
+        let h = &p.index.header;
+        let checks = [
+            ("fingerprint", h.fingerprint != h0.fingerprint),
+            ("experiment kind", h.kind != h0.kind),
+            ("corpus revision", h.corpus_revision != h0.corpus_revision),
+            ("partition", partition(h) != partition(&h0)),
+            ("meta chunk (keys, engines, bugs)", p.meta != *meta0),
+        ];
+        if let Some((what, _)) = checks.into_iter().find(|&(_, differs)| differs) {
+            let why = format!("{what} mismatch: {} vs {}", describe(&h0), describe(h));
+            return Err(PersistError::Shard(why));
         }
     }
-    let expected_shards = first.manifest.count as usize;
+    let expected_shards = h0.manifest.count as usize;
     if opened.len() != expected_shards {
-        let have: Vec<u32> = opened.iter().map(|p| p.header.manifest.index).collect();
+        let have: Vec<u32> = opened
+            .iter()
+            .map(|p| p.index.header.manifest.index)
+            .collect();
         return Err(PersistError::Shard(format!(
             "expected {expected_shards} shards, got {} (indices {have:?})",
             opened.len()
@@ -2278,27 +2137,26 @@ fn open_shard_set(parts: &[PathBuf]) -> Result<Vec<OpenShard>, PersistError> {
     }
     let mut cursor = 0u64;
     for p in &opened {
-        let m = &p.header.manifest;
-        match m.probe_start.cmp(&cursor) {
-            std::cmp::Ordering::Less => {
-                return Err(PersistError::Shard(format!(
-                    "shard {} overlaps probes {}..{cursor}",
-                    m.index, m.probe_start
-                )));
-            }
-            std::cmp::Ordering::Greater => {
-                return Err(PersistError::Shard(format!(
-                    "probes {cursor}..{} missing (next is shard {})",
-                    m.probe_start, m.index
-                )));
-            }
-            std::cmp::Ordering::Equal => cursor = m.probe_end,
+        let m = &p.index.header.manifest;
+        if m.probe_start < cursor {
+            let why = format!(
+                "shard {} overlaps probes {}..{cursor}",
+                m.index, m.probe_start
+            );
+            return Err(PersistError::Shard(why));
+        } else if m.probe_start > cursor {
+            let why = format!(
+                "probes {cursor}..{} missing (next is shard {})",
+                m.probe_start, m.index
+            );
+            return Err(PersistError::Shard(why));
         }
+        cursor = m.probe_end;
     }
-    if cursor != first.manifest.total_probes {
+    if cursor != h0.manifest.total_probes {
         return Err(PersistError::Shard(format!(
             "probes {cursor}..{} missing at the end of the partition",
-            first.manifest.total_probes
+            h0.manifest.total_probes
         )));
     }
     Ok(opened)
@@ -2306,7 +2164,7 @@ fn open_shard_set(parts: &[PathBuf]) -> Result<Vec<OpenShard>, PersistError> {
 
 /// The header of the full file a validated shard set merges into.
 fn merged_header(opened: &[OpenShard]) -> FileHeader {
-    let first = opened[0].header;
+    let first = opened[0].index.header;
     FileHeader {
         manifest: ShardManifest::full(first.manifest.total_probes as usize),
         ..first
@@ -2325,10 +2183,13 @@ pub fn check_shard_set(parts: &[PathBuf]) -> Result<FileHeader, PersistError> {
 /// Reassembles a full collection file at `out` by **streaming
 /// concatenation** of shard files — probe chunks are copied verbatim
 /// (their frames carry absolute probe indices and their checksums do not
-/// depend on position), validated chunk-by-chunk during the copy, with
-/// only the footer and trailer rewritten. Peak memory is O(chunk), never
-/// O(corpus), and the output is byte-identical to encoding the merged
-/// collection directly (engine times sum over shards).
+/// depend on position), with only the footer and trailer rewritten. Each
+/// shard is walked like [`verify_stream`] walks it — every chunk checked
+/// and decoded, the shard's whole-file checksum compared with its
+/// trailer — so a damaged shard fails the merge before anything is
+/// published. Peak memory is O(chunk), never O(corpus), and the output
+/// is byte-identical to encoding the merged collection directly (engine
+/// times sum over shards).
 ///
 /// Because every probe's collection pipeline is deterministic and
 /// independent, the merged corpus is identical to the one a
@@ -2338,51 +2199,19 @@ pub fn check_shard_set(parts: &[PathBuf]) -> Result<FileHeader, PersistError> {
 pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, PersistError> {
     let mut opened = open_shard_set(parts)?;
     let out_header = merged_header(&opened);
-    let tmp = temp_sibling(out);
-    let result = (|| -> Result<(), PersistError> {
-        let mut head = Enc::new();
-        enc_header(&mut head, &out_header);
-        head.buf.extend_from_slice(&opened[0].meta_bytes);
-        let mut hash = fnv1a(&head.buf);
-        let mut offset = head.buf.len() as u64;
-        let mut dst = io::BufWriter::new(fs::File::create(&tmp)?);
-        dst.write_all(&head.buf)?;
-        let mut chunks = vec![ChunkEntry {
-            offset: HEADER_LEN as u64,
-            ..opened[0].chunks[0]
-        }];
-        let mut times = vec![(Duration::ZERO, Duration::ZERO); opened[0].times.len()];
-        let mut buf = Vec::new();
+    write_atomically(out, |tmp| {
+        let dst = io::BufWriter::new(fs::File::create(tmp)?);
+        let mut w = ChunkWriter::start(dst, &out_header, &opened[0].meta)?;
         for p in &mut opened {
-            for entry in &p.chunks[1..] {
-                read_chunk_at(&mut p.file, p.file_len, entry, &mut buf)?;
-                dst.write_all(&buf)?;
-                hash = fnv1a_update(hash, &buf);
-                chunks.push(ChunkEntry { offset, ..*entry });
-                offset += entry.len;
+            let (mut walk, _) =
+                ChunkWalk::start(&mut p.src, &p.index).map_err(in_shard(&p.path))?;
+            while let Some((entry, bytes)) = walk.next(drop).map_err(in_shard(&p.path))? {
+                w.copy(&entry, bytes)?;
             }
-            for ((train, infer), &(t, i)) in times.iter_mut().zip(&p.times) {
-                *train += t;
-                *infer += i;
-            }
+            w.add_times(p.index.times.iter().copied());
         }
-        let mut tail = Enc::new();
-        tail.buf = enc_footer(&chunks, &times);
-        tail.u64(offset);
-        hash = fnv1a_update(hash, &tail.buf);
-        tail.u64(hash);
-        dst.write_all(&tail.buf)?;
-        dst.flush()?;
-        Ok(())
-    })();
-    if let Err(e) = result {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    if let Err(e) = fs::rename(&tmp, out) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e.into());
-    }
+        Ok(w.seal()?.flush()?)
+    })?;
     Ok(out_header)
 }
 
@@ -2390,16 +2219,36 @@ pub fn merge_shard_files(parts: &[PathBuf], out: &Path) -> Result<FileHeader, Pe
 // Files and front doors
 // --------------------------------------------------------------------------
 
+/// A sibling temp path unique per process and call, for atomic
+/// write-then-rename publication ([`is_temp_file_name`] grammar).
+fn temp_sibling(path: &Path) -> PathBuf {
+    // Unique per process and call: concurrent savers of the same path must
+    // not clobber each other's in-flight temp file — last rename wins with
+    // a complete file.
+    static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    path.with_extension(format!("{FILE_EXTENSION}.{}-{seq}.tmp", std::process::id()))
+}
+
+/// Publishes `path` atomically: `write` fills a sibling temp file, which
+/// is then renamed over `path`. On any failure the temp file is removed,
+/// so readers see the old file or the complete new one, never a part.
+fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&Path) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    let tmp = temp_sibling(path);
+    let result = write(&tmp).and_then(|()| Ok(fs::rename(&tmp, path)?));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
+}
+
 /// Saves an encoded collection to `path` (atomically: write to a sibling
 /// temp file, then rename).
 fn save_bytes(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let tmp = temp_sibling(path);
-    fs::write(&tmp, bytes)?;
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
+    write_atomically(path, |tmp| Ok(fs::write(tmp, bytes)?))
 }
 
 /// Saves a full core-experiment collection to `path` (atomically), tagged
@@ -2476,15 +2325,15 @@ fn complete_shard_group(
         {
             continue;
         }
-        let mut file = match fs::File::open(&path) {
-            Ok(file) => file,
+        let mut src = match Source::open(&path) {
+            Ok(src) => src,
             // Pruned or still being renamed into place: not ours to judge.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e.into()),
+            Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
         };
         let corrupt =
             |e: PersistError| PersistError::Corrupt(format!("shard file {}: {e}", path.display()));
-        let header = read_file_header(&mut file).map_err(corrupt)?;
+        let header = src.header().map_err(corrupt)?;
         if header.fingerprint != fingerprint {
             return Err(corrupt(PersistError::Fingerprint {
                 found: header.fingerprint,
@@ -2606,57 +2455,49 @@ pub fn collect_shard_or_resume(
     shard: ShardSpec,
 ) -> Result<ShardOutcome, PersistError> {
     let fingerprint = config_fingerprint(config);
-    match fs::read(path) {
-        Ok(bytes) => {
-            let (col, header) = decode_collection_with(&bytes, Some(fingerprint))?;
-            if header.manifest.index as usize != shard.index
-                || header.manifest.count as usize != shard.count
-            {
-                return Err(PersistError::Shard(format!(
-                    "{} holds {}, expected shard {}/{}",
-                    path.display(),
-                    header.manifest,
-                    shard.index,
-                    shard.count
-                )));
-            }
-            return Ok(ShardOutcome {
-                collection: col,
-                status: CacheStatus::Replayed,
-                resumed_probes: 0,
-            });
+    let (status, resumed_probes, bytes) = match fs::read(path) {
+        Ok(bytes) => (CacheStatus::Replayed, 0, bytes),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let pass = PreparedPass::new(config);
+            let identity = &pass.identity;
+            let header = FileHeader {
+                kind: config.kind(),
+                corpus_revision: CORPUS_REVISION,
+                fingerprint,
+                manifest: ShardManifest::of(shard, identity.total_probes),
+            };
+            let mut writer = ShardStreamWriter::create_or_resume(
+                path,
+                &header,
+                &identity.keys,
+                &identity.engine_names,
+                &identity.catalog,
+            )?;
+            let resumed = writer.resumed_probes();
+            pass.stream(shard, resumed as usize, |meta, output| {
+                append_probe_output(&mut writer, meta, output)
+            })?;
+            writer.finish()?;
+            (CacheStatus::Collected, resumed, fs::read(path)?)
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e.into()),
-    }
-    let pass = PreparedPass::new(config);
-    let identity = &pass.identity;
-    let header = FileHeader {
-        kind: config.kind(),
-        corpus_revision: CORPUS_REVISION,
-        fingerprint,
-        manifest: ShardManifest::of(shard, identity.total_probes),
     };
-    let mut writer = ShardStreamWriter::create_or_resume(
-        path,
-        &header,
-        &identity.keys,
-        &identity.engine_names,
-        &identity.catalog,
-    )?;
-    let resumed = writer.resumed_probes();
-    pass.stream(shard, resumed as usize, |meta, output| {
-        append_probe_output(&mut writer, meta, output)
-    })?;
-    writer.finish()?;
-    // Replaying the finished file is the validation pass: every chunk —
-    // recovered or fresh — decodes under the same checks a reader uses.
-    let bytes = fs::read(path)?;
-    let (collection, _) = decode_collection_with(&bytes, Some(fingerprint))?;
+    // Replaying the file is also the validation pass of a fresh one:
+    // every chunk — recovered or new — decodes under a reader's checks.
+    let (collection, header) = decode_collection_with(&bytes, Some(fingerprint))?;
+    let m = header.manifest;
+    if m.index as usize != shard.index || m.count as usize != shard.count {
+        return Err(PersistError::Shard(format!(
+            "{} holds {m}, expected shard {}/{}",
+            path.display(),
+            shard.index,
+            shard.count
+        )));
+    }
     Ok(ShardOutcome {
         collection,
-        status: CacheStatus::Collected,
-        resumed_probes: resumed,
+        status,
+        resumed_probes,
     })
 }
 
@@ -3046,6 +2887,44 @@ mod tests {
             ));
             assert!(!out.exists(), "a rejected merge must write nothing");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_rejects_a_shard_whose_seal_fails() {
+        let dir = scratch("merge-seal");
+        let kind = ExperimentKind::Core;
+        let first = save_shard(&dir, "a", &shard_part(0), &shard_header(0, 2, 0, 1, 2));
+        let second = save_shard(&dir, "a", &shard_part(1), &shard_header(1, 2, 1, 2, 2));
+        // Flip the top byte of the last engine's footer `train` seconds:
+        // no chunk checksum covers the footer, only the whole-file seal.
+        let mut bytes = fs::read(&first).expect("read shard");
+        let at = bytes.len() - TRAILER_LEN - 24 + 7;
+        bytes[at] ^= 0x01;
+        fs::write(&first, &bytes).expect("write shard");
+
+        let out = dir.join("merged.pbcol");
+        match merge_shard_files(&[first, second], &out) {
+            Err(PersistError::Corrupt(_)) => {}
+            other => panic!("expected a corrupt-shard error, got {other:?}"),
+        }
+        assert!(!out.exists(), "a rejected merge must write nothing");
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .expect("list")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| is_temp_file_name(name))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
+
+        let target = dir.join(cache_file_name("a", kind, 7));
+        assert!(
+            load_or_assemble(&target, kind, 7).is_err(),
+            "assembly must not accept a shard whose seal fails"
+        );
+        assert!(!target.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

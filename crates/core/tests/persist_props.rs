@@ -13,8 +13,8 @@ use perfbug_core::experiment::{
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::persist::{
     cache_file_name, collect_or_load, config_fingerprint, decode_collection, encode_collection,
-    load_collection, parse_cache_file_name, save_collection, shard_file_name, CacheStatus,
-    ExperimentKind, PersistError, FORMAT_VERSION,
+    load_collection, parse_cache_file_name, save_collection, shard_file_name, verify_stream,
+    CacheStatus, ExperimentKind, PersistError, ProbeReader, FORMAT_VERSION,
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
@@ -116,6 +116,40 @@ fn synth_collection(
     }
 }
 
+/// Saves `bad` — a corrupted or truncated encoding of `col` under
+/// `fingerprint` — to a file named `tag` and checks the file readers
+/// against it: `verify_stream` must reject it, and `ProbeReader` must
+/// either fail or hand back exactly `col`'s meta and probe records.
+fn file_readers_reject_or_agree(tag: &str, col: &Collection, fingerprint: u64, bad: &[u8]) {
+    let dir = std::env::temp_dir().join(format!("perfbug-parity-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let pristine = dir.join(format!("{tag}-pristine.pbcol"));
+    save_collection(&pristine, col, fingerprint).expect("save");
+    let mut reader = ProbeReader::open(&pristine, Some(fingerprint)).expect("pristine opens");
+    let originals: Vec<_> = (0..col.probes.len() as u64)
+        .map(|p| reader.read_probe(p).expect("pristine probe reads"))
+        .collect();
+
+    let path = dir.join(format!("{tag}.pbcol"));
+    std::fs::write(&path, bad).expect("write");
+    assert!(
+        verify_stream(&path, None, |_| {}).is_err(),
+        "{tag}: verify_stream accepted a damaged file"
+    );
+    if let Ok(mut reader) = ProbeReader::open(&path, Some(fingerprint)) {
+        assert_eq!(reader.keys(), &col.keys[..], "{tag}: keys differ");
+        assert_eq!(reader.catalog(), &col.catalog, "{tag}: catalogue differs");
+        let names: Vec<_> = col.engines.iter().map(|e| e.name.clone()).collect();
+        assert_eq!(reader.engine_names(), &names[..], "{tag}: roster differs");
+        for (p, original) in originals.iter().enumerate() {
+            if let Ok(rec) = reader.read_probe(p as u64) {
+                assert!(rec == *original, "{tag}: probe {p} reads back altered");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -149,6 +183,7 @@ proptest! {
             decode_collection(&bytes, fingerprint).is_err(),
             "flipping byte {pos} with {flip:#x} went undetected"
         );
+        file_readers_reject_or_agree("corrupt", &col, fingerprint, &bytes);
     }
 
     #[test]
@@ -157,6 +192,7 @@ proptest! {
         let bytes = encode_collection(&col, fingerprint);
         let cut = (cut_seed as usize) % bytes.len();
         prop_assert!(decode_collection(&bytes[..cut], fingerprint).is_err());
+        file_readers_reject_or_agree("truncated", &col, fingerprint, &bytes[..cut]);
     }
 
     #[test]
