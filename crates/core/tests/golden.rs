@@ -3,7 +3,9 @@
 //! [`GOLDEN_CORE_DIGEST`] and [`GOLDEN_MEM_DIGEST`], and the core
 //! simulator's raw output over every extended-catalogue bug must hash to
 //! [`GOLDEN_SIM_DIGEST`]. The single-stage baseline's decisions over the
-//! tiny core corpus must hash to [`GOLDEN_BASELINE_DIGEST`].
+//! tiny core corpus must hash to [`GOLDEN_BASELINE_DIGEST`], and the same
+//! corpus collected with the Lasso and neural engines must hash to
+//! [`GOLDEN_ENGINES_DIGEST`].
 //!
 //! This is the machine check behind "the corpus is unchanged": any change
 //! to simulation, counter selection, stage-1 numerics or the PBCL codec
@@ -21,7 +23,7 @@ use perfbug_core::persist::{
     GOLDEN_MEM_DIGEST,
 };
 use perfbug_core::stage1::EngineSpec;
-use perfbug_ml::GbtParams;
+use perfbug_ml::{CnnParams, GbtParams, LassoParams, LstmParams, MlpParams};
 use perfbug_uarch::{presets, simulate, BugSpec};
 use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
 
@@ -158,5 +160,49 @@ fn baseline_digest_matches_the_pinned_revision() {
         baseline_digest, GOLDEN_BASELINE_DIGEST,
         "baseline decisions changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
          re-pin GOLDEN_BASELINE_DIGEST = {baseline_digest:#018x}"
+    );
+}
+
+/// FNV-1a of the tiny core corpus collected with Lasso, `1-MLP-8`, a
+/// 2-block CNN and `1-LSTM-8` instead of GBT, timings zeroed.
+///
+/// [`GOLDEN_CORE_DIGEST`] only exercises the GBT engine; this pins every
+/// other stage-1 engine's training and inference, so a refactor of the
+/// neural training loops that moves a single prediction fails here. The
+/// epoch caps keep the collection to a few seconds.
+const GOLDEN_ENGINES_DIGEST: u64 = 0x53b0_b20e_360e_bd0f;
+
+#[test]
+fn engines_digest_matches_the_pinned_revision() {
+    let mut config = tiny_core_config();
+    config.engines = vec![
+        EngineSpec::Lasso(LassoParams::default()),
+        EngineSpec::Mlp(MlpParams {
+            hidden: vec![8],
+            max_epochs: 20,
+            patience: 5,
+            ..MlpParams::default()
+        }),
+        EngineSpec::Cnn(CnnParams {
+            conv_blocks: 2,
+            filters: 4,
+            hidden: 8,
+            max_epochs: 20,
+            patience: 5,
+            ..CnnParams::default()
+        }),
+        EngineSpec::Lstm(LstmParams {
+            layers: 1,
+            hidden: 8,
+            max_epochs: 20,
+            patience: 5,
+            ..LstmParams::default()
+        }),
+    ];
+    let engines_digest = digest(collect(&config), config_fingerprint(&config));
+    assert_eq!(
+        engines_digest, GOLDEN_ENGINES_DIGEST,
+        "stage-1 engine output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
+         bump CORPUS_REVISION and re-pin GOLDEN_ENGINES_DIGEST = {engines_digest:#018x}"
     );
 }
