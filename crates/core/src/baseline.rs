@@ -77,15 +77,13 @@ impl BaselineClassifier {
             "all probes must see the same designs"
         );
 
-        // Train per-probe regressors to the 0/1 label. Fits run on one
-        // histogram thread: `evaluate_baseline` already runs the folds in
-        // a worker pool.
+        // Train per-probe regressors to the 0/1 label.
         let mut models = Vec::with_capacity(per_probe.len());
         for samples in per_probe {
             let rows: Vec<Vec<f64>> = samples.iter().map(|s| s.features.clone()).collect();
             let y: Vec<f64> = samples.iter().map(|s| f64::from(s.has_bug as u8)).collect();
             let data = Dataset::from_rows(&rows, &y).expect("aligned baseline data");
-            let mut model = Gbt::new(params.gbt).with_hist_threads(1);
+            let mut model = Gbt::new(params.gbt);
             model.fit(&data, None);
             models.push(model);
         }

@@ -462,14 +462,6 @@ fn unit_grid(designs: &[Design], n_bugs: usize) -> (Vec<Unit>, exec::UnitGrid, V
     (units, grid, keys)
 }
 
-/// Number of distinct simulation units — (design, bug) combinations —
-/// every probe of a collection pass runs. [`collect`] simulates exactly
-/// `probes x this` runs; throughput tooling uses it to turn wall time
-/// into runs/sec without re-deriving the grid shape.
-pub fn simulation_units_per_probe(exp: &dyn Experiment) -> usize {
-    unit_grid(&exp.designs(), exp.catalog().len()).0.len()
-}
-
 /// Selects up to `max` probes round-robin across benchmarks, tagging each
 /// with its benchmark index.
 fn subsample_probes(per_benchmark: Vec<Vec<Probe>>, max: Option<usize>) -> Vec<(usize, Probe)> {

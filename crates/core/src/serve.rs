@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -777,22 +777,4 @@ pub fn addr_from_env() -> String {
 /// Store root from [`STORE_ENV`], when set.
 pub fn store_from_env() -> Option<PathBuf> {
     std::env::var(STORE_ENV).ok().map(PathBuf::from)
-}
-
-/// Report path helper re-exported for operators reading the store
-/// directly (`<full cache path>.orchrun.json` sibling).
-pub fn report_path_in(plan: &CollectPlan) -> PathBuf {
-    report_path_for(&plan.full_path())
-}
-
-/// Whether `path` looks like a multi-tenant store root (exists and
-/// contains at least one tenant directory).
-pub fn looks_like_store(path: &Path) -> bool {
-    std::fs::read_dir(path)
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .any(|e| is_tenant_dir_name(&e.file_name().to_string_lossy()) && e.path().is_dir())
-        })
-        .unwrap_or(false)
 }

@@ -198,13 +198,7 @@ impl ProbeModel {
                     EngineSpec::Lasso(p) => Box::new(Lasso::new(*p)),
                     EngineSpec::Mlp(p) => Box::new(Mlp::new(p.clone())),
                     EngineSpec::Cnn(p) => Box::new(Cnn::new(*p)),
-                    // Stage-1 fits run on the collection engine's
-                    // (probe x engine) training grid, which already
-                    // saturates the machine — keep the GBT's per-node
-                    // histogram builds serial rather than spawning nested
-                    // threads inside every pool worker (output is
-                    // bit-identical either way).
-                    EngineSpec::Gbt(p) => Box::new(Gbt::new(*p).with_hist_threads(1)),
+                    EngineSpec::Gbt(p) => Box::new(Gbt::new(*p)),
                     EngineSpec::Lstm(_) => unreachable!("handled above"),
                 };
                 boxed.fit(&train_data, val_ref);

@@ -3,7 +3,9 @@
 //! Following the paper (§III-C), the per-step feature vector is treated as a
 //! one-dimensional signal (after Eren et al. and Lee et al.), convolved by a
 //! stack of `conv -> ReLU -> max-pool(2)` blocks, then flattened into a
-//! ReLU dense layer and a linear output.
+//! ReLU dense layer and a linear output. Like [`crate::Mlp`] and
+//! [`crate::Lstm`], every parameter lives in one flat buffer that
+//! [`Adam`] steps in place.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -58,18 +60,21 @@ impl Default for CnnParams {
 
 const KERNEL: usize = 3;
 
-#[derive(Debug, Clone)]
-struct ConvLayer {
+/// Parameter layout of one conv block inside the flat buffer.
+#[derive(Debug, Clone, Copy)]
+struct ConvLayout {
     in_ch: usize,
     out_ch: usize,
-    /// Weights `[out_ch][in_ch][KERNEL]` flattened.
-    w: Vec<f64>,
-    b: Vec<f64>,
+    /// Offset of the weights (`[out_ch][in_ch][KERNEL]`).
+    w: usize,
+    /// Offset of the biases (`out_ch`).
+    b: usize,
 }
 
-impl ConvLayer {
-    fn w_at(&self, o: usize, c: usize, k: usize) -> f64 {
-        self.w[(o * self.in_ch + c) * KERNEL + k]
+impl ConvLayout {
+    /// Index of weight `(o, c, k)` relative to [`ConvLayout::w`].
+    fn w_idx(&self, o: usize, c: usize, k: usize) -> usize {
+        (o * self.in_ch + c) * KERNEL + k
     }
 }
 
@@ -114,13 +119,17 @@ struct CnnScratch {
 #[derive(Debug, Clone)]
 pub struct Cnn {
     params: CnnParams,
-    convs: Vec<ConvLayer>,
-    /// Dense hidden layer: `[hidden][flat]` weights + biases.
-    dense_w: Vec<f64>,
-    dense_b: Vec<f64>,
-    /// Output layer: `[1][hidden]` weights + bias.
-    out_w: Vec<f64>,
-    out_b: f64,
+    convs: Vec<ConvLayout>,
+    /// Flat parameters: per conv block weights then biases, then the
+    /// dense hidden layer (`[hidden][flat]` weights, `hidden` biases),
+    /// then the output layer (`hidden` weights, one bias).
+    theta: Vec<f64>,
+    /// Offsets of the dense weights and biases and the output weights
+    /// and bias inside `theta`.
+    dense_w: usize,
+    dense_b: usize,
+    out_w: usize,
+    out_b: usize,
     flat_len: usize,
     n_features: usize,
     scaler: Option<StandardScaler>,
@@ -132,10 +141,11 @@ impl Cnn {
         Cnn {
             params,
             convs: Vec::new(),
-            dense_w: Vec::new(),
-            dense_b: Vec::new(),
-            out_w: Vec::new(),
-            out_b: 0.0,
+            theta: Vec::new(),
+            dense_w: 0,
+            dense_b: 0,
+            out_w: 0,
+            out_b: 0,
             flat_len: 0,
             n_features: 0,
             scaler: None,
@@ -144,19 +154,16 @@ impl Cnn {
 
     /// Total number of trainable parameters (0 before fit).
     pub fn n_params(&self) -> usize {
-        self.convs
-            .iter()
-            .map(|c| c.w.len() + c.b.len())
-            .sum::<usize>()
-            + self.dense_w.len()
-            + self.dense_b.len()
-            + self.out_w.len()
-            + 1
+        self.theta.len()
     }
 
     fn init(&mut self, n_features: usize, rng: &mut impl Rng) {
         self.n_features = n_features;
         self.convs.clear();
+        self.theta.clear();
+        let mut draw = |theta: &mut Vec<f64>, n: usize, scale: f64| {
+            theta.extend((0..n).map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * scale));
+        };
         let mut len = n_features;
         let mut in_ch = 1;
         for _ in 0..self.params.conv_blocks {
@@ -164,47 +171,60 @@ impl Cnn {
                 break; // signal too short to pool further
             }
             let out_ch = self.params.filters;
-            let scale = (2.0 / (in_ch * KERNEL) as f64).sqrt();
-            let w = (0..out_ch * in_ch * KERNEL)
-                .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * scale)
-                .collect();
-            self.convs.push(ConvLayer {
+            let w = self.theta.len();
+            draw(
+                &mut self.theta,
+                out_ch * in_ch * KERNEL,
+                (2.0 / (in_ch * KERNEL) as f64).sqrt(),
+            );
+            let b = self.theta.len();
+            self.theta.resize(b + out_ch, 0.0);
+            self.convs.push(ConvLayout {
                 in_ch,
                 out_ch,
                 w,
-                b: vec![0.0; out_ch],
+                b,
             });
             len /= 2;
             in_ch = out_ch;
         }
         self.flat_len = len * in_ch;
         let h = self.params.hidden;
-        let scale = (2.0 / self.flat_len as f64).sqrt();
-        self.dense_w = (0..h * self.flat_len)
-            .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * scale)
-            .collect();
-        self.dense_b = vec![0.0; h];
-        let scale = (2.0 / h as f64).sqrt();
-        self.out_w = (0..h)
-            .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * scale)
-            .collect();
-        self.out_b = 0.0;
+        self.dense_w = self.theta.len();
+        draw(
+            &mut self.theta,
+            h * self.flat_len,
+            (2.0 / self.flat_len as f64).sqrt(),
+        );
+        self.dense_b = self.theta.len();
+        self.theta.resize(self.dense_b + h, 0.0);
+        self.out_w = self.theta.len();
+        draw(&mut self.theta, h, (2.0 / h as f64).sqrt());
+        self.out_b = self.theta.len();
+        self.theta.push(0.0);
     }
 
     /// Convolves `input` (`in_ch x len`, flat channel-major) into the
     /// trace's reusable buffers.
-    fn conv_forward(layer: &ConvLayer, input: &[f64], len: usize, trace: &mut BlockTrace) {
+    fn conv_forward(
+        layer: &ConvLayout,
+        theta: &[f64],
+        input: &[f64],
+        len: usize,
+        trace: &mut BlockTrace,
+    ) {
+        let (w, b) = (&theta[layer.w..layer.b], &theta[layer.b..]);
         trace.len = len;
         trace.pre.clear();
         trace.pre.resize(layer.out_ch * len, 0.0);
         for o in 0..layer.out_ch {
             let pre = &mut trace.pre[o * len..(o + 1) * len];
-            pre.iter_mut().for_each(|v| *v = layer.b[o]);
+            pre.iter_mut().for_each(|v| *v = b[o]);
             for c in 0..layer.in_ch {
                 let ch = &input[c * len..(c + 1) * len];
                 for k in 0..KERNEL {
                     // Same padding: output p reads input p + k - 1.
-                    let w = layer.w_at(o, c, k);
+                    let w = w[layer.w_idx(o, c, k)];
                     let shift = k as isize - 1;
                     let (p0, p1) = match shift {
                         -1 => (1, len),
@@ -245,7 +265,7 @@ impl Cnn {
         for (bi, layer) in self.convs.iter().enumerate() {
             let (done, rest) = scratch.traces.split_at_mut(bi);
             let input: &[f64] = if bi == 0 { x } else { &done[bi - 1].pooled };
-            Self::conv_forward(layer, input, len, &mut rest[0]);
+            Self::conv_forward(layer, &self.theta, input, len, &mut rest[0]);
             len = rest[0].pooled_len;
         }
         let flat: &[f64] = match scratch.traces.last() {
@@ -255,58 +275,67 @@ impl Cnn {
         debug_assert_eq!(flat.len(), self.flat_len);
         let h = self.params.hidden;
         scratch.hidden.resize(h, 0.0);
-        gemv(&self.dense_w, h, self.flat_len, flat, &mut scratch.hidden);
-        for (v, b) in scratch.hidden.iter_mut().zip(&self.dense_b) {
+        gemv(
+            &self.theta[self.dense_w..self.dense_b],
+            h,
+            self.flat_len,
+            flat,
+            &mut scratch.hidden,
+        );
+        for (v, b) in scratch
+            .hidden
+            .iter_mut()
+            .zip(&self.theta[self.dense_b..self.out_w])
+        {
             *v = (*v + b).max(0.0);
         }
-        self.out_b + dot(&self.out_w, &scratch.hidden)
+        self.theta[self.out_b] + dot(&self.theta[self.out_w..self.out_b], &scratch.hidden)
     }
 
     /// Backward pass over the activations left by [`Cnn::forward_with`];
-    /// accumulates into `grad` and returns the squared error.
+    /// accumulates into `grad` (laid out like `theta`) and returns the
+    /// squared error.
     fn backward_with(
         &self,
         x: &[f64],
         out: f64,
         target: f64,
         scratch: &mut CnnScratch,
-        grad: &mut CnnGrad,
+        grad: &mut [f64],
     ) -> f64 {
         let err = out - target;
         let d_out = 2.0 * err;
-        grad.out_b += d_out;
+        grad[self.out_b] += d_out;
         let h = self.params.hidden;
         let hidden = &scratch.hidden;
-        axpy(d_out, hidden, &mut grad.out_w);
+        axpy(d_out, hidden, &mut grad[self.out_w..self.out_b]);
         scratch.d_hidden.resize(h, 0.0);
-        for ((dh, &a), &w) in scratch.d_hidden.iter_mut().zip(hidden).zip(&self.out_w) {
+        for ((dh, &a), &w) in scratch
+            .d_hidden
+            .iter_mut()
+            .zip(hidden)
+            .zip(&self.theta[self.out_w..self.out_b])
+        {
             *dh = if a > 0.0 { d_out * w } else { 0.0 };
         }
         scratch.d_flat.clear();
         scratch.d_flat.resize(self.flat_len, 0.0);
-        let flat_owned_by_trace = !scratch.traces.is_empty();
-        {
-            // `flat` aliases the last trace's pooled buffer, which the
-            // remaining backward steps only read.
-            let d_hidden = &scratch.d_hidden;
-            for (i, &d) in d_hidden.iter().enumerate() {
-                if d == 0.0 {
-                    continue;
-                }
-                grad.dense_b[i] += d;
-                let row = i * self.flat_len;
-                let flat: &[f64] = if flat_owned_by_trace {
-                    &scratch.traces[scratch.traces.len() - 1].pooled
-                } else {
-                    x
-                };
-                axpy(d, flat, &mut grad.dense_w[row..row + self.flat_len]);
-                axpy(
-                    d,
-                    &self.dense_w[row..row + self.flat_len],
-                    &mut scratch.d_flat,
-                );
+        let flat: &[f64] = match scratch.traces.last() {
+            Some(last) => &last.pooled,
+            None => x,
+        };
+        for (i, &d) in scratch.d_hidden.iter().enumerate() {
+            if d == 0.0 {
+                continue;
             }
+            grad[self.dense_b + i] += d;
+            let row = self.dense_w + i * self.flat_len;
+            axpy(d, flat, &mut grad[row..row + self.flat_len]);
+            axpy(
+                d,
+                &self.theta[row..row + self.flat_len],
+                &mut scratch.d_flat,
+            );
         }
         // Backward through conv blocks in reverse; the signal gradient
         // ping-pongs between two reusable buffers.
@@ -315,11 +344,7 @@ impl Cnn {
         for (bi, layer) in self.convs.iter().enumerate().rev() {
             let (done, rest) = scratch.traces.split_at_mut(bi);
             let trace = &rest[0];
-            let (input, in_len): (&[f64], usize) = if bi == 0 {
-                (x, trace.len)
-            } else {
-                (&done[bi - 1].pooled, trace.len)
-            };
+            let input: &[f64] = if bi == 0 { x } else { &done[bi - 1].pooled };
             let len = trace.len;
             // Through pool: route gradient to argmax positions, then gate
             // by ReLU'(pre).
@@ -335,23 +360,25 @@ impl Cnn {
             }
             // Conv weight/bias/input gradients.
             scratch.d_input.clear();
-            scratch.d_input.resize(layer.in_ch * in_len, 0.0);
-            let g = &mut grad.convs[bi];
-            for o in 0..layer.out_ch {
+            scratch.d_input.resize(layer.in_ch * len, 0.0);
+            let w = &self.theta[layer.w..layer.b];
+            let (gw, gb) = grad[layer.w..layer.b + layer.out_ch].split_at_mut(layer.b - layer.w);
+            for (o, gb) in gb.iter_mut().enumerate() {
                 for p in 0..len {
                     let d = scratch.d_relu[o * len + p];
                     if d == 0.0 {
                         continue;
                     }
-                    g.b[o] += d;
+                    *gb += d;
                     for c in 0..layer.in_ch {
-                        let ch = &input[c * in_len..(c + 1) * in_len];
-                        let d_ch = &mut scratch.d_input[c * in_len..(c + 1) * in_len];
+                        let ch = &input[c * len..(c + 1) * len];
+                        let d_ch = &mut scratch.d_input[c * len..(c + 1) * len];
                         for k in 0..KERNEL {
                             let idx = p as isize + k as isize - 1;
-                            if idx >= 0 && (idx as usize) < in_len {
-                                g.w[(o * layer.in_ch + c) * KERNEL + k] += d * ch[idx as usize];
-                                d_ch[idx as usize] += d * layer.w_at(o, c, k);
+                            if idx >= 0 && (idx as usize) < len {
+                                let wi = layer.w_idx(o, c, k);
+                                gw[wi] += d * ch[idx as usize];
+                                d_ch[idx as usize] += d * w[wi];
                             }
                         }
                     }
@@ -367,107 +394,6 @@ impl Cnn {
             .map(|i| self.forward_with(data.sample(i).0, scratch))
             .collect();
         mse(&preds, data.y())
-    }
-
-    fn flatten_grads(&self, grad: &CnnGrad, out: &mut Vec<f64>) {
-        out.clear();
-        for g in &grad.convs {
-            out.extend_from_slice(&g.w);
-            out.extend_from_slice(&g.b);
-        }
-        out.extend_from_slice(&grad.dense_w);
-        out.extend_from_slice(&grad.dense_b);
-        out.extend_from_slice(&grad.out_w);
-        out.push(grad.out_b);
-    }
-
-    fn flatten_params(&self, out: &mut Vec<f64>) {
-        out.clear();
-        for c in &self.convs {
-            out.extend_from_slice(&c.w);
-            out.extend_from_slice(&c.b);
-        }
-        out.extend_from_slice(&self.dense_w);
-        out.extend_from_slice(&self.dense_b);
-        out.extend_from_slice(&self.out_w);
-        out.push(self.out_b);
-    }
-
-    fn unflatten_params(&mut self, flat: &[f64]) {
-        let mut i = 0;
-        for c in &mut self.convs {
-            let (wn, bn) = (c.w.len(), c.b.len());
-            c.w.copy_from_slice(&flat[i..i + wn]);
-            i += wn;
-            c.b.copy_from_slice(&flat[i..i + bn]);
-            i += bn;
-        }
-        let dn = self.dense_w.len();
-        self.dense_w.copy_from_slice(&flat[i..i + dn]);
-        i += dn;
-        let bn = self.dense_b.len();
-        self.dense_b.copy_from_slice(&flat[i..i + bn]);
-        i += bn;
-        let on = self.out_w.len();
-        self.out_w.copy_from_slice(&flat[i..i + on]);
-        i += on;
-        self.out_b = flat[i];
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ConvGrad {
-    w: Vec<f64>,
-    b: Vec<f64>,
-}
-
-#[derive(Debug, Clone)]
-struct CnnGrad {
-    convs: Vec<ConvGrad>,
-    dense_w: Vec<f64>,
-    dense_b: Vec<f64>,
-    out_w: Vec<f64>,
-    out_b: f64,
-}
-
-impl CnnGrad {
-    fn zeros_like(net: &Cnn) -> Self {
-        CnnGrad {
-            convs: net
-                .convs
-                .iter()
-                .map(|c| ConvGrad {
-                    w: vec![0.0; c.w.len()],
-                    b: vec![0.0; c.b.len()],
-                })
-                .collect(),
-            dense_w: vec![0.0; net.dense_w.len()],
-            dense_b: vec![0.0; net.dense_b.len()],
-            out_w: vec![0.0; net.out_w.len()],
-            out_b: 0.0,
-        }
-    }
-
-    fn reset(&mut self) {
-        for c in &mut self.convs {
-            c.w.iter_mut().for_each(|v| *v = 0.0);
-            c.b.iter_mut().for_each(|v| *v = 0.0);
-        }
-        self.dense_w.iter_mut().for_each(|v| *v = 0.0);
-        self.dense_b.iter_mut().for_each(|v| *v = 0.0);
-        self.out_w.iter_mut().for_each(|v| *v = 0.0);
-        self.out_b = 0.0;
-    }
-
-    fn scale(&mut self, s: f64) {
-        for c in &mut self.convs {
-            c.w.iter_mut().for_each(|v| *v *= s);
-            c.b.iter_mut().for_each(|v| *v *= s);
-        }
-        self.dense_w.iter_mut().for_each(|v| *v *= s);
-        self.dense_b.iter_mut().for_each(|v| *v *= s);
-        self.out_w.iter_mut().for_each(|v| *v *= s);
-        self.out_b *= s;
     }
 }
 
@@ -487,37 +413,31 @@ impl Regressor for Cnn {
         self.init(train.n_features(), &mut rng);
         self.scaler = None;
 
-        let n_params = self.n_params();
-        let mut adam = Adam::new(n_params, self.params.lr, self.params.clip_norm);
-        let mut grad = CnnGrad::zeros_like(self);
+        let mut adam = Adam::new(self.theta.len(), self.params.lr, self.params.clip_norm);
+        let mut grad = vec![0.0; self.theta.len()];
         let mut scratch = CnnScratch::default();
-        let mut flat_grad = Vec::with_capacity(n_params);
-        let mut flat_params = Vec::with_capacity(n_params);
         let mut order: Vec<usize> = (0..train_scaled.len()).collect();
-        let mut best = Vec::new();
-        self.flatten_params(&mut best);
+        let mut best = self.theta.clone();
         let mut best_loss = f64::INFINITY;
         let mut stale = 0;
         for _epoch in 0..self.params.max_epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(self.params.batch_size.max(1)) {
-                grad.reset();
+                grad.fill(0.0);
                 for &i in chunk {
                     let (row, y) = train_scaled.sample(i);
                     let out = self.forward_with(row, &mut scratch);
                     self.backward_with(row, out, y, &mut scratch, &mut grad);
                 }
-                grad.scale(1.0 / chunk.len() as f64);
-                self.flatten_grads(&grad, &mut flat_grad);
-                self.flatten_params(&mut flat_params);
-                adam.step(&mut flat_params, &flat_grad);
-                self.unflatten_params(&flat_params);
+                let inv = 1.0 / chunk.len() as f64;
+                grad.iter_mut().for_each(|g| *g *= inv);
+                adam.step(&mut self.theta, &grad);
             }
             let monitored = val_scaled.as_ref().unwrap_or(&train_scaled);
             let loss = self.eval(monitored, &mut scratch);
             if loss + 1e-12 < best_loss {
                 best_loss = loss;
-                self.flatten_params(&mut best);
+                best.copy_from_slice(&self.theta);
                 stale = 0;
             } else {
                 stale += 1;
@@ -526,7 +446,7 @@ impl Regressor for Cnn {
                 }
             }
         }
-        self.unflatten_params(&best);
+        self.theta = best;
         self.scaler = Some(scaler);
     }
 

@@ -18,12 +18,12 @@
 //!   quantised once per fit into at most `max_bins` bins per feature
 //!   ([`BinnedDataset`]: quantile cut points, `u8` bin codes stored
 //!   column-major). Each node accumulates one (grad-sum, hess-sum, count)
-//!   histogram per feature — in parallel across features for large nodes —
-//!   and only bin boundaries are split candidates. A node's sibling
-//!   histogram is derived with the parent-minus-child *subtraction trick*,
-//!   so only the smaller child is ever scanned. Thresholds are real cut
-//!   values, so trained trees are identical in form to exact trees and
-//!   [`Regressor::predict_row`] is strategy-agnostic.
+//!   histogram per feature and only bin boundaries are split candidates.
+//!   A node's sibling histogram is derived with the parent-minus-child
+//!   *subtraction trick*, so only the smaller child is ever scanned.
+//!   Thresholds are real cut values, so trained trees are identical in
+//!   form to exact trees and [`Regressor::predict_row`] is
+//!   strategy-agnostic.
 //!
 //! When a feature has at most `max_bins` distinct values the binning is
 //! lossless: cut points are the midpoints between adjacent distinct values —
@@ -134,12 +134,6 @@ struct HistBin {
     hess: f64,
     count: u32,
 }
-
-/// Feature-parallel histogram construction kicks in above this
-/// `rows x features` work size; below it, thread-spawn overhead dominates
-/// the accumulation loop (tree nodes shrink geometrically with depth, so
-/// deep nodes always stay serial).
-const HIST_PARALLEL_WORK: usize = 1 << 17;
 
 /// A dataset quantised for histogram split finding: per-feature quantile
 /// cut points and `u8` bin codes stored column-major.
@@ -272,50 +266,15 @@ impl BinnedDataset {
     }
 
     /// Builds the full per-feature histogram of one node into `hist`
-    /// (length [`Self::total_bins`]), feature-parallel across up to
-    /// `threads` workers when the node is large enough to amortise the
-    /// spawns. Each feature is accumulated by exactly one thread in row
-    /// order, so the result is bit-identical for any thread count.
-    fn build_histogram(
-        &self,
-        rows: &[u32],
-        grad: &[f64],
-        hess: &[f64],
-        hist: &mut [HistBin],
-        threads: usize,
-    ) {
+    /// (length [`Self::total_bins`]): one feature at a time, each in row
+    /// order, on the calling thread.
+    fn build_histogram(&self, rows: &[u32], grad: &[f64], hess: &[f64], hist: &mut [HistBin]) {
         debug_assert_eq!(hist.len(), self.total_bins());
         hist.fill(HistBin::default());
-        let n_features = self.n_features();
-        let threads = threads.clamp(1, n_features.max(1));
-        if threads == 1 || rows.len().saturating_mul(n_features) < HIST_PARALLEL_WORK {
-            for f in 0..n_features {
-                let (lo, hi) = (self.offsets[f], self.offsets[f + 1]);
-                self.accumulate_feature(f, rows, grad, hess, &mut hist[lo..hi]);
-            }
-            return;
+        for f in 0..self.n_features() {
+            let (lo, hi) = (self.offsets[f], self.offsets[f + 1]);
+            self.accumulate_feature(f, rows, grad, hess, &mut hist[lo..hi]);
         }
-        std::thread::scope(|scope| {
-            let mut rest = hist;
-            let mut f_start = 0;
-            for t in 0..threads {
-                // Near-equal contiguous feature chunks.
-                let f_end = f_start + (n_features - f_start) / (threads - t);
-                let width = self.offsets[f_end] - self.offsets[f_start];
-                let (chunk, tail) = rest.split_at_mut(width);
-                rest = tail;
-                scope.spawn(move || {
-                    let mut bins = chunk;
-                    for f in f_start..f_end {
-                        let width = self.offsets[f + 1] - self.offsets[f];
-                        let (head, tail) = bins.split_at_mut(width);
-                        self.accumulate_feature(f, rows, grad, hess, head);
-                        bins = tail;
-                    }
-                });
-                f_start = f_end;
-            }
-        });
     }
 }
 
@@ -421,7 +380,6 @@ impl Tree {
 #[derive(Debug, Clone)]
 pub struct Gbt {
     params: GbtParams,
-    hist_threads: Option<usize>,
     base_score: f64,
     trees: Vec<Tree>,
     n_features: usize,
@@ -432,26 +390,10 @@ impl Gbt {
     pub fn new(params: GbtParams) -> Self {
         Gbt {
             params,
-            hist_threads: None,
             base_score: 0.0,
             trees: Vec::new(),
             n_features: 0,
         }
-    }
-
-    /// Caps the worker threads used for feature-parallel histogram
-    /// construction (default: `available_parallelism`). Training output
-    /// is bit-identical for any value — each feature's histogram is
-    /// accumulated by exactly one thread in row order — so this is purely
-    /// a scheduling knob: callers whose fits already run inside a
-    /// saturated worker pool pass 1 to avoid spawning nested threads per
-    /// tree node. There are two: stage-1 training under the collection
-    /// engine, and the baseline's per-fold fits under `evaluate_baseline`.
-    /// Not part of [`GbtParams`] on purpose: thread counts are an
-    /// execution detail, not model/corpus identity.
-    pub fn with_hist_threads(mut self, threads: usize) -> Self {
-        self.hist_threads = Some(threads.max(1));
-        self
     }
 
     /// Number of trees actually grown.
@@ -568,13 +510,12 @@ impl Gbt {
         rows: &[usize],
         grad: &[f64],
         hess: &[f64],
-        threads: usize,
     ) -> Tree {
         let rows: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
         let mut hist = vec![HistBin::default(); binned.total_bins()];
-        binned.build_histogram(&rows, grad, hess, &mut hist, threads);
+        binned.build_histogram(&rows, grad, hess, &mut hist);
         let mut tree = Tree { nodes: Vec::new() };
-        self.grow_hist(&mut tree, binned, rows, hist, grad, hess, 0, threads);
+        self.grow_hist(&mut tree, binned, rows, hist, grad, hess, 0);
         tree
     }
 
@@ -592,7 +533,6 @@ impl Gbt {
         grad: &[f64],
         hess: &[f64],
         depth: usize,
-        threads: usize,
     ) -> usize {
         // Node totals from the row list (not the bins): the same
         // summation order as the exact splitter, so leaf weights agree.
@@ -669,7 +609,7 @@ impl Gbt {
                         &right_rows
                     };
                     let mut small_hist = vec![HistBin::default(); hist.len()];
-                    binned.build_histogram(small, grad, hess, &mut small_hist, threads);
+                    binned.build_histogram(small, grad, hess, &mut small_hist);
                     let mut large_hist = hist;
                     for (l, s) in large_hist.iter_mut().zip(&small_hist) {
                         l.grad -= s.grad;
@@ -682,26 +622,10 @@ impl Gbt {
                         (large_hist, small_hist)
                     }
                 };
-                let left = self.grow_hist(
-                    tree,
-                    binned,
-                    left_rows,
-                    left_hist,
-                    grad,
-                    hess,
-                    depth + 1,
-                    threads,
-                );
-                let right = self.grow_hist(
-                    tree,
-                    binned,
-                    right_rows,
-                    right_hist,
-                    grad,
-                    hess,
-                    depth + 1,
-                    threads,
-                );
+                let left =
+                    self.grow_hist(tree, binned, left_rows, left_hist, grad, hess, depth + 1);
+                let right =
+                    self.grow_hist(tree, binned, right_rows, right_hist, grad, hess, depth + 1);
                 tree.nodes[me] = Node::Split {
                     feature,
                     threshold,
@@ -732,9 +656,6 @@ impl Regressor for Gbt {
             }
             _ => None,
         };
-        let threads = self
-            .hist_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
 
         let mut pred = vec![self.base_score; train.len()];
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.params.seed);
@@ -753,7 +674,7 @@ impl Regressor for Gbt {
                 all_rows.clone()
             };
             let tree = match &binned {
-                Some(b) => self.build_tree_hist(b, &rows, &grad, &hess, threads),
+                Some(b) => self.build_tree_hist(b, &rows, &grad, &hess),
                 None => self.build_tree(train, &rows, &grad, &hess),
             };
             for (i, p) in pred.iter_mut().enumerate() {
@@ -831,40 +752,6 @@ mod tests {
         let e_small = mse(&small.predict(data.x()), data.y());
         let e_large = mse(&large.predict(data.x()), data.y());
         assert!(e_large < e_small, "{e_large} !< {e_small}");
-    }
-
-    #[test]
-    fn parallel_histogram_is_bit_identical_to_serial() {
-        // Big enough that rows x features clears HIST_PARALLEL_WORK, so a
-        // multi-thread call actually takes the scoped feature-parallel
-        // path (the container running the suite may report a single
-        // hardware thread, which would otherwise skip it).
-        let (n, f) = (4096, 32);
-        assert!(n * f >= HIST_PARALLEL_WORK);
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| (0..f).map(|j| ((i * (j + 2)) % 97) as f64 * 0.25).collect())
-            .collect();
-        let y = vec![0.0; n];
-        let data = Dataset::from_rows(&rows, &y).unwrap();
-        let binned = BinnedDataset::from_dataset(&data, 64);
-        let grad: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
-        let hess = vec![1.0; n];
-        let all_rows: Vec<u32> = (0..n as u32).collect();
-        let mut serial = vec![HistBin::default(); binned.total_bins()];
-        binned.build_histogram(&all_rows, &grad, &hess, &mut serial, 1);
-        for threads in [2, 3, 5, 16] {
-            let mut parallel = vec![HistBin::default(); binned.total_bins()];
-            binned.build_histogram(&all_rows, &grad, &hess, &mut parallel, threads);
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-        // Sanity: the histogram really covers every row for each feature.
-        for feature in 0..binned.n_features() {
-            let count: u32 = serial[binned.offsets[feature]..binned.offsets[feature + 1]]
-                .iter()
-                .map(|b| b.count)
-                .sum();
-            assert_eq!(count as usize, n);
-        }
     }
 
     #[test]
@@ -988,29 +875,6 @@ mod tests {
         );
         let preds = m.predict(data.x());
         assert!(mse(&preds, data.y()) < 0.1);
-    }
-
-    #[test]
-    fn hist_threads_override_is_bit_identical() {
-        // Large enough that the root node clears HIST_PARALLEL_WORK, so
-        // the multi-thread fit really exercises the scoped parallel
-        // histogram path; predictions must match the serial fit exactly.
-        let (n, f) = (4096, 32);
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| (0..f).map(|j| ((i * (j + 2)) % 89) as f64 * 0.5).collect())
-            .collect();
-        let y: Vec<f64> = rows.iter().map(|r| (r[0] - r[f - 1]) * 0.1).collect();
-        let data = Dataset::from_rows(&rows, &y).unwrap();
-        let params = GbtParams {
-            n_trees: 3,
-            ..GbtParams::default()
-        };
-        let mut serial = Gbt::new(params).with_hist_threads(1);
-        let mut parallel = Gbt::new(params).with_hist_threads(4);
-        serial.fit(&data, None);
-        parallel.fit(&data, None);
-        assert_eq!(serial.predict(data.x()), parallel.predict(data.x()));
-        assert_eq!(serial.split_thresholds(), parallel.split_thresholds());
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //!   [`SplitStrategy`] and the [`gbt`] module docs).
 //!
 //! All engines train with deterministic seeded initialisation so that
-//! experiments are reproducible. Neural engines use the [`Adam`] optimiser
-//! with gradient clipping and early stopping on a validation set, matching
-//! the training protocol of the paper (§V-A).
+//! experiments are reproducible. Each neural engine holds its parameters
+//! in one flat buffer that the [`Adam`] optimiser (with gradient
+//! clipping) steps in place, and stops early on a validation set,
+//! matching the training protocol of the paper (§V-A). [`Gbt`] grows
+//! each tree on the calling thread: stage-1 and baseline fits already
+//! run one per worker of the collection and evaluation pools.
 //!
 //! ```
 //! use perfbug_ml::{Dataset, Gbt, GbtParams, Regressor};

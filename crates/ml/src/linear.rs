@@ -1,7 +1,7 @@
 //! L1-regularised linear regression (Lasso) via cyclic coordinate descent.
 
 use crate::dataset::Dataset;
-use crate::matrix::{dot, gemv, Matrix};
+use crate::matrix::{dot, gemv};
 use crate::scaler::StandardScaler;
 use crate::Regressor;
 
@@ -138,10 +138,6 @@ impl Regressor for Lasso {
         // Same `dot` kernel as the batched path, so both orders of
         // summation are identical.
         self.intercept + dot(&z, &self.weights)
-    }
-
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
     }
 
     /// Batched inference: one blocked [`gemv`] over the scaled row block

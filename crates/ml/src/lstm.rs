@@ -478,7 +478,7 @@ impl SequenceRegressor for Lstm {
                 Some(v) => self.eval_with(v, &mut scratch),
                 None => self.eval_with(&train_scaled, &mut scratch),
             };
-            if loss.is_finite() && loss + 1e-12 < best_loss {
+            if loss + 1e-12 < best_loss {
                 best_loss = loss;
                 best.copy_from_slice(&self.theta);
                 stale = 0;

@@ -115,20 +115,6 @@ impl MicroarchConfig {
         (self.mem_latency_ns * self.clock_ghz).round().max(1.0) as u32
     }
 
-    /// Execution latency of an instruction class on this design.
-    pub fn fu_latency(&self, fu: FuClass) -> u32 {
-        match fu {
-            FuClass::IntAlu => 1,
-            FuClass::IntMult => self.fu.mul,
-            FuClass::Divider => self.fu.div,
-            FuClass::FpUnit | FuClass::FpMult => self.fu.fp,
-            FuClass::Vector => 2,
-            FuClass::Load => 1, // address generation; cache adds the rest
-            FuClass::Store => 1,
-            FuClass::Branch => 1,
-        }
-    }
-
     /// Names of the microarchitectural design-parameter features exposed to
     /// the stage-1 models (§III-C: "clock cycle, pipeline width, re-order
     /// buffer size and some cache characteristics").

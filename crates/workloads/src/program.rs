@@ -335,11 +335,6 @@ impl Program {
         self.n_blocks
     }
 
-    /// Number of phases.
-    pub fn n_phases(&self) -> usize {
-        self.phases.len()
-    }
-
     /// Total instructions in one pass of the schedule.
     pub fn schedule_len(&self) -> u64 {
         self.schedule.iter().map(|s| s.insts).sum()
