@@ -2,7 +2,8 @@
 //! tiny memory collection must encode to exactly the bytes pinned by
 //! [`GOLDEN_CORE_DIGEST`] and [`GOLDEN_MEM_DIGEST`], and the core
 //! simulator's raw output over every extended-catalogue bug must hash to
-//! [`GOLDEN_SIM_DIGEST`]. The single-stage baseline's decisions over the
+//! [`GOLDEN_SIM_DIGEST`] on Skylake and K8 and to
+//! [`GOLDEN_SIM_ALL_DESIGNS_DIGEST`] on all twenty presets. The single-stage baseline's decisions over the
 //! tiny core corpus must hash to [`GOLDEN_BASELINE_DIGEST`], and the same
 //! corpus collected with the Lasso and neural engines must hash to
 //! [`GOLDEN_ENGINES_DIGEST`].
@@ -90,8 +91,10 @@ fn corpus_digests_match_the_pinned_revision() {
 /// [`CORPUS_REVISION`] bump.
 const GOLDEN_SIM_DIGEST: u64 = 0xbb11_a2f4_cdcc_f50e;
 
-#[test]
-fn simulator_digest_matches_the_pinned_revision() {
+/// FNV-1a over the raw simulator output for every design in `designs`,
+/// `None` plus every [`BugCatalog::core_extended`] variant, and steps 97
+/// and 500, on the first tiny-scale 426.mcf probe.
+fn simulator_digest(designs: &[perfbug_uarch::MicroarchConfig]) -> u64 {
     let scale = WorkloadScale::tiny();
     let spec = benchmark("426.mcf").expect("suite");
     let program = spec.program(&scale);
@@ -106,10 +109,10 @@ fn simulator_digest_matches_the_pinned_revision() {
         )
         .collect();
     let mut bytes = Vec::new();
-    for cfg in [presets::skylake(), presets::k8()] {
+    for cfg in designs {
         for &bug in &bugs {
             for step in [97, 500] {
-                let run = simulate(&cfg, bug, &trace, step);
+                let run = simulate(cfg, bug, &trace, step);
                 bytes.extend_from_slice(&run.total_cycles.to_le_bytes());
                 bytes.extend_from_slice(&run.total_insts.to_le_bytes());
                 for row in &run.counter_rows {
@@ -123,11 +126,34 @@ fn simulator_digest_matches_the_pinned_revision() {
             }
         }
     }
-    let sim_digest = fnv1a(&bytes);
+    fnv1a(&bytes)
+}
+
+#[test]
+fn simulator_digest_matches_the_pinned_revision() {
+    let sim_digest = simulator_digest(&[presets::skylake(), presets::k8()]);
     assert_eq!(
         sim_digest, GOLDEN_SIM_DIGEST,
         "simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
          bump CORPUS_REVISION and re-pin GOLDEN_SIM_DIGEST = {sim_digest:#018x}"
+    );
+}
+
+/// [`GOLDEN_SIM_DIGEST`]'s hash over all twenty [`presets::all`] designs,
+/// in table order.
+///
+/// Skylake and K8 alone never exercise a 64 MiB L3, a 2-way L1, a 32-way
+/// L3 or a ROB whose size is not a power of two; this covers every cache
+/// geometry and window size the presets have.
+const GOLDEN_SIM_ALL_DESIGNS_DIGEST: u64 = 0xd0c9_93e5_974a_dd00;
+
+#[test]
+fn all_designs_simulator_digest_matches_the_pinned_revision() {
+    let sim_digest = simulator_digest(&presets::all());
+    assert_eq!(
+        sim_digest, GOLDEN_SIM_ALL_DESIGNS_DIGEST,
+        "simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
+         bump CORPUS_REVISION and re-pin GOLDEN_SIM_ALL_DESIGNS_DIGEST = {sim_digest:#018x}"
     );
 }
 
