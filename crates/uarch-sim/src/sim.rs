@@ -1242,6 +1242,36 @@ mod tests {
     }
 
     #[test]
+    fn a_serialising_instruction_admits_younger_issue_up_to_the_next_one() {
+        let cfg = presets::skylake();
+        let f = first_fetch_cycle(&cfg);
+        // Bug 1 serialises Logic; all four are ready on F+4. The first
+        // Logic is the oldest unissued instruction, so it issues on F+4
+        // and the younger add issues beside it. The second Logic was not
+        // the oldest unissued when the cycle began, so it stops the scan
+        // and the multiply behind it waits too. Both issue on F+5 (ports
+        // 0 and 1); the multiply completes and the run ends on F+9.
+        let trace = [
+            op(0, Opcode::Logic, 1, [NONE, NONE]),
+            op(1, Opcode::Add, 2, [NONE, NONE]),
+            op(2, Opcode::Logic, 3, [NONE, NONE]),
+            op(3, Opcode::Mul, 4, [NONE, NONE]),
+        ];
+        let bug = BugSpec::SerializeOpcode { x: Opcode::Logic };
+        let run = simulate(&cfg, Some(bug), &trace, 1);
+        // Row `c - 1` samples cycle `c`.
+        let issued: Vec<u64> = run
+            .counter_rows
+            .iter()
+            .map(|row| row[Counter::IssuedInsts as usize] as u64)
+            .collect();
+        let first_issue = (f + 3) as usize;
+        assert_eq!(issued[first_issue..first_issue + 2], [2, 2]);
+        assert_eq!(issued.iter().sum::<u64>(), 4);
+        assert_eq!(run.total_cycles, f + 9);
+    }
+
+    #[test]
     fn a_squashed_producer_wakes_its_consumers_only_when_replayed() {
         let cfg = presets::skylake();
         let f = first_fetch_cycle(&cfg);

@@ -4,8 +4,8 @@
 //! With `step_cycles = 1` every cycle is a sample boundary, so the
 //! simulator can never jump over an idle stretch; that run is a
 //! cycle-by-cycle reference without a second code path. For `None` plus
-//! every extended-catalogue bug, on Skylake and K8, over three tiny-scale
-//! probes, a run sampled every N cycles must match it: the same
+//! every extended-catalogue bug, on Skylake, K8 and Broadwell, over three
+//! tiny-scale probes, a run sampled every N cycles must match it: the same
 //! `total_cycles` and `total_insts`, and every step-N row's raw counter
 //! columns equal to the sum of the step-1 rows it covers. The same check
 //! runs over random short traces, which reach dependence and port shapes
@@ -124,6 +124,13 @@ fn skylake_samples_sum_to_the_per_cycle_reference() {
 #[test]
 fn k8_samples_sum_to_the_per_cycle_reference() {
     check_design(&presets::k8());
+}
+
+/// Broadwell's ROB (192) is not a power of two and its L3 is 64 MiB, so
+/// this covers ROB sizes and cache geometries Skylake and K8 do not.
+#[test]
+fn broadwell_samples_sum_to_the_per_cycle_reference() {
+    check_design(&presets::broadwell());
 }
 
 /// Decodes one random word into the instruction at slot `i`. Its opcode
