@@ -68,6 +68,12 @@ fn bench_simulators(c: &mut Criterion) {
     c.bench_function("uarch_sim_3k_insts_skylake", |b| {
         b.iter(|| simulate(&sky, None, &trace, 500))
     });
+    // A 64 MiB L3 and a 64-entry IQ: what a simulation costs on the
+    // largest design, so cost that scales with the design stays visible.
+    let broadwell = presets::broadwell();
+    c.bench_function("uarch_sim_3k_insts_broadwell", |b| {
+        b.iter(|| simulate(&broadwell, None, &trace, 500))
+    });
     // The allocation-free path: one reused ProbeRun across iterations, so
     // each iteration measures pure pipeline + delta-snapshot sampling.
     let mut reused = ProbeRun::empty();

@@ -7,32 +7,37 @@ use crate::config::{CacheConfig, MicroarchConfig};
 pub const LINE_BYTES: u32 = 64;
 
 /// One set-associative cache level with true-LRU replacement.
+///
+/// Each set is a recency list of at most `ways` tags, most recently used
+/// first, so LRU order needs no per-line ages: a hit moves its tag to the
+/// front, and a miss inserts at the front, dropping the last (least
+/// recently used) tag once the set is full. Until then a miss fills an
+/// unused way, so this is true LRU with invalid-first fill. The arrays
+/// start zeroed and are never pre-filled, so sets no access reaches cost
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: u32,
     ways: u32,
-    /// `tags[set * ways + way]` — tag value, `u64::MAX` = invalid.
-    tags: Vec<u64>,
-    /// Per-line LRU age: lower = more recently used.
-    ages: Vec<u32>,
+    /// `tags[set * ways..][..fill[set]]`: the set's tags, most recently
+    /// used first. Addresses are `u32`, so tags are too.
+    tags: Vec<u32>,
+    /// Valid tags per set.
+    fill: Vec<u32>,
     /// Hit latency in cycles.
     latency: u32,
 }
 
 impl Cache {
     /// Builds a cache from its configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration yields zero sets or ways.
     pub fn new(cfg: CacheConfig) -> Self {
         let ways = cfg.assoc.max(1);
         let sets = (cfg.size / (LINE_BYTES as u64 * ways as u64)).max(1) as u32;
         Cache {
             sets,
             ways,
-            tags: vec![u64::MAX; (sets * ways) as usize],
-            ages: vec![0; (sets * ways) as usize],
+            tags: vec![0; sets as usize * ways as usize],
+            fill: vec![0; sets as usize],
             latency: cfg.latency,
         }
     }
@@ -47,50 +52,41 @@ impl Cache {
         self.latency
     }
 
-    fn index(&self, addr: u32) -> (u32, u64) {
+    /// The set `addr` maps to, its resident tags (most recently used
+    /// first) and its tag.
+    fn lookup(&self, addr: u32) -> (usize, &[u32], u32) {
         let line = addr / LINE_BYTES;
-        (line % self.sets, (line / self.sets) as u64)
+        let set = (line % self.sets) as usize;
+        let base = set * self.ways as usize;
+        let resident = &self.tags[base..base + self.fill[set] as usize];
+        (set, resident, line / self.sets)
     }
 
     /// Looks up `addr`; on miss the line is filled (evicting LRU). Returns
     /// whether the access hit.
     pub fn access(&mut self, addr: u32) -> bool {
-        let (set, tag) = self.index(addr);
-        let base = (set * self.ways) as usize;
-        let slots = &mut self.tags[base..base + self.ways as usize];
-        let hit_way = slots.iter().position(|&t| t == tag);
-        let way = match hit_way {
-            Some(w) => w,
-            None => {
-                // Choose invalid way first, else LRU (max age).
-                let ages = &self.ages[base..base + self.ways as usize];
-                let victim = slots
-                    .iter()
-                    .position(|&t| t == u64::MAX)
-                    .unwrap_or_else(|| {
-                        ages.iter()
-                            .enumerate()
-                            .max_by_key(|(_, &a)| a)
-                            .map(|(i, _)| i)
-                            .expect("nonzero ways")
-                    });
-                self.tags[base + victim] = tag;
-                victim
+        let (set, resident, tag) = self.lookup(addr);
+        let hit_way = resident.iter().position(|&t| t == tag);
+        let filled = resident.len();
+        // Tags ahead of the one moving to the front shift back one way.
+        let shifted = match hit_way {
+            Some(way) => way,
+            None if filled < self.ways as usize => {
+                self.fill[set] += 1;
+                filled
             }
+            None => filled - 1,
         };
-        // Age update: touched line becomes 0, others in the set age by 1.
-        for a in &mut self.ages[base..base + self.ways as usize] {
-            *a = a.saturating_add(1);
-        }
-        self.ages[base + way] = 0;
+        let base = set * self.ways as usize;
+        self.tags.copy_within(base..base + shifted, base + 1);
+        self.tags[base] = tag;
         hit_way.is_some()
     }
 
     /// Whether `addr` is currently resident (no state change).
     pub fn contains(&self, addr: u32) -> bool {
-        let (set, tag) = self.index(addr);
-        let base = (set * self.ways) as usize;
-        self.tags[base..base + self.ways as usize].contains(&tag)
+        let (_, resident, tag) = self.lookup(addr);
+        resident.contains(&tag)
     }
 }
 
@@ -181,6 +177,105 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference true-LRU cache: one tag and one age per way, the
+    /// touched way's age reset and every other way in the set aged on each
+    /// access, and a miss filling the first invalid way, else the oldest.
+    struct AgedReference {
+        sets: u32,
+        ways: u32,
+        /// `u64::MAX` marks an invalid way.
+        tags: Vec<u64>,
+        ages: Vec<u32>,
+    }
+
+    impl AgedReference {
+        fn new(cfg: CacheConfig) -> Self {
+            let ways = cfg.assoc.max(1);
+            let sets = (cfg.size / (LINE_BYTES as u64 * ways as u64)).max(1) as u32;
+            AgedReference {
+                sets,
+                ways,
+                tags: vec![u64::MAX; (sets * ways) as usize],
+                ages: vec![0; (sets * ways) as usize],
+            }
+        }
+
+        fn index(&self, addr: u32) -> (usize, u64) {
+            let line = addr / LINE_BYTES;
+            let base = (line % self.sets * self.ways) as usize;
+            (base, (line / self.sets) as u64)
+        }
+
+        fn access(&mut self, addr: u32) -> bool {
+            let (base, tag) = self.index(addr);
+            let ways = base..base + self.ways as usize;
+            let hit_way = self.tags[ways.clone()].iter().position(|&t| t == tag);
+            let way = hit_way.unwrap_or_else(|| {
+                let victim = self.tags[ways.clone()]
+                    .iter()
+                    .position(|&t| t == u64::MAX)
+                    .unwrap_or_else(|| {
+                        let ages = self.ages[ways.clone()].iter().enumerate();
+                        ages.max_by_key(|(_, &a)| a).expect("nonzero ways").0
+                    });
+                self.tags[base + victim] = tag;
+                victim
+            });
+            for a in &mut self.ages[ways] {
+                *a = a.saturating_add(1);
+            }
+            self.ages[base + way] = 0;
+            hit_way.is_some()
+        }
+
+        fn contains(&self, addr: u32) -> bool {
+            let (base, tag) = self.index(addr);
+            self.tags[base..base + self.ways as usize].contains(&tag)
+        }
+    }
+
+    /// A geometry of 1-32 ways and 1-40 sets (powers of two or not), and
+    /// an address stream over about three times its capacity in lines,
+    /// with one access in eight anywhere in the address space.
+    fn geometry_and_stream() -> impl Strategy<Value = (CacheConfig, Vec<u32>)> {
+        let words = prop::collection::vec(any::<u64>(), 1..400);
+        (1u32..=32, 1u32..=40, words).prop_map(|(ways, sets, words)| {
+            let cfg = CacheConfig {
+                size: LINE_BYTES as u64 * ways as u64 * sets as u64,
+                assoc: ways,
+                latency: 1,
+            };
+            let lines = 3 * (ways * sets) as u64;
+            let stream = words
+                .into_iter()
+                .map(|w| match w % 8 {
+                    0 => (w >> 32) as u32,
+                    _ => ((w >> 3) % lines * LINE_BYTES as u64 + (w >> 40) % 64) as u32,
+                })
+                .collect();
+            (cfg, stream)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn recency_lists_match_the_aged_reference(case in geometry_and_stream()) {
+            let (cfg, stream) = case;
+            let mut cache = Cache::new(cfg);
+            let mut reference = AgedReference::new(cfg);
+            prop_assert_eq!(cache.sets(), reference.sets);
+            for (i, &addr) in stream.iter().enumerate() {
+                let probe = stream[i / 2];
+                prop_assert_eq!(cache.contains(probe), reference.contains(probe));
+                prop_assert_eq!(cache.access(addr), reference.access(addr), "access {}", i);
+                prop_assert!(cache.contains(addr));
+            }
+        }
+    }
 
     fn tiny_cache() -> Cache {
         // 4 sets x 2 ways x 64B = 512B.

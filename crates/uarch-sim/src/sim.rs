@@ -20,12 +20,14 @@
 //! pending event, the first recorded time still ahead of `cycle`:
 //!
 //! * the ROB head's `complete_at`;
-//! * the `ready_at` of each IQ entry whose producers have all issued;
+//! * the earliest `ready_at` in the wait heap, which holds every unissued
+//!   instruction whose producers have all issued and whose `ready_at` is
+//!   still ahead (see below);
 //! * the decode-pipe head's `ready_at`;
 //! * `fetch_resume_at`;
 //! * every non-pipelined divider's `div_busy_until`.
 //!
-//! An IQ entry with a producer still unissued contributes nothing. It can
+//! An instruction with a producer still unissued contributes nothing. It can
 //! become ready only when that producer issues, and an issue grant is
 //! progress, so it never falls inside a skipped stretch. Whatever first
 //! lets the producer issue is an event in this list (the producer's own
@@ -46,15 +48,24 @@
 //! producer that has already issued) and links it into the consumer list
 //! of each producer that has not. When a producer issues, it walks that
 //! list once: each consumer's `ready_at` rises to the producer's
-//! `complete_at` and its count of unissued producers falls. The IQ holds
-//! `(seq, ready_at)` pairs in program order, with `ready_at = u64::MAX`
-//! while the count is nonzero, so `issue()` passes over an entry that is
-//! not ready with one integer compare and `next_event()` reads the IQ
-//! without touching the ROB. Ports are bitmasks: each functional-unit
-//! class has a mask of the ports that reach it, and the lowest free port
-//! in the first acceptable class wins.
+//! `complete_at` and its count of unissued producers falls. Once the count
+//! is zero the instruction waits in a min-heap keyed by `ready_at`.
+//!
+//! The issue queue is a set of bitsets over ROB positions: instruction
+//! `seq` sits at bit `seq & mask` of a ring of `max(rob_size, 64)` rounded
+//! up to a power of two, so in-flight instructions never share a bit and
+//! ring order from the ROB head is program order. `unissued` holds every
+//! instruction in the IQ, `ready` those whose `ready_at` has passed and
+//! `serial` the unissued serialising ones (bug 1). Each cycle `issue()`
+//! moves the heap's due entries into `ready` and visits only ready bits,
+//! oldest first: the first `unissued` bit is the oldest unissued
+//! instruction (bugs 2 and 3), and the first `serial` bit bounds the scan.
+//! `next_event()` reads the heap's earliest entry. Ports are bitmasks: each
+//! functional-unit class has a mask of the ports that reach it, and the
+//! lowest free port in the first acceptable class wins.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use perfbug_workloads::{FuClass, Inst, Opcode, RowMatrix};
 
@@ -133,7 +144,7 @@ struct Slot {
     seq: u64,
     /// While producers are unissued: the max of the earliest cycle issue
     /// is permitted and the `complete_at` of every producer issued so far.
-    /// It moves to the IQ entry once the last producer issues.
+    /// The instruction is scheduled at it once the last producer issues.
     ready_at: u64,
     /// Producers not yet issued (one per source edge, so at most two).
     pending: u8,
@@ -154,15 +165,53 @@ struct Slot {
     replayed: bool,
 }
 
-/// One issue-queue entry.
-#[derive(Debug, Clone, Copy)]
-struct IqEntry {
-    seq: u64,
-    /// First cycle the instruction may issue; `u64::MAX` while any of its
-    /// producers is unissued.
-    ready_at: u64,
-    /// Issued this cycle; dropped from the IQ at the end of `issue()`.
-    issued: bool,
+/// A set of in-flight instructions: instruction `seq` is bit `seq & mask`
+/// of a ring at least as large as the ROB (see the module docs).
+#[derive(Debug, Clone)]
+struct SeqSet {
+    words: Vec<u64>,
+    mask: u64,
+}
+
+impl SeqSet {
+    /// An empty set over a ring of `ring` positions, a power of two of at
+    /// least 64.
+    fn new(ring: usize) -> Self {
+        SeqSet {
+            words: vec![0; ring / 64],
+            mask: ring as u64 - 1,
+        }
+    }
+
+    fn insert(&mut self, seq: u64) {
+        let pos = seq & self.mask;
+        self.words[(pos / 64) as usize] |= 1 << (pos % 64);
+    }
+
+    fn remove(&mut self, seq: u64) {
+        let pos = seq & self.mask;
+        self.words[(pos / 64) as usize] &= !(1 << (pos % 64));
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        let pos = seq & self.mask;
+        self.words[(pos / 64) as usize] >> (pos % 64) & 1 == 1
+    }
+
+    /// The first member in `from..end`, a window no wider than the ring.
+    fn first_in(&self, from: u64, end: u64) -> Option<u64> {
+        let mut seq = from;
+        while seq < end {
+            let pos = seq & self.mask;
+            let bits = self.words[(pos / 64) as usize] >> (pos % 64);
+            if bits != 0 {
+                let found = seq + bits.trailing_zeros() as u64;
+                return (found < end).then_some(found);
+            }
+            seq += 64 - pos % 64;
+        }
+        None
+    }
 }
 
 /// Simulates `trace` on `cfg`, optionally with one injected bug, sampling
@@ -226,8 +275,16 @@ struct Pipeline<'c> {
     rob: VecDeque<Slot>,
     head_seq: u64,
     next_seq: u64,
-    /// Unissued instructions, in program order.
-    iq: Vec<IqEntry>,
+    /// The issue queue (see the module docs): unissued instructions,
+    /// those of them ready to issue and the serialising ones.
+    unissued: SeqSet,
+    ready: SeqSet,
+    serial: SeqSet,
+    /// Unissued instructions whose producers have all issued but whose
+    /// `ready_at` is still ahead, as `(ready_at, seq)`, earliest first.
+    waiting: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Instructions in the IQ.
+    iq_len: u32,
     lq_count: u32,
     sq_count: u32,
     free_regs: Vec<u32>,
@@ -275,6 +332,7 @@ impl<'c> Pipeline<'c> {
             }
         }
         let all_ports = fu_ports.iter().fold(0, |all, &mask| all | mask);
+        let ring = (cfg.rob_size.max(64) as usize).next_power_of_two();
         Pipeline {
             cfg,
             bug,
@@ -290,7 +348,11 @@ impl<'c> Pipeline<'c> {
             rob: VecDeque::new(),
             head_seq: 0,
             next_seq: 0,
-            iq: Vec::new(),
+            unissued: SeqSet::new(ring),
+            ready: SeqSet::new(ring),
+            serial: SeqSet::new(ring),
+            waiting: BinaryHeap::new(),
+            iq_len: 0,
             lq_count: 0,
             sq_count: 0,
             free_regs: (0..phys_regs).collect(),
@@ -331,7 +393,7 @@ impl<'c> Pipeline<'c> {
             self.counters
                 .add(Counter::RobOccupancySum, self.rob.len() as u64);
             self.counters
-                .add(Counter::IqOccupancySum, self.iq.len() as u64);
+                .add(Counter::IqOccupancySum, self.iq_len as u64);
 
             if self.cycle - last_sample_cycle == step_cycles {
                 out.counter_rows
@@ -392,9 +454,8 @@ impl<'c> Pipeline<'c> {
         for &busy in &self.div_busy_until {
             next = next.min(ahead(busy));
         }
-        // Entries waiting on an unissued producer hold `u64::MAX`.
-        for entry in &self.iq {
-            next = next.min(ahead(entry.ready_at));
+        if let Some(&Reverse((ready_at, _))) = self.waiting.peek() {
+            next = next.min(ahead(ready_at));
         }
         next
     }
@@ -517,51 +578,61 @@ impl<'c> Pipeline<'c> {
     /// Issues ready instructions oldest-first; `true` if any issue grant
     /// was made (a squashed grant included).
     fn issue(&mut self) -> bool {
+        while let Some(&Reverse((ready_at, seq))) = self.waiting.peek() {
+            if ready_at > self.cycle {
+                break;
+            }
+            self.waiting.pop();
+            self.ready.insert(seq);
+        }
         let mut port_used = 0u64;
         let mut issued = 0u32;
 
-        // The IQ holds unissued instructions in program order, so its
-        // first entry is the oldest unissued instruction.
-        // Bug 3: when that instruction has opcode X, only it may issue
-        // this cycle.
-        let only_oldest = match (self.bug, self.iq.first()) {
-            (Some(BugSpec::IfOldestIssueOnlyX { x }), Some(oldest)) => {
-                self.rob[(oldest.seq - self.head_seq) as usize].inst.opcode == x
+        // The oldest unissued instruction as the cycle begins, and the
+        // end of the program-order window that may issue this cycle.
+        let oldest = self.unissued.first_in(self.head_seq, self.next_seq);
+        let mut end = self.next_seq;
+        match (self.bug, oldest) {
+            // Bug 3: when the oldest unissued instruction has opcode X,
+            // only it may issue this cycle.
+            (Some(BugSpec::IfOldestIssueOnlyX { x }), Some(oldest))
+                if self.rob[(oldest - self.head_seq) as usize].inst.opcode == x =>
+            {
+                end = oldest + 1;
             }
-            _ => false,
-        };
-        let serialize = matches!(self.bug, Some(BugSpec::SerializeOpcode { .. }));
-        let scan = if only_oldest { 1 } else { self.iq.len() };
-
-        for iq_pos in 0..scan {
-            if issued >= self.cfg.width || port_used == self.all_ports {
-                break;
-            }
-            let IqEntry { seq, ready_at, .. } = self.iq[iq_pos];
-            let rob_idx = (seq - self.head_seq) as usize;
-            if ready_at > self.cycle {
-                // Bug 1: an unissued serialising instruction blocks all
-                // younger instructions from issuing.
-                if serialize && self.rob[rob_idx].serialized {
-                    break;
+            // Bug 1: a serialising instruction issues only once it is the
+            // oldest unissued instruction, and younger instructions stall
+            // until it has been issued (the Fig. 1 "Bug 2" semantics). The
+            // first one bounds the scan, unless it is the oldest and ready;
+            // then the next one does.
+            (Some(BugSpec::SerializeOpcode { .. }), _) => {
+                if let Some(first) = self.serial.first_in(self.head_seq, self.next_seq) {
+                    end = if Some(first) == oldest && self.ready.contains(first) {
+                        self.serial.first_in(first + 1, end).unwrap_or(end)
+                    } else {
+                        first
+                    };
                 }
-                continue;
             }
+            _ => {}
+        }
+
+        let mut from = self.head_seq;
+        while issued < self.cfg.width && port_used != self.all_ports {
+            let Some(seq) = self.ready.first_in(from, end) else {
+                break;
+            };
+            from = seq + 1;
+            let rob_idx = (seq - self.head_seq) as usize;
             let slot = &self.rob[rob_idx];
             let op = slot.inst.opcode;
             // Bug 2: X issues only when it is the oldest unissued.
             if let Some(BugSpec::IssueOnlyIfOldest { x }) = self.bug {
-                if op == x && iq_pos != 0 {
+                if op == x && Some(seq) != oldest {
                     continue;
                 }
             }
-            // Bug 1: a serialising instruction issues only once it is the
-            // oldest unissued instruction, and younger instructions stall
-            // until it has been issued (the Fig. 1 "Bug 2" semantics).
             let serialized = slot.serialized;
-            if serialized && iq_pos != 0 {
-                break;
-            }
             let Some(p) = self.allocate_port(op, port_used) else {
                 if serialized {
                     break;
@@ -579,22 +650,34 @@ impl<'c> Pipeline<'c> {
                 if !self.rob[rob_idx].replayed && self.issue_grants.is_multiple_of(n.max(1) as u64)
                 {
                     self.rob[rob_idx].replayed = true;
-                    self.iq[iq_pos].ready_at = self.cycle + t as u64;
+                    self.ready.remove(seq);
+                    self.schedule(seq, self.cycle + t as u64);
                     continue;
                 }
             }
             self.issue_slot(rob_idx, p);
-            self.iq[iq_pos].issued = true;
+            self.unissued.remove(seq);
+            self.ready.remove(seq);
+            self.serial.remove(seq);
+            self.iq_len -= 1;
             issued += 1;
-        }
-        if issued > 0 {
-            self.iq.retain(|entry| !entry.issued);
         }
         if issued == 0 {
             self.counters.inc(Counter::IssueIdleCycles);
         }
         self.counters.add(Counter::IssuedInsts, issued as u64);
         port_used != 0
+    }
+
+    /// Lets unissued instruction `seq`, whose producers have all issued,
+    /// issue from `ready_at`: at once if that is not ahead, else once the
+    /// wait heap yields it.
+    fn schedule(&mut self, seq: u64, ready_at: u64) {
+        if ready_at > self.cycle {
+            self.waiting.push(Reverse((ready_at, seq)));
+        } else {
+            self.ready.insert(seq);
+        }
     }
 
     fn issue_slot(&mut self, rob_idx: usize, port: usize) {
@@ -667,7 +750,7 @@ impl<'c> Pipeline<'c> {
 
     /// Walks a just-issued producer's consumer edges (from `edge`): each
     /// consumer becomes ready no earlier than `complete_at`, and one whose
-    /// last unissued producer this was gets its `ready_at` in the IQ.
+    /// last unissued producer this was is scheduled at its `ready_at`.
     fn wake_consumers(&mut self, mut edge: u64, complete_at: u64) {
         while edge != NO_EDGE {
             let seq = edge / 2;
@@ -677,8 +760,7 @@ impl<'c> Pipeline<'c> {
             consumer.pending -= 1;
             if consumer.pending == 0 {
                 let ready_at = consumer.ready_at;
-                let pos = self.iq.partition_point(|entry| entry.seq < seq);
-                self.iq[pos].ready_at = ready_at;
+                self.schedule(seq, ready_at);
             }
         }
     }
@@ -701,7 +783,7 @@ impl<'c> Pipeline<'c> {
                 self.counters.inc(Counter::RenameStallCycles);
                 break;
             }
-            if self.iq.len() as u32 >= self.cfg.iq_size {
+            if self.iq_len >= self.cfg.iq_size {
                 self.counters.inc(Counter::IqFullStalls);
                 self.counters.inc(Counter::RenameStallCycles);
                 break;
@@ -787,9 +869,7 @@ impl<'c> Pipeline<'c> {
                 {
                     extra_exec += t;
                 }
-                Some(BugSpec::IqBelowDelay { n, t })
-                    if self.cfg.iq_size - (self.iq.len() as u32) < n =>
-                {
+                Some(BugSpec::IqBelowDelay { n, t }) if self.cfg.iq_size - self.iq_len < n => {
                     extra_exec += t;
                 }
                 Some(BugSpec::RobBelowDelay { n, t })
@@ -819,11 +899,14 @@ impl<'c> Pipeline<'c> {
                 Opcode::Store => self.sq_count += 1,
                 _ => {}
             }
-            self.iq.push(IqEntry {
-                seq,
-                ready_at: if pending == 0 { ready_at } else { u64::MAX },
-                issued: false,
-            });
+            self.iq_len += 1;
+            self.unissued.insert(seq);
+            if serialized {
+                self.serial.insert(seq);
+            }
+            if pending == 0 {
+                self.schedule(seq, ready_at);
+            }
             self.rob.push_back(Slot {
                 inst,
                 seq,
