@@ -3,10 +3,12 @@
 //! [`GOLDEN_CORE_DIGEST`] and [`GOLDEN_MEM_DIGEST`], and the core
 //! simulator's raw output over every extended-catalogue bug must hash to
 //! [`GOLDEN_SIM_DIGEST`] on Skylake and K8 and to
-//! [`GOLDEN_SIM_ALL_DESIGNS_DIGEST`] on all twenty presets. The single-stage baseline's decisions over the
-//! tiny core corpus must hash to [`GOLDEN_BASELINE_DIGEST`], and the same
-//! corpus collected with the Lasso and neural engines must hash to
-//! [`GOLDEN_ENGINES_DIGEST`].
+//! [`GOLDEN_SIM_ALL_DESIGNS_DIGEST`] on all twenty presets. The memory
+//! simulator's raw output over every design and extended-catalogue memory
+//! bug must hash to [`GOLDEN_MEMSIM_DIGEST`]. The single-stage baseline's
+//! decisions over the tiny core corpus must hash to
+//! [`GOLDEN_BASELINE_DIGEST`], and the same corpus collected with the
+//! Lasso and neural engines must hash to [`GOLDEN_ENGINES_DIGEST`].
 //!
 //! This is the machine check behind "the corpus is unchanged": any change
 //! to simulation, counter selection, stage-1 numerics or the PBCL codec
@@ -14,7 +16,7 @@
 //! [`CORPUS_REVISION`] and re-pins both digests in the same commit.
 
 use perfbug_core::baseline::BaselineParams;
-use perfbug_core::bugs::BugCatalog;
+use perfbug_core::bugs::{BugCatalog, MemBugCatalog};
 use perfbug_core::experiment::{
     collect, evaluate_baseline, Collection, CollectionConfig, ProbeScale,
 };
@@ -24,6 +26,7 @@ use perfbug_core::persist::{
     GOLDEN_MEM_DIGEST,
 };
 use perfbug_core::stage1::EngineSpec;
+use perfbug_memsim::{memory_suite, simulate_memory};
 use perfbug_ml::{CnnParams, GbtParams, LassoParams, LstmParams, MlpParams};
 use perfbug_uarch::{presets, simulate, BugSpec};
 use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
@@ -154,6 +157,62 @@ fn all_designs_simulator_digest_matches_the_pinned_revision() {
         sim_digest, GOLDEN_SIM_ALL_DESIGNS_DIGEST,
         "simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
          bump CORPUS_REVISION and re-pin GOLDEN_SIM_ALL_DESIGNS_DIGEST = {sim_digest:#018x}"
+    );
+}
+
+/// FNV-1a over the raw output of the memory simulator: every
+/// [`perfbug_memsim::config::all`] design, `None` plus every
+/// [`MemBugCatalog::extended`] variant, and steps 97 and 500, on the first
+/// tiny-scale probe of each [`memory_suite`] benchmark. Each run
+/// contributes its `total_cycles`, `total_insts`, and the bits of every
+/// counter-row value, every per-step IPC and every per-step AMAT,
+/// little-endian.
+///
+/// [`GOLDEN_MEM_DIGEST`] covers only [`MemBugCatalog::full`] over three
+/// probes; this covers bug types 7 and 8 and every cache geometry the
+/// twelve designs have.
+const GOLDEN_MEMSIM_DIGEST: u64 = 0x3fcc_a975_a15d_0095;
+
+#[test]
+fn memory_simulator_digest_matches_the_pinned_revision() {
+    let scale = WorkloadScale::tiny();
+    let designs = perfbug_memsim::config::all();
+    let bugs: Vec<_> = std::iter::once(None)
+        .chain(
+            MemBugCatalog::extended()
+                .variants()
+                .iter()
+                .copied()
+                .map(Some),
+        )
+        .collect();
+    let mut bytes = Vec::new();
+    for spec in memory_suite() {
+        let program = spec.program(&scale);
+        let trace = spec.probes(&scale)[0].trace(&program);
+        for cfg in &designs {
+            for &bug in &bugs {
+                for step in [97, 500] {
+                    let run = simulate_memory(cfg, bug, &trace, step);
+                    bytes.extend_from_slice(&run.total_cycles.to_le_bytes());
+                    bytes.extend_from_slice(&run.total_insts.to_le_bytes());
+                    for row in &run.counter_rows {
+                        for v in row {
+                            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                        }
+                    }
+                    for v in run.ipc.iter().chain(&run.amat) {
+                        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    let memsim_digest = fnv1a(&bytes);
+    assert_eq!(
+        memsim_digest, GOLDEN_MEMSIM_DIGEST,
+        "memory simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if \
+         intended, bump CORPUS_REVISION and re-pin GOLDEN_MEMSIM_DIGEST = {memsim_digest:#018x}"
     );
 }
 
