@@ -105,6 +105,12 @@ fn bench_simulators(c: &mut Criterion) {
     c.bench_function("memsim_3k_insts_skylake", |b| {
         b.iter(|| perfbug_memsim::simulate_memory(&mem_cfg, None, &trace, 300))
     });
+    // A 16 MiB 32-way LLC and a 1 MiB L2, the largest memory geometry: what
+    // a memory simulation costs when the cache arrays are biggest.
+    let m2 = perfbug_memsim::config::by_name("Artificial M2").expect("preset");
+    c.bench_function("memsim_3k_insts_artificial_m2", |b| {
+        b.iter(|| perfbug_memsim::simulate_memory(&m2, None, &trace, 300))
+    });
 }
 
 fn bench_engines(c: &mut Criterion) {

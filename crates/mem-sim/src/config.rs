@@ -79,7 +79,8 @@ pub struct MemArchConfig {
     pub mem_latency: u32,
     /// Prefetcher configuration.
     pub spp: SppConfig,
-    /// Retire width of the modelled core front (for the IPC estimate).
+    /// Retire width of the modelled core front in instructions per cycle
+    /// (for the IPC estimate), clamped to `1..=4`.
     pub width: u32,
 }
 

@@ -3,8 +3,9 @@
 //! Trace-driven cache-hierarchy simulator — the ChampSim stand-in of the
 //! HPCA 2021 performance-bug-detection reproduction (§IV-D).
 //!
-//! Models a three-level data-cache hierarchy with explicit age-counter LRU
-//! replacement and a Signature Path Prefetcher (SPP) at the L2 boundary.
+//! Models a three-level data-cache hierarchy with LRU replacement over
+//! per-set recency lists and a Signature Path Prefetcher (SPP) at the L2
+//! boundary.
 //! Per-time-step counters, IPC and AMAT series feed the same two-stage
 //! detection methodology used for the core; the six memory bug types of
 //! the paper are injectable via [`MemBugSpec`].
@@ -33,7 +34,7 @@ pub mod sim;
 pub mod spp;
 
 pub use bugs::{CacheLevel, MemBugSpec};
-pub use cache::{AgedCache, LookupResult, ReplacementBugs, LINE_BYTES};
+pub use cache::{LookupResult, RecencyCache, ReplacementBugs, LINE_BYTES};
 pub use config::{ArchSet, LevelConfig, MemArchConfig};
 pub use probes::{memory_suite, MEMORY_SUITE};
 pub use sim::{mem_counter_names, simulate_memory, MemRun, N_MEM_COUNTERS};

@@ -1,7 +1,7 @@
 //! Trace-driven cache-hierarchy timing model (the ChampSim stand-in).
 //!
-//! A simple four-wide core front retires instructions at one per width
-//! cycles; loads walk the L1D → L2 → LLC → memory hierarchy, train the SPP
+//! A simple core front retires up to `width` instructions per cycle; loads
+//! walk the L1D → L2 → LLC → memory hierarchy, train the SPP
 //! prefetcher at the L2 boundary and accumulate Average Memory Access Time
 //! (AMAT). Miss latency beyond the L1 is charged with a fixed
 //! memory-level-parallelism discount, approximating an out-of-order
@@ -11,7 +11,7 @@
 use perfbug_workloads::{Inst, Opcode, RowMatrix};
 
 use crate::bugs::{CacheLevel, MemBugSpec};
-use crate::cache::{AgedCache, ReplacementBugs};
+use crate::cache::{RecencyCache, ReplacementBugs};
 use crate::config::MemArchConfig;
 use crate::spp::{Spp, SppBugs};
 
@@ -163,9 +163,9 @@ pub fn simulate_memory(
     step_cycles: u64,
 ) -> MemRun {
     assert!(step_cycles > 0, "step_cycles must be positive");
-    let mut l1d = AgedCache::new(cfg.l1d.size, cfg.l1d.assoc);
-    let mut l2 = AgedCache::new(cfg.l2.size, cfg.l2.assoc);
-    let mut llc = AgedCache::new(cfg.llc.size, cfg.llc.assoc);
+    let mut l1d = RecencyCache::new(cfg.l1d.size, cfg.l1d.assoc);
+    let mut l2 = RecencyCache::new(cfg.l2.size, cfg.l2.assoc);
+    let mut llc = RecencyCache::new(cfg.llc.size, cfg.llc.assoc);
     let mut spp = Spp::new(cfg.spp);
 
     // Install bugs.
@@ -216,7 +216,7 @@ pub fn simulate_memory(
         None => {}
     }
     // Bug 8 state: per-bank last open row, tracked only when installed.
-    let mut dram_banks = [u64::MAX; 8];
+    let mut dram_banks = [u32::MAX; 8];
 
     let mut raw = Raw::default();
     let mut snapshot = raw;
@@ -224,9 +224,10 @@ pub fn simulate_memory(
     let mut ipc_series = Vec::new();
     let mut amat_series = Vec::new();
 
-    // Fixed-point cycle accumulator in quarter-cycles.
+    // Fixed-point cycle accumulator in twelfths of a cycle, so each
+    // width in 1..=4 retires a whole number of twelfths per instruction.
     let mut qcycles: u64 = 0;
-    let inst_q = 4 / cfg.width.clamp(1, 4) as u64;
+    let inst_q = 12 / cfg.width.clamp(1, 4) as u64;
     let mut next_boundary = step_cycles;
     let mut l1_misses_seen = 0u32;
     let mut l2_misses_seen = 0u32;
@@ -237,7 +238,7 @@ pub fn simulate_memory(
         match inst.opcode {
             Opcode::Load => {
                 raw.inc(C::Loads);
-                let addr = inst.mem_addr as u64;
+                let addr = inst.mem_addr;
                 let mut latency;
                 let l1 = l1d.access(addr);
                 if l1.hit {
@@ -248,16 +249,17 @@ pub fn simulate_memory(
                     l1_misses_seen += 1;
                     raw.inc(C::L2Accesses);
                     // Train the prefetcher on the L2 access stream.
-                    let prefetches = spp.access(addr);
-                    for pf in prefetches {
+                    for &pf in spp.access(addr.into()) {
                         raw.inc(C::PfIssued);
                         let dropped = drop_period
                             .map(|n| raw.get(C::PfIssued) % n as u64 == 0)
                             .unwrap_or(false);
                         if !dropped {
                             raw.inc(C::PfFilled);
-                            l2.prefetch_fill(pf);
-                            llc.prefetch_fill(pf);
+                            // Prefetches stay in the page of a u32
+                            // address, so they fit in one.
+                            l2.prefetch_fill(pf as u32);
+                            llc.prefetch_fill(pf as u32);
                         }
                     }
                     let l2r = l2.access(addr);
@@ -306,11 +308,11 @@ pub fn simulate_memory(
                 raw.add(C::LoadLatencySum, latency as u64);
                 // Post-L1 stall with MLP overlap.
                 let stall = latency.saturating_sub(cfg.l1d.latency) as u64;
-                qcycles += stall * 4 / MLP_FACTOR;
+                qcycles += stall * 12 / MLP_FACTOR;
             }
             Opcode::Store => {
                 raw.inc(C::Stores);
-                let addr = inst.mem_addr as u64;
+                let addr = inst.mem_addr;
                 let s1 = l1d.access(addr);
                 if !s1.hit {
                     // Write-allocate fill path (no retire stall: the store
@@ -338,7 +340,7 @@ pub fn simulate_memory(
             _ => {}
         }
 
-        let cycles = qcycles / 4;
+        let cycles = qcycles / 12;
         while cycles >= next_boundary {
             raw.v[C::Cycles as usize] = next_boundary;
             let mut step = (0.0, 0.0);
@@ -349,7 +351,7 @@ pub fn simulate_memory(
             next_boundary += step_cycles;
         }
     }
-    let total_cycles = qcycles / 4;
+    let total_cycles = qcycles / 12;
     // Trailing partial step if it covers at least half a step.
     let covered = snapshot.get(C::Cycles);
     if total_cycles > covered && (total_cycles - covered) * 2 >= step_cycles {
@@ -552,6 +554,17 @@ mod tests {
             healthy.total_cycles
         );
         assert!(buggy.overall_amat() > healthy.overall_amat());
+    }
+
+    #[test]
+    fn load_free_code_retires_width_instructions_per_cycle() {
+        let trace = vec![Inst::nop(0x1000); 12_000];
+        for width in 1..=4 {
+            let cfg = MemArchConfig { width, ..skylake() };
+            let run = simulate_memory(&cfg, None, &trace, 200);
+            assert_eq!(run.total_cycles, 12_000 / width as u64, "width {width}");
+            assert_eq!(run.overall_ipc(), width as f64, "width {width}");
+        }
     }
 
     #[test]

@@ -76,6 +76,8 @@ pub struct Spp {
     st: Vec<StEntry>,
     pt: Vec<PtEntry>,
     bugs: SppBugs,
+    /// The last [`Spp::access`]'s prefetch addresses, reused across calls.
+    prefetches: Vec<u64>,
 }
 
 impl Spp {
@@ -94,6 +96,7 @@ impl Spp {
             pt: vec![PtEntry::default(); cfg.pt_entries.max(1)],
             cfg,
             bugs: SppBugs::default(),
+            prefetches: Vec::new(),
         }
     }
 
@@ -109,8 +112,10 @@ impl Spp {
     }
 
     /// Trains on a demand access and returns the lookahead prefetch
-    /// addresses (block-aligned, same page).
-    pub fn access(&mut self, addr: u64) -> Vec<u64> {
+    /// addresses (block-aligned, same page). The slice is valid until the
+    /// next call.
+    pub fn access(&mut self, addr: u64) -> &[u64] {
+        self.prefetches.clear();
         let page = addr >> PAGE_SHIFT;
         let offset = ((addr >> BLOCK_SHIFT) as i64) % BLOCKS_PER_PAGE;
         let st_idx = (page as usize) % self.st.len();
@@ -120,7 +125,7 @@ impl Spp {
         if entry.valid && entry.page == page {
             let delta = offset - entry.last_offset;
             if delta == 0 {
-                return Vec::new(); // same block, nothing to learn
+                return &self.prefetches; // same block, nothing to learn
             }
             // Train the pattern table on (old signature -> delta).
             let pt_idx = (entry.signature as usize) % self.pt.len();
@@ -154,7 +159,6 @@ impl Spp {
         };
 
         // Lookahead walk.
-        let mut prefetches = Vec::new();
         let mut sig = signature;
         let mut cur = offset;
         let mut confidence = 1.0f64;
@@ -187,12 +191,13 @@ impl Spp {
             if !(0..BLOCKS_PER_PAGE).contains(&next) {
                 break; // SPP does not cross pages (without the GHR trick)
             }
-            prefetches.push((page << PAGE_SHIFT) | ((next as u64) << BLOCK_SHIFT));
+            self.prefetches
+                .push((page << PAGE_SHIFT) | ((next as u64) << BLOCK_SHIFT));
             sig = Self::advance_signature(sig, delta);
             cur = next;
             confidence = path_conf;
         }
-        prefetches
+        &self.prefetches
     }
 }
 
@@ -203,7 +208,10 @@ mod tests {
     fn walk(spp: &mut Spp, page: u64, offsets: &[i64]) -> Vec<Vec<u64>> {
         offsets
             .iter()
-            .map(|&o| spp.access((page << PAGE_SHIFT) | ((o as u64) << BLOCK_SHIFT)))
+            .map(|&o| {
+                spp.access((page << PAGE_SHIFT) | ((o as u64) << BLOCK_SHIFT))
+                    .to_vec()
+            })
             .collect()
     }
 

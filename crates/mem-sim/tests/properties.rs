@@ -1,14 +1,14 @@
 //! Property-based tests for the memory-hierarchy substrate.
 
-use perfbug_memsim::{AgedCache, ReplacementBugs, Spp, SppConfig};
+use perfbug_memsim::{RecencyCache, ReplacementBugs, Spp, SppConfig};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn cache_hit_after_fill(addrs in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut c = AgedCache::new(8 * 1024, 4);
+    fn cache_hit_after_fill(addrs in prop::collection::vec(0u32..1_000_000, 1..200)) {
+        let mut c = RecencyCache::new(8 * 1024, 4);
         for &a in &addrs {
             c.access(a);
             prop_assert!(c.access(a).hit, "immediate re-access must hit");
@@ -17,11 +17,11 @@ proptest! {
 
     #[test]
     fn working_set_within_capacity_never_misses_after_warmup(
-        base in 0u64..1_000_000,
+        base in 0u32..1_000_000,
     ) {
         // 16 lines in a 32-line cache: after one pass, everything hits.
-        let mut c = AgedCache::new(32 * 64, 4);
-        let lines: Vec<u64> = (0..16).map(|i| (base + i * 64) & !63).collect();
+        let mut c = RecencyCache::new(32 * 64, 4);
+        let lines: Vec<u32> = (0..16).map(|i| (base + i * 64) & !63).collect();
         for &a in &lines {
             c.access(a);
         }
@@ -34,13 +34,13 @@ proptest! {
 
     #[test]
     fn buggy_replacement_never_affects_correctness_only_hits(
-        addrs in prop::collection::vec(0u64..65_536, 50..300),
+        addrs in prop::collection::vec(0u32..65_536, 50..300),
     ) {
         // Both caches must agree that a just-filled line is resident; the
         // bug only changes WHICH lines survive, never containment of the
         // most recent fill.
-        let mut healthy = AgedCache::new(4 * 1024, 2);
-        let mut buggy = AgedCache::new(4 * 1024, 2);
+        let mut healthy = RecencyCache::new(4 * 1024, 2);
+        let mut buggy = RecencyCache::new(4 * 1024, 2);
         buggy.set_bugs(ReplacementBugs { evict_mru: true, skip_age_update: true });
         for &a in &addrs {
             healthy.access(a);
@@ -58,7 +58,7 @@ proptest! {
         let mut spp = Spp::new(SppConfig::default());
         for &o in &offsets {
             let addr = (page << 12) | ((o as u64) << 6);
-            for pf in spp.access(addr) {
+            for &pf in spp.access(addr) {
                 prop_assert_eq!(pf >> 12, page, "prefetch crossed the page");
                 prop_assert_eq!(pf & 63, 0, "prefetch not block aligned");
             }
@@ -73,7 +73,7 @@ proptest! {
             let mut spp = Spp::new(SppConfig::default());
             let mut out = Vec::new();
             for &o in &offsets {
-                out.extend(spp.access(((o as u64) << 6) | (7 << 12)));
+                out.extend_from_slice(spp.access(((o as u64) << 6) | (7 << 12)));
             }
             out
         };
