@@ -15,7 +15,9 @@ pub enum CacheLevel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemBugSpec {
     /// Bug 1 — on a cache-block access the replacement-policy age counter
-    /// is not updated, so recency information is lost.
+    /// is not updated, so recency information is lost. A line's age is
+    /// its position in its set's recency list, so a hit leaves the line
+    /// where it is instead of moving it to the front.
     NoAgeUpdate {
         /// Affected level.
         level: CacheLevel,

@@ -281,7 +281,7 @@ mod tests {
         }
     }
 
-    /// Every level geometry of the twelve designs: 2-32 ways, 64-8192
+    /// Every level geometry of the twelve designs: 2-32 ways, 64-16384
     /// sets, including 6 MiB/16-way (6144 sets) and 48 KiB/12-way.
     fn preset_geometries() -> Vec<(u64, u32)> {
         crate::config::all()
