@@ -30,7 +30,7 @@ fn main() {
     // Bug 2: an instruction class incorrectly marked as synchronising
     // (moderate impact). The paper serialises `sub`; our synthetic
     // workloads are far denser in sub than SPEC, so `shift` reproduces the
-    // intended few-percent severity (see EXPERIMENTS.md).
+    // intended few-percent severity.
     let bug1 = BugSpec::IfOldestIssueOnlyX { x: Opcode::Xor };
     let bug2 = BugSpec::SerializeOpcode { x: Opcode::Shift };
 

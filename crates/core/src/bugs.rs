@@ -58,23 +58,82 @@ impl Severity {
     }
 }
 
-/// The core bug catalogue: a list of concrete bug variants.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BugCatalog {
-    variants: Vec<BugSpec>,
+/// A concrete bug variant of one numbered bug type.
+pub trait BugVariant {
+    /// The bug-type id (1-based, as in the paper's tables).
+    fn type_id(&self) -> u32;
 }
 
-impl BugCatalog {
+impl BugVariant for BugSpec {
+    fn type_id(&self) -> u32 {
+        BugSpec::type_id(self)
+    }
+}
+
+impl BugVariant for MemBugSpec {
+    fn type_id(&self) -> u32 {
+        MemBugSpec::type_id(self)
+    }
+}
+
+/// A bug catalogue: a non-empty list of concrete bug variants.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Catalog<B> {
+    variants: Vec<B>,
+}
+
+/// The core bug catalogue.
+pub type BugCatalog = Catalog<BugSpec>;
+
+/// The memory-system bug catalogue (§IV-D).
+pub type MemBugCatalog = Catalog<MemBugSpec>;
+
+impl<B: BugVariant> Catalog<B> {
     /// Builds a catalogue from explicit variants.
     ///
     /// # Panics
     ///
     /// Panics if `variants` is empty.
-    pub fn new(variants: Vec<BugSpec>) -> Self {
+    pub fn new(variants: Vec<B>) -> Self {
         assert!(!variants.is_empty(), "catalogue cannot be empty");
-        BugCatalog { variants }
+        Catalog { variants }
     }
 
+    /// All variants in catalogue order.
+    pub fn variants(&self) -> &[B] {
+        &self.variants
+    }
+
+    /// Number of variants.
+    pub fn len(&self) -> usize {
+        self.variants.len()
+    }
+
+    /// Whether the catalogue is empty (never true after construction).
+    pub fn is_empty(&self) -> bool {
+        self.variants.is_empty()
+    }
+
+    /// The distinct bug-type ids present, ascending.
+    pub fn type_ids(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self.variants.iter().map(B::type_id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// Indices of the variants belonging to one type.
+    pub fn variants_of_type(&self, type_id: u32) -> Vec<usize> {
+        self.variants
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.type_id() == type_id)
+            .map(|(i, _)| i)
+            .collect()
+    }
+}
+
+impl BugCatalog {
     /// The full default catalogue: three variants of each of the 14 types
     /// (42 bugs), spanning rare-opcode to common-opcode and mild to severe
     /// parameterisations.
@@ -232,92 +291,41 @@ impl BugCatalog {
             BtbIndexMask { lost_bits: 8 },
         ])
     }
-
-    /// All variants in catalogue order.
-    pub fn variants(&self) -> &[BugSpec] {
-        &self.variants
-    }
-
-    /// Number of variants.
-    pub fn len(&self) -> usize {
-        self.variants.len()
-    }
-
-    /// Whether the catalogue is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.variants.is_empty()
-    }
-
-    /// The distinct bug-type ids present, ascending.
-    pub fn type_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.variants.iter().map(BugSpec::type_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Indices of the variants belonging to one type.
-    pub fn variants_of_type(&self, type_id: u32) -> Vec<usize> {
-        self.variants
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.type_id() == type_id)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// The memory-system bug catalogue (§IV-D).
-#[derive(Debug, Clone)]
-pub struct MemBugCatalog {
-    variants: Vec<MemBugSpec>,
 }
 
 impl MemBugCatalog {
-    /// Builds a catalogue from explicit variants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variants` is empty.
-    pub fn new(variants: Vec<MemBugSpec>) -> Self {
-        assert!(!variants.is_empty(), "catalogue cannot be empty");
-        MemBugCatalog { variants }
-    }
-
     /// The default memory catalogue: the six types of §IV-D with level /
     /// parameter variants (10 bugs).
     pub fn full() -> Self {
         use MemBugSpec::*;
-        MemBugCatalog {
-            variants: vec![
-                NoAgeUpdate {
-                    level: CacheLevel::L1d,
-                },
-                NoAgeUpdate {
-                    level: CacheLevel::L2,
-                },
-                EvictMru {
-                    level: CacheLevel::L1d,
-                },
-                EvictMru {
-                    level: CacheLevel::L2,
-                },
-                MissesDelay {
-                    level: CacheLevel::L1d,
-                    n: 500,
-                    t: 4,
-                },
-                MissesDelay {
-                    level: CacheLevel::L2,
-                    n: 200,
-                    t: 20,
-                },
-                SppSignatureReset,
-                SppLeastConfidence,
-                SppDroppedPrefetch { n: 2 },
-                SppDroppedPrefetch { n: 6 },
-            ],
-        }
+        MemBugCatalog::new(vec![
+            NoAgeUpdate {
+                level: CacheLevel::L1d,
+            },
+            NoAgeUpdate {
+                level: CacheLevel::L2,
+            },
+            EvictMru {
+                level: CacheLevel::L1d,
+            },
+            EvictMru {
+                level: CacheLevel::L2,
+            },
+            MissesDelay {
+                level: CacheLevel::L1d,
+                n: 500,
+                t: 4,
+            },
+            MissesDelay {
+                level: CacheLevel::L2,
+                n: 200,
+                t: 20,
+            },
+            SppSignatureReset,
+            SppLeastConfidence,
+            SppDroppedPrefetch { n: 2 },
+            SppDroppedPrefetch { n: 6 },
+        ])
     }
 
     /// The extended memory catalogue: [`MemBugCatalog::full`] plus
@@ -338,39 +346,6 @@ impl MemBugCatalog {
             DramPageCloseDelay { t: 40 },
         ]);
         cat
-    }
-
-    /// All variants in catalogue order.
-    pub fn variants(&self) -> &[MemBugSpec] {
-        &self.variants
-    }
-
-    /// Number of variants.
-    pub fn len(&self) -> usize {
-        self.variants.len()
-    }
-
-    /// Whether the catalogue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.variants.is_empty()
-    }
-
-    /// The distinct bug-type ids present, ascending.
-    pub fn type_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.variants.iter().map(MemBugSpec::type_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Indices of the variants belonging to one type.
-    pub fn variants_of_type(&self, type_id: u32) -> Vec<usize> {
-        self.variants
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.type_id() == type_id)
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 

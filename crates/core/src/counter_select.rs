@@ -131,8 +131,7 @@ pub fn select_counters(
 
 /// Core-simulator counters banned from stage-1 feature candidacy.
 ///
-/// Two groups, both substrate-calibration decisions documented in
-/// DESIGN.md/EXPERIMENTS.md:
+/// Two groups, both substrate-calibration decisions:
 ///
 /// 1. **Target leakage.** gem5's front end fetches and executes wrong
 ///    paths, so its fetched/issued counts exceed the committed count and

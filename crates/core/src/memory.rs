@@ -9,8 +9,7 @@
 //! evaluation. [`collect_memory`] and [`mem_pass_identity`] are two of
 //! those functions under the older memory names existing callers use.
 
-use perfbug_memsim::{self as memsim, mem_counter_names, simulate_memory, MemArchConfig};
-use perfbug_uarch::ArchSet;
+use perfbug_memsim::{self as memsim, mem_counter_names, simulate_memory, ArchSet, MemArchConfig};
 use perfbug_workloads::{BenchmarkSpec, Probe, WorkloadScale};
 
 use crate::bugs::{BugCatalog, MemBugCatalog};
@@ -87,21 +86,12 @@ impl MemCollectionConfig {
     }
 }
 
-fn mem_set(set: memsim::ArchSet) -> ArchSet {
-    match set {
-        memsim::ArchSet::I => ArchSet::I,
-        memsim::ArchSet::II => ArchSet::II,
-        memsim::ArchSet::III => ArchSet::III,
-        memsim::ArchSet::IV => ArchSet::IV,
-    }
-}
-
 /// The cache-hierarchy designs in unit-grid order: Set I first, then the
 /// evaluated designs, each group in catalogue order.
 fn grid_archs() -> Vec<MemArchConfig> {
     let (mut archs, eval): (Vec<_>, Vec<_>) = memsim::config::all()
         .into_iter()
-        .partition(|a| a.set == memsim::ArchSet::I);
+        .partition(|a| a.set == ArchSet::I);
     archs.extend(eval);
     archs
 }
@@ -138,11 +128,11 @@ impl Experiment for MemCollectionConfig {
             .into_iter()
             .map(|a| Design {
                 role: match a.set {
-                    memsim::ArchSet::I => DesignRole::Train,
-                    memsim::ArchSet::II => DesignRole::Validate,
+                    ArchSet::I => DesignRole::Train,
+                    ArchSet::II => DesignRole::Validate,
                     _ => DesignRole::Evaluate,
                 },
-                set: mem_set(a.set),
+                set: a.set,
                 name: a.name,
             })
             .collect()

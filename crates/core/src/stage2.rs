@@ -18,7 +18,7 @@ pub struct Stage2Params {
     /// The paper's empirical value is 15 for its gem5/SPEC error scale;
     /// the default here is recalibrated (η = 3) to this reproduction's
     /// error scale — chosen, like the paper's, as the value maximising TPR
-    /// at zero observed FPR on the labelled designs (see EXPERIMENTS.md).
+    /// at zero observed FPR on the labelled designs (Sets II and III).
     pub eta: f64,
     /// Rule-2 threshold on the mean γ⁻ (paper: 5; recalibrated to 1.5,
     /// with λ < η as the paper requires).

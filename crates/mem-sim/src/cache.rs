@@ -1,11 +1,20 @@
 //! Set-associative cache whose sets are recency lists.
 //!
+//! This is the one cache model of the workspace: the memory simulator's
+//! L1D, L2 and LLC, and every level of the core simulator's hierarchy
+//! (`perfbug_uarch::Hierarchy`), are [`RecencyCache`]s.
+//!
 //! Each set keeps its valid lines in order of last touch, most recently
 //! used first, so a line's list position is its LRU age. The paper's
 //! memory bugs 1 ("age counter not updated on access") and 2 ("evict the
 //! MRU block") are injected at that recency state: bug 1 skips the move
 //! to the front on a hit, and bug 2 makes a fill into a full set replace
-//! the front instead of dropping the back.
+//! the front instead of dropping the back. The core simulator installs
+//! neither, so its caches are plain true LRU with invalid-first fill.
+//!
+//! `access`, `contains` and their helpers are `#[inline]` because the core
+//! simulator calls them from another crate on every load, store and
+//! instruction fetch.
 
 /// Cache line size in bytes.
 pub const LINE_BYTES: u32 = 64;
@@ -81,6 +90,7 @@ impl RecencyCache {
 
     /// The set `addr` maps to, the way its tag holds there (if resident)
     /// and the tag.
+    #[inline]
     fn lookup(&self, addr: u32) -> (usize, Option<usize>, u32) {
         let line = addr / LINE_BYTES;
         let set = (line % self.sets) as usize;
@@ -92,6 +102,7 @@ impl RecencyCache {
     }
 
     /// Demand access: looks up `addr`, fills on miss. Returns hit status.
+    #[inline]
     pub fn access(&mut self, addr: u32) -> LookupResult {
         let (set, way, tag) = self.lookup(addr);
         let Some(way) = way else {
@@ -129,6 +140,7 @@ impl RecencyCache {
     /// Inserts `line` at the front of `set`: into an unused way while the
     /// set has one, else over the back (LRU) line, or over the front one
     /// under bug 2.
+    #[inline]
     fn insert(&mut self, set: usize, line: u32) {
         let base = set * self.ways as usize;
         let filled = self.fill[set] as usize;
@@ -145,6 +157,7 @@ impl RecencyCache {
     }
 
     /// Whether `addr` is resident (no state change).
+    #[inline]
     pub fn contains(&self, addr: u32) -> bool {
         self.lookup(addr).1.is_some()
     }

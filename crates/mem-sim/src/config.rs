@@ -3,56 +3,60 @@
 //! The paper emulates Intel Broadwell, Haswell, Skylake, Sandybridge,
 //! Ivybridge, Nehalem, AMD K10 and Ryzen 7, plus four artificial designs,
 //! in ChampSim. The paper does not publish the set partitioning for the
-//! memory experiment; we partition analogously to the core experiment
-//! (documented in EXPERIMENTS.md): five designs train the stage-1 models,
-//! two validate, two more label stage 2, and three (all real) are held out.
+//! memory experiment; we partition analogously to the core experiment's
+//! sets I–IV (roles in `docs/ARCHITECTURE.md`, pipeline steps 4–5): five
+//! designs train the stage-1 models, two validate, two more label stage 2,
+//! and three (all real) are held out.
+//!
+//! [`CacheConfig`] and [`ArchSet`] are shared with the core simulator
+//! (`perfbug-uarch` re-exports them), so both experiments describe a cache
+//! level and a design's set the same way.
 
 use crate::spp::SppConfig;
 
-/// Re-export of the core experiment's set marker (same semantics).
-pub use perfbug_uarch_set::ArchSet;
-
-// A tiny shim module so we do not depend on perfbug-uarch just for an enum.
-mod perfbug_uarch_set {
-    /// Which experiment set a memory design belongs to (same roles as the
-    /// core experiment's sets I–IV).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum ArchSet {
-        /// Stage-1 training designs.
-        I,
-        /// Stage-1 validation / stage-2 training designs.
-        II,
-        /// Additional stage-2 training designs.
-        III,
-        /// Held-out test designs.
-        IV,
-    }
+/// Which of the paper's disjoint design sets a core or memory design
+/// belongs to.
+///
+/// * Set I trains the stage-1 models.
+/// * Set II validates stage-1 training and provides stage-2 labels.
+/// * Set III provides additional stage-2 labels.
+/// * Set IV is reserved for final testing (all real designs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ArchSet {
+    /// Stage-1 training designs.
+    I,
+    /// Stage-1 validation / stage-2 training designs.
+    II,
+    /// Additional stage-2 training designs.
+    III,
+    /// Held-out test designs (real microarchitectures only).
+    IV,
 }
 
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelConfig {
+pub struct CacheConfig {
     /// Capacity in bytes.
     pub size: u64,
-    /// Associativity.
+    /// Associativity (ways).
     pub assoc: u32,
-    /// Hit latency in cycles.
+    /// Load-to-use latency in cycles when this level hits.
     pub latency: u32,
 }
 
-impl LevelConfig {
-    /// Convenience constructor with KiB sizing.
+impl CacheConfig {
+    /// Convenience constructor: `size` in KiB.
     pub fn kib(size_kib: u64, assoc: u32, latency: u32) -> Self {
-        LevelConfig {
+        CacheConfig {
             size: size_kib * 1024,
             assoc,
             latency,
         }
     }
 
-    /// Convenience constructor with MiB sizing.
+    /// Convenience constructor: `size` in MiB.
     pub fn mib(size_mib: u64, assoc: u32, latency: u32) -> Self {
-        LevelConfig {
+        CacheConfig {
             size: size_mib * 1024 * 1024,
             assoc,
             latency,
@@ -70,11 +74,11 @@ pub struct MemArchConfig {
     /// Whether this models a real commercial design.
     pub real: bool,
     /// L1 data cache.
-    pub l1d: LevelConfig,
+    pub l1d: CacheConfig,
     /// L2 cache (SPP prefetches into this level).
-    pub l2: LevelConfig,
+    pub l2: CacheConfig,
     /// Last-level cache.
-    pub llc: LevelConfig,
+    pub llc: CacheConfig,
     /// Main-memory latency in cycles.
     pub mem_latency: u32,
     /// Prefetcher configuration.
@@ -124,9 +128,9 @@ fn mem_arch(
     name: &str,
     set: ArchSet,
     real: bool,
-    l1d: LevelConfig,
-    l2: LevelConfig,
-    llc: LevelConfig,
+    l1d: CacheConfig,
+    l2: CacheConfig,
+    llc: CacheConfig,
     mem_latency: u32,
 ) -> MemArchConfig {
     MemArchConfig {
@@ -149,108 +153,108 @@ pub fn all() -> Vec<MemArchConfig> {
             "Nehalem",
             ArchSet::I,
             true,
-            LevelConfig::kib(32, 8, 4),
-            LevelConfig::kib(256, 8, 10),
-            LevelConfig::mib(8, 16, 38),
+            CacheConfig::kib(32, 8, 4),
+            CacheConfig::kib(256, 8, 10),
+            CacheConfig::mib(8, 16, 38),
             220,
         ),
         mem_arch(
             "Sandybridge",
             ArchSet::I,
             true,
-            LevelConfig::kib(32, 8, 4),
-            LevelConfig::kib(256, 8, 11),
-            LevelConfig::mib(8, 16, 30),
+            CacheConfig::kib(32, 8, 4),
+            CacheConfig::kib(256, 8, 11),
+            CacheConfig::mib(8, 16, 30),
             210,
         ),
         mem_arch(
             "Haswell",
             ArchSet::I,
             true,
-            LevelConfig::kib(32, 8, 4),
-            LevelConfig::kib(256, 8, 11),
-            LevelConfig::mib(8, 16, 34),
+            CacheConfig::kib(32, 8, 4),
+            CacheConfig::kib(256, 8, 11),
+            CacheConfig::mib(8, 16, 34),
             205,
         ),
         mem_arch(
             "Artificial M1",
             ArchSet::I,
             false,
-            LevelConfig::kib(64, 4, 5),
-            LevelConfig::kib(512, 8, 14),
-            LevelConfig::mib(4, 16, 30),
+            CacheConfig::kib(64, 4, 5),
+            CacheConfig::kib(512, 8, 14),
+            CacheConfig::mib(4, 16, 30),
             240,
         ),
         mem_arch(
             "Artificial M2",
             ArchSet::I,
             false,
-            LevelConfig::kib(16, 4, 3),
-            LevelConfig::mib(1, 16, 18),
-            LevelConfig::mib(16, 32, 44),
+            CacheConfig::kib(16, 4, 3),
+            CacheConfig::mib(1, 16, 18),
+            CacheConfig::mib(16, 32, 44),
             190,
         ),
         mem_arch(
             "Ivybridge",
             ArchSet::II,
             true,
-            LevelConfig::kib(32, 8, 4),
-            LevelConfig::kib(256, 8, 11),
-            LevelConfig::mib(16, 16, 30),
+            CacheConfig::kib(32, 8, 4),
+            CacheConfig::kib(256, 8, 11),
+            CacheConfig::mib(16, 16, 30),
             215,
         ),
         mem_arch(
             "Artificial M3",
             ArchSet::II,
             false,
-            LevelConfig::kib(32, 2, 3),
-            LevelConfig::kib(512, 4, 12),
-            LevelConfig::mib(2, 8, 26),
+            CacheConfig::kib(32, 2, 3),
+            CacheConfig::kib(512, 4, 12),
+            CacheConfig::mib(2, 8, 26),
             230,
         ),
         mem_arch(
             "Broadwell",
             ArchSet::III,
             true,
-            LevelConfig::kib(32, 8, 4),
-            LevelConfig::kib(256, 8, 12),
-            LevelConfig::mib(6, 16, 42),
+            CacheConfig::kib(32, 8, 4),
+            CacheConfig::kib(256, 8, 12),
+            CacheConfig::mib(6, 16, 42),
             200,
         ),
         mem_arch(
             "Artificial M4",
             ArchSet::III,
             false,
-            LevelConfig::kib(48, 12, 5),
-            LevelConfig::mib(1, 16, 16),
-            LevelConfig::mib(12, 12, 40),
+            CacheConfig::kib(48, 12, 5),
+            CacheConfig::mib(1, 16, 16),
+            CacheConfig::mib(12, 12, 40),
             225,
         ),
         mem_arch(
             "K10",
             ArchSet::IV,
             true,
-            LevelConfig::kib(64, 2, 3),
-            LevelConfig::kib(512, 16, 12),
-            LevelConfig::mib(6, 16, 40),
+            CacheConfig::kib(64, 2, 3),
+            CacheConfig::kib(512, 16, 12),
+            CacheConfig::mib(6, 16, 40),
             235,
         ),
         mem_arch(
             "Ryzen7",
             ArchSet::IV,
             true,
-            LevelConfig::kib(32, 8, 4),
-            LevelConfig::kib(512, 8, 12),
-            LevelConfig::mib(8, 16, 35),
+            CacheConfig::kib(32, 8, 4),
+            CacheConfig::kib(512, 8, 12),
+            CacheConfig::mib(8, 16, 35),
             200,
         ),
         mem_arch(
             "Skylake",
             ArchSet::IV,
             true,
-            LevelConfig::kib(32, 8, 4),
-            LevelConfig::kib(256, 4, 12),
-            LevelConfig::mib(8, 16, 34),
+            CacheConfig::kib(32, 8, 4),
+            CacheConfig::kib(256, 4, 12),
+            CacheConfig::mib(8, 16, 34),
             195,
         ),
     ]
@@ -283,6 +287,12 @@ mod tests {
     fn eight_real_designs() {
         assert_eq!(all().iter().filter(|a| a.real).count(), 8);
         assert!(by_set(ArchSet::IV).iter().all(|a| a.real));
+    }
+
+    #[test]
+    fn cache_constructors() {
+        assert_eq!(CacheConfig::kib(32, 8, 4).size, 32 * 1024);
+        assert_eq!(CacheConfig::mib(8, 16, 34).size, 8 * 1024 * 1024);
     }
 
     #[test]

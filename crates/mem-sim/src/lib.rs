@@ -35,7 +35,7 @@ pub mod spp;
 
 pub use bugs::{CacheLevel, MemBugSpec};
 pub use cache::{LookupResult, RecencyCache, ReplacementBugs, LINE_BYTES};
-pub use config::{ArchSet, LevelConfig, MemArchConfig};
+pub use config::{ArchSet, CacheConfig, MemArchConfig};
 pub use probes::{memory_suite, MEMORY_SUITE};
 pub use sim::{mem_counter_names, simulate_memory, MemRun, N_MEM_COUNTERS};
 pub use spp::{Spp, SppBugs, SppConfig};

@@ -3,7 +3,7 @@
 //! The paper extracts 22 SimPoints from seven SPEC CPU2006 applications for
 //! the ChampSim experiment. The per-application split is not published; we
 //! use the seven most memory-relevant applications of our suite with
-//! SimPoint counts summing to 22 (documented in EXPERIMENTS.md).
+//! SimPoint counts summing to 22 ([`MEMORY_SUITE`]).
 
 use perfbug_workloads::{benchmark, BenchmarkSpec};
 

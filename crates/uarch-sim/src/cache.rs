@@ -1,94 +1,13 @@
-//! Set-associative caches and the three-level data/instruction hierarchy.
+//! The three-level data/instruction hierarchy of one core.
+//!
+//! Each level is a [`RecencyCache`], the memory simulator's true-LRU
+//! set-associative cache, plus a hit latency. The core simulator injects
+//! no replacement bugs, so its caches are plain LRU with invalid-first
+//! fill.
+
+use perfbug_memsim::RecencyCache;
 
 use crate::config::{CacheConfig, MicroarchConfig};
-
-/// Cache line size in bytes (fixed across the hierarchy, like gem5's
-/// default).
-pub const LINE_BYTES: u32 = 64;
-
-/// One set-associative cache level with true-LRU replacement.
-///
-/// Each set is a recency list of at most `ways` tags, most recently used
-/// first, so LRU order needs no per-line ages: a hit moves its tag to the
-/// front, and a miss inserts at the front, dropping the last (least
-/// recently used) tag once the set is full. Until then a miss fills an
-/// unused way, so this is true LRU with invalid-first fill. The arrays
-/// start zeroed and are never pre-filled, so sets no access reaches cost
-/// nothing.
-#[derive(Debug, Clone)]
-pub struct Cache {
-    sets: u32,
-    ways: u32,
-    /// `tags[set * ways..][..fill[set]]`: the set's tags, most recently
-    /// used first. Addresses are `u32`, so tags are too.
-    tags: Vec<u32>,
-    /// Valid tags per set.
-    fill: Vec<u32>,
-    /// Hit latency in cycles.
-    latency: u32,
-}
-
-impl Cache {
-    /// Builds a cache from its configuration.
-    pub fn new(cfg: CacheConfig) -> Self {
-        let ways = cfg.assoc.max(1);
-        let sets = (cfg.size / (LINE_BYTES as u64 * ways as u64)).max(1) as u32;
-        Cache {
-            sets,
-            ways,
-            tags: vec![0; sets as usize * ways as usize],
-            fill: vec![0; sets as usize],
-            latency: cfg.latency,
-        }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> u32 {
-        self.sets
-    }
-
-    /// Hit latency in cycles.
-    pub fn latency(&self) -> u32 {
-        self.latency
-    }
-
-    /// The set `addr` maps to, its resident tags (most recently used
-    /// first) and its tag.
-    fn lookup(&self, addr: u32) -> (usize, &[u32], u32) {
-        let line = addr / LINE_BYTES;
-        let set = (line % self.sets) as usize;
-        let base = set * self.ways as usize;
-        let resident = &self.tags[base..base + self.fill[set] as usize];
-        (set, resident, line / self.sets)
-    }
-
-    /// Looks up `addr`; on miss the line is filled (evicting LRU). Returns
-    /// whether the access hit.
-    pub fn access(&mut self, addr: u32) -> bool {
-        let (set, resident, tag) = self.lookup(addr);
-        let hit_way = resident.iter().position(|&t| t == tag);
-        let filled = resident.len();
-        // Tags ahead of the one moving to the front shift back one way.
-        let shifted = match hit_way {
-            Some(way) => way,
-            None if filled < self.ways as usize => {
-                self.fill[set] += 1;
-                filled
-            }
-            None => filled - 1,
-        };
-        let base = set * self.ways as usize;
-        self.tags.copy_within(base..base + shifted, base + 1);
-        self.tags[base] = tag;
-        hit_way.is_some()
-    }
-
-    /// Whether `addr` is currently resident (no state change).
-    pub fn contains(&self, addr: u32) -> bool {
-        let (_, resident, tag) = self.lookup(addr);
-        resident.contains(&tag)
-    }
-}
 
 /// Counters produced by one hierarchy access.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,13 +24,29 @@ pub struct AccessOutcome {
     pub mem: bool,
 }
 
+/// One cache level: its tags and its hit latency.
+#[derive(Debug, Clone)]
+struct Level {
+    cache: RecencyCache,
+    latency: u32,
+}
+
+impl Level {
+    fn new(cfg: CacheConfig) -> Self {
+        Level {
+            cache: RecencyCache::new(cfg.size, cfg.assoc),
+            latency: cfg.latency,
+        }
+    }
+}
+
 /// The full cache hierarchy of one core: split L1, unified L2/L3.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
-    l1i: Cache,
-    l1d: Cache,
-    l2: Cache,
-    l3: Option<Cache>,
+    l1i: Level,
+    l1d: Level,
+    l2: Level,
+    l3: Option<Level>,
     mem_latency: u32,
     /// Extra cycles added to L2 hits (bug 10 hook).
     pub l2_extra_latency: u32,
@@ -121,29 +56,27 @@ impl Hierarchy {
     /// Builds the hierarchy for a design.
     pub fn new(cfg: &MicroarchConfig) -> Self {
         Hierarchy {
-            l1i: Cache::new(cfg.l1i),
-            l1d: Cache::new(cfg.l1d),
-            l2: Cache::new(cfg.l2),
-            l3: cfg.l3.map(Cache::new),
+            l1i: Level::new(cfg.l1i),
+            l1d: Level::new(cfg.l1d),
+            l2: Level::new(cfg.l2),
+            l3: cfg.l3.map(Level::new),
             mem_latency: cfg.mem_latency_cycles(),
             l2_extra_latency: 0,
         }
     }
 
     fn beyond_l1(&mut self, addr: u32, mut outcome: AccessOutcome) -> AccessOutcome {
-        if self.l2.access(addr) {
+        if self.l2.cache.access(addr).hit {
             outcome.l2_hit = true;
-            outcome.latency = self.l2.latency() + self.l2_extra_latency;
+            outcome.latency = self.l2.latency + self.l2_extra_latency;
             return outcome;
         }
-        outcome.latency = self.l2.latency() + self.l2_extra_latency;
         if let Some(l3) = &mut self.l3 {
-            if l3.access(addr) {
+            if l3.cache.access(addr).hit {
                 outcome.l3_hit = true;
-                outcome.latency = l3.latency();
+                outcome.latency = l3.latency;
                 return outcome;
             }
-            outcome.latency = l3.latency();
         }
         outcome.mem = true;
         outcome.latency = self.mem_latency;
@@ -154,9 +87,9 @@ impl Hierarchy {
     /// hit flags.
     pub fn access_data(&mut self, addr: u32) -> AccessOutcome {
         let mut outcome = AccessOutcome::default();
-        if self.l1d.access(addr) {
+        if self.l1d.cache.access(addr).hit {
             outcome.l1_hit = true;
-            outcome.latency = self.l1d.latency();
+            outcome.latency = self.l1d.latency;
             return outcome;
         }
         self.beyond_l1(addr, outcome)
@@ -165,9 +98,9 @@ impl Hierarchy {
     /// Instruction-side access returning latency and per-level hit flags.
     pub fn access_inst(&mut self, addr: u32) -> AccessOutcome {
         let mut outcome = AccessOutcome::default();
-        if self.l1i.access(addr) {
+        if self.l1i.cache.access(addr).hit {
             outcome.l1_hit = true;
-            outcome.latency = self.l1i.latency();
+            outcome.latency = self.l1i.latency;
             return outcome;
         }
         self.beyond_l1(addr, outcome)
@@ -177,138 +110,6 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// The reference true-LRU cache: one tag and one age per way, the
-    /// touched way's age reset and every other way in the set aged on each
-    /// access, and a miss filling the first invalid way, else the oldest.
-    struct AgedReference {
-        sets: u32,
-        ways: u32,
-        /// `u64::MAX` marks an invalid way.
-        tags: Vec<u64>,
-        ages: Vec<u32>,
-    }
-
-    impl AgedReference {
-        fn new(cfg: CacheConfig) -> Self {
-            let ways = cfg.assoc.max(1);
-            let sets = (cfg.size / (LINE_BYTES as u64 * ways as u64)).max(1) as u32;
-            AgedReference {
-                sets,
-                ways,
-                tags: vec![u64::MAX; (sets * ways) as usize],
-                ages: vec![0; (sets * ways) as usize],
-            }
-        }
-
-        fn index(&self, addr: u32) -> (usize, u64) {
-            let line = addr / LINE_BYTES;
-            let base = (line % self.sets * self.ways) as usize;
-            (base, (line / self.sets) as u64)
-        }
-
-        fn access(&mut self, addr: u32) -> bool {
-            let (base, tag) = self.index(addr);
-            let ways = base..base + self.ways as usize;
-            let hit_way = self.tags[ways.clone()].iter().position(|&t| t == tag);
-            let way = hit_way.unwrap_or_else(|| {
-                let victim = self.tags[ways.clone()]
-                    .iter()
-                    .position(|&t| t == u64::MAX)
-                    .unwrap_or_else(|| {
-                        let ages = self.ages[ways.clone()].iter().enumerate();
-                        ages.max_by_key(|(_, &a)| a).expect("nonzero ways").0
-                    });
-                self.tags[base + victim] = tag;
-                victim
-            });
-            for a in &mut self.ages[ways] {
-                *a = a.saturating_add(1);
-            }
-            self.ages[base + way] = 0;
-            hit_way.is_some()
-        }
-
-        fn contains(&self, addr: u32) -> bool {
-            let (base, tag) = self.index(addr);
-            self.tags[base..base + self.ways as usize].contains(&tag)
-        }
-    }
-
-    /// A geometry of 1-32 ways and 1-40 sets (powers of two or not), and
-    /// an address stream over about three times its capacity in lines,
-    /// with one access in eight anywhere in the address space.
-    fn geometry_and_stream() -> impl Strategy<Value = (CacheConfig, Vec<u32>)> {
-        let words = prop::collection::vec(any::<u64>(), 1..400);
-        (1u32..=32, 1u32..=40, words).prop_map(|(ways, sets, words)| {
-            let cfg = CacheConfig {
-                size: LINE_BYTES as u64 * ways as u64 * sets as u64,
-                assoc: ways,
-                latency: 1,
-            };
-            let lines = 3 * (ways * sets) as u64;
-            let stream = words
-                .into_iter()
-                .map(|w| match w % 8 {
-                    0 => (w >> 32) as u32,
-                    _ => ((w >> 3) % lines * LINE_BYTES as u64 + (w >> 40) % 64) as u32,
-                })
-                .collect();
-            (cfg, stream)
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn recency_lists_match_the_aged_reference(case in geometry_and_stream()) {
-            let (cfg, stream) = case;
-            let mut cache = Cache::new(cfg);
-            let mut reference = AgedReference::new(cfg);
-            prop_assert_eq!(cache.sets(), reference.sets);
-            for (i, &addr) in stream.iter().enumerate() {
-                let probe = stream[i / 2];
-                prop_assert_eq!(cache.contains(probe), reference.contains(probe));
-                prop_assert_eq!(cache.access(addr), reference.access(addr), "access {}", i);
-                prop_assert!(cache.contains(addr));
-            }
-        }
-    }
-
-    fn tiny_cache() -> Cache {
-        // 4 sets x 2 ways x 64B = 512B.
-        Cache::new(CacheConfig {
-            size: 512,
-            assoc: 2,
-            latency: 3,
-        })
-    }
-
-    #[test]
-    fn miss_then_hit() {
-        let mut c = tiny_cache();
-        assert!(!c.access(0x1000));
-        assert!(c.access(0x1000));
-        assert!(c.access(0x1001)); // same line
-    }
-
-    #[test]
-    fn lru_evicts_oldest() {
-        let mut c = tiny_cache();
-        // Three lines mapping to the same set (set stride = 4 lines = 256B).
-        let a = 0x0000;
-        let b = 0x0100;
-        let d = 0x0200;
-        c.access(a);
-        c.access(b);
-        c.access(a); // a is now MRU, b is LRU
-        c.access(d); // evicts b
-        assert!(c.contains(a));
-        assert!(!c.contains(b));
-        assert!(c.contains(d));
-    }
 
     #[test]
     fn hierarchy_latency_ordering() {
@@ -322,19 +123,64 @@ mod tests {
         assert_eq!(second.latency, cfg.l1d.latency);
     }
 
+    /// `addr`, then `n` more lines in its L2 set, all through the L1I, so
+    /// the L1D never holds them and `addr` leaves the L2 once `n` reaches
+    /// the L2's associativity.
+    fn fill_l2_set_through_l1i(h: &mut Hierarchy, cfg: &MicroarchConfig, addr: u32, n: u32) {
+        let l2_stride = (cfg.l2.size / cfg.l2.assoc as u64) as u32;
+        h.access_inst(addr);
+        for k in 1..=n {
+            h.access_inst(addr + k * l2_stride);
+        }
+    }
+
     #[test]
     fn l2_extra_latency_applies_on_l2_hits_only() {
         let cfg = crate::presets::skylake();
-        let mut h = Hierarchy::new(&cfg);
-        h.access_data(0x5000_0000); // fill everything
-        let l1 = h.access_data(0x5000_0000);
-        assert!(l1.l1_hit);
-
+        let l3 = cfg.l3.expect("Skylake has an L3");
+        let mut healthy = Hierarchy::new(&cfg);
         let mut buggy = Hierarchy::new(&cfg);
         buggy.l2_extra_latency = 7;
-        buggy.access_data(0x5000_0000);
-        let l1b = buggy.access_data(0x5000_0000);
-        assert_eq!(l1.latency, l1b.latency, "L1 hits unaffected by the L2 bug");
+        for h in [&mut healthy, &mut buggy] {
+            // Memory: a cold access misses every level.
+            let mem = h.access_data(0x5000_0000);
+            assert!(mem.mem);
+            assert_eq!(mem.latency, cfg.mem_latency_cycles());
+            // L1D hit.
+            let l1 = h.access_data(0x5000_0000);
+            assert!(l1.l1_hit);
+            assert_eq!(l1.latency, cfg.l1d.latency);
+            // L3 hit: the line went in through the L1I and was then pushed
+            // out of its L2 set, but the L3 keeps it.
+            fill_l2_set_through_l1i(h, &cfg, 0x6000_0000, cfg.l2.assoc);
+            let l3_hit = h.access_data(0x6000_0000);
+            assert!(!l3_hit.l1_hit && !l3_hit.l2_hit && l3_hit.l3_hit);
+            assert_eq!(l3_hit.latency, l3.latency);
+        }
+        // L2 hit: a line only the L1I and the L2 hold.
+        healthy.access_inst(0x7000_0000);
+        buggy.access_inst(0x7000_0000);
+        let l2 = healthy.access_data(0x7000_0000);
+        let l2b = buggy.access_data(0x7000_0000);
+        assert!(l2.l2_hit && l2b.l2_hit);
+        assert_eq!(l2.latency, cfg.l2.latency);
+        assert_eq!(l2b.latency, cfg.l2.latency + 7, "L2 hits pay the bug");
+    }
+
+    #[test]
+    fn l2_miss_without_an_l3_goes_to_memory() {
+        let cfg = crate::presets::jaguar();
+        assert!(cfg.l3.is_none());
+        let mut h = Hierarchy::new(&cfg);
+        let cold = h.access_data(0x5000_0000);
+        assert!(cold.mem && !cold.l3_hit);
+        assert_eq!(cold.latency, cfg.mem_latency_cycles());
+        // A line evicted from the L2 (and never in the L1D) goes to memory
+        // again.
+        fill_l2_set_through_l1i(&mut h, &cfg, 0x6000_0000, cfg.l2.assoc);
+        let evicted = h.access_data(0x6000_0000);
+        assert!(!evicted.l2_hit && evicted.mem && !evicted.l3_hit);
+        assert_eq!(evicted.latency, cfg.mem_latency_cycles());
     }
 
     #[test]

@@ -2,36 +2,7 @@
 
 use perfbug_workloads::FuClass;
 
-/// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Capacity in bytes.
-    pub size: u64,
-    /// Associativity (ways).
-    pub assoc: u32,
-    /// Load-to-use latency in cycles when this level hits.
-    pub latency: u32,
-}
-
-impl CacheConfig {
-    /// Convenience constructor: `size` in KiB.
-    pub fn kib(size_kib: u64, assoc: u32, latency: u32) -> Self {
-        CacheConfig {
-            size: size_kib * 1024,
-            assoc,
-            latency,
-        }
-    }
-
-    /// Convenience constructor: `size` in MiB.
-    pub fn mib(size_mib: u64, assoc: u32, latency: u32) -> Self {
-        CacheConfig {
-            size: size_mib * 1024 * 1024,
-            assoc,
-            latency,
-        }
-    }
-}
+pub use perfbug_memsim::{ArchSet, CacheConfig};
 
 /// Functional-unit latencies (Table II's "FP / Multiplier / Divider").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,24 +13,6 @@ pub struct FuLatency {
     pub mul: u32,
     /// Divider latency (integer and FP divides).
     pub div: u32,
-}
-
-/// Which of the paper's disjoint microarchitecture sets a design belongs to.
-///
-/// * Set I trains the stage-1 IPC models.
-/// * Set II validates stage-1 training and provides stage-2 labels.
-/// * Set III provides additional stage-2 labels.
-/// * Set IV is reserved for final testing (all real designs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArchSet {
-    /// Stage-1 training designs.
-    I,
-    /// Stage-1 validation / stage-2 training designs.
-    II,
-    /// Additional stage-2 training designs.
-    III,
-    /// Held-out test designs (real microarchitectures only).
-    IV,
 }
 
 /// Full configuration of a simulated out-of-order core.
@@ -224,12 +177,6 @@ mod tests {
         cfg.clock_ghz = 2.0;
         let slow = cfg.mem_latency_cycles();
         assert_eq!(fast, 2 * slow);
-    }
-
-    #[test]
-    fn cache_constructors() {
-        assert_eq!(CacheConfig::kib(32, 8, 4).size, 32 * 1024);
-        assert_eq!(CacheConfig::mib(8, 16, 34).size, 8 * 1024 * 1024);
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub mod sim;
 
 pub use branch::{BranchPredictor, Prediction};
 pub use bugs::BugSpec;
-pub use cache::{AccessOutcome, Cache, Hierarchy, LINE_BYTES};
+pub use cache::{AccessOutcome, Hierarchy};
 pub use config::{ArchSet, CacheConfig, FuLatency, MicroarchConfig};
 pub use counters::{counter_names, Counter, CounterFile, Snapshot, N_COUNTERS};
+pub use perfbug_memsim::LINE_BYTES;
 pub use sim::{simulate, simulate_into, ProbeRun};

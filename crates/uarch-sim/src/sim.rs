@@ -67,11 +67,12 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
+use perfbug_memsim::LINE_BYTES;
 use perfbug_workloads::{FuClass, Inst, Opcode, RowMatrix};
 
 use crate::branch::BranchPredictor;
 use crate::bugs::BugSpec;
-use crate::cache::{AccessOutcome, Hierarchy, LINE_BYTES};
+use crate::cache::{AccessOutcome, Hierarchy};
 use crate::config::MicroarchConfig;
 use crate::counters::{Counter, CounterFile, N_COUNTERS};
 
