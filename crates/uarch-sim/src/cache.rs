@@ -111,6 +111,39 @@ impl Hierarchy {
 mod tests {
     use super::*;
 
+    fn tiny_level() -> Level {
+        // 4 sets x 2 ways x 64B = 512B.
+        Level::new(CacheConfig {
+            size: 512,
+            assoc: 2,
+            latency: 3,
+        })
+    }
+
+    #[test]
+    fn miss_then_hit() {
+        let mut c = tiny_level().cache;
+        assert!(!c.access(0x1000).hit);
+        assert!(c.access(0x1000).hit);
+        assert!(c.access(0x1001).hit); // same line
+    }
+
+    #[test]
+    fn lru_evicts_oldest() {
+        let mut c = tiny_level().cache;
+        // Three lines mapping to the same set (set stride = 4 lines = 256B).
+        let a = 0x0000;
+        let b = 0x0100;
+        let d = 0x0200;
+        c.access(a);
+        c.access(b);
+        c.access(a); // a is now MRU, b is LRU
+        c.access(d); // evicts b
+        assert!(c.contains(a));
+        assert!(!c.contains(b));
+        assert!(c.contains(d));
+    }
+
     #[test]
     fn hierarchy_latency_ordering() {
         let cfg = crate::presets::skylake();
