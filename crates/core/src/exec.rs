@@ -1,30 +1,19 @@
 //! Run-level parallel execution engine.
 //!
-//! The collection phase of the methodology is embarrassingly parallel at
-//! *run* granularity — every (probe, design, bug) simulation and every
-//! (probe, engine) stage-1 training job is independent — but the work is
-//! heavily skewed: buggy runs stall pipelines for many more cycles than
-//! healthy ones, and neural engines train orders of magnitude longer than
-//! boosted trees. This module provides the scheduler the collection pass
-//! (`experiment::collect` and the cache front doors of `persist`, for the
-//! core and memory experiments alike) is built on:
+//! Collection is embarrassingly parallel at *run* granularity — every
+//! (probe, design, bug) simulation and every (probe, engine) stage-1 job is
+//! independent — but run costs are heavily skewed: buggy runs stall for
+//! many more cycles than healthy ones, and neural engines train far longer
+//! than boosted trees. This module provides:
 //!
-//! * a sharded **work-stealing index scheduler** ([`Scheduler`]) — each
-//!   worker owns a contiguous shard of the task range and claims indices
-//!   with a single atomic `fetch_add`; once its shard is drained it steals
-//!   from the shard with the most remaining work, so skewed run costs
-//!   cannot idle a core;
-//! * **lock-free per-slot result writes** ([`SlotVec`]) — every task
-//!   publishes its result through its own `OnceLock`, eliminating the
-//!   global results mutex of the previous probe-granular loop;
-//! * [`parallel_map`] / [`parallel_map_with`] — scoped-thread drivers that
-//!   tie the two together and preserve index order, so results are
-//!   byte-identical regardless of worker count;
-//! * [`collect_unit_grid_streaming`] — the three-phase collection driver
-//!   over a (probe × unit) simulation grid, parameterised by a trace
-//!   builder, a simulator and a counter-selection policy. The one
-//!   collection pass (`experiment`'s, over its `Experiment` trait) runs
-//!   through it; [`collect_unit_grid`] is its in-memory form;
+//! * [`collect_unit_grid_streaming`] — the collection driver over a
+//!   (probe × unit) grid: one worker pool per pass runs a job queue driven
+//!   by dependencies, so no job waits on another probe, and hands probes
+//!   on in order, so output is byte-identical for any worker count. The
+//!   core and memory collection passes (`experiment`'s) run through it;
+//!   [`collect_unit_grid`] is its in-memory form;
+//! * [`parallel_map`] — an order-preserving scoped-thread map over
+//!   independent tasks, used by the evaluation's leave-one-type-out folds;
 //! * [`ShardSpec`] — multi-process scale-out. A shard restricts the driver
 //!   to a deterministic contiguous probe range of the grid; because every
 //!   probe's pipeline is independent and deterministic, the union of any
@@ -32,8 +21,9 @@
 //!   persistence layer (`crate::persist`) gives shards an on-disk merge
 //!   format (see `docs/FORMAT.md` and `docs/ARCHITECTURE.md`).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::experiment::{CapturedSeries, EngineResult, DELTA_CEILING};
@@ -48,183 +38,42 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// One worker's contiguous slice of the task range.
-#[derive(Debug)]
-struct Shard {
-    /// Next unclaimed task index; may legitimately run past `end` when
-    /// thieves race, which simply means the shard is drained.
-    next: AtomicUsize,
-    /// One past the last task index of the shard.
-    end: usize,
-}
-
-impl Shard {
-    fn remaining(&self) -> usize {
-        self.end.saturating_sub(self.next.load(Ordering::Relaxed))
-    }
-
-    /// Claims the next index of this shard, if any is left.
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.end).then_some(i)
-    }
-}
-
-/// Work-stealing scheduler over the task indices `0..n_tasks`.
-///
-/// Claiming is wait-free in the common case (one `fetch_add` on the
-/// worker's own shard) and lock-free when stealing.
-#[derive(Debug)]
-pub struct Scheduler {
-    shards: Vec<Shard>,
-}
-
-impl Scheduler {
-    /// Partitions `0..n_tasks` into `workers` near-equal contiguous shards.
-    pub fn new(n_tasks: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let base = n_tasks / workers;
-        let extra = n_tasks % workers;
-        let mut shards = Vec::with_capacity(workers);
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            shards.push(Shard {
-                next: AtomicUsize::new(start),
-                end: start + len,
-            });
-            start += len;
-        }
-        Scheduler { shards }
-    }
-
-    /// Claims the next task for `worker`: from its own shard while it
-    /// lasts, then by stealing from the fullest other shard. Returns
-    /// `None` only once every task index has been claimed.
-    pub fn claim(&self, worker: usize) -> Option<usize> {
-        if let Some(i) = self.shards[worker % self.shards.len()].claim() {
-            return Some(i);
-        }
-        loop {
-            let victim = self
-                .shards
-                .iter()
-                .max_by_key(|s| s.remaining())
-                .filter(|s| s.remaining() > 0)?;
-            if let Some(i) = victim.claim() {
-                return Some(i);
-            }
-            // Lost the race for the victim's last tasks; rescan.
-        }
-    }
-}
-
-/// A fixed-size vector of write-once result slots.
-///
-/// Each parallel task publishes into its own slot, so no lock is shared
-/// between workers and results keep task order.
-#[derive(Debug)]
-pub struct SlotVec<T> {
-    slots: Vec<OnceLock<T>>,
-}
-
-impl<T> SlotVec<T> {
-    /// Creates `n` empty slots.
-    pub fn new(n: usize) -> Self {
-        SlotVec {
-            slots: (0..n).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Publishes the result of task `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slot `i` was already filled — every task index must be
-    /// claimed exactly once.
-    pub fn set(&self, i: usize, value: T) {
-        if self.slots[i].set(value).is_err() {
-            panic!("slot {i} filled twice");
-        }
-    }
-
-    /// Reads the result of task `i`, if published.
-    pub fn get(&self, i: usize) -> Option<&T> {
-        self.slots[i].get()
-    }
-
-    /// Unwraps all slots into a plain vector, preserving task order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot is still empty.
-    pub fn into_vec(self) -> Vec<T> {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|| panic!("slot {i} never filled"))
-            })
-            .collect()
-    }
-}
-
-/// Runs `task(worker_state, index)` for every index in `0..n_tasks` on
-/// `threads` scoped workers (clamped to at least 1) and returns the
-/// results in index order. `init` builds one reusable state per worker
-/// (scratch buffers, pools); the single-threaded path runs inline without
-/// spawning.
-pub fn parallel_map_with<T, S, I, F>(n_tasks: usize, threads: usize, init: I, task: F) -> Vec<T>
-where
-    T: Send + Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n_tasks.max(1));
-    if threads == 1 {
-        let mut state = init();
-        return (0..n_tasks).map(|i| task(&mut state, i)).collect();
-    }
-    let scheduler = Scheduler::new(n_tasks, threads);
-    let slots = SlotVec::new(n_tasks);
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let scheduler = &scheduler;
-            let slots = &slots;
-            let init = &init;
-            let task = &task;
-            scope.spawn(move || {
-                let mut state = init();
-                while let Some(i) = scheduler.claim(worker) {
-                    slots.set(i, task(&mut state, i));
-                }
-            });
-        }
-    });
-    slots.into_vec()
-}
-
-/// [`parallel_map_with`] without per-worker state.
+/// Runs `task(index)` for every index in `0..n_tasks` on `threads` scoped
+/// workers, the calling thread among them, and returns the results in
+/// index order for any worker count. Workers claim indices from one shared
+/// counter and publish each result into its own write-once slot.
 pub fn parallel_map<T, F>(n_tasks: usize, threads: usize, task: F) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_with(n_tasks, threads, || (), |(), i| task(i))
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<T>> = (0..n_tasks).map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        assert!(slot.set(task(i)).is_ok(), "task {i} claimed twice");
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(n_tasks) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every task ran"))
+        .collect()
 }
 
 // --------------------------------------------------------------------------
 // Shared unit-grid collection driver
 // --------------------------------------------------------------------------
 
-/// Process-wide count of simulation units run by
-/// [`collect_unit_grid_streaming`].
-///
-/// Incremented once per (probe, unit) simulation task. The replay tooling
-/// (`examples/replay.rs` and the CI replay guard) samples it around a
-/// cache load to prove that an evaluation-only replay performed zero
-/// simulations.
+/// Process-wide count of (probe, unit) simulations run by
+/// [`collect_unit_grid_streaming`]. The replay tooling (`examples/replay.rs`
+/// and the CI replay guard) samples it around a cache load to prove that
+/// an evaluation-only replay performed zero simulations.
 static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Total number of simulation units run by this process so far.
@@ -269,14 +118,10 @@ impl ShardSpec {
         let (index, count) = raw
             .split_once('/')
             .ok_or_else(|| format!("shard spec must be <index>/<count> (e.g. 0/4), got {raw:?}"))?;
-        let index: usize = index
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard index in {raw:?}"))?;
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard count in {raw:?}"))?;
+        let parse = |n: &str, what| {
+            (n.trim().parse::<usize>()).map_err(|_| format!("bad shard {what} in {raw:?}"))
+        };
+        let (index, count) = (parse(index, "index")?, parse(count, "count")?);
         if count == 0 {
             return Err(format!("shard count must be at least 1 in {raw:?}"));
         }
@@ -293,9 +138,8 @@ impl ShardSpec {
 
     /// The contiguous probe range this shard owns out of `n_probes`.
     ///
-    /// Near-equal partition, identical to the scheduler's: the first
-    /// `n_probes % count` shards take one extra probe. Shards beyond the
-    /// probe count legitimately own an empty range.
+    /// Near-equal partition: the first `n_probes % count` shards take one
+    /// extra probe. Shards beyond the probe count own an empty range.
     pub fn probe_range(&self, n_probes: usize) -> std::ops::Range<usize> {
         let base = n_probes / self.count;
         let extra = n_probes % self.count;
@@ -382,8 +226,8 @@ pub struct EngineProbeOutput {
 }
 
 /// Everything one probe's pipeline produced, handed to the
-/// [`collect_unit_grid_streaming`] completion callback as soon as the
-/// probe's block finishes.
+/// [`collect_unit_grid_streaming`] completion callback once it and every
+/// earlier probe have finished.
 #[derive(Debug)]
 pub struct ProbeOutput {
     /// Overall target metric, one per run key.
@@ -438,41 +282,30 @@ where
     out
 }
 
-/// Runs the shared three-phase collection pipeline over a (probe × unit)
-/// grid on the work-stealing pool:
+/// Runs the shared collection pipeline over a (probe × unit) grid on one
+/// pool of `threads` workers (at least 1) that lives for the whole pass.
+/// Each probe's **trace** job (`make_trace`) queues one **simulate** job
+/// per unit (`simulate`); its last simulation queues its **prepare** job —
+/// counter selection (`prepare`) plus the baseline's aggregated mean-row
+/// features and overall-metric vector; prepare queues one **stage-1** job
+/// per engine, which trains the probe's model and infers every key unit,
+/// producing Eq.-(1) inference errors (ceiling-clamped at
+/// `experiment::DELTA_CEILING`) and optional captured series (`capture`).
+/// Ready jobs run stage first, the oldest probe first within a stage.
 ///
-/// * **Phase A** — the (probe × unit) simulation grid (`simulate`), fed by
-///   one trace per probe (`make_trace`);
-/// * **Phase B** — per-probe counter selection (`prepare`) plus the
-///   baseline's aggregated mean-row features and overall-metric vector;
-/// * **Phase C** — the (probe × engine) stage-1 training grid, producing
-///   Eq.-(1) inference errors (ceiling-clamped at
-///   `experiment::DELTA_CEILING`) and optional captured series
-///   (`capture`).
+/// The calling thread admits at most `2 × threads` probes at a time, which
+/// bounds peak memory, and hands each finished probe's output to
+/// `on_probe(absolute probe index, output)` in strictly increasing probe
+/// order. An `Err` from it ends the pass (running jobs finish, no new job
+/// starts) and is returned; a panic in any callback ends the pass and
+/// propagates out of this call.
 ///
-/// `shard` restricts the driver to that shard's probe range
-/// ([`ShardSpec::probe_range`]); probe indices handed to the callbacks are
-/// always absolute grid indices, so a probe's pipeline is bit-identical
-/// whether it runs in a full pass or inside any shard.
-///
-/// Probes are processed in blocks of `max(threads, 2)` to bound peak
-/// memory; results are published into per-task slots and assembled in
-/// deterministic index order, so the output is identical for any worker
-/// count and any block size.
-///
-/// Each probe's complete output is handed to `on_probe(absolute probe
-/// index, output)` as soon as its block's deterministic assembly reaches
-/// it, instead of being accumulated in memory. The callback runs on the
-/// calling thread, in strictly increasing probe order, and may fail — a
-/// `Err` aborts the pass immediately (work already queued in the current
-/// block is finished first).
-///
-/// `skip` drops the first `skip` probes of the shard's range without
-/// simulating them — the resume path: a crashed worker whose durable
-/// prefix already holds `skip` probes continues from the first missing
-/// one. Because every probe's pipeline depends only on its own trace,
-/// the probes that *are* run produce bit-identical output regardless of
-/// `skip` (block boundaries shift, which affects nothing but batching).
+/// `shard` restricts the pass to [`ShardSpec::probe_range`], and `skip`
+/// drops the first `skip` probes of that range without simulating them —
+/// the resume path of a crashed worker whose durable prefix already holds
+/// them. Callbacks get absolute grid indices, and every probe's pipeline
+/// depends only on its own trace, so its output is bit-identical for any
+/// shard, `skip` and worker count.
 // One parameter per pipeline customisation point; bundling them into a
 // struct of closures would only move the argument list.
 #[allow(clippy::too_many_arguments)]
@@ -497,141 +330,259 @@ where
     Cap: Fn(usize, usize, &EngineSpec, &RunSeries, &[f64]) -> Option<CapturedSeries> + Sync,
 {
     let threads = threads.max(1);
-    let n_units = grid.n_units;
-    let n_engines = engines.len();
-    let block = threads.max(2);
+    let (n_units, n_engines) = (grid.n_units, engines.len());
     let range = shard.probe_range(n_probes);
-    let start = range.start + skip.min(range.len());
+    let probes = range.start + skip.min(range.len())..range.end;
+    let pool = Pool {
+        queue: Mutex::new(Queue {
+            ready: BTreeSet::new(),
+            slots: BTreeMap::new(),
+            closed: false,
+        }),
+        changed: Condvar::new(),
+    };
 
-    for block_start in (start..range.end).step_by(block) {
-        let block_len = (range.end - block_start).min(block);
-
-        // Trace generation, one task per probe.
-        let traces: Vec<T> = parallel_map(block_len, threads, |i| make_trace(block_start + i));
-
-        // Phase A: the (probe x unit) simulation grid.
-        let sims: Vec<(RunSeries, f64)> = parallel_map(block_len * n_units, threads, |t| {
-            let (pi, u) = (t / n_units, t % n_units);
+    // Runs one job on inputs cloned out of its probe's slot, then records
+    // the result and queues the jobs it unblocks.
+    let run = |job: Job| match job {
+        Job::Trace(p) => {
+            let trace = Arc::new(make_trace(p));
+            pool.slot(p, |slot, ready| {
+                slot.trace = Some(trace);
+                slot.sims.resize_with(n_units, || None);
+                ready.extend((0..n_units).map(|u| Job::Simulate(p, u)));
+                if n_units == 0 {
+                    ready.insert(Job::Prepare(p));
+                }
+            });
+        }
+        Job::Simulate(p, u) => {
+            let trace = pool.slot(p, |slot, _| slot.trace.clone().expect("traced"));
             SIMULATIONS.fetch_add(1, Ordering::Relaxed);
-            simulate(&traces[pi], u)
-        });
-        let sims_of = |pi: usize| &sims[pi * n_units..(pi + 1) * n_units];
-
-        // Phase B: per-probe counter selection and baseline aggregates
-        // (mean counter row + design features + the overall metric).
-        type Prepped = (FeatureSpec, Vec<Vec<f64>>, Vec<f64>);
-        let preps: Vec<Prepped> = parallel_map(block_len, threads, |pi| {
-            let units = sims_of(pi);
-            let features = prepare(block_start + pi, units);
-            let agg: Vec<Vec<f64>> = grid
-                .key_units
-                .iter()
-                .map(|&u| {
-                    let (series, overall) = &units[u];
-                    let n = series.rows.len().max(1) as f64;
-                    let mut mean = vec![0.0; series.rows.width()];
-                    for row in &series.rows {
-                        for (m, v) in mean.iter_mut().zip(row) {
-                            *m += v;
-                        }
-                    }
-                    mean.iter_mut().for_each(|m| *m /= n);
-                    mean.extend_from_slice(&series.arch_features);
-                    mean.push(*overall);
-                    mean
-                })
-                .collect();
-            let overall = grid.key_units.iter().map(|&u| units[u].1).collect();
-            (features, agg, overall)
-        });
-
-        // Phase C: the (probe x engine) stage-1 training grid.
-        let outputs: Vec<EngineProbeOutput> = parallel_map(block_len * n_engines, threads, |t| {
-            let (pi, e) = (t / n_engines, t % n_engines);
-            let units = sims_of(pi);
+            let sim = simulate(&trace, u);
+            pool.slot(p, |slot, ready| {
+                slot.sims[u] = Some(sim);
+                if slot.sims.iter().all(Option::is_some) {
+                    slot.trace = None;
+                    let sims = slot.sims.drain(..).flatten().collect();
+                    slot.runs = Some(Arc::new(sims));
+                    ready.insert(Job::Prepare(p));
+                }
+            });
+        }
+        Job::Prepare(p) => {
+            let runs = pool.slot(p, |slot, _| slot.runs.clone().expect("simulated"));
+            let features = prepare(p, &runs);
+            // Baseline rows: mean counter row, design features, overall.
+            let mut agg = Vec::with_capacity(grid.key_units.len());
+            for &u in &grid.key_units {
+                let (series, overall) = &runs[u];
+                let n = series.rows.len().max(1) as f64;
+                let mut mean = vec![0.0; series.rows.width()];
+                for row in &series.rows {
+                    mean.iter_mut().zip(row).for_each(|(m, v)| *m += v);
+                }
+                mean.iter_mut().for_each(|m| *m /= n);
+                mean.extend_from_slice(&series.arch_features);
+                mean.push(*overall);
+                agg.push(mean);
+            }
+            let overall = grid.key_units.iter().map(|&u| runs[u].1).collect();
+            pool.slot(p, |slot, ready| {
+                slot.prepared = Some((features, agg, overall));
+                slot.engines.resize_with(n_engines, || None);
+                ready.extend((0..n_engines).map(|e| Job::Train(p, e)));
+            });
+        }
+        Job::Train(p, e) => {
+            let (runs, features) = pool.slot(p, |slot, _| {
+                let prepared = slot.prepared.as_ref().expect("prepared");
+                (slot.runs.clone().expect("simulated"), prepared.0.clone())
+            });
             let engine = &engines[e];
             let train_refs: Vec<&RunSeries> =
-                grid.train_units.iter().map(|&u| &units[u].0).collect();
-            let val_refs: Vec<&RunSeries> = grid.val_units.iter().map(|&u| &units[u].0).collect();
+                grid.train_units.iter().map(|&u| &runs[u].0).collect();
+            let val_refs: Vec<&RunSeries> = grid.val_units.iter().map(|&u| &runs[u].0).collect();
             let t0 = Instant::now();
-            let model = ProbeModel::train(engine, preps[pi].0.clone(), &train_refs, &val_refs);
+            let model = ProbeModel::train(engine, features, &train_refs, &val_refs);
             let train_time = t0.elapsed();
             let t1 = Instant::now();
-            let mut deltas = Vec::with_capacity(grid.key_units.len());
-            let mut captures = Vec::new();
+            let (mut deltas, mut captures) = (Vec::new(), Vec::new());
             for (pos, &u) in grid.key_units.iter().enumerate() {
-                let series = &units[u].0;
+                let series = &runs[u].0;
                 let inferred = model.infer(series);
-                let mut delta = inference_error(&series.target, &inferred);
-                if !delta.is_finite() || delta > DELTA_CEILING {
-                    delta = DELTA_CEILING;
-                }
-                deltas.push(delta);
-                if let Some(c) = capture(block_start + pi, pos, engine, series, &inferred) {
-                    captures.push(c);
-                }
+                // The error is never negative, so `min` also clamps NaN.
+                deltas.push(inference_error(&series.target, &inferred).min(DELTA_CEILING));
+                captures.extend(capture(p, pos, engine, series, &inferred));
             }
-            EngineProbeOutput {
+            let output = EngineProbeOutput {
                 deltas,
                 train_time,
                 infer_time: t1.elapsed(),
                 captures,
-            }
-        });
+            };
+            pool.slot(p, |slot, _| slot.engines[e] = Some(output));
+        }
+    };
 
-        // Deterministic assembly in (probe, engine) order, consuming the
-        // task outputs so deltas and captures move instead of cloning.
-        let mut outputs = outputs.into_iter();
-        for (pi, (_, agg, overall)) in preps.into_iter().enumerate() {
-            let probe_engines: Vec<EngineProbeOutput> = (0..n_engines)
-                .map(|_| outputs.next().expect("one output per (probe, engine)"))
-                .collect();
-            on_probe(
-                block_start + pi,
-                ProbeOutput {
-                    overall,
-                    agg,
-                    engines: probe_engines,
-                },
-            )?;
+    // The scope joins every worker, and panics in turn if one panicked.
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| pool.work(run));
+        }
+        pool.hand_on(probes, 2 * threads, &mut on_probe)
+    })
+}
+
+/// A job of a pass; the derived order (stage, then probe) is the run order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Job {
+    Trace(usize),
+    Simulate(usize, usize), // (probe, unit)
+    Prepare(usize),
+    Train(usize, usize), // (probe, engine)
+}
+
+/// An admitted probe's progress; the trace lives until its last simulation.
+struct Slot<T> {
+    trace: Option<Arc<T>>,
+    sims: Vec<Option<(RunSeries, f64)>>,
+    runs: Option<Arc<Vec<(RunSeries, f64)>>>,
+    /// Selected features, baseline aggregates and overall metrics.
+    prepared: Option<(FeatureSpec, Vec<Vec<f64>>, Vec<f64>)>,
+    engines: Vec<Option<EngineProbeOutput>>,
+}
+
+impl<T> Slot<T> {
+    fn done(&self) -> bool {
+        self.prepared.is_some() && self.engines.iter().all(Option::is_some)
+    }
+}
+
+/// The job queue and the admitted probes, behind [`Pool`]'s lock.
+struct Queue<T> {
+    ready: BTreeSet<Job>,
+    /// Admitted probes not yet handed on, by probe index.
+    slots: BTreeMap<usize, Slot<T>>,
+    /// Set when the pass ends, fails or panics; every thread then stops.
+    closed: bool,
+}
+
+/// The state a pass's workers and its calling thread share.
+struct Pool<T> {
+    queue: Mutex<Queue<T>>,
+    changed: Condvar,
+}
+
+/// Closes the pool when dropped, so that a thread leaving the pass — by
+/// returning, by an error or by a panic — releases every other one.
+struct CloseOnDrop<'a, T>(&'a Pool<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.changed.notify_all();
+    }
+}
+
+impl<T> Pool<T> {
+    /// Ignores poisoning: no callback runs under the lock.
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reads or updates a probe's slot, waking the other threads only for
+    /// new jobs or a finished probe.
+    fn slot<R>(&self, probe: usize, f: impl FnOnce(&mut Slot<T>, &mut BTreeSet<Job>) -> R) -> R {
+        let mut guard = self.lock();
+        let queue = &mut *guard;
+        let slot = queue.slots.get_mut(&probe).expect("an admitted probe");
+        let queued = queue.ready.len();
+        let out = f(slot, &mut queue.ready);
+        let wake = queue.ready.len() > queued || slot.done();
+        drop(guard);
+        if wake {
+            self.changed.notify_all();
+        }
+        out
+    }
+
+    /// A worker: runs ready jobs until the pool closes.
+    fn work(&self, run: impl Fn(Job)) {
+        let _close = CloseOnDrop(self);
+        loop {
+            let queue = self
+                .changed
+                .wait_while(self.lock(), |q| !q.closed && q.ready.is_empty());
+            let mut queue = queue.unwrap_or_else(PoisonError::into_inner);
+            if queue.closed {
+                return;
+            }
+            let job = queue.ready.pop_first().expect("woken for a job");
+            drop(queue);
+            run(job);
         }
     }
 
-    Ok(())
+    /// The calling thread: keeps up to `window` probes admitted and hands
+    /// each finished probe to `on_probe` in order.
+    fn hand_on<E>(
+        &self,
+        probes: std::ops::Range<usize>,
+        window: usize,
+        on_probe: &mut impl FnMut(usize, ProbeOutput) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let _close = CloseOnDrop(self);
+        let mut admitted = probes.start;
+        for p in probes.clone() {
+            let mut queue = self.lock();
+            // Admit before waiting: once every admitted probe is handed
+            // on, nothing else would refill the queue.
+            while admitted < probes.end && admitted - p < window {
+                let slot = Slot {
+                    trace: None,
+                    sims: Vec::new(),
+                    runs: None,
+                    prepared: None,
+                    engines: Vec::new(),
+                };
+                queue.slots.insert(admitted, slot);
+                queue.ready.insert(Job::Trace(admitted));
+                admitted += 1;
+            }
+            self.changed.notify_all();
+            let queue = self
+                .changed
+                .wait_while(queue, |q| !q.closed && !q.slots[&p].done());
+            let mut queue = queue.unwrap_or_else(PoisonError::into_inner);
+            if queue.closed {
+                // Only a worker's panic closes the pool early.
+                return Ok(());
+            }
+            let slot = queue.slots.remove(&p).expect("an admitted probe");
+            drop(queue);
+            let (_, agg, overall) = slot.prepared.expect("a finished probe");
+            let engines = slot.engines.into_iter().flatten().collect();
+            on_probe(
+                p,
+                ProbeOutput {
+                    overall,
+                    agg,
+                    engines,
+                },
+            )?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn scheduler_claims_every_task_exactly_once() {
-        for (n, workers) in [(0, 3), (1, 4), (7, 2), (100, 8), (5, 16)] {
-            let scheduler = Scheduler::new(n, workers);
-            let mut seen = vec![0u32; n];
-            for w in 0..workers {
-                while let Some(i) = scheduler.claim(w) {
-                    seen[i] += 1;
-                }
-            }
-            assert!(
-                seen.iter().all(|&c| c == 1),
-                "n={n} workers={workers}: {seen:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stealing_drains_skewed_shards() {
-        // Worker 1 never claims; worker 0 must steal worker 1's shard dry.
-        let scheduler = Scheduler::new(10, 2);
-        let mut count = 0;
-        while scheduler.claim(0).is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 10);
-    }
+    use perfbug_ml::LassoParams;
+    use perfbug_workloads::RowMatrix;
+    use std::convert::Infallible;
+    use std::sync::mpsc::{self, RecvTimeoutError};
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -647,28 +598,139 @@ mod tests {
     }
 
     #[test]
-    fn worker_state_is_reused() {
-        // Each worker counts its claims in local state; the total across
-        // workers must equal the task count.
-        let total = AtomicU64::new(0);
-        let out = parallel_map_with(
-            64,
-            4,
-            || 0u64,
-            |claims, i| {
-                *claims += 1;
-                total.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-        );
-        assert_eq!(out.len(), 64);
-        assert_eq!(total.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
     fn empty_task_set() {
         let out: Vec<usize> = parallel_map(0, 4, |i| i);
         assert!(out.is_empty());
+    }
+
+    /// What a synthetic pass hands on per probe, timings left out.
+    type Emitted = (usize, Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+    const N_PROBES: usize = 13;
+
+    /// Runs `pass` on a helper thread and returns its result, or its
+    /// panic's payload. A hang fails the test after a bounded wait instead
+    /// of stalling it.
+    fn bounded<R: Send + 'static>(
+        pass: impl FnOnce() -> R + Send + 'static,
+    ) -> std::thread::Result<R> {
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(pass());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(out) => handle.join().map(|()| out),
+            Err(RecvTimeoutError::Timeout) => panic!("the pass did not finish within 60 s"),
+            Err(RecvTimeoutError::Disconnected) => Err(handle.join().expect_err("it panicked")),
+        }
+    }
+
+    /// A synthetic pass over [`N_PROBES`] probes and four units with cheap
+    /// closures and a Lasso engine. `prepare` sleeps on every sixth probe,
+    /// so the oldest probe of each window finishes last; `simulate` panics
+    /// on `panic_at` (probe, unit).
+    fn synthetic_pass<E>(
+        threads: usize,
+        skip: usize,
+        panic_at: Option<(usize, usize)>,
+        on_probe: impl FnMut(usize, ProbeOutput) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let grid = UnitGrid {
+            n_units: 4,
+            train_units: vec![0, 1],
+            val_units: vec![2],
+            key_units: vec![0, 1, 2, 3],
+        };
+        let engines = [EngineSpec::Lasso(LassoParams::default())];
+        collect_unit_grid_streaming(
+            N_PROBES,
+            threads,
+            ShardSpec::full(),
+            skip,
+            &grid,
+            &engines,
+            |p| (p, p as f64 * 0.37),
+            |&(p, seed): &(usize, f64), u| {
+                assert!(panic_at != Some((p, u)), "simulator stalled");
+                let rows: Vec<Vec<f64>> = (0..12)
+                    .map(|t| {
+                        let x = (t as f64 * 0.5 + seed + u as f64).sin();
+                        vec![x, x * x + u as f64 * 0.1, seed]
+                    })
+                    .collect();
+                let target = rows.iter().map(|r| 1.0 + 0.5 * r[0] + 0.2 * r[1]).collect();
+                let series = RunSeries {
+                    rows: RowMatrix::from_rows(&rows),
+                    target,
+                    arch_features: vec![u as f64],
+                };
+                (series, seed + u as f64)
+            },
+            |p, _| {
+                if p % 6 == 0 {
+                    std::thread::sleep(Duration::from_millis(30));
+                }
+                FeatureSpec {
+                    selected: vec![0, 1],
+                    arch_features: false,
+                    window: 1,
+                }
+            },
+            |_, _, _, _, _| None,
+            on_probe,
+        )
+    }
+
+    fn emitted(threads: usize, skip: usize) -> Vec<Emitted> {
+        bounded(move || {
+            let mut out = Vec::new();
+            let Ok(()) = synthetic_pass::<Infallible>(threads, skip, None, |p, po| {
+                let deltas = po.engines.into_iter().map(|e| e.deltas).collect();
+                out.push((p, po.overall, po.agg, deltas));
+                Ok(())
+            });
+            out
+        })
+        .expect("the pass must not panic")
+    }
+
+    #[test]
+    fn window_hands_on_the_serial_output_in_order() {
+        let serial = emitted(1, 0);
+        let order: Vec<usize> = serial.iter().map(|e| e.0).collect();
+        assert_eq!(order, (0..N_PROBES).collect::<Vec<_>>());
+        for threads in [2, 3, 5] {
+            assert_eq!(emitted(threads, 0), serial, "threads={threads}");
+            assert_eq!(emitted(threads, 4), serial[4..], "threads={threads} skip=4");
+        }
+        assert!(emitted(2, N_PROBES + 1).is_empty());
+    }
+
+    #[test]
+    fn sink_error_ends_the_pass() {
+        let (result, seen) = bounded(|| {
+            let mut seen = Vec::new();
+            let result = synthetic_pass(2, 0, None, |p, _| {
+                seen.push(p);
+                if p == 2 {
+                    Err("disk full")
+                } else {
+                    Ok(())
+                }
+            });
+            (result, seen)
+        })
+        .expect("the pass must not panic");
+        assert_eq!(result, Err("disk full"));
+        assert_eq!(seen, [0, 1, 2]);
+    }
+
+    #[test]
+    fn simulator_panic_propagates() {
+        // A worker's panic must close the queue and leave the call instead
+        // of hanging the calling thread or the other worker.
+        let result = bounded(|| synthetic_pass::<Infallible>(2, 0, Some((5, 1)), |_, _| Ok(())));
+        assert!(result.is_err(), "the simulator's panic must propagate");
     }
 
     #[test]
@@ -703,14 +765,6 @@ mod tests {
     #[test]
     fn shard_index_out_of_range_panics() {
         let result = std::panic::catch_unwind(|| ShardSpec::new(3, 3));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn slotvec_rejects_double_set() {
-        let slots = SlotVec::new(2);
-        slots.set(0, 1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slots.set(0, 2)));
         assert!(result.is_err());
     }
 }

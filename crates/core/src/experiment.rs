@@ -632,10 +632,9 @@ impl<'e> PreparedPass<'e> {
         let captures = exp.captures();
         let keys = &self.identity.keys;
         // Run-level parallel collection through the shared unit-grid
-        // driver: trace generation, the (probe x unit) simulation grid,
-        // per-probe counter selection and the (probe x engine) training
-        // grid all run on the work-stealing pool, with deterministic
-        // assembly for any worker count.
+        // driver: each probe's trace, unit simulations, counter selection
+        // and stage-1 training run as jobs on one worker pool for the whole
+        // pass, handed on in probe order for any worker count.
         exec::collect_unit_grid_streaming(
             self.probes.len(),
             exp.threads(),
@@ -869,124 +868,33 @@ fn sample_vector(deltas: &[Vec<f64>], probe_subset: &[usize], key_idx: usize) ->
     probe_subset.iter().map(|&p| deltas[p][key_idx]).collect()
 }
 
-/// Evaluates the two-stage methodology with the leave-one-bug-type-out
-/// protocol, using `engine_idx` of the collection's engines and only the
-/// probes in `probe_subset` (pass `0..n` for all probes; Fig. 9 passes
-/// reduced subsets).
+/// The leave-one-bug-type-out protocol both detectors are evaluated
+/// under. For each held-out type, `fit` trains on the Set-II/III keys that
+/// are bug-free or carry a variant of another type (in key order), and
+/// `decide` returns the fitted model's score and verdict for every Set-IV
+/// key that is bug-free or carries a held-out variant.
 ///
-/// # Panics
-///
-/// Panics if indices are out of range or the subset is empty.
-pub fn evaluate_two_stage_subset(
-    col: &Collection,
-    engine_idx: usize,
-    params: Stage2Params,
-    probe_subset: &[usize],
-) -> Evaluation {
-    assert!(!probe_subset.is_empty(), "need at least one probe");
-    let deltas = &col.engines[engine_idx].deltas;
-    let impacts = severity_impacts(col);
-    let mut folds = Vec::new();
-
-    for type_id in col.catalog.type_ids() {
-        let held_out = col.catalog.variants_of_type(type_id);
-        // Training samples from sets II and III.
-        let mut train_pos = Vec::new();
-        let mut train_neg = Vec::new();
-        for (k, key) in col.keys.iter().enumerate() {
-            if !matches!(key.set, ArchSet::II | ArchSet::III) {
-                continue;
-            }
-            match key.bug {
-                None => train_neg.push(sample_vector(deltas, probe_subset, k)),
-                Some(v) if !held_out.contains(&v) => {
-                    train_pos.push(sample_vector(deltas, probe_subset, k))
-                }
-                Some(_) => {}
-            }
-        }
-        let clf = Stage2Classifier::fit(params, &train_pos, &train_neg);
-
-        // Test on Set IV: the held-out type's variants plus bug-free runs.
-        let mut decisions = Vec::new();
-        for (k, key) in col.keys.iter().enumerate() {
-            if key.set != ArchSet::IV {
-                continue;
-            }
-            let (has_bug, severity) = match key.bug {
-                None => (false, None),
-                Some(v) if held_out.contains(&v) => (true, Some(Severity::grade(impacts[v]))),
-                Some(_) => continue,
-            };
-            let sample = sample_vector(deltas, probe_subset, k);
-            decisions.push(Decision {
-                score: clf.score(&sample),
-                flagged: clf.classify(&sample),
-                has_bug,
-                severity,
-            });
-        }
-        let type_name = held_out
-            .first()
-            .map(|&v| col.catalog.variants()[v].type_name().to_string())
-            .unwrap_or_default();
-        folds.push(FoldResult {
-            type_id,
-            type_name,
-            decisions,
-        });
-    }
-
-    let pooled: Vec<Decision> = folds.iter().flat_map(|f| f.decisions.clone()).collect();
-    Evaluation {
-        metrics: DetectionMetrics::from_decisions(&pooled),
-        folds,
-        impacts,
-    }
-}
-
-/// Evaluates the two-stage methodology over all probes.
-pub fn evaluate_two_stage(col: &Collection, engine_idx: usize, params: Stage2Params) -> Evaluation {
-    let all: Vec<usize> = (0..col.probes.len()).collect();
-    evaluate_two_stage_subset(col, engine_idx, params, &all)
-}
-
-/// Evaluates the single-stage voting baseline (§II) under the same
-/// leave-one-type-out protocol, using the collection's aggregated
-/// features.
-///
-/// The folds are independent, so they are fitted in parallel on
+/// The folds are independent, so they run in parallel on
 /// [`exec::default_threads`] workers; results come back in type order,
 /// so the output is identical for any thread count.
-pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluation {
+fn leave_one_type_out<M>(
+    col: &Collection,
+    fit: impl Fn(&[usize]) -> M + Sync,
+    decide: impl Fn(&M, usize) -> (f64, bool) + Sync,
+) -> Evaluation {
     let impacts = severity_impacts(col);
     let type_ids = col.catalog.type_ids();
     let folds = exec::parallel_map(type_ids.len(), exec::default_threads(), |i| {
         let type_id = type_ids[i];
         let held_out = col.catalog.variants_of_type(type_id);
-        // Per-probe training samples over sets II and III.
-        let train_keys: Vec<usize> = col
-            .keys
-            .iter()
-            .enumerate()
-            .filter(|(_, key)| {
+        let train_keys: Vec<usize> = (0..col.keys.len())
+            .filter(|&k| {
+                let key = &col.keys[k];
                 matches!(key.set, ArchSet::II | ArchSet::III)
                     && key.bug.is_none_or(|v| !held_out.contains(&v))
             })
-            .map(|(k, _)| k)
             .collect();
-        let per_probe: Vec<Vec<BaselineSample>> = (0..col.probes.len())
-            .map(|p| {
-                train_keys
-                    .iter()
-                    .map(|&k| BaselineSample {
-                        features: col.agg_features[p][k].clone(),
-                        has_bug: col.keys[k].bug.is_some(),
-                    })
-                    .collect()
-            })
-            .collect();
-        let clf = BaselineClassifier::fit(params, &per_probe);
+        let model = fit(&train_keys);
 
         let mut decisions = Vec::new();
         for (k, key) in col.keys.iter().enumerate() {
@@ -998,12 +906,10 @@ pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluatio
                 Some(v) if held_out.contains(&v) => (true, Some(Severity::grade(impacts[v]))),
                 Some(_) => continue,
             };
-            let features: Vec<&[f64]> = (0..col.probes.len())
-                .map(|p| col.agg_features[p][k].as_slice())
-                .collect();
+            let (score, flagged) = decide(&model, k);
             decisions.push(Decision {
-                score: clf.score(&features),
-                flagged: clf.classify(&features),
+                score,
+                flagged,
                 has_bug,
                 severity,
             });
@@ -1024,6 +930,84 @@ pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluatio
         folds,
         impacts,
     }
+}
+
+/// Evaluates the two-stage methodology with the leave-one-bug-type-out
+/// protocol, using `engine_idx` of the collection's engines and only the
+/// probes in `probe_subset` (pass `0..n` for all probes; Fig. 9 passes
+/// reduced subsets).
+///
+/// # Panics
+///
+/// Panics if indices are out of range or the subset is empty.
+pub fn evaluate_two_stage_subset(
+    col: &Collection,
+    engine_idx: usize,
+    params: Stage2Params,
+    probe_subset: &[usize],
+) -> Evaluation {
+    assert!(!probe_subset.is_empty(), "need at least one probe");
+    let deltas = &col.engines[engine_idx].deltas;
+    let sample = |k| sample_vector(deltas, probe_subset, k);
+    leave_one_type_out(
+        col,
+        |train_keys| {
+            // Buggy training runs are positives, bug-free ones negatives.
+            let (mut pos, mut neg) = (Vec::new(), Vec::new());
+            for &k in train_keys {
+                let side = if col.keys[k].bug.is_some() {
+                    &mut pos
+                } else {
+                    &mut neg
+                };
+                side.push(sample(k));
+            }
+            Stage2Classifier::fit(params, &pos, &neg)
+        },
+        |clf, k| {
+            let sample = sample(k);
+            (clf.score(&sample), clf.classify(&sample))
+        },
+    )
+}
+
+/// Evaluates the two-stage methodology over all probes.
+pub fn evaluate_two_stage(col: &Collection, engine_idx: usize, params: Stage2Params) -> Evaluation {
+    let all: Vec<usize> = (0..col.probes.len()).collect();
+    evaluate_two_stage_subset(col, engine_idx, params, &all)
+}
+
+/// Evaluates the single-stage voting baseline (§II) under the same
+/// leave-one-type-out protocol, using the collection's aggregated
+/// features.
+pub fn evaluate_baseline(col: &Collection, params: &BaselineParams) -> Evaluation {
+    let probes = 0..col.probes.len();
+    leave_one_type_out(
+        col,
+        |train_keys| {
+            // Per-probe training samples.
+            let per_probe: Vec<Vec<BaselineSample>> = probes
+                .clone()
+                .map(|p| {
+                    train_keys
+                        .iter()
+                        .map(|&k| BaselineSample {
+                            features: col.agg_features[p][k].clone(),
+                            has_bug: col.keys[k].bug.is_some(),
+                        })
+                        .collect()
+                })
+                .collect();
+            BaselineClassifier::fit(params, &per_probe)
+        },
+        |clf, k| {
+            let features: Vec<&[f64]> = probes
+                .clone()
+                .map(|p| col.agg_features[p][k].as_slice())
+                .collect();
+            (clf.score(&features), clf.classify(&features))
+        },
+    )
 }
 
 /// Pools the Eq.-(1) errors of bug-free Set-IV runs for one engine — the

@@ -29,7 +29,7 @@ fn config_with_threads(threads: usize) -> CollectionConfig {
         benchmark("458.sjeng").expect("suite benchmark"),
         benchmark("462.libquantum").expect("suite benchmark"),
     ];
-    config.max_probes = Some(4);
+    config.max_probes = Some(6);
     config.threads = threads;
     config
 }
@@ -37,6 +37,13 @@ fn config_with_threads(threads: usize) -> CollectionConfig {
 #[test]
 fn collect_is_identical_across_worker_counts() {
     let serial = collect(&config_with_threads(1));
+    // At 2 workers the driver admits 4 probes at a time, so 6 probes make
+    // its window slide over the real simulators.
+    assert_eq!(
+        serial.probes.len(),
+        6,
+        "the 2-worker pass must outgrow its window"
+    );
     for threads in [2, 4, 7] {
         let parallel = collect(&config_with_threads(threads));
 
