@@ -13,12 +13,10 @@
 //!        [--band <min[..max]>] [--out <file>] [--list-families]
 //! ```
 //!
-//! Every option falls back to an environment variable (`PERFBUG_FUZZ_SEED`,
-//! `PERFBUG_FUZZ_FAMILIES`, `PERFBUG_FUZZ_COUNT`, `PERFBUG_FUZZ_BAND`) so
-//! CI can pin a corpus without wrapping the command line. Collection
-//! respects the shared cache/shard/orchestrator knobs (`PERFBUG_CACHE_DIR`
-//! et al.) exactly like the bench targets. See `docs/BUGS.md` for the
-//! family list and a walkthrough.
+//! The corpus is chosen by flags only. Collection respects the shared
+//! cache and shard knobs (`PERFBUG_CACHE_DIR`, `PERFBUG_SHARD`) exactly
+//! like the bench targets. See `docs/BUGS.md` for the family list and a
+//! walkthrough.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -43,15 +41,13 @@ pbeval — per-family detection evaluation over a fuzzed bug catalog
 usage: pbeval [--seed <u64>] [--families <name,...|all>] [--count <n>]
               [--band <min[..max]>] [--out <file>] [--list-families]
 
-  --seed <u64>        fuzzer seed (default 1; env PERFBUG_FUZZ_SEED)
+  --seed <u64>        fuzzer seed (default 1)
   --families <list>   comma-separated family names, or `all`
-                      (default: the four post-paper families;
-                      env PERFBUG_FUZZ_FAMILIES)
-  --count <n>         variants per family (default 2; env PERFBUG_FUZZ_COUNT)
+                      (default: the four post-paper families)
+  --count <n>         variants per family (default 2)
   --band <min[..max]> severity band the calibrated grade must land in,
                       e.g. `Medium..High` or `High`
-                      (severities: VeryLow, Low, Medium, High;
-                      env PERFBUG_FUZZ_BAND)
+                      (severities: VeryLow, Low, Medium, High)
   --out <file>        write the JSON report to <file> and print the
                       human-readable table to stdout (default: JSON to
                       stdout)
@@ -59,8 +55,7 @@ usage: pbeval [--seed <u64>] [--families <name,...|all>] [--count <n>]
 
 The leave-one-bug-type-out protocol needs at least two families per
 simulator side; requesting a lone core (or memory) family is an error.
-Collection honours PERFBUG_CACHE_DIR, PERFBUG_SHARD and the
-orchestrator knobs (PERFBUG_ORCH_WORKERS et al.).";
+Collection honours PERFBUG_CACHE_DIR and PERFBUG_SHARD.";
 
 /// The post-paper families added on top of the paper's Table III types —
 /// the default corpus `pbeval` exercises.
@@ -124,18 +119,13 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     }
     let opts = Options {
-        seed: parse_seed(env_or(seed_arg, "PERFBUG_FUZZ_SEED"))?,
-        families: parse_families(env_or(families_arg, "PERFBUG_FUZZ_FAMILIES"))?,
-        count: parse_count(env_or(count_arg, "PERFBUG_FUZZ_COUNT"))?,
-        band: parse_band(env_or(band_arg, "PERFBUG_FUZZ_BAND"))?,
+        seed: parse_seed(seed_arg)?,
+        families: parse_families(families_arg)?,
+        count: parse_count(count_arg)?,
+        band: parse_band(band_arg)?,
         out,
     };
     evaluate(&opts)
-}
-
-/// CLI flag value, else the environment fallback, else `None`.
-fn env_or(flag: Option<String>, var: &str) -> Option<String> {
-    flag.or_else(|| std::env::var(var).ok())
 }
 
 fn parse_seed(raw: Option<String>) -> Result<u64, String> {

@@ -3,21 +3,23 @@
 //!
 //! Without a driver, sharded collection needs one hand-run
 //! `PERFBUG_SHARD=<i>/<n>` invocation per worker. `pborch run` drives the
-//! whole pass from one command: it partitions the probe axis into more shards than workers,
-//! spawns shard workers as child processes (re-invocations of this binary
-//! in `worker` mode), supervises them (exit status, shard-file
-//! verification, optional per-shard timeout), requeues shards from
-//! dead/hung/failed workers with a bounded retry budget, assembles the
-//! merged corpus through `persist::load_or_assemble` (streaming
-//! `persist::merge_shard_files`), and writes a JSON
-//! run report beside the cache file (printed by `pbcol inspect` as
-//! shard-attempt provenance).
+//! whole pass from one command through `perfbug_bench::specs::orchestrate_spec`
+//! — the same front door `pbserve` uses for orchestrated submissions, with
+//! the same defaults and validation. It partitions the probe axis into
+//! more shards than workers, spawns shard workers as child processes
+//! (re-invocations of this binary in `worker` mode), supervises them (exit
+//! status, shard-file verification, optional per-shard timeout), requeues
+//! shards from dead/hung/failed workers with a bounded retry budget,
+//! assembles the merged corpus through `persist::load_or_assemble`
+//! (streaming `persist::merge_shard_files`), and writes a JSON run report
+//! beside the cache file (printed by `pbcol inspect` as shard-attempt
+//! provenance).
 //!
-//! With `--hosts` (or `PERFBUG_ORCH_HOSTS`) the same supervision loop
-//! fans shards out to `pborch worker-daemon` processes over the TCP
-//! worker protocol (`docs/FORMAT.md` §8) instead of spawning local
-//! children — a dead daemon or connection is just a failed attempt, and
-//! the retry/requeue/byte-identity guarantees are unchanged.
+//! With `--hosts` the same supervision loop fans shards out to
+//! `pborch worker-daemon` processes over the TCP worker protocol
+//! (`docs/FORMAT.md` §8) instead of spawning local children — a dead
+//! daemon or connection is just a failed attempt, and the
+//! retry/requeue/byte-identity guarantees are unchanged.
 //!
 //! ```text
 //! pborch run           --spec <name> --cache-dir <dir> --workers <n> [options]
@@ -40,26 +42,26 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use perfbug_bench::specs::{
-    flag_value, parse_num, resolve_spec, run_worker, worker_command, SpecConfig, SPECS,
+    flag_value, orchestrate_spec, resolve_spec, run_worker, submit_from_flags, timing_free_bytes,
+    worker_command, SpecConfig, SPECS,
 };
-use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{collect, Collection};
-use perfbug_core::orchestrate::{self, remote, CollectPlan, Fault, OrchestratorConfig};
-use perfbug_core::persist::{encode_collection_with, FileHeader, ShardManifest, CORPUS_REVISION};
+use perfbug_core::experiment::collect;
+use perfbug_core::orchestrate::{remote, CollectPlan, Fault};
 
 const USAGE: &str = "pborch — shard orchestrator (process-pool driver with retry/requeue)
 
 USAGE:
     pborch run    --spec <name> --cache-dir <dir> --workers <n>
-                  [--shards <m>]        shard count (default 2 x workers)
+                  [--shards <m>]        shard count (default, or 0:
+                                        min(2 x workers, probes)); workers
+                                        and shards are at most the spec's
+                                        probe count
                   [--max-attempts <k>]  per-shard retry budget (default 3)
                   [--timeout-secs <s>]  per-shard timeout (default none)
                   [--hosts <h:p,...>]   fan shards out to worker daemons
-                                        (default: PERFBUG_ORCH_HOSTS; unset
-                                        means local child processes)
+                                        (default: local child processes)
                   [--check-full]        also collect single-process and fail
                                         unless the merged corpus is
                                         bit-identical (timings zeroed)
@@ -136,36 +138,9 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, String> {
 
 fn run(args: &[String]) -> Result<(), String> {
     let common = parse_common(args)?;
-    let workers: usize = match flag_value(args, "--workers")? {
-        Some(raw) => parse_num(&raw, "--workers")?,
-        None => return Err("--workers <n> is required".into()),
-    };
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    let shards: usize = match flag_value(args, "--shards")? {
-        Some(raw) => parse_num(&raw, "--shards")?,
-        None => workers * 2,
-    };
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let mut config = OrchestratorConfig::new(workers, shards);
-    if let Some(raw) = flag_value(args, "--max-attempts")? {
-        config.max_attempts = parse_num(&raw, "--max-attempts")?;
-        if config.max_attempts == 0 {
-            return Err("--max-attempts must be at least 1".into());
-        }
-    }
-    if let Some(raw) = flag_value(args, "--timeout-secs")? {
-        config.shard_timeout = Some(Duration::from_secs(parse_num(&raw, "--timeout-secs")?));
-    }
-    config.faults = Fault::from_env()?;
+    let request = submit_from_flags(common.spec_name.clone(), args)?;
+    let faults = Fault::from_env()?;
     let check_full = args.iter().any(|a| a == "--check-full");
-    let hosts = match flag_value(args, "--hosts")? {
-        Some(raw) => Some(remote::parse_hosts(&raw).map_err(|e| format!("--hosts: {e}"))?),
-        None => remote::hosts_from_env()?,
-    };
 
     let kind = common.spec.kind();
     let fingerprint = common.spec.fingerprint();
@@ -176,44 +151,22 @@ fn run(args: &[String]) -> Result<(), String> {
         fingerprint,
     };
     println!(
-        "orchestrating {}: {} workers x {} shards (<= {} attempts each{}), fingerprint {:016x}",
+        "orchestrating {}: {} workers (<= {} attempts per shard{}), fingerprint {:016x}",
         common.spec_name,
-        config.workers,
-        config.shards,
-        config.max_attempts,
-        if config.faults.is_empty() {
+        request.workers,
+        request.max_attempts,
+        if faults.is_empty() {
             String::new()
         } else {
-            format!(", {} injected fault(s)", config.faults.len())
+            format!(", {} injected fault(s)", faults.len())
         },
         fingerprint
     );
-    let run = match hosts {
-        Some(hosts) => {
-            println!(
-                "  distributed: fan-out over {} worker daemon(s): {}",
-                hosts.len(),
-                hosts.join(", ")
-            );
-            let mut launcher = remote::RemoteLauncher::for_plan(hosts, &plan);
-            orchestrate::orchestrate_collection_with(&plan, &config, &mut launcher)
-        }
-        None => {
-            let exe =
-                std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-            let spec_name = common.spec_name.clone();
-            let cache_dir = common.cache_dir.clone();
-            let build = move |shard: ShardSpec, attempt: u32| {
-                println!(
-                    "  launch shard {}/{} (attempt {attempt})",
-                    shard.index, shard.count
-                );
-                worker_command(&exe, &spec_name, &cache_dir, shard)
-            };
-            orchestrate::orchestrate_collection(&plan, &config, build)
-        }
+    if let Some(hosts) = &request.hosts {
+        println!("  distributed: fan-out over worker daemon(s) {hosts}");
     }
-    .map_err(|e| format!("{}: {e}", common.spec_name))?;
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
+    let run = orchestrate_spec(&common.spec, &plan, &request, &exe, faults)?;
     println!("{}", run.report.summary());
     // Resume accounting: retries that picked up a crashed attempt's
     // durable part-file prefix (worker stdout is nulled, so the
@@ -234,18 +187,8 @@ fn run(args: &[String]) -> Result<(), String> {
 
     if check_full {
         println!("check-full: collecting single-process reference ...");
-        let header = |col: &Collection| FileHeader {
-            kind,
-            corpus_revision: CORPUS_REVISION,
-            fingerprint,
-            manifest: ShardManifest::full(col.probes.len()),
-        };
-        let mut orchestrated = run.collection;
-        let mut reference = collect(common.spec.experiment());
-        orchestrated.zero_timings();
-        reference.zero_timings();
-        let orch_bytes = encode_collection_with(&orchestrated, &header(&orchestrated));
-        let ref_bytes = encode_collection_with(&reference, &header(&reference));
+        let orch_bytes = timing_free_bytes(run.collection, kind, fingerprint);
+        let ref_bytes = timing_free_bytes(collect(common.spec.experiment()), kind, fingerprint);
         if orch_bytes != ref_bytes {
             return Err(format!(
                 "orchestrated corpus is NOT bit-identical to the single-process collection \

@@ -16,8 +16,8 @@
 
 use std::process::ExitCode;
 
-use perfbug_bench::specs::{flag_value, parse_num};
-use perfbug_core::serve::{self, Request, SubmitRequest};
+use perfbug_bench::specs::{flag_value, submit_from_flags};
+use perfbug_core::serve::{self, Request};
 
 const USAGE: &str = "pbsub — submit to / query the pbserve detection service
 
@@ -27,7 +27,7 @@ USAGE:
           [--addr <host:port>]       service address
                                      (default: PERFBUG_SERVE_ADDR, then 127.0.0.1:7411)
           [--workers <n>]            orchestrated worker pool (0 = in-process)
-          [--shards <m>]             shard count (0 = server default)
+          [--shards <m>]             shard count (0 = min(2 x workers, probes))
           [--max-attempts <k>]       per-shard retry budget (default 3)
           [--timeout-secs <s>]       per-shard timeout
           [--hosts <h:p,...>]        fan out to pborch worker-daemons
@@ -79,30 +79,7 @@ fn tail(addr: &str, request: &Request) -> Result<(), String> {
 
 fn submit(args: &[String]) -> Result<(), String> {
     let spec = flag_value(args, "--spec")?.ok_or("--spec <name> is required")?;
-    let workers = match flag_value(args, "--workers")? {
-        Some(raw) => parse_num(&raw, "--workers")?,
-        None => 0,
-    };
-    let shards = match flag_value(args, "--shards")? {
-        Some(raw) => parse_num(&raw, "--shards")?,
-        None => 0,
-    };
-    let max_attempts = match flag_value(args, "--max-attempts")? {
-        Some(raw) => parse_num(&raw, "--max-attempts")?,
-        None => 3,
-    };
-    let timeout_secs = match flag_value(args, "--timeout-secs")? {
-        Some(raw) => Some(parse_num(&raw, "--timeout-secs")?),
-        None => None,
-    };
-    let request = Request::Submit(SubmitRequest {
-        spec,
-        workers,
-        shards,
-        max_attempts,
-        timeout_secs,
-        hosts: flag_value(args, "--hosts")?,
-    });
+    let request = Request::Submit(submit_from_flags(spec, args)?);
     tail(&addr_arg(args)?, &request)
 }
 

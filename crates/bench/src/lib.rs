@@ -8,19 +8,6 @@
 //!   whole harness completes in tens of minutes on a laptop;
 //! * `paper` — the full 190-probe, 42-variant configuration.
 //!
-//! # Orchestrated collection
-//!
-//! Setting `PERFBUG_ORCH_WORKERS=<n>` (with `PERFBUG_CACHE_DIR`) makes
-//! [`collect_cached`] drive the whole collection through
-//! `perfbug_core::orchestrate`: the probe axis is
-//! split into more shards than workers (default `2n`,
-//! `PERFBUG_ORCH_SHARDS` overrides), `n` child processes — re-invocations
-//! of the current binary with `PERFBUG_SHARD=<i>/<m>` and
-//! `PERFBUG_SHARD_ONLY=1` — collect shards off a work queue with bounded
-//! retry on worker loss, and the parent assembles the merged corpus and
-//! continues into evaluation. `pborch` (in `src/bin/pborch.rs`) is the
-//! standalone CLI for the same driver. See `docs/ARCHITECTURE.md`.
-//!
 //! Outputs are plain text: the same rows/series the paper reports, plus a
 //! header stating the scale. Absolute values are expected to differ from
 //! the paper (different substrate); the *shape* is the reproduction target.
@@ -48,18 +35,18 @@
 //! remaining shards can be run, possibly on other hosts sharing the cache
 //! directory. `pbcol merge` / `pbcol verify` (in `src/bin/pbcol.rs`) are
 //! the matching offline cache tools. See the README walkthrough and
-//! `docs/FORMAT.md`.
+//! `docs/FORMAT.md`. A pass that needs supervision — a work queue with
+//! bounded retry on worker loss — is a named spec ([`specs`]) run by
+//! `pborch run` or `pbserve`, both through [`specs::orchestrate_spec`].
 
 pub mod specs;
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::exec::ShardSpec;
 use perfbug_core::experiment::{collect, Collection, CollectionConfig, Experiment, ProbeScale};
-use perfbug_core::orchestrate::{self, CollectPlan, Fault, OrchestratorConfig};
-use perfbug_core::persist::{self, CacheStatus, ExperimentKind, PersistError};
+use perfbug_core::persist::{self, CacheStatus};
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::{CnnParams, GbtParams, LassoParams, LstmParams, MlpParams};
 use perfbug_uarch::BugSpec;
@@ -140,50 +127,6 @@ pub fn shard_from_env() -> Option<ShardSpec> {
     Some(ShardSpec::parse(&raw).unwrap_or_else(|e| panic!("PERFBUG_SHARD: {e}")))
 }
 
-/// Orchestration parameters read from the environment
-/// (`PERFBUG_ORCH_*`). `None` when `PERFBUG_ORCH_WORKERS` is unset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OrchEnv {
-    /// Worker pool size (`PERFBUG_ORCH_WORKERS`).
-    pub workers: usize,
-    /// Shard count (`PERFBUG_ORCH_SHARDS`, default `2 * workers` so the
-    /// work queue can rebalance around a lost worker).
-    pub shards: usize,
-    /// Per-shard attempt budget (`PERFBUG_ORCH_MAX_ATTEMPTS`, default 3).
-    pub max_attempts: u32,
-    /// Per-shard timeout (`PERFBUG_ORCH_TIMEOUT_SECS`, default none).
-    pub timeout: Option<Duration>,
-}
-
-/// Reads the `PERFBUG_ORCH_*` knobs; `None` when orchestration is not
-/// requested. Malformed values panic — a typo must not silently fall
-/// back to a single-process pass.
-pub fn orch_from_env() -> Option<OrchEnv> {
-    fn num(var: &str) -> Option<u64> {
-        let raw = std::env::var(var).ok()?;
-        match raw.trim().parse() {
-            Ok(n) if n > 0 => Some(n),
-            _ => panic!("{var} must be a positive integer, got {raw:?}"),
-        }
-    }
-    let workers = num("PERFBUG_ORCH_WORKERS")? as usize;
-    let shards = num("PERFBUG_ORCH_SHARDS").map_or(workers * 2, |n| n as usize);
-    let max_attempts = num("PERFBUG_ORCH_MAX_ATTEMPTS").map_or(3, |n| n as u32);
-    let timeout = num("PERFBUG_ORCH_TIMEOUT_SECS").map(Duration::from_secs);
-    Some(OrchEnv {
-        workers,
-        shards,
-        max_attempts,
-        timeout,
-    })
-}
-
-fn cache_path(dir: &PathBuf, name: &str, kind: ExperimentKind, fingerprint: u64) -> PathBuf {
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
-    dir.join(persist::cache_file_name(name, kind, fingerprint))
-}
-
 fn report(status: CacheStatus, path: &Path) {
     match status {
         CacheStatus::Replayed => println!("  [cache] replayed {}", path.display()),
@@ -197,24 +140,19 @@ fn report(status: CacheStatus, path: &Path) {
     }
 }
 
-/// One shard worker's turn: collect (or replay) this process's shard file,
-/// then either assemble the full corpus from the shards on disk or exit
-/// cleanly, telling the operator which shards are still missing. Exiting
-/// (rather than returning a partial corpus) keeps every bench target's
-/// evaluation phase oblivious to sharding.
-///
-/// Under `PERFBUG_SHARD_ONLY=1` (set by the orchestrator for its child
-/// workers) the worker never assembles: the supervisor owns assembly, so
-/// after saving its shard the worker replays a pre-existing full corpus
-/// (letting multi-collection targets progress past already-orchestrated
-/// passes) or exits cleanly.
+/// One shard worker's turn: collect (or resume, or replay) this process's
+/// shard file, then either assemble the full corpus `full` from the
+/// shards on disk or exit cleanly, telling the operator which shards are
+/// still missing. Exiting (rather than returning a partial corpus) keeps
+/// every bench target's evaluation phase oblivious to sharding.
 fn run_shard_worker(
     dir: &Path,
+    full: &Path,
     name: &str,
     config: &dyn Experiment,
     fingerprint: u64,
     shard: ShardSpec,
-) -> Collection {
+) -> (Collection, CacheStatus) {
     let kind = config.kind();
     let shard_path = dir.join(persist::shard_file_name(
         name,
@@ -235,28 +173,8 @@ fn run_shard_worker(
         ),
         _ => println!("  [shard] collected and saved {}", shard_path.display()),
     }
-    let full = dir.join(persist::cache_file_name(name, kind, fingerprint));
-    if std::env::var_os("PERFBUG_SHARD_ONLY").is_some() {
-        return match persist::load_collection(&full, fingerprint) {
-            Ok(col) => {
-                println!("  [shard] full corpus already assembled; replaying it");
-                col
-            }
-            Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                println!(
-                    "  [shard] {}/{} done (orchestrated worker; the supervisor assembles)",
-                    shard.index, shard.count
-                );
-                std::process::exit(0);
-            }
-            Err(e) => panic!("replaying {}: {e}", full.display()),
-        };
-    }
-    match persist::load_or_assemble(&full, kind, fingerprint) {
-        Ok(Some((col, status))) => {
-            report(status, &full);
-            col
-        }
+    match persist::load_or_assemble(full, kind, fingerprint) {
+        Ok(Some(assembled)) => assembled,
         Ok(None) => {
             println!(
                 "  [shard] {}/{} done; corpus incomplete — run the remaining shards \
@@ -270,95 +188,31 @@ fn run_shard_worker(
     }
 }
 
-/// Drives an orchestrated collection pass for this bench target: child
-/// re-invocations of the current binary collect shards off a work queue
-/// (`PERFBUG_SHARD=<i>/<n>` + `PERFBUG_SHARD_ONLY=1`, stdout silenced),
-/// the supervisor retries lost/hung/failed workers within the budget, and
-/// the merged corpus is returned to the caller's evaluation phase.
-fn run_orchestrated(
-    dir: &Path,
-    name: &str,
-    kind: ExperimentKind,
-    fingerprint: u64,
-    orch: &OrchEnv,
-) -> Collection {
-    let plan = CollectPlan {
-        dir: dir.to_path_buf(),
-        prefix: name.to_string(),
-        kind,
-        fingerprint,
-    };
-    let mut config = OrchestratorConfig::new(orch.workers, orch.shards);
-    config.max_attempts = orch.max_attempts;
-    config.shard_timeout = orch.timeout;
-    config.faults = Fault::from_env().unwrap_or_else(|e| panic!("{e}"));
-    let exe = std::env::current_exe().expect("current executable for worker re-invocation");
-    println!(
-        "  [orch] {} workers x {} shards (<= {} attempts each) for {name} ...",
-        config.workers, config.shards, config.max_attempts
-    );
-    let build = |shard: ShardSpec, _attempt: u32| {
-        let mut cmd = std::process::Command::new(&exe);
-        // Workers must re-run exactly this process's work: forward the
-        // argv (e.g. a criterion bench-name filter), or a filtered
-        // parent would orchestrate one collection while its children
-        // collect another target's shards.
-        cmd.args(std::env::args_os().skip(1))
-            .env("PERFBUG_CACHE_DIR", dir)
-            .env("PERFBUG_SHARD", format!("{}/{}", shard.index, shard.count))
-            .env("PERFBUG_SHARD_ONLY", "1")
-            // Children must not recurse into orchestration, and injected
-            // faults belong to this supervisor alone.
-            .env_remove("PERFBUG_ORCH_WORKERS")
-            .env_remove(orchestrate::FAULT_ENV)
-            .stdout(std::process::Stdio::null());
-        cmd
-    };
-    match orchestrate::orchestrate_collection(&plan, &config, build) {
-        Ok(run) => {
-            println!("  [orch] {}", run.report.summary());
-            // The replay fast path launches nothing and writes no report.
-            if run.report_path.exists() {
-                println!("  [orch] run report: {}", run.report_path.display());
-            }
-            run.collection
-        }
-        Err(e) => panic!("orchestrated collection {name}: {e}"),
-    }
-}
-
 /// Runs (or replays) a collection of either experiment. With
 /// `PERFBUG_CACHE_DIR` unset this is plain [`collect`]; with it set, the
 /// collection persists under `name` and subsequent runs replay it without
 /// simulating. With `PERFBUG_SHARD=<i>/<n>` also set, this process
-/// becomes shard worker `i` of `n`; with `PERFBUG_ORCH_WORKERS=<n>` set
-/// instead, it becomes the supervisor of an orchestrated pass (see the
-/// module docs).
+/// becomes shard worker `i` of `n` (see the module docs). A pass that
+/// needs supervised retry is a named spec run by `pborch` or `pbserve`.
 pub fn collect_cached(name: &str, config: &dyn Experiment) -> Collection {
+    let shard = shard_from_env();
     let Some(dir) = cache_dir() else {
         assert!(
-            shard_from_env().is_none(),
+            shard.is_none(),
             "PERFBUG_SHARD requires PERFBUG_CACHE_DIR (shards live in the cache directory)"
-        );
-        assert!(
-            orch_from_env().is_none(),
-            "PERFBUG_ORCH_WORKERS requires PERFBUG_CACHE_DIR (shards live in the cache directory)"
         );
         return collect(config);
     };
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
     let fingerprint = persist::config_fingerprint(config);
-    if let Some(shard) = shard_from_env() {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
-        return run_shard_worker(&dir, name, config, fingerprint, shard);
-    }
-    if let Some(orch) = orch_from_env() {
-        return run_orchestrated(&dir, name, config.kind(), fingerprint, &orch);
-    }
-    let path = cache_path(&dir, name, config.kind(), fingerprint);
-    let (col, status) = persist::collect_or_load(&path, config)
-        .unwrap_or_else(|e| panic!("collection cache {}: {e}", path.display()));
-    report(status, &path);
+    let full = dir.join(persist::cache_file_name(name, config.kind(), fingerprint));
+    let (col, status) = match shard {
+        Some(shard) => run_shard_worker(&dir, &full, name, config, fingerprint, shard),
+        None => persist::collect_or_load(&full, config)
+            .unwrap_or_else(|e| panic!("collection cache {}: {e}", full.display())),
+    };
+    report(status, &full);
     col
 }
 

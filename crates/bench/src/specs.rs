@@ -1,5 +1,7 @@
 //! Named collection specs and the worker/launcher plumbing shared by the
-//! orchestration binaries (`pborch`, `pbserve`, `pbsub`).
+//! orchestration binaries (`pborch`, `pbserve`, `pbsub`). Every supervised
+//! pass — `pborch run` and `pbserve`'s orchestrated submissions alike —
+//! goes through [`orchestrate_spec`].
 //!
 //! A *spec* is a short name for a full collection config. Names — not
 //! configs — are what crosses process and network boundaries: every
@@ -12,10 +14,13 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use perfbug_core::exec::ShardSpec;
-use perfbug_core::experiment::{CollectionConfig, Experiment};
+use perfbug_core::experiment::{self, Collection, CollectionConfig, Experiment};
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
-use perfbug_core::orchestrate::{self, remote, CollectPlan, OrchestratorConfig};
-use perfbug_core::persist::{self, ExperimentKind};
+use perfbug_core::orchestrate::{
+    self, remote, report_path_for, CollectPlan, Fault, OrchestratedRun, OrchestratorConfig,
+    RunReport,
+};
+use perfbug_core::persist::{self, ExperimentKind, FileHeader, ShardManifest, CORPUS_REVISION};
 use perfbug_core::serve::{ExperimentBackend, RunOutcome, SubmitRequest};
 use perfbug_ml::GbtParams;
 use perfbug_workloads::WorkloadScale;
@@ -104,10 +109,26 @@ pub fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String>
     Ok(None)
 }
 
-/// Parses a numeric flag value with a named error.
-pub fn parse_num<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{what} must be a number, got {raw:?}"))
+/// The [`SubmitRequest`] that `pborch run` and `pbsub submit` flags spell:
+/// `--workers` (default 0), `--shards` (default 0), `--max-attempts`
+/// (default 3), `--timeout-secs` and `--hosts`.
+pub fn submit_from_flags(spec: String, args: &[String]) -> Result<SubmitRequest, String> {
+    fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+        flag_value(args, flag)?
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("{flag} must be a number, got {raw:?}"))
+            })
+            .transpose()
+    }
+    Ok(SubmitRequest {
+        spec,
+        workers: num(args, "--workers")?.unwrap_or(0),
+        shards: num(args, "--shards")?.unwrap_or(0),
+        max_attempts: num(args, "--max-attempts")?.unwrap_or(3),
+        timeout_secs: num(args, "--timeout-secs")?,
+        hosts: flag_value(args, "--hosts")?,
+    })
 }
 
 /// The worker `Command` collecting one shard of `spec_name` into
@@ -190,11 +211,111 @@ pub fn admit_launch(req: &remote::LaunchRequest) -> Result<CollectPlan, String> 
     })
 }
 
+/// Runs one supervised collection pass of `spec` into `plan`: the single
+/// front door of `pborch run` and of `pbserve`'s orchestrated submissions.
+///
+/// `request` carries the supervision knobs with the service protocol's
+/// meaning (its `spec` field is not consulted — `spec` and `plan` are its
+/// resolution). The rules, identical for both callers:
+///
+/// * `workers` and `max_attempts` must be at least 1;
+/// * `workers`, and `shards` when given, must not exceed the spec's probe
+///   count — checked before any per-shard state exists or any worker is
+///   launched, so an absurd request is a typed error, not an allocation
+///   failure or a fork storm;
+/// * `shards: 0` means `min(2 × workers, probes)`: more shards than
+///   workers, so the queue can rebalance around a lost worker;
+/// * a corpus already in the cache (or a complete shard set) is replayed
+///   without sizing the pass.
+///
+/// With `hosts`, shards fan out to `pborch worker-daemon` endpoints;
+/// otherwise each attempt re-invokes `exe` in `worker` mode. `faults` are
+/// injected by this supervisor (`pborch`'s test hook; the service passes
+/// none).
+pub fn orchestrate_spec(
+    spec: &SpecConfig,
+    plan: &CollectPlan,
+    request: &SubmitRequest,
+    exe: &Path,
+    faults: Vec<Fault>,
+) -> Result<OrchestratedRun, String> {
+    if request.workers == 0 {
+        return Err("workers must be at least 1".into());
+    }
+    if request.max_attempts == 0 {
+        return Err("max_attempts must be at least 1".into());
+    }
+    let hosts = match &request.hosts {
+        Some(raw) => Some(remote::parse_hosts(raw).map_err(|e| format!("hosts: {e}"))?),
+        None => None,
+    };
+    let shards = match request.shards {
+        0 => request.workers.saturating_mul(2),
+        n => n,
+    };
+    let mut config = OrchestratorConfig::new(request.workers, shards);
+    config.max_attempts = request.max_attempts;
+    config.shard_timeout = request.timeout_secs.map(Duration::from_secs);
+    config.faults = faults;
+    let full = plan.full_path();
+    if let Some((collection, status)) =
+        persist::load_or_assemble(&full, plan.kind, plan.fingerprint)
+            .map_err(|e| format!("{}: {e}", plan.prefix))?
+    {
+        return Ok(OrchestratedRun {
+            collection,
+            status,
+            report: RunReport::already_cached(&config),
+            report_path: report_path_for(&full),
+        });
+    }
+    let probes = experiment::pass_identity(spec.experiment()).total_probes;
+    if request.workers > probes || request.shards > probes {
+        return Err(format!(
+            "{}: {} workers / {} shards requested, but the spec has only {probes} probes",
+            plan.prefix, request.workers, request.shards
+        ));
+    }
+    config.shards = config.shards.min(probes);
+    match hosts {
+        Some(hosts) => {
+            let mut launcher = remote::RemoteLauncher::for_plan(hosts, plan);
+            orchestrate::orchestrate_collection_with(plan, &config, &mut launcher)
+        }
+        None => orchestrate::orchestrate_collection(plan, &config, |shard, attempt| {
+            println!(
+                "  launch shard {}/{} (attempt {attempt})",
+                shard.index, shard.count
+            );
+            worker_command(exe, &plan.prefix, &plan.dir, shard)
+        }),
+    }
+    .map_err(|e| format!("{}: {e}", plan.prefix))
+}
+
+/// The PBCL encoding of `collection` with its wall-clock timings zeroed:
+/// the bytes `pborch run --check-full` compares between an orchestrated
+/// corpus and a single-process collection of the same spec.
+pub fn timing_free_bytes(
+    mut collection: Collection,
+    kind: ExperimentKind,
+    fingerprint: u64,
+) -> Vec<u8> {
+    collection.zero_timings();
+    let header = FileHeader {
+        kind,
+        corpus_revision: CORPUS_REVISION,
+        fingerprint,
+        manifest: ShardManifest::full(collection.probes.len()),
+    };
+    persist::encode_collection_with(&collection, &header)
+}
+
 /// [`ExperimentBackend`] over the named specs: `pbserve`'s experiment
 /// layer. `workers == 0` collects in-process (exact `simulations_run`
-/// accounting); otherwise shards are orchestrated as child processes of
-/// `exe` — or fanned out to worker daemons when the submission carries
-/// `hosts`.
+/// accounting); otherwise the submission runs through
+/// [`orchestrate_spec`], re-invoking `exe` as shard workers — or fanning
+/// out to worker daemons when the submission carries `hosts`.
 pub struct BenchBackend {
     /// Binary re-invoked in `worker` mode for orchestrated passes.
     pub exe: PathBuf,
@@ -208,43 +329,18 @@ impl ExperimentBackend for BenchBackend {
 
     fn run(&self, submit: &SubmitRequest, plan: &CollectPlan) -> Result<RunOutcome, String> {
         let spec = resolve_spec(&submit.spec)?;
-        if submit.workers == 0 {
-            let (collection, status) =
-                persist::collect_or_load(&plan.full_path(), spec.experiment())
-                    .map_err(|e| format!("{}: {e}", submit.spec))?;
-            return Ok(RunOutcome {
-                status,
-                probes: collection.probes.len(),
-            });
-        }
-        let shards = if submit.shards == 0 {
-            submit.workers * 2
+        let (collection, status) = if submit.workers == 0 {
+            persist::collect_or_load(&plan.full_path(), spec.experiment())
+                .map_err(|e| format!("{}: {e}", submit.spec))?
         } else {
-            submit.shards
+            // The service never injects faults: they are a supervisor
+            // test hook, and this supervisor is a daemon serving tenants.
+            let run = orchestrate_spec(&spec, plan, submit, &self.exe, Vec::new())?;
+            (run.collection, run.status)
         };
-        let mut config = OrchestratorConfig::new(submit.workers, shards);
-        config.max_attempts = submit.max_attempts.max(1);
-        if let Some(secs) = submit.timeout_secs {
-            config.shard_timeout = Some(Duration::from_secs(secs));
-        }
-        // The service never injects faults: FAULT_ENV is a supervisor
-        // test hook, and this supervisor is a daemon serving tenants.
-        let run = if let Some(raw) = &submit.hosts {
-            let hosts = remote::parse_hosts(raw)?;
-            let mut launcher = remote::RemoteLauncher::for_plan(hosts, plan);
-            orchestrate::orchestrate_collection_with(plan, &config, &mut launcher)
-        } else {
-            let exe = self.exe.clone();
-            let prefix = plan.prefix.clone();
-            let dir = plan.dir.clone();
-            orchestrate::orchestrate_collection(plan, &config, move |shard, _attempt| {
-                worker_command(&exe, &prefix, &dir, shard)
-            })
-        }
-        .map_err(|e| format!("{}: {e}", submit.spec))?;
         Ok(RunOutcome {
-            status: run.status,
-            probes: run.collection.probes.len(),
+            status,
+            probes: collection.probes.len(),
         })
     }
 }

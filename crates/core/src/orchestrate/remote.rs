@@ -12,7 +12,7 @@
 //!   exactly as [`ProcessLauncher`](super::ProcessLauncher) would, and
 //!   streams back heartbeat / shard-checksum / exit frames;
 //! * a [`RemoteLauncher`] on the supervisor side multiplexes N endpoints
-//!   (host list from `--hosts` or [`HOSTS_ENV`]) behind the unchanged
+//!   (the `--hosts` or submitted `hosts` list) behind the unchanged
 //!   [`run_orchestrator`](super::run_orchestrator) loop — **a dead
 //!   connection is just a failed attempt**: connect refusal and daemon
 //!   rejection surface as spawn failures, a mid-stream hangup as a wait
@@ -43,10 +43,6 @@ use crate::exec::ShardSpec;
 use crate::persist::{self, ExperimentKind, PersistError};
 
 use super::{verify_shard_file, ChildHandle, CollectPlan, ExitKind, Launcher, WorkerHandle};
-
-/// Environment variable naming the worker-daemon endpoints
-/// (`host:port[,host:port...]`) a distributed `pborch run` fans out to.
-pub const HOSTS_ENV: &str = "PERFBUG_ORCH_HOSTS";
 
 /// Wire protocol version, first field of every launch frame. Daemons
 /// reject launches from a different protocol generation instead of
@@ -976,15 +972,4 @@ pub fn parse_hosts(raw: &str) -> Result<Vec<String>, String> {
         return Err("empty endpoint list".into());
     }
     Ok(hosts)
-}
-
-/// Endpoint list from [`HOSTS_ENV`]: `Ok(None)` when unset, `Err` when
-/// set but unparsable.
-pub fn hosts_from_env() -> Result<Option<Vec<String>>, String> {
-    match std::env::var(HOSTS_ENV) {
-        Ok(raw) => parse_hosts(&raw)
-            .map(Some)
-            .map_err(|e| format!("{HOSTS_ENV}: {e}")),
-        Err(_) => Ok(None),
-    }
 }

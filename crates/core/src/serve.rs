@@ -219,9 +219,10 @@ pub struct SubmitRequest {
     pub spec: String,
     /// Worker pool size; `0` collects in-process (no child processes).
     pub workers: usize,
-    /// Shard count for orchestrated passes; `0` defaults server-side.
+    /// Shard count for orchestrated passes; `0` picks the default,
+    /// `min(2 × workers, probes)`.
     pub shards: usize,
-    /// Per-shard attempt budget for orchestrated passes.
+    /// Per-shard attempt budget for orchestrated passes (at least 1).
     pub max_attempts: u32,
     /// Optional per-shard timeout.
     pub timeout_secs: Option<u64>,
@@ -266,7 +267,11 @@ impl Request {
                     spec: required_str(&fields, "spec")?,
                     workers: optional_usize(&fields, "workers")?.unwrap_or(0),
                     shards: optional_usize(&fields, "shards")?.unwrap_or(0),
-                    max_attempts: optional_usize(&fields, "max_attempts")?.unwrap_or(3) as u32,
+                    max_attempts: match optional_usize(&fields, "max_attempts")? {
+                        None => 3,
+                        Some(n) => u32::try_from(n)
+                            .map_err(|_| "\"max_attempts\" does not fit in 32 bits")?,
+                    },
                     timeout_secs: timeout,
                     hosts: fields
                         .get("hosts")

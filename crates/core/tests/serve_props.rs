@@ -151,6 +151,17 @@ fn the_parser_rejects_what_the_protocol_excludes() {
     }
 }
 
+#[test]
+fn a_submission_whose_attempt_budget_overflows_u32_is_rejected() {
+    let line = |n: u64| format!("{{\"op\": \"submit\", \"spec\": \"s\", \"max_attempts\": {n}}}");
+    let err = Request::parse(&line(u64::from(u32::MAX) + 1)).unwrap_err();
+    assert!(err.contains("max_attempts"), "{err}");
+    match Request::parse(&line(u64::from(u32::MAX))) {
+        Ok(Request::Submit(s)) => assert_eq!(s.max_attempts, u32::MAX),
+        other => panic!("the largest u32 budget must parse: {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Loopback end-to-end: cold collect, then cache hit with zero sims
 // ---------------------------------------------------------------------

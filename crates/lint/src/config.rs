@@ -97,32 +97,8 @@ pub const ENV_REGISTRY: &[EnvVar] = &[
         purpose: "run a bench target as shard worker <i>/<n>",
     },
     EnvVar {
-        name: "PERFBUG_SHARD_ONLY",
-        purpose: "worker-protocol flag: collect the shard, skip assembly/evaluation",
-    },
-    EnvVar {
-        name: "PERFBUG_ORCH_WORKERS",
-        purpose: "run a bench target as an orchestrated pass with <n> workers",
-    },
-    EnvVar {
-        name: "PERFBUG_ORCH_SHARDS",
-        purpose: "orchestrated shard count (default 2x workers)",
-    },
-    EnvVar {
-        name: "PERFBUG_ORCH_MAX_ATTEMPTS",
-        purpose: "orchestrated per-shard attempt budget (default 3)",
-    },
-    EnvVar {
-        name: "PERFBUG_ORCH_TIMEOUT_SECS",
-        purpose: "orchestrated per-shard timeout (default none)",
-    },
-    EnvVar {
         name: "PERFBUG_ORCH_FAULT",
         purpose: "orchestrator fault injection (CI guard test hook)",
-    },
-    EnvVar {
-        name: "PERFBUG_ORCH_HOSTS",
-        purpose: "fan shards out to pborch worker-daemon endpoints (host:port list)",
     },
     EnvVar {
         name: "PERFBUG_SERVE_ADDR",
@@ -131,22 +107,6 @@ pub const ENV_REGISTRY: &[EnvVar] = &[
     EnvVar {
         name: "PERFBUG_SERVE_STORE",
         purpose: "pbserve multi-tenant corpus store root directory",
-    },
-    EnvVar {
-        name: "PERFBUG_FUZZ_SEED",
-        purpose: "pbeval: fuzzer seed (fallback for --seed)",
-    },
-    EnvVar {
-        name: "PERFBUG_FUZZ_FAMILIES",
-        purpose: "pbeval: comma-separated bug families or `all` (fallback for --families)",
-    },
-    EnvVar {
-        name: "PERFBUG_FUZZ_COUNT",
-        purpose: "pbeval: variants per family (fallback for --count)",
-    },
-    EnvVar {
-        name: "PERFBUG_FUZZ_BAND",
-        purpose: "pbeval: severity band min[..max] (fallback for --band)",
     },
 ];
 
