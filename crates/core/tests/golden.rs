@@ -9,6 +9,8 @@
 //! decisions over the tiny core corpus must hash to
 //! [`GOLDEN_BASELINE_DIGEST`], and the same corpus collected with the
 //! Lasso and neural engines must hash to [`GOLDEN_ENGINES_DIGEST`].
+//! Every probe and probe trace of the whole suite, at tiny and default
+//! scale, must hash to [`GOLDEN_PROBES_DIGEST`].
 //!
 //! This is the machine check behind "the corpus is unchanged": any change
 //! to simulation, counter selection, stage-1 numerics or the PBCL codec
@@ -29,7 +31,7 @@ use perfbug_core::stage1::EngineSpec;
 use perfbug_memsim::{memory_suite, simulate_memory};
 use perfbug_ml::{CnnParams, GbtParams, LassoParams, LstmParams, MlpParams};
 use perfbug_uarch::{presets, simulate, BugSpec};
-use perfbug_workloads::{benchmark, Opcode, WorkloadScale};
+use perfbug_workloads::{benchmark, extract_probes, spec2006, Opcode, WorkloadScale};
 
 fn gbt10() -> EngineSpec {
     EngineSpec::Gbt(GbtParams {
@@ -289,5 +291,63 @@ fn engines_digest_matches_the_pinned_revision() {
         engines_digest, GOLDEN_ENGINES_DIGEST,
         "stage-1 engine output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
          bump CORPUS_REVISION and re-pin GOLDEN_ENGINES_DIGEST = {engines_digest:#018x}"
+    );
+}
+
+/// FNV-1a over every probe of every [`spec2006`] and [`memory_suite`]
+/// benchmark, at [`WorkloadScale::tiny`] and then the default scale: per
+/// probe its `interval` and `weight` bits, then every field of every
+/// instruction of its [`Probe::trace`](perfbug_workloads::Probe::trace),
+/// little-endian.
+///
+/// The other digests see only tiny-scale probes, and only the first few;
+/// this pins BBV profiling, SimPoint selection and the program walker at
+/// the scale every default pass runs, so a walker speed-up that moves one
+/// probe or one trace field fails here. The digest moves only together
+/// with a [`CORPUS_REVISION`] bump.
+const GOLDEN_PROBES_DIGEST: u64 = 0xed02_c4cf_e499_0742;
+
+/// Feeds `bytes` into a running FNV-1a hash, so that hashing in pieces
+/// from `fnv1a(&[])` equals [`fnv1a`] over the concatenation.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn probes_digest_matches_the_pinned_revision() {
+    let mut hash = fnv1a(&[]);
+    for scale in [WorkloadScale::tiny(), WorkloadScale::default()] {
+        for spec in spec2006().into_iter().chain(memory_suite()) {
+            let program = spec.program(&scale);
+            for probe in extract_probes(&program, &spec.simpoint_config(&scale)) {
+                hash = fnv1a_extend(hash, &(probe.interval as u64).to_le_bytes());
+                hash = fnv1a_extend(hash, &probe.weight.to_bits().to_le_bytes());
+                for inst in probe.trace(&program) {
+                    hash = fnv1a_extend(hash, &inst.pc.to_le_bytes());
+                    hash = fnv1a_extend(hash, &inst.mem_addr.to_le_bytes());
+                    hash = fnv1a_extend(hash, &inst.target.to_le_bytes());
+                    hash = fnv1a_extend(
+                        hash,
+                        &[
+                            inst.opcode as u8,
+                            inst.size,
+                            inst.src1,
+                            inst.src2,
+                            inst.dst,
+                            u8::from(inst.taken),
+                        ],
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(
+        hash, GOLDEN_PROBES_DIGEST,
+        "probes or probe traces changed under CORPUS_REVISION {CORPUS_REVISION}: if \
+         intended, bump CORPUS_REVISION and re-pin GOLDEN_PROBES_DIGEST = {hash:#018x}"
     );
 }
