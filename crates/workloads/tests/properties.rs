@@ -1,8 +1,22 @@
 //! Property-based tests for the workload substrate.
 
+use perfbug_workloads::bbv;
 use perfbug_workloads::kmeans::kmeans;
-use perfbug_workloads::{Opcode, PhaseSpec, Program, Segment};
+use perfbug_workloads::{MemStreamSpec, Opcode, PhaseSpec, Program, Segment};
 use proptest::prelude::*;
+
+/// One to three memory streams: random (stride 0) or strided, over a
+/// working set that is a power of two, is not one, or is under the
+/// walker's 64-byte floor.
+fn arb_streams() -> impl Strategy<Value = Vec<MemStreamSpec>> {
+    prop::collection::vec(
+        (0usize..4, 0usize..4).prop_map(|(s, w)| MemStreamSpec {
+            stride: [0, 8, 24, 64][s],
+            working_set: [1 << 14, 3000, 40, 1 << 10][w],
+        }),
+        1..4,
+    )
+}
 
 fn arb_phase() -> impl Strategy<Value = PhaseSpec> {
     (
@@ -13,20 +27,51 @@ fn arb_phase() -> impl Strategy<Value = PhaseSpec> {
         0.0..0.7f64,  // chaotic
         0.0..0.3f64,  // indirect
         1usize..8,    // dep distance
+        arb_streams(),
     )
         .prop_map(
-            |(n_blocks, block_len, load_frac, store_frac, chaotic, indirect, dep)| PhaseSpec {
-                mix: vec![(Opcode::Add, 1.0), (Opcode::Xor, 0.5), (Opcode::FpMul, 0.5)],
-                load_frac,
-                store_frac,
-                chaotic_branch_frac: chaotic,
-                indirect_frac: indirect,
-                n_blocks,
-                block_len,
-                dep_distance: dep,
-                ..PhaseSpec::default()
+            |(n_blocks, block_len, load_frac, store_frac, chaotic, indirect, dep, streams)| {
+                PhaseSpec {
+                    mix: vec![(Opcode::Add, 1.0), (Opcode::Xor, 0.5), (Opcode::FpMul, 0.5)],
+                    load_frac,
+                    store_frac,
+                    chaotic_branch_frac: chaotic,
+                    indirect_frac: indirect,
+                    n_blocks,
+                    block_len,
+                    streams,
+                    dep_distance: dep,
+                }
             },
         )
+}
+
+/// A program whose segments (1–39 instructions, cycling through the
+/// phases) are shorter than many of its blocks, so walks cross segment
+/// boundaries mid-block.
+fn short_segment_program(phases: &[PhaseSpec], seg_lens: &[u64], seed: u64) -> Program {
+    let schedule = seg_lens
+        .iter()
+        .enumerate()
+        .map(|(i, &insts)| Segment {
+            phase: i % phases.len(),
+            insts,
+        })
+        .collect();
+    Program::build("prop", phases, schedule, seed)
+}
+
+/// A skip length: 0, a random count, or exactly the end of a segment
+/// (the schedule loops, so any prefix of its repetition counts).
+fn skip_len(seg_lens: &[u64], (kind, raw): (usize, u64)) -> u64 {
+    match kind {
+        0 => 0,
+        1 => raw,
+        _ => {
+            let ends = raw as usize % (2 * seg_lens.len()) + 1;
+            seg_lens.iter().cycle().take(ends).sum()
+        }
+    }
 }
 
 proptest! {
@@ -63,6 +108,59 @@ proptest! {
             }
             prop_assert!(walker.current_block() < program.n_blocks());
         }
+    }
+
+    #[test]
+    fn skip_matches_consumption(
+        phases in prop::collection::vec(arb_phase(), 1..4),
+        seg_lens in prop::collection::vec(1u64..40, 1..6),
+        seed in any::<u64>(),
+        first in (0usize..3, 0u64..3000),
+        second in (0usize..3, 0u64..300),
+        m in 1usize..120,
+    ) {
+        // Two skips with a trace in between, so the second one starts
+        // part-way through a block.
+        let program = short_segment_program(&phases, &seg_lens, seed);
+        let mut fast = program.walker();
+        let mut slow = program.walker();
+        for n in [skip_len(&seg_lens, first), skip_len(&seg_lens, second)] {
+            fast.skip(n);
+            for _ in 0..n {
+                slow.next_inst();
+            }
+            prop_assert_eq!(fast.current_block(), slow.current_block(), "after skip({})", n);
+            prop_assert_eq!(fast.take_trace(m), slow.take_trace(m), "after skip({})", n);
+            prop_assert_eq!(fast.current_block(), slow.current_block());
+        }
+    }
+
+    #[test]
+    fn profile_matches_per_instruction_reference(
+        phases in prop::collection::vec(arb_phase(), 1..4),
+        seg_lens in prop::collection::vec(1u64..40, 1..6),
+        seed in any::<u64>(),
+        interval_len in 1usize..200,
+        n_intervals in 1usize..6,
+    ) {
+        let program = short_segment_program(&phases, &seg_lens, seed);
+        let mut walker = program.walker();
+        let reference: Vec<Vec<f64>> = (0..n_intervals)
+            .map(|_| {
+                let mut counts = vec![0.0f64; program.n_blocks()];
+                for _ in 0..interval_len {
+                    walker.next_inst();
+                    counts[walker.current_block()] += 1.0;
+                }
+                let total: f64 = counts.iter().sum();
+                counts.iter().map(|c| c / total).collect()
+            })
+            .collect();
+        let bits = |bbvs: &[Vec<f64>]| -> Vec<u64> {
+            bbvs.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        let got = bbv::profile(&program, interval_len, n_intervals);
+        prop_assert_eq!(bits(&got), bits(&reference));
     }
 
     #[test]
