@@ -5,7 +5,8 @@
 //! XGBoost). This module implements the same second-order boosting recipe:
 //! per-round gradients/hessians of the squared loss, greedy splits
 //! maximising the regularised gain, leaf weights `-G/(H+lambda)` and
-//! shrinkage.
+//! shrinkage. The squared loss's hessian is 1 for every row, so a node's
+//! hessian sum `H` is its row count, exactly, and is never accumulated.
 //!
 //! Two split-finding strategies are available behind
 //! [`GbtParams::split_strategy`]:
@@ -17,8 +18,8 @@
 //! * [`SplitStrategy::Histogram`] (the default) — feature values are
 //!   quantised once per fit into at most `max_bins` bins per feature
 //!   ([`BinnedDataset`]: quantile cut points, `u8` bin codes stored
-//!   column-major). Each node accumulates one (grad-sum, hess-sum, count)
-//!   histogram per feature and only bin boundaries are split candidates.
+//!   column-major). Each node accumulates one (grad-sum, count) histogram
+//!   per feature and only bin boundaries are split candidates.
 //!   A node's sibling histogram is derived with the parent-minus-child
 //!   *subtraction trick*, so only the smaller child is ever scanned.
 //!   Thresholds are real cut values, so trained trees are identical in
@@ -97,7 +98,8 @@ pub struct GbtParams {
     pub lambda: f64,
     /// Minimum gain required to split (XGBoost's `gamma`).
     pub gamma: f64,
-    /// Minimum sum of hessians in a child (XGBoost's `min_child_weight`).
+    /// Minimum sum of hessians in a child (XGBoost's `min_child_weight`);
+    /// with the squared loss, a minimum row count.
     pub min_child_weight: f64,
     /// Fraction of rows sampled per tree (1.0 disables subsampling).
     pub subsample: f64,
@@ -127,11 +129,11 @@ impl Default for GbtParams {
 // Binned dataset
 // --------------------------------------------------------------------------
 
-/// Per-node, per-feature, per-bin gradient statistics.
+/// Per-node, per-feature, per-bin gradient statistics. The bin's hessian
+/// sum is `count`: the squared loss's hessian is 1.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct HistBin {
     grad: f64,
-    hess: f64,
     count: u32,
 }
 
@@ -245,22 +247,14 @@ impl BinnedDataset {
         &self.codes[feature * self.n_rows..(feature + 1) * self.n_rows]
     }
 
-    /// Accumulates the (grad, hess, count) histogram of one feature over
-    /// `rows` into `bins` (pre-zeroed, `n_bins(feature)` long).
-    fn accumulate_feature(
-        &self,
-        feature: usize,
-        rows: &[u32],
-        grad: &[f64],
-        hess: &[f64],
-        bins: &mut [HistBin],
-    ) {
+    /// Accumulates the (grad, count) histogram of one feature over `rows`
+    /// into `bins` (pre-zeroed, `n_bins(feature)` long).
+    fn accumulate_feature(&self, feature: usize, rows: &[u32], grad: &[f64], bins: &mut [HistBin]) {
         let col = self.feature_codes(feature);
         for &r in rows {
             let r = r as usize;
             let bin = &mut bins[col[r] as usize];
             bin.grad += grad[r];
-            bin.hess += hess[r];
             bin.count += 1;
         }
     }
@@ -268,12 +262,12 @@ impl BinnedDataset {
     /// Builds the full per-feature histogram of one node into `hist`
     /// (length [`Self::total_bins`]): one feature at a time, each in row
     /// order, on the calling thread.
-    fn build_histogram(&self, rows: &[u32], grad: &[f64], hess: &[f64], hist: &mut [HistBin]) {
+    fn build_histogram(&self, rows: &[u32], grad: &[f64], hist: &mut [HistBin]) {
         debug_assert_eq!(hist.len(), self.total_bins());
         hist.fill(HistBin::default());
         for f in 0..self.n_features() {
             let (lo, hi) = (self.offsets[f], self.offsets[f + 1]);
-            self.accumulate_feature(f, rows, grad, hess, &mut hist[lo..hi]);
+            self.accumulate_feature(f, rows, grad, &mut hist[lo..hi]);
         }
     }
 }
@@ -417,11 +411,11 @@ impl Gbt {
             .collect()
     }
 
-    /// Builds one tree on the given rows against gradients/hessians with
-    /// the exact greedy splitter; returns the tree.
-    fn build_tree(&self, data: &Dataset, rows: &[usize], grad: &[f64], hess: &[f64]) -> Tree {
+    /// Builds one tree on the given rows against gradients with the exact
+    /// greedy splitter; returns the tree.
+    fn build_tree(&self, data: &Dataset, rows: &[usize], grad: &[f64]) -> Tree {
         let mut tree = Tree { nodes: Vec::new() };
-        self.grow(&mut tree, data, rows.to_vec(), grad, hess, 0);
+        self.grow(&mut tree, data, rows.to_vec(), grad, 0);
         tree
     }
 
@@ -433,11 +427,10 @@ impl Gbt {
         data: &Dataset,
         rows: Vec<usize>,
         grad: &[f64],
-        hess: &[f64],
         depth: usize,
     ) -> usize {
         let g_sum: f64 = rows.iter().map(|&r| grad[r]).sum();
-        let h_sum: f64 = rows.iter().map(|&r| hess[r]).sum();
+        let h_sum = rows.len() as f64;
         let leaf = |tree: &mut Tree| {
             let weight = -g_sum / (h_sum + self.params.lambda);
             tree.nodes.push(Node::Leaf { weight });
@@ -450,18 +443,17 @@ impl Gbt {
         // Exact greedy: best split over every feature.
         let parent_score = g_sum * g_sum / (h_sum + self.params.lambda);
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        let mut sorted: Vec<(f64, f64, f64)> = Vec::with_capacity(rows.len());
+        let mut sorted: Vec<(f64, f64)> = Vec::with_capacity(rows.len());
         for feature in 0..data.n_features() {
             sorted.clear();
             for &r in &rows {
-                sorted.push((data.sample(r).0[feature], grad[r], hess[r]));
+                sorted.push((data.sample(r).0[feature], grad[r]));
             }
             sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             let mut gl = 0.0;
-            let mut hl = 0.0;
             for i in 0..sorted.len() - 1 {
                 gl += sorted[i].1;
-                hl += sorted[i].2;
+                let hl = (i + 1) as f64;
                 if sorted[i].0 == sorted[i + 1].0 {
                     continue; // cannot split between equal values
                 }
@@ -490,8 +482,8 @@ impl Gbt {
                 // Reserve our slot before children are pushed.
                 tree.nodes.push(Node::Leaf { weight: 0.0 });
                 let me = tree.nodes.len() - 1;
-                let left = self.grow(tree, data, left_rows, grad, hess, depth + 1);
-                let right = self.grow(tree, data, right_rows, grad, hess, depth + 1);
+                let left = self.grow(tree, data, left_rows, grad, depth + 1);
+                let right = self.grow(tree, data, right_rows, grad, depth + 1);
                 tree.nodes[me] = Node::Split {
                     feature,
                     threshold,
@@ -504,18 +496,12 @@ impl Gbt {
     }
 
     /// Builds one tree with histogram split finding.
-    fn build_tree_hist(
-        &self,
-        binned: &BinnedDataset,
-        rows: &[usize],
-        grad: &[f64],
-        hess: &[f64],
-    ) -> Tree {
+    fn build_tree_hist(&self, binned: &BinnedDataset, rows: &[usize], grad: &[f64]) -> Tree {
         let rows: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
         let mut hist = vec![HistBin::default(); binned.total_bins()];
-        binned.build_histogram(&rows, grad, hess, &mut hist);
+        binned.build_histogram(&rows, grad, &mut hist);
         let mut tree = Tree { nodes: Vec::new() };
-        self.grow_hist(&mut tree, binned, rows, hist, grad, hess, 0);
+        self.grow_hist(&mut tree, binned, rows, hist, grad, 0);
         tree
     }
 
@@ -523,7 +509,6 @@ impl Gbt {
     /// node's own histogram (consumed: the larger child's histogram is
     /// derived from it in place via the subtraction trick), or empty for a
     /// node at `max_depth`, which is always a leaf.
-    #[allow(clippy::too_many_arguments)]
     fn grow_hist(
         &self,
         tree: &mut Tree,
@@ -531,13 +516,12 @@ impl Gbt {
         rows: Vec<u32>,
         hist: Vec<HistBin>,
         grad: &[f64],
-        hess: &[f64],
         depth: usize,
     ) -> usize {
         // Node totals from the row list (not the bins): the same
         // summation order as the exact splitter, so leaf weights agree.
         let g_sum: f64 = rows.iter().map(|&r| grad[r as usize]).sum();
-        let h_sum: f64 = rows.iter().map(|&r| hess[r as usize]).sum();
+        let h_sum = rows.len() as f64;
         let leaf = |tree: &mut Tree| {
             let weight = -g_sum / (h_sum + self.params.lambda);
             tree.nodes.push(Node::Leaf { weight });
@@ -553,13 +537,12 @@ impl Gbt {
         for feature in 0..binned.n_features() {
             let bins = &hist[binned.offsets[feature]..binned.offsets[feature + 1]];
             let mut gl = 0.0;
-            let mut hl = 0.0;
             let mut nl = 0u32;
             // Candidate b splits between bin b and b+1: threshold cuts[b].
             for (b, bin) in bins[..binned.cuts[feature].len()].iter().enumerate() {
                 gl += bin.grad;
-                hl += bin.hess;
                 nl += bin.count;
+                let hl = f64::from(nl);
                 if nl == 0 {
                     continue; // nothing on the left yet
                 }
@@ -609,11 +592,10 @@ impl Gbt {
                         &right_rows
                     };
                     let mut small_hist = vec![HistBin::default(); hist.len()];
-                    binned.build_histogram(small, grad, hess, &mut small_hist);
+                    binned.build_histogram(small, grad, &mut small_hist);
                     let mut large_hist = hist;
                     for (l, s) in large_hist.iter_mut().zip(&small_hist) {
                         l.grad -= s.grad;
-                        l.hess -= s.hess;
                         l.count -= s.count;
                     }
                     if small_is_left {
@@ -622,10 +604,8 @@ impl Gbt {
                         (large_hist, small_hist)
                     }
                 };
-                let left =
-                    self.grow_hist(tree, binned, left_rows, left_hist, grad, hess, depth + 1);
-                let right =
-                    self.grow_hist(tree, binned, right_rows, right_hist, grad, hess, depth + 1);
+                let left = self.grow_hist(tree, binned, left_rows, left_hist, grad, depth + 1);
+                let right = self.grow_hist(tree, binned, right_rows, right_hist, grad, depth + 1);
                 tree.nodes[me] = Node::Split {
                     feature,
                     threshold,
@@ -661,9 +641,9 @@ impl Regressor for Gbt {
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.params.seed);
         let all_rows: Vec<usize> = (0..train.len()).collect();
         for _ in 0..self.params.n_trees {
-            // Squared loss: grad = pred - y, hess = 1.
+            // Squared loss: grad = pred - y; hess = 1, so the splitters
+            // take a node's row count as its hessian sum.
             let grad: Vec<f64> = pred.iter().zip(train.y()).map(|(p, y)| p - y).collect();
-            let hess = vec![1.0; train.len()];
             let rows: Vec<usize> = if self.params.subsample < 1.0 {
                 let k = ((train.len() as f64) * self.params.subsample).max(1.0) as usize;
                 let mut shuffled = all_rows.clone();
@@ -674,8 +654,8 @@ impl Regressor for Gbt {
                 all_rows.clone()
             };
             let tree = match &binned {
-                Some(b) => self.build_tree_hist(b, &rows, &grad, &hess),
-                None => self.build_tree(train, &rows, &grad, &hess),
+                Some(b) => self.build_tree_hist(b, &rows, &grad),
+                None => self.build_tree(train, &rows, &grad),
             };
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += self.params.learning_rate * tree.predict(train.sample(i).0);
