@@ -29,14 +29,15 @@
 //! ```
 //!
 //! `PERFBUG_ORCH_FAULT=<op>:<shard>[@<attempt>]` injects worker faults
-//! (supervisor-side test hook): `kill` right after launch, `killmid`
-//! once at least one probe chunk is durable in the shard's part file,
-//! and `torn` like `killmid` plus a mid-chunk tear of the part file.
-//! Retries resume from the crashed attempt's durable chunk prefix
-//! instead of re-collecting; CI's `orchestrate-guard` legs use the hook
-//! with `--check-full` to prove on every push that a pass surviving
-//! worker loss — including a torn write — still assembles the
-//! bit-identical corpus.
+//! (a test hook): the supervisor kills the worker right after launch
+//! (`kill`), or hands the worker its fault with the launch, and the
+//! worker stops itself after its first durable probe chunk (`killmid`)
+//! or tears its second chunk and stops (`torn`). A fault that cannot
+//! fire on the pass is an error. Retries resume from the crashed
+//! attempt's durable chunk prefix instead of re-collecting; CI's guard
+//! legs use the hook with `--check-full` to prove on every push that a
+//! pass surviving worker loss — including a torn write — still
+//! assembles the bit-identical corpus.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -66,21 +67,24 @@ USAGE:
                                         unless the merged corpus is
                                         bit-identical (timings zeroed)
     pborch worker --spec <name> --cache-dir <dir> --shard <i>/<n>
+                  [--fault killmid|torn]
                   (internal: one shard worker's turn; run exits after the
                    shard is saved)
     pborch worker-daemon --listen <host:port>
                   serve LaunchShard requests over TCP: each accepted
                   launch re-invokes this binary in worker mode and
-                  streams heartbeat/checksum/exit frames back
+                  streams checksum/exit frames back
     pborch specs  list the named collection specs
 
-Faults: PERFBUG_ORCH_FAULT=<op>:<shard>[@<attempt>][,...] makes the
-supervisor fault that shard's worker on that attempt (default: first).
-Ops: kill (right after launch), killmid (once >= 1 probe chunk is
-durable in the part file), torn (killmid + mid-chunk tear of the part
-file). Retries resume from the durable chunk prefix; the supervisor
-prints `resumed=<k>` per resuming attempt. Over --hosts, a supervisor
-kill closes the daemon connection, which kills the remote worker.
+Faults: PERFBUG_ORCH_FAULT=<op>:<shard>[@<attempt>][,...] faults that
+shard's worker on that attempt (default: first). Ops: kill (the
+supervisor kills the worker right after launch), killmid (the worker
+stops after its first durable probe chunk), torn (the worker tears its
+second chunk's checksum off the part file, then stops). A fault that
+cannot fire on the pass is an error. Retries resume from the durable
+chunk prefix; the supervisor prints `resumed=<k>` per resuming attempt.
+Over --hosts, a supervisor kill closes the daemon connection, which
+kills the remote worker.
 The run report lands at <cache-dir>/<spec>-<kind>-<fp>.orchrun.json.";
 
 fn main() -> ExitCode {
@@ -230,6 +234,7 @@ fn worker_daemon(args: &[String]) -> Result<(), String> {
                 &req.prefix,
                 std::path::Path::new(&req.cache_dir),
                 req.shard,
+                req.fault,
             )
         },
     };

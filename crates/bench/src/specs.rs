@@ -18,9 +18,11 @@ use perfbug_core::experiment::{self, Collection, CollectionConfig, Experiment};
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::orchestrate::{
     self, remote, report_path_for, CollectPlan, Fault, OrchestratedRun, OrchestratorConfig,
-    RunReport,
+    RunReport, WorkerFault,
 };
-use perfbug_core::persist::{self, ExperimentKind, FileHeader, ShardManifest, CORPUS_REVISION};
+use perfbug_core::persist::{
+    self, ExperimentKind, FileHeader, PersistError, ShardManifest, CORPUS_REVISION,
+};
 use perfbug_core::serve::{ExperimentBackend, RunOutcome, SubmitRequest};
 use perfbug_ml::GbtParams;
 use perfbug_workloads::WorkloadScale;
@@ -133,9 +135,15 @@ pub fn submit_from_flags(spec: String, args: &[String]) -> Result<SubmitRequest,
 
 /// The worker `Command` collecting one shard of `spec_name` into
 /// `cache_dir`, re-invoking `exe` (a binary whose `worker` subcommand is
-/// [`run_worker`]). Fault injection belongs to supervisors, never
-/// workers, so [`orchestrate::FAULT_ENV`] is stripped.
-pub fn worker_command(exe: &Path, spec_name: &str, cache_dir: &Path, shard: ShardSpec) -> Command {
+/// [`run_worker`]). The worker gets only its own mid-write fault, as the
+/// internal `--fault` argument; [`orchestrate::FAULT_ENV`] is stripped.
+pub fn worker_command(
+    exe: &Path,
+    spec_name: &str,
+    cache_dir: &Path,
+    shard: ShardSpec,
+    fault: Option<WorkerFault>,
+) -> Command {
     let mut cmd = Command::new(exe);
     cmd.arg("worker")
         .arg("--spec")
@@ -146,11 +154,16 @@ pub fn worker_command(exe: &Path, spec_name: &str, cache_dir: &Path, shard: Shar
         .arg(format!("{}/{}", shard.index, shard.count))
         .env_remove(orchestrate::FAULT_ENV)
         .stdout(Stdio::null());
+    if let Some(fault) = fault {
+        cmd.arg("--fault").arg(fault.as_str());
+    }
     cmd
 }
 
 /// Body of the `worker` subcommand (`pborch worker`, `pbserve worker`):
-/// collects (or resumes) exactly one shard, then exits.
+/// collects (or resumes) exactly one shard, then exits. Under the
+/// internal `--fault killmid|torn` the worker stops itself mid-shard and
+/// exits the process with [`orchestrate::FAULT_EXIT_CODE`].
 pub fn run_worker(args: &[String]) -> Result<(), String> {
     let spec_name =
         flag_value(args, "--spec")?.ok_or("--spec <name> is required (see `pborch specs`)")?;
@@ -159,6 +172,10 @@ pub fn run_worker(args: &[String]) -> Result<(), String> {
     let spec = resolve_spec(&spec_name)?;
     let raw = flag_value(args, "--shard")?.ok_or("--shard <i>/<n> is required")?;
     let shard = ShardSpec::parse(&raw)?;
+    let fault = match flag_value(args, "--fault")? {
+        Some(raw) => Some(WorkerFault::parse(&raw).ok_or(format!("unknown --fault {raw:?}"))?),
+        None => None,
+    };
     std::fs::create_dir_all(&cache_dir)
         .map_err(|e| format!("cannot create {}: {e}", cache_dir.display()))?;
     let path = cache_dir.join(persist::shard_file_name(
@@ -168,8 +185,11 @@ pub fn run_worker(args: &[String]) -> Result<(), String> {
         shard.index,
         shard.count,
     ));
-    let outcome = persist::collect_shard_or_resume(&path, spec.experiment(), shard)
-        .map_err(|e| format!("shard {}: {e}", path.display()))?;
+    let write_fault = fault.map(WorkerFault::write_fault);
+    let outcome = match persist::collect_shard_with(&path, spec.experiment(), shard, write_fault) {
+        Err(PersistError::Faulted) => std::process::exit(orchestrate::FAULT_EXIT_CODE),
+        result => result.map_err(|e| format!("shard {}: {e}", path.display()))?,
+    };
     println!(
         "worker: shard {}/{} ({} probes, resumed={}) -> {}",
         shard.index,
@@ -225,13 +245,14 @@ pub fn admit_launch(req: &remote::LaunchRequest) -> Result<CollectPlan, String> 
 ///   failure or a fork storm;
 /// * `shards: 0` means `min(2 × workers, probes)`: more shards than
 ///   workers, so the queue can rebalance around a lost worker;
+/// * every fault must be able to fire on the final pass
+///   ([`Fault::check`]), so a guard cannot pass as a clean run;
 /// * a corpus already in the cache (or a complete shard set) is replayed
 ///   without sizing the pass.
 ///
 /// With `hosts`, shards fan out to `pborch worker-daemon` endpoints;
 /// otherwise each attempt re-invokes `exe` in `worker` mode. `faults` are
-/// injected by this supervisor (`pborch`'s test hook; the service passes
-/// none).
+/// `pborch`'s test hook (the service passes none).
 pub fn orchestrate_spec(
     spec: &SpecConfig,
     plan: &CollectPlan,
@@ -277,17 +298,22 @@ pub fn orchestrate_spec(
         ));
     }
     config.shards = config.shards.min(probes);
+    for fault in &config.faults {
+        fault
+            .check(config.shards, config.max_attempts, probes)
+            .map_err(|e| format!("{}: {e}", plan.prefix))?;
+    }
     match hosts {
         Some(hosts) => {
             let mut launcher = remote::RemoteLauncher::for_plan(hosts, plan);
             orchestrate::orchestrate_collection_with(plan, &config, &mut launcher)
         }
-        None => orchestrate::orchestrate_collection(plan, &config, |shard, attempt| {
+        None => orchestrate::orchestrate_collection(plan, &config, |shard, attempt, fault| {
             println!(
                 "  launch shard {}/{} (attempt {attempt})",
                 shard.index, shard.count
             );
-            worker_command(exe, &plan.prefix, &plan.dir, shard)
+            worker_command(exe, &plan.prefix, &plan.dir, shard, fault)
         }),
     }
     .map_err(|e| format!("{}: {e}", plan.prefix))
@@ -342,5 +368,89 @@ impl ExperimentBackend for BenchBackend {
             status,
             probes: collection.probes.len(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use perfbug_core::orchestrate::FaultError;
+
+    /// Runs `replay-demo` through [`orchestrate_spec`] with a worker
+    /// binary that does not exist and one injected fault, which must be
+    /// rejected before anything launches; returns the error.
+    fn rejected(fault: &str, shards: usize, max_attempts: u32) -> String {
+        let spec = resolve_spec("replay-demo").expect("spec");
+        let dir = std::env::temp_dir().join(format!(
+            "perfbug-specs-fault-{}-{}",
+            std::process::id(),
+            fault.replace([':', '@'], "-")
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = CollectPlan {
+            dir: dir.clone(),
+            prefix: "replay-demo".into(),
+            kind: spec.kind(),
+            fingerprint: spec.fingerprint(),
+        };
+        let request = SubmitRequest {
+            spec: "replay-demo".into(),
+            workers: 2,
+            shards,
+            max_attempts,
+            timeout_secs: None,
+            hosts: None,
+        };
+        let faults = Fault::parse_list(fault).expect("fault");
+        let exe = Path::new("/nonexistent/pborch");
+        let err = orchestrate_spec(&spec, &plan, &request, exe, faults)
+            .expect_err("a fault that cannot fire must be rejected");
+        assert!(!dir.exists(), "{fault}: nothing may launch or be written");
+        err
+    }
+
+    #[test]
+    fn a_fault_on_a_shard_the_pass_lacks_is_rejected() {
+        let expected = FaultError::NoSuchShard {
+            fault: Fault {
+                shard: 2,
+                attempt: 0,
+                worker: None,
+            },
+            shards: 2,
+        };
+        assert_eq!(rejected("kill:2", 2, 3), format!("replay-demo: {expected}"));
+    }
+
+    #[test]
+    fn a_fault_on_an_attempt_beyond_the_budget_is_rejected() {
+        let expected = FaultError::NoSuchAttempt {
+            fault: Fault {
+                shard: 1,
+                attempt: 3,
+                worker: None,
+            },
+            max_attempts: 3,
+        };
+        assert_eq!(
+            rejected("kill:1@3", 2, 3),
+            format!("replay-demo: {expected}")
+        );
+    }
+
+    #[test]
+    fn a_mid_write_fault_on_a_shard_with_too_few_probes_is_rejected() {
+        // Six probes over six shards: one probe each, but `torn` waits
+        // for a second durable chunk.
+        let expected = FaultError::ShardTooSmall {
+            fault: Fault {
+                shard: 5,
+                attempt: 0,
+                worker: Some(WorkerFault::Torn),
+            },
+            probes: 1,
+            chunks: 2,
+        };
+        assert_eq!(rejected("torn:5", 6, 3), format!("replay-demo: {expected}"));
     }
 }

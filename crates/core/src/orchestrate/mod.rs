@@ -42,11 +42,14 @@
 //!
 //! # Fault injection
 //!
-//! `PERFBUG_ORCH_FAULT=kill:<shard>[@<attempt>][,...]` ([`Fault`]) makes
-//! the *orchestrator itself* kill the named shard's worker on the named
-//! attempt (default: first). CI's `orchestrate-guard` leg uses this to
-//! prove, on every push, that losing a worker mid-pass still converges to
-//! the bit-identical corpus.
+//! `PERFBUG_ORCH_FAULT=<op>:<shard>[@<attempt>][,...]` ([`Fault`]) faults
+//! the named shard's worker on the named attempt (default: first). The
+//! supervisor fires `kill` itself, right after launch. `killmid` and
+//! `torn` travel with the launch to the worker ([`WorkerFault`]), which
+//! stops itself mid-shard and exits with [`FAULT_EXIT_CODE`]. CI's
+//! orchestrate, torn-write and service guards use this to prove, on every
+//! push, that losing a worker mid-pass still converges to the
+//! bit-identical corpus.
 
 pub mod remote;
 
@@ -61,11 +64,17 @@ use crate::exec::ShardSpec;
 use crate::experiment::Collection;
 use crate::persist::{
     self, cache_file_name, shard_file_name, CacheStatus, ExperimentKind, PersistError,
+    ShardManifest, WriteFault,
 };
 use crate::report::json_str;
 
 /// Environment variable holding injected orchestrator faults.
 pub const FAULT_ENV: &str = "PERFBUG_ORCH_FAULT";
+
+/// Exit code a worker reserves for "stopped by its injected mid-write
+/// fault". The supervisor labels an attempt `fault-killed` only when the
+/// attempt carried such a fault and exited with exactly this code.
+pub const FAULT_EXIT_CODE: i32 = 86;
 
 /// Extension of the JSON run report written beside the cache file
 /// (`<prefix>-<kind>-<fingerprint>.orchrun.json`).
@@ -80,40 +89,22 @@ pub fn report_path_for(cache_file: &Path) -> PathBuf {
 // Faults
 // --------------------------------------------------------------------------
 
-/// An injected fault, parsed from [`FAULT_ENV`]. Faults are a test hook of
-/// the *orchestrator* (it sabotages its own workers), so worker code needs
-/// no fault-injection paths and children never see the variable.
+/// An injected fault, parsed from [`FAULT_ENV`]: `kill`, `killmid` or
+/// `torn` on one attempt of one shard. The supervisor fires `kill`. The
+/// write-sensitive faults are fired by the worker that writes the chunks,
+/// the one component that sees them become durable: the worker gets only
+/// its own fault, as an argument ([`Launcher::launch`]); the env var is
+/// still stripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// Kill the worker running `shard` on attempt `attempt` right after
-    /// launch, simulating worker loss (OOM kill, host failure, operator
-    /// ctrl-C).
-    Kill {
-        /// Shard whose worker is killed.
-        shard: usize,
-        /// Attempt (0-based) on which the kill fires.
-        attempt: u32,
-    },
-    /// Kill the worker *mid-shard*: wait until at least one probe chunk
-    /// is durable in its part file ([`Launcher::durable_probes`]), then
-    /// kill. Exercises the crash-recovery resume path — the retry must
-    /// re-collect strictly fewer probes than the shard holds.
-    KillMid {
-        /// Shard whose worker is killed.
-        shard: usize,
-        /// Attempt (0-based) on which the kill fires.
-        attempt: u32,
-    },
-    /// [`Fault::KillMid`], then tear the part file mid-chunk
-    /// ([`Launcher::tear_output`]): the last durable chunk loses its
-    /// tail, so recovery must truncate a *torn* chunk — not just pick up
-    /// a cleanly cut prefix.
-    Torn {
-        /// Shard whose worker is killed.
-        shard: usize,
-        /// Attempt (0-based) on which the kill fires.
-        attempt: u32,
-    },
+pub struct Fault {
+    /// Shard whose worker is faulted.
+    pub shard: usize,
+    /// Attempt (0-based) on which the fault fires.
+    pub attempt: u32,
+    /// The fault the worker fires on itself; `None` for `kill`, which the
+    /// supervisor fires right after launch, simulating worker loss (OOM
+    /// kill, host failure, operator ctrl-C).
+    pub worker: Option<WorkerFault>,
 }
 
 impl Fault {
@@ -136,15 +127,16 @@ impl Fault {
             let shard = shard
                 .parse()
                 .map_err(|_| format!("bad shard index in {part:?}"))?;
-            faults.push(match op {
-                "kill" => Fault::Kill { shard, attempt },
-                "killmid" => Fault::KillMid { shard, attempt },
-                "torn" => Fault::Torn { shard, attempt },
-                _ => {
-                    return Err(format!(
-                        "unknown fault op {op:?} (supported: kill, killmid, torn)"
-                    ))
-                }
+            let worker = match op {
+                "kill" => None,
+                _ => Some(WorkerFault::parse(op).ok_or_else(|| {
+                    format!("unknown fault op {op:?} (supported: kill, killmid, torn)")
+                })?),
+            };
+            faults.push(Fault {
+                shard,
+                attempt,
+                worker,
             });
         }
         Ok(faults)
@@ -152,19 +144,31 @@ impl Fault {
 
     /// Whether this fault targets the given (shard, attempt).
     pub fn matches(&self, shard: usize, attempt: u32) -> bool {
-        let (Fault::Kill {
-            shard: s,
-            attempt: a,
+        (self.shard, self.attempt) == (shard, attempt)
+    }
+
+    /// Checks that this fault can fire on a pass of `shards` shards over
+    /// `probes` probes with `max_attempts` attempts per shard.
+    pub fn check(&self, shards: usize, max_attempts: u32, probes: usize) -> Result<(), FaultError> {
+        let fault = *self;
+        if self.shard >= shards {
+            return Err(FaultError::NoSuchShard { fault, shards });
         }
-        | Fault::KillMid {
-            shard: s,
-            attempt: a,
+        if self.attempt >= max_attempts {
+            return Err(FaultError::NoSuchAttempt {
+                fault,
+                max_attempts,
+            });
         }
-        | Fault::Torn {
-            shard: s,
-            attempt: a,
-        }) = self;
-        *s == shard && *a == attempt
+        let held = ShardManifest::of(ShardSpec::new(self.shard, shards), probes).probes();
+        match self.worker.map(|w| w.write_fault().chunks) {
+            Some(chunks) if held < chunks => Err(FaultError::ShardTooSmall {
+                fault,
+                probes: held,
+                chunks,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Reads [`FAULT_ENV`]; empty when unset.
@@ -180,6 +184,120 @@ impl Fault {
         }
     }
 }
+
+impl fmt::Display for Fault {
+    /// The [`FAULT_ENV`] spelling, attempt included.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let op = self.worker.map_or("kill", WorkerFault::as_str);
+        write!(f, "{op}:{}@{}", self.shard, self.attempt)
+    }
+}
+
+/// A fault the worker fires on itself, as it receives it: the internal
+/// `--fault killmid|torn` argument of the `worker` subcommand, or the
+/// fault field of a remote launch frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkerFault {
+    /// `killmid`: stop the worker *mid-shard*. Right after its first
+    /// durable probe chunk it exits with [`FAULT_EXIT_CODE`], and the
+    /// retry resumes that probe instead of re-collecting it.
+    KillMid,
+    /// `torn`: `killmid` one chunk later, after a tear. Right after its
+    /// second durable chunk the worker cuts that chunk's checksum off its
+    /// part file, then exits. Recovery must truncate a *torn* chunk — not
+    /// just pick up a cleanly cut prefix — and resumes the first probe.
+    Torn,
+}
+
+impl WorkerFault {
+    /// The op's spelling, on the command line and in [`FAULT_ENV`].
+    pub fn as_str(self) -> &'static str {
+        match self {
+            WorkerFault::KillMid => "killmid",
+            WorkerFault::Torn => "torn",
+        }
+    }
+
+    /// Parses [`as_str`](Self::as_str)'s spelling.
+    pub fn parse(raw: &str) -> Option<Self> {
+        [WorkerFault::KillMid, WorkerFault::Torn]
+            .into_iter()
+            .find(|f| f.as_str() == raw)
+    }
+
+    /// The shard-writer hook this fault arms.
+    pub fn write_fault(self) -> WriteFault {
+        match self {
+            WorkerFault::KillMid => WriteFault {
+                chunks: 1,
+                tear: false,
+            },
+            WorkerFault::Torn => WriteFault {
+                chunks: 2,
+                tear: true,
+            },
+        }
+    }
+}
+
+/// Why an injected [`Fault`] can never fire on a pass. Such a fault is
+/// rejected before anything launches, so a guard cannot pass as a clean
+/// run of a fault that never fired.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultError {
+    /// The fault names a shard the pass does not have.
+    NoSuchShard {
+        /// The fault.
+        fault: Fault,
+        /// Shard count of the pass.
+        shards: usize,
+    },
+    /// The fault names an attempt beyond the per-shard budget.
+    NoSuchAttempt {
+        /// The fault.
+        fault: Fault,
+        /// Per-shard attempt budget of the pass.
+        max_attempts: u32,
+    },
+    /// A mid-write fault's shard holds fewer probes than the durable
+    /// chunks its worker waits for.
+    ShardTooSmall {
+        /// The fault.
+        fault: Fault,
+        /// Probes the shard holds.
+        probes: u64,
+        /// Durable chunks the fault waits for.
+        chunks: u64,
+    },
+}
+
+impl fmt::Display for FaultError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultError::NoSuchShard { fault, shards } => {
+                write!(f, "fault {fault} cannot fire: the pass has {shards} shards")
+            }
+            FaultError::NoSuchAttempt {
+                fault,
+                max_attempts,
+            } => write!(
+                f,
+                "fault {fault} cannot fire: each shard gets {max_attempts} attempts"
+            ),
+            FaultError::ShardTooSmall {
+                fault,
+                probes,
+                chunks,
+            } => write!(
+                f,
+                "fault {fault} cannot fire: it waits for {chunks} durable probe chunks, \
+                 but its shard holds {probes} probes"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FaultError {}
 
 // --------------------------------------------------------------------------
 // Configuration
@@ -268,9 +386,15 @@ pub trait Launcher {
     type Handle: WorkerHandle;
 
     /// Starts a worker for `shard` (attempt `attempt`, pool slot
-    /// `worker`).
-    fn launch(&mut self, shard: ShardSpec, attempt: u32, worker: usize)
-        -> io::Result<Self::Handle>;
+    /// `worker`). `fault` is the mid-write fault the worker fires on
+    /// itself, when the attempt carries one.
+    fn launch(
+        &mut self,
+        shard: ShardSpec,
+        attempt: u32,
+        worker: usize,
+        fault: Option<WorkerFault>,
+    ) -> io::Result<Self::Handle>;
 
     /// Confirms a zero-exit worker actually produced its shard — for
     /// collection workers, that the shard file exists and decodes. The
@@ -278,42 +402,35 @@ pub trait Launcher {
     fn verify(&mut self, shard: ShardSpec) -> Result<(), String>;
 
     /// How many probes of `shard` are already durable in its part file
-    /// (crash-recovery prefix, see `persist::scan_part`). `None` when the
-    /// launcher cannot tell — the default for launchers without access to
-    /// the collection plan. Drives [`Fault::KillMid`]/[`Fault::Torn`]
-    /// timing and the report's `resumed_probes` accounting.
+    /// ([`CollectPlan::durable_probes`]), sampled once before a retry
+    /// launches for the report's `resumed_probes` accounting. `None` when
+    /// the launcher cannot tell — the default for launchers without
+    /// access to the collection plan.
     fn durable_probes(&mut self, _shard: ShardSpec) -> Option<u64> {
         None
     }
-
-    /// Tears `shard`'s part file mid-chunk after a [`Fault::Torn`] kill
-    /// (cuts into the last durable chunk), so recovery must handle a
-    /// torn write, not only a clean chunk boundary. Default: no-op.
-    fn tear_output(&mut self, _shard: ShardSpec) {}
 }
 
 /// [`Launcher`] over real child processes.
 ///
 /// `build` constructs the `Command` re-invoking the current binary (or
-/// any worker binary) with the shard's arguments; `verify` typically
-/// decodes the shard file the worker should have written. When `plan` is
-/// set, the launcher can also inspect shard part files on disk — that
-/// powers mid-write fault timing ([`Fault::KillMid`], [`Fault::Torn`])
-/// and the `resumed_probes` accounting in the run report.
+/// any worker binary) with the shard's arguments and its mid-write fault;
+/// `verify` typically decodes the shard file the worker should have
+/// written. When `plan` is set, the launcher reads a retry's part file
+/// for the `resumed_probes` accounting in the run report.
 pub struct ProcessLauncher<B, V> {
-    /// Builds the worker command for a (shard, attempt).
+    /// Builds the worker command for a (shard, attempt, fault).
     pub build: B,
     /// Post-exit output verification.
     pub verify: V,
-    /// The collection plan whose part files this launcher may inspect;
-    /// `None` disables part-file awareness (faults degrade to immediate
-    /// kills and resume goes unreported).
+    /// The collection plan whose part files this launcher may read;
+    /// `None` leaves resume unreported.
     pub plan: Option<CollectPlan>,
 }
 
 impl<B, V> Launcher for ProcessLauncher<B, V>
 where
-    B: FnMut(ShardSpec, u32) -> Command,
+    B: FnMut(ShardSpec, u32, Option<WorkerFault>) -> Command,
     V: FnMut(ShardSpec) -> Result<(), String>,
 {
     type Handle = ChildHandle;
@@ -323,8 +440,9 @@ where
         shard: ShardSpec,
         attempt: u32,
         _worker: usize,
+        fault: Option<WorkerFault>,
     ) -> io::Result<ChildHandle> {
-        (self.build)(shard, attempt).spawn().map(ChildHandle)
+        (self.build)(shard, attempt, fault).spawn().map(ChildHandle)
     }
 
     fn verify(&mut self, shard: ShardSpec) -> Result<(), String> {
@@ -332,32 +450,7 @@ where
     }
 
     fn durable_probes(&mut self, shard: ShardSpec) -> Option<u64> {
-        let plan = self.plan.as_ref()?;
-        match persist::scan_part_file(&plan.part_path(shard)) {
-            Ok(prefix) => Some(prefix.probes),
-            // No part yet: the worker has durably written nothing.
-            Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Some(0),
-            // Unscannable part (e.g. the header itself is still mid-
-            // write): nothing durable either.
-            Err(_) => Some(0),
-        }
-    }
-
-    fn tear_output(&mut self, shard: ShardSpec) {
-        let Some(plan) = self.plan.as_ref() else {
-            return;
-        };
-        let part = plan.part_path(shard);
-        if let Ok(prefix) = persist::scan_part_file(&part) {
-            if prefix.probes > 0 {
-                // Cut into the last durable chunk's trailing checksum:
-                // the classic torn write. Recovery must drop exactly
-                // that chunk and resume one probe earlier.
-                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&part) {
-                    let _ = file.set_len(prefix.durable_len - 8);
-                }
-            }
-        }
+        Some(self.plan.as_ref()?.durable_probes(shard))
     }
 }
 
@@ -599,9 +692,9 @@ struct Running<H> {
     attempt: u32,
     handle: H,
     started: Instant,
-    /// An injected fault marked this attempt for death (fires
-    /// immediately for [`Fault::Kill`], once a probe is durable for
-    /// [`Fault::KillMid`] / [`Fault::Torn`]).
+    /// The injected fault this attempt carries: the supervisor fires a
+    /// `kill` at once; a worker that fired its own fault exits with
+    /// [`FAULT_EXIT_CODE`].
     fault: Option<Fault>,
     /// Durable part-file probes observed at launch (report accounting).
     resumed_probes: Option<u64>,
@@ -632,58 +725,25 @@ struct WorkState {
 }
 
 impl WorkState {
-    /// Records a failed attempt and either requeues the shard (budget
+    /// Records one ended attempt. A failed one requeues its shard (budget
     /// permitting, after the retry delay) or excludes it.
-    #[allow(clippy::too_many_arguments)]
-    fn fail(
-        &mut self,
-        shard: usize,
-        attempt: u32,
-        worker: usize,
-        outcome: AttemptOutcome,
-        dur: Duration,
-        resumed_probes: Option<u64>,
-    ) {
-        self.attempts.push(ShardAttempt {
-            shard,
-            attempt,
-            worker,
-            outcome,
-            duration: dur,
-            resumed_probes,
-        });
-        if attempt + 1 < self.max_attempts {
+    fn record(&mut self, ended: ShardAttempt) {
+        let (shard, next) = (ended.shard, ended.attempt + 1);
+        if ended.outcome.is_success() {
+            // pblint: allow(slice-index) -- `done` is sized to config.shards and
+            // every shard id comes from the 0..shards queue; .get_mut would hide
+            // a supervisor bookkeeping bug instead of surfacing it in tests.
+            self.done[shard] = true;
+        } else if next < self.max_attempts {
             self.queue.push_back(QueueItem {
                 shard,
-                attempt: attempt + 1,
+                attempt: next,
                 not_before: Some(Instant::now() + self.retry_delay),
             });
         } else {
             self.excluded.push(shard);
         }
-    }
-
-    /// Records a successful attempt.
-    fn succeed(
-        &mut self,
-        shard: usize,
-        attempt: u32,
-        worker: usize,
-        dur: Duration,
-        resumed_probes: Option<u64>,
-    ) {
-        self.attempts.push(ShardAttempt {
-            shard,
-            attempt,
-            worker,
-            outcome: AttemptOutcome::Success,
-            duration: dur,
-            resumed_probes,
-        });
-        // pblint: allow(slice-index) -- `done` is sized to config.shards and
-        // every shard id comes from the 0..shards queue; .get_mut would hide
-        // a supervisor bookkeeping bug instead of surfacing it in tests.
-        self.done[shard] = true;
+        self.attempts.push(ended);
     }
 }
 
@@ -738,13 +798,13 @@ pub fn run_orchestrator<L: Launcher>(config: &OrchestratorConfig, launcher: &mut
             } else {
                 None
             };
-            match launcher.launch(spec, attempt, w) {
+            let fault = config
+                .faults
+                .iter()
+                .copied()
+                .find(|f| f.matches(shard, attempt));
+            match launcher.launch(spec, attempt, w, fault.and_then(|f| f.worker)) {
                 Ok(handle) => {
-                    let fault = config
-                        .faults
-                        .iter()
-                        .copied()
-                        .find(|f| f.matches(shard, attempt));
                     *slot = Some(Running {
                         shard,
                         attempt,
@@ -754,113 +814,62 @@ pub fn run_orchestrator<L: Launcher>(config: &OrchestratorConfig, launcher: &mut
                         resumed_probes,
                     });
                 }
-                Err(e) => {
-                    state.fail(
-                        shard,
-                        attempt,
-                        w,
-                        AttemptOutcome::SpawnFailed { why: e.to_string() },
-                        Duration::ZERO,
-                        resumed_probes,
-                    );
-                }
+                Err(e) => state.record(ShardAttempt {
+                    shard,
+                    attempt,
+                    worker: w,
+                    outcome: AttemptOutcome::SpawnFailed { why: e.to_string() },
+                    duration: Duration::ZERO,
+                    resumed_probes,
+                }),
             }
             progressed = true;
         }
 
-        // Supervise occupied slots.
+        // Supervise occupied slots: an attempt either keeps running or
+        // ends here with its outcome.
         for (w, slot) in slots.iter_mut().enumerate() {
             let Some(run) = slot.as_mut() else { continue };
-            let (shard, attempt) = (run.shard, run.attempt);
-            if let Some(fault) = run.fault {
-                let spec = ShardSpec::new(shard, config.shards);
-                // `Kill` fires the moment the supervisor observes the
-                // attempt. The write-sensitive faults wait until at least
-                // one probe chunk is durable so the kill lands mid-shard
-                // (a launcher with no payload visibility fires at once).
-                let fire = match fault {
-                    Fault::Kill { .. } => true,
-                    Fault::KillMid { .. } | Fault::Torn { .. } => {
-                        launcher.durable_probes(spec).is_none_or(|p| p >= 1)
-                    }
-                };
-                if fire {
-                    run.handle.kill();
-                    if matches!(fault, Fault::Torn { .. }) {
-                        launcher.tear_output(spec);
-                    }
-                    let dur = run.started.elapsed();
-                    let resumed = run.resumed_probes;
-                    state.fail(shard, attempt, w, AttemptOutcome::FaultKilled, dur, resumed);
-                    *slot = None;
-                    progressed = true;
-                    continue;
-                }
-            }
-            let finished = match run.handle.try_finish() {
-                Ok(finished) => finished,
-                Err(e) => {
-                    run.handle.kill();
-                    let dur = run.started.elapsed();
-                    let resumed = run.resumed_probes;
-                    state.fail(
-                        shard,
-                        attempt,
-                        w,
-                        AttemptOutcome::WaitFailed { why: e.to_string() },
-                        dur,
-                        resumed,
-                    );
-                    *slot = None;
-                    progressed = true;
-                    continue;
-                }
-            };
-            match finished {
-                Some(ExitKind::Success) => {
-                    let dur = run.started.elapsed();
-                    let resumed = run.resumed_probes;
-                    match launcher.verify(ShardSpec::new(shard, config.shards)) {
-                        Ok(()) => state.succeed(shard, attempt, w, dur, resumed),
-                        Err(why) => state.fail(
-                            shard,
-                            attempt,
-                            w,
-                            AttemptOutcome::BadOutput { why },
-                            dur,
-                            resumed,
-                        ),
-                    }
-                    *slot = None;
-                    progressed = true;
-                }
-                Some(ExitKind::Failure { code }) => {
-                    let dur = run.started.elapsed();
-                    let resumed = run.resumed_probes;
-                    state.fail(
-                        shard,
-                        attempt,
-                        w,
-                        AttemptOutcome::Exit { code },
-                        dur,
-                        resumed,
-                    );
-                    *slot = None;
-                    progressed = true;
-                }
-                None => {
-                    if let Some(limit) = config.shard_timeout {
-                        if run.started.elapsed() >= limit {
-                            run.handle.kill();
-                            let dur = run.started.elapsed();
-                            let resumed = run.resumed_probes;
-                            state.fail(shard, attempt, w, AttemptOutcome::TimedOut, dur, resumed);
-                            *slot = None;
-                            progressed = true;
+            let duration = run.started.elapsed();
+            let outcome = if let Some(Fault { worker: None, .. }) = run.fault {
+                // `kill` fires the moment the supervisor observes the attempt.
+                run.handle.kill();
+                AttemptOutcome::FaultKilled
+            } else {
+                match run.handle.try_finish() {
+                    Ok(Some(ExitKind::Success)) => {
+                        match launcher.verify(ShardSpec::new(run.shard, config.shards)) {
+                            Ok(()) => AttemptOutcome::Success,
+                            Err(why) => AttemptOutcome::BadOutput { why },
                         }
                     }
+                    // A worker that fired its mid-write fault exits with the
+                    // reserved code; from any other worker it is an exit.
+                    Ok(Some(ExitKind::Failure {
+                        code: Some(FAULT_EXIT_CODE),
+                    })) if run.fault.is_some() => AttemptOutcome::FaultKilled,
+                    Ok(Some(ExitKind::Failure { code })) => AttemptOutcome::Exit { code },
+                    Ok(None) if config.shard_timeout.is_some_and(|limit| duration >= limit) => {
+                        run.handle.kill();
+                        AttemptOutcome::TimedOut
+                    }
+                    Ok(None) => continue,
+                    Err(e) => {
+                        run.handle.kill();
+                        AttemptOutcome::WaitFailed { why: e.to_string() }
+                    }
                 }
-            }
+            };
+            state.record(ShardAttempt {
+                shard: run.shard,
+                attempt: run.attempt,
+                worker: w,
+                outcome,
+                duration,
+                resumed_probes: run.resumed_probes,
+            });
+            *slot = None;
+            progressed = true;
         }
 
         if state.queue.is_empty() && slots.iter().all(Option::is_none) {
@@ -925,6 +934,13 @@ impl CollectPlan {
     /// crashed worker leaves behind; see `persist::part_path_for`).
     pub fn part_path(&self, shard: ShardSpec) -> PathBuf {
         persist::part_path_for(&self.shard_path(shard))
+    }
+
+    /// Probes durable in one shard's part file: the prefix a resuming
+    /// worker skips. A missing or unscannable part (say, one whose header
+    /// is still mid-write) holds none.
+    pub fn durable_probes(&self, shard: ShardSpec) -> u64 {
+        persist::scan_part_file(&self.part_path(shard)).map_or(0, |prefix| prefix.probes)
     }
 }
 
@@ -1020,7 +1036,8 @@ pub fn verify_shard_file(plan: &CollectPlan, shard: ShardSpec) -> Result<(), Str
 ///    exists — nothing is launched;
 /// 2. otherwise run the worker pool over the shard queue
 ///    ([`run_orchestrator`]) with `worker_command` building each child's
-///    `Command`, verifying every claimed success by decoding its shard
+///    `Command` (its arguments include the attempt's [`WorkerFault`]),
+///    verifying every claimed success by decoding its shard
 ///    file;
 /// 3. write the JSON run report beside the cache file (always, also on
 ///    failure);
@@ -1037,7 +1054,7 @@ pub fn orchestrate_collection<B>(
     worker_command: B,
 ) -> Result<OrchestratedRun, OrchestrateError>
 where
-    B: FnMut(ShardSpec, u32) -> Command,
+    B: FnMut(ShardSpec, u32, Option<WorkerFault>) -> Command,
 {
     let mut launcher = ProcessLauncher {
         build: worker_command,
@@ -1136,12 +1153,10 @@ mod tests {
         script: HashMap<(usize, u32), FakeRun>,
         /// Last launched run per shard, consulted by verify.
         last: HashMap<usize, FakeRun>,
-        /// (shard, attempt, worker) launch log.
-        launches: Vec<(usize, u32, usize)>,
+        /// (shard, attempt, worker, fault) launch log.
+        launches: Vec<(usize, u32, usize, Option<WorkerFault>)>,
         /// Scripted part-file visibility: what `durable_probes` reports.
         durable: Option<u64>,
-        /// Shards `tear_output` was invoked for.
-        torn: Vec<usize>,
     }
 
     impl FakeLauncher {
@@ -1151,7 +1166,6 @@ mod tests {
                 last: HashMap::new(),
                 launches: Vec::new(),
                 durable: None,
-                torn: Vec::new(),
             }
         }
     }
@@ -1164,6 +1178,7 @@ mod tests {
             shard: ShardSpec,
             attempt: u32,
             worker: usize,
+            fault: Option<WorkerFault>,
         ) -> io::Result<FakeHandle> {
             let run = self
                 .script
@@ -1171,7 +1186,7 @@ mod tests {
                 .copied()
                 .unwrap_or(FakeRun::Ok);
             self.last.insert(shard.index, run);
-            self.launches.push((shard.index, attempt, worker));
+            self.launches.push((shard.index, attempt, worker, fault));
             Ok(FakeHandle { run })
         }
 
@@ -1184,10 +1199,6 @@ mod tests {
 
         fn durable_probes(&mut self, _shard: ShardSpec) -> Option<u64> {
             self.durable
-        }
-
-        fn tear_output(&mut self, shard: ShardSpec) {
-            self.torn.push(shard.index);
         }
     }
 
@@ -1322,16 +1333,15 @@ mod tests {
     }
 
     #[test]
-    fn torn_fault_tears_output_and_retry_reports_resume() {
+    fn torn_fault_exit_is_fault_killed_and_retry_reports_resume() {
         let mut config = quick_config(2, 3);
         config.faults = Fault::parse_list("torn:1").expect("fault");
-        let mut launcher = FakeLauncher::new(&[((1, 0), FakeRun::Hang)]);
-        // The launcher sees 2 durable probes in shard 1's part file, so
-        // the torn fault fires and the retry records what it resumed.
+        let mut launcher = FakeLauncher::new(&[((1, 0), FakeRun::Exit(FAULT_EXIT_CODE))]);
+        // The worker fired its torn fault; the launcher then sees 2
+        // durable probes in shard 1's part file, which the retry records.
         launcher.durable = Some(2);
         let report = run_orchestrator(&config, &mut launcher);
         assert!(report.success, "{}", report.summary());
-        assert_eq!(launcher.torn, vec![1], "tear follows the kill");
         let attempts = report.attempts_for(1);
         assert_eq!(attempts[0].outcome, AttemptOutcome::FaultKilled);
         assert_eq!(
@@ -1348,26 +1358,41 @@ mod tests {
     }
 
     #[test]
-    fn mid_write_faults_wait_for_a_durable_probe() {
-        // durable_probes scripted to 0: a KillMid fault must NOT fire
-        // while nothing is durable, so the hang is ended by the timeout
-        // instead (the fault targets attempt 0 only; the retry runs
-        // clean).
-        let mut config = quick_config(1, 1);
-        config.shard_timeout = Some(Duration::from_millis(30));
-        config.faults = Fault::parse_list("killmid:0").expect("fault");
-        let mut launcher = FakeLauncher::new(&[((0, 0), FakeRun::Hang)]);
-        launcher.durable = Some(0);
+    fn mid_write_faults_reach_launch_and_only_their_exit_code_is_fault_killed() {
+        let mut config = quick_config(2, 5);
+        config.faults = Fault::parse_list("killmid:0,torn:1,kill:4").expect("fault");
+        let mut launcher = FakeLauncher::new(&[
+            ((0, 0), FakeRun::Exit(FAULT_EXIT_CODE)),
+            // A faulted attempt that fails some other way did not fire.
+            ((1, 0), FakeRun::Exit(3)),
+            // The reserved code without a fault is an ordinary exit.
+            ((2, 0), FakeRun::Exit(FAULT_EXIT_CODE)),
+        ]);
         let report = run_orchestrator(&config, &mut launcher);
         assert!(report.success, "{}", report.summary());
-        let attempts = report.attempts_for(0);
+        let fault_of = |shard: usize, attempt: u32| {
+            launcher
+                .launches
+                .iter()
+                .find(|l| (l.0, l.1) == (shard, attempt))
+                .expect("launched")
+                .3
+        };
+        assert_eq!(fault_of(0, 0), Some(WorkerFault::KillMid));
+        assert_eq!(fault_of(1, 0), Some(WorkerFault::Torn));
+        assert_eq!(fault_of(0, 1), None, "a fault targets one attempt");
+        assert_eq!(fault_of(4, 0), None, "the supervisor fires kill itself");
+        let first = |shard: usize| report.attempts_for(shard)[0].outcome.clone();
+        assert_eq!(first(0), AttemptOutcome::FaultKilled);
+        assert_eq!(first(1), AttemptOutcome::Exit { code: Some(3) });
         assert_eq!(
-            attempts[0].outcome,
-            AttemptOutcome::TimedOut,
-            "killmid with nothing durable must not fire"
+            first(2),
+            AttemptOutcome::Exit {
+                code: Some(FAULT_EXIT_CODE)
+            }
         );
-        assert!(attempts[1].outcome.is_success());
-        assert!(launcher.torn.is_empty(), "killmid never tears");
+        assert_eq!(first(4), AttemptOutcome::FaultKilled);
+        assert!(first(3).is_success());
     }
 
     #[test]
@@ -1391,37 +1416,24 @@ mod tests {
 
     #[test]
     fn fault_parsing() {
+        let fault = |shard, attempt, worker| Fault {
+            shard,
+            attempt,
+            worker,
+        };
         assert_eq!(
             Fault::parse_list("kill:3").unwrap(),
-            vec![Fault::Kill {
-                shard: 3,
-                attempt: 0
-            }]
+            vec![fault(3, 0, None)]
         );
         assert_eq!(
             Fault::parse_list("kill:1@2, kill:0").unwrap(),
-            vec![
-                Fault::Kill {
-                    shard: 1,
-                    attempt: 2
-                },
-                Fault::Kill {
-                    shard: 0,
-                    attempt: 0
-                }
-            ]
+            vec![fault(1, 2, None), fault(0, 0, None)]
         );
         assert_eq!(
             Fault::parse_list("killmid:2, torn:1@1").unwrap(),
             vec![
-                Fault::KillMid {
-                    shard: 2,
-                    attempt: 0
-                },
-                Fault::Torn {
-                    shard: 1,
-                    attempt: 1
-                }
+                fault(2, 0, Some(WorkerFault::KillMid)),
+                fault(1, 1, Some(WorkerFault::Torn))
             ]
         );
         assert_eq!(Fault::parse_list("").unwrap(), vec![]);

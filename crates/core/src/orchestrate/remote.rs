@@ -10,7 +10,7 @@
 //!   [`serve_daemon`] + [`CommandAgent`]) listens on a socket, accepts
 //!   one [`Frame::Launch`] per connection, re-invokes the worker binary
 //!   exactly as [`ProcessLauncher`](super::ProcessLauncher) would, and
-//!   streams back heartbeat / shard-checksum / exit frames;
+//!   streams back shard-checksum / exit frames;
 //! * a [`RemoteLauncher`] on the supervisor side multiplexes N endpoints
 //!   (the `--hosts` or submitted `hosts` list) behind the unchanged
 //!   [`run_orchestrator`](super::run_orchestrator) loop — **a dead
@@ -18,10 +18,11 @@
 //!   rejection surface as spawn failures, a mid-stream hangup as a wait
 //!   failure, and the existing retry/requeue/exclusion budget does the
 //!   rest;
-//! * `resume_offset` rides the protocol both ways (the launch frame
-//!   carries the supervisor's durable-prefix knowledge, heartbeats carry
-//!   the daemon's), so torn shards resume remotely exactly like they do
-//!   locally.
+//! * an attempt's mid-write fault ([`WorkerFault`]) rides the launch
+//!   frame, and the daemon hands it to the worker as a local launch
+//!   would. Resume needs nothing on the wire: a retrying worker finds the
+//!   part file in the cache directory, where the supervisor also reads
+//!   it once before the retry for the run report.
 //!
 //! Framing reuses the cache codec's checksum primitive (FNV-1a 64,
 //! `persist::fnv1a`): every frame is `len:u32le | tag:u8 | payload |
@@ -37,17 +38,20 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::process::Command;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::exec::ShardSpec;
-use crate::persist::{self, ExperimentKind, PersistError};
+use crate::persist::{self, ExperimentKind};
 
-use super::{verify_shard_file, ChildHandle, CollectPlan, ExitKind, Launcher, WorkerHandle};
+use super::{
+    verify_shard_file, ChildHandle, CollectPlan, ExitKind, Launcher, WorkerFault, WorkerHandle,
+};
 
 /// Wire protocol version, first field of every launch frame. Daemons
 /// reject launches from a different protocol generation instead of
-/// guessing at field layouts.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// guessing at field layouts. Version 2 replaced version 1's resume
+/// offsets and heartbeat frame with the launch frame's fault field.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Ceiling on one frame's `len` field. Frames carry launch metadata and
 /// status only (never corpus bytes), so anything near this is corruption
@@ -60,7 +64,6 @@ const MIN_FRAME_LEN: u32 = 9;
 const TAG_LAUNCH: u8 = 1;
 const TAG_ACCEPTED: u8 = 2;
 const TAG_REJECTED: u8 = 3;
-const TAG_HEARTBEAT: u8 = 4;
 const TAG_EXITED: u8 = 5;
 const TAG_SHARD_CHECKSUM: u8 = 6;
 
@@ -87,9 +90,8 @@ pub struct LaunchRequest {
     pub attempt: u32,
     /// Cache directory the worker collects into.
     pub cache_dir: String,
-    /// Durable part-file probes the supervisor believes exist — the
-    /// resume hint that lets torn shards continue remotely.
-    pub resume_offset: u64,
+    /// The mid-write fault the worker fires on itself, if any.
+    pub fault: Option<WorkerFault>,
 }
 
 /// A protocol frame. Launch flows supervisor → daemon; everything else
@@ -98,23 +100,14 @@ pub struct LaunchRequest {
 pub enum Frame {
     /// Start one shard attempt.
     Launch(LaunchRequest),
-    /// The daemon admitted the launch and spawned the worker;
-    /// `resume_offset` is the durable prefix it sees on its side.
-    Accepted {
-        /// Daemon-side durable part-file probes at spawn time.
-        resume_offset: u64,
-    },
+    /// The daemon admitted the launch and spawned the worker.
+    Accepted,
     /// The daemon refused the launch (fingerprint mismatch, unknown
     /// spec, spawn failure). The connection closes after this frame.
     Rejected {
         /// Human-readable refusal, surfaced in the run report's
         /// spawn-failed detail.
         reason: String,
-    },
-    /// Periodic liveness + progress signal while the worker runs.
-    Heartbeat {
-        /// Durable part-file probes of the running shard.
-        durable_probes: u64,
     },
     /// FNV-1a 64 of the finished shard file, sent before a successful
     /// exit frame so the supervisor can cross-check the bytes it reads.
@@ -134,9 +127,8 @@ impl Frame {
     pub fn name(&self) -> &'static str {
         match self {
             Frame::Launch(_) => "launch",
-            Frame::Accepted { .. } => "accepted",
+            Frame::Accepted => "accepted",
             Frame::Rejected { .. } => "rejected",
-            Frame::Heartbeat { .. } => "heartbeat",
             Frame::ShardChecksum { .. } => "shard-checksum",
             Frame::Exited { .. } => "exited",
         }
@@ -158,19 +150,16 @@ impl Frame {
                 put_u32(&mut body, req.shard.count as u32);
                 put_u32(&mut body, req.attempt);
                 put_str(&mut body, &req.cache_dir);
-                put_u64(&mut body, req.resume_offset);
+                body.push(match req.fault {
+                    None => 0,
+                    Some(WorkerFault::KillMid) => 1,
+                    Some(WorkerFault::Torn) => 2,
+                });
             }
-            Frame::Accepted { resume_offset } => {
-                body.push(TAG_ACCEPTED);
-                put_u64(&mut body, *resume_offset);
-            }
+            Frame::Accepted => body.push(TAG_ACCEPTED),
             Frame::Rejected { reason } => {
                 body.push(TAG_REJECTED);
                 put_str(&mut body, reason);
-            }
-            Frame::Heartbeat { durable_probes } => {
-                body.push(TAG_HEARTBEAT);
-                put_u64(&mut body, *durable_probes);
             }
             Frame::ShardChecksum { checksum } => {
                 body.push(TAG_SHARD_CHECKSUM);
@@ -242,7 +231,12 @@ impl Frame {
                 }
                 let attempt = c.u32()?;
                 let cache_dir = c.str()?;
-                let resume_offset = c.u64()?;
+                let fault = match c.u8()? {
+                    0 => None,
+                    1 => Some(WorkerFault::KillMid),
+                    2 => Some(WorkerFault::Torn),
+                    t => return Err(FrameError(format!("unknown fault tag {t}"))),
+                };
                 Frame::Launch(LaunchRequest {
                     prefix,
                     kind,
@@ -250,16 +244,11 @@ impl Frame {
                     shard: ShardSpec::new(index, count),
                     attempt,
                     cache_dir,
-                    resume_offset,
+                    fault,
                 })
             }
-            TAG_ACCEPTED => Frame::Accepted {
-                resume_offset: c.u64()?,
-            },
+            TAG_ACCEPTED => Frame::Accepted,
             TAG_REJECTED => Frame::Rejected { reason: c.str()? },
-            TAG_HEARTBEAT => Frame::Heartbeat {
-                durable_probes: c.u64()?,
-            },
             TAG_EXITED => {
                 let kind_tag = c.u8()?;
                 let code = c.u32()? as i32;
@@ -423,16 +412,11 @@ fn read_frame_blocking(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<
 // Supervisor side: RemoteLauncher
 // --------------------------------------------------------------------------
 
-/// Durable-progress and checksum reports received over the wire, shared
-/// between the launcher and its live handles. `BTreeMap` keeps every
-/// iteration (and therefore every report) deterministically ordered.
-#[derive(Debug, Default)]
-struct Observed {
-    durable: BTreeMap<usize, u64>,
-    checksums: BTreeMap<usize, u64>,
-}
+/// Shard checksums received over the wire, by shard, shared between the
+/// launcher and its live handles.
+type Checksums = Arc<Mutex<BTreeMap<usize, u64>>>;
 
-fn lock_observed(m: &Mutex<Observed>) -> MutexGuard<'_, Observed> {
+fn lock_checksums(m: &Mutex<BTreeMap<usize, u64>>) -> MutexGuard<'_, BTreeMap<usize, u64>> {
     // A panicked holder cannot exist: accessors only insert/read plain
     // integers. Recover the guard rather than propagating poison.
     match m.lock() {
@@ -456,14 +440,10 @@ type VerifyFn = Box<dyn FnMut(ShardSpec, Option<u64>) -> Result<(), String>>;
 pub struct RemoteLauncher {
     endpoints: Vec<String>,
     next_endpoint: usize,
-    prefix: String,
-    kind: ExperimentKind,
-    fingerprint: u64,
-    cache_dir: String,
-    plan: Option<CollectPlan>,
+    plan: CollectPlan,
     connect_timeout: Duration,
     handshake_timeout: Duration,
-    observed: Arc<Mutex<Observed>>,
+    checksums: Checksums,
     verify: VerifyFn,
 }
 
@@ -491,39 +471,18 @@ impl RemoteLauncher {
             }
             Ok(())
         });
-        Self::with_verify(
-            endpoints,
-            &plan.prefix,
-            plan.kind,
-            plan.fingerprint,
-            &plan.dir.to_string_lossy(),
-            Some(plan.clone()),
-            verify,
-        )
+        Self::with_verify(endpoints, plan, verify)
     }
 
-    /// Fully explicit constructor (tests script `verify`; `plan: None`
-    /// makes durable-progress accounting rely on heartbeats alone).
-    pub fn with_verify(
-        endpoints: Vec<String>,
-        prefix: &str,
-        kind: ExperimentKind,
-        fingerprint: u64,
-        cache_dir: &str,
-        plan: Option<CollectPlan>,
-        verify: VerifyFn,
-    ) -> Self {
+    /// [`for_plan`](Self::for_plan) with a scripted `verify` (tests).
+    pub fn with_verify(endpoints: Vec<String>, plan: &CollectPlan, verify: VerifyFn) -> Self {
         RemoteLauncher {
             endpoints,
             next_endpoint: 0,
-            prefix: prefix.to_string(),
-            kind,
-            fingerprint,
-            cache_dir: cache_dir.to_string(),
-            plan,
+            plan: plan.clone(),
             connect_timeout: Duration::from_secs(5),
             handshake_timeout: Duration::from_secs(30),
-            observed: Arc::new(Mutex::new(Observed::default())),
+            checksums: Checksums::default(),
             verify,
         }
     }
@@ -532,23 +491,6 @@ impl RemoteLauncher {
     pub fn set_timeouts(&mut self, connect: Duration, handshake: Duration) {
         self.connect_timeout = connect;
         self.handshake_timeout = handshake;
-    }
-
-    /// Best local knowledge of a shard's durable part-file prefix:
-    /// the part file itself when the plan is visible on this
-    /// filesystem, otherwise the last heartbeat.
-    fn durable_for(&self, shard: ShardSpec) -> Option<u64> {
-        if let Some(plan) = &self.plan {
-            return Some(match persist::scan_part_file(&plan.part_path(shard)) {
-                Ok(prefix) => prefix.probes,
-                Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => 0,
-                Err(_) => 0,
-            });
-        }
-        lock_observed(&self.observed)
-            .durable
-            .get(&shard.index)
-            .copied()
     }
 
     fn try_endpoint(&self, endpoint: &str, req: &LaunchRequest) -> io::Result<RemoteHandle> {
@@ -562,13 +504,7 @@ impl RemoteLauncher {
         stream.set_read_timeout(Some(self.handshake_timeout))?;
         let mut buf = Vec::new();
         match read_frame_blocking(&mut stream, &mut buf)? {
-            Frame::Accepted { resume_offset } => {
-                if resume_offset > 0 {
-                    lock_observed(&self.observed)
-                        .durable
-                        .insert(req.shard.index, resume_offset);
-                }
-            }
+            Frame::Accepted => {}
             Frame::Rejected { reason } => {
                 return Err(io::Error::other(format!("launch rejected: {reason}")));
             }
@@ -584,7 +520,7 @@ impl RemoteLauncher {
             stream,
             buf,
             shard: req.shard.index,
-            observed: Arc::clone(&self.observed),
+            checksums: Arc::clone(&self.checksums),
             exit: None,
         })
     }
@@ -598,15 +534,16 @@ impl Launcher for RemoteLauncher {
         shard: ShardSpec,
         attempt: u32,
         _worker: usize,
+        fault: Option<WorkerFault>,
     ) -> io::Result<RemoteHandle> {
         let req = LaunchRequest {
-            prefix: self.prefix.clone(),
-            kind: self.kind,
-            fingerprint: self.fingerprint,
+            prefix: self.plan.prefix.clone(),
+            kind: self.plan.kind,
+            fingerprint: self.plan.fingerprint,
             shard,
             attempt,
-            cache_dir: self.cache_dir.clone(),
-            resume_offset: self.durable_for(shard).unwrap_or(0),
+            cache_dir: self.plan.dir.to_string_lossy().into_owned(),
+            fault,
         };
         let n = self.endpoints.len();
         let mut last_err = io::Error::other("no remote endpoints configured");
@@ -627,29 +564,12 @@ impl Launcher for RemoteLauncher {
     }
 
     fn verify(&mut self, shard: ShardSpec) -> Result<(), String> {
-        let remote_sum = lock_observed(&self.observed)
-            .checksums
-            .get(&shard.index)
-            .copied();
+        let remote_sum = lock_checksums(&self.checksums).get(&shard.index).copied();
         (self.verify)(shard, remote_sum)
     }
 
     fn durable_probes(&mut self, shard: ShardSpec) -> Option<u64> {
-        self.durable_for(shard)
-    }
-
-    fn tear_output(&mut self, shard: ShardSpec) {
-        let Some(plan) = self.plan.as_ref() else {
-            return;
-        };
-        let part = plan.part_path(shard);
-        if let Ok(prefix) = persist::scan_part_file(&part) {
-            if prefix.probes > 0 {
-                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&part) {
-                    let _ = file.set_len(prefix.durable_len - 8);
-                }
-            }
-        }
+        Some(self.plan.durable_probes(shard))
     }
 }
 
@@ -658,7 +578,7 @@ pub struct RemoteHandle {
     stream: TcpStream,
     buf: Vec<u8>,
     shard: usize,
-    observed: Arc<Mutex<Observed>>,
+    checksums: Checksums,
     exit: Option<ExitKind>,
 }
 
@@ -672,15 +592,8 @@ impl WorkerHandle for RemoteHandle {
                     Some((frame, consumed)) => {
                         self.buf.drain(..consumed);
                         match frame {
-                            Frame::Heartbeat { durable_probes } => {
-                                lock_observed(&self.observed)
-                                    .durable
-                                    .insert(self.shard, durable_probes);
-                            }
                             Frame::ShardChecksum { checksum } => {
-                                lock_observed(&self.observed)
-                                    .checksums
-                                    .insert(self.shard, checksum);
+                                lock_checksums(&self.checksums).insert(self.shard, checksum);
                             }
                             Frame::Exited { exit } => self.exit = Some(exit),
                             other => {
@@ -726,8 +639,8 @@ impl WorkerHandle for RemoteHandle {
 // Daemon side
 // --------------------------------------------------------------------------
 
-/// Daemon-side policy for one launch: admission, spawning, and progress
-/// introspection. [`CommandAgent`] is the production implementation;
+/// Daemon-side policy for one launch: admission, spawning, and the
+/// finished shard's checksum. [`CommandAgent`] is the production implementation;
 /// tests script this directly to drive the loopback suite in-process.
 pub trait ShardAgent: Send + Sync {
     /// Admission check before anything is spawned; `Err` becomes the
@@ -739,13 +652,6 @@ pub trait ShardAgent: Send + Sync {
 
     /// Starts the worker for an admitted request.
     fn launch(&self, req: &LaunchRequest) -> io::Result<Box<dyn WorkerHandle + Send>>;
-
-    /// Durable part-file probes visible on the daemon's filesystem
-    /// (rides [`Frame::Accepted`] and every heartbeat).
-    fn durable_probes(&self, req: &LaunchRequest) -> Option<u64> {
-        let _ = req;
-        None
-    }
 
     /// Checksum of the finished shard file, sent before a successful
     /// exit frame.
@@ -760,8 +666,6 @@ pub trait ShardAgent: Send + Sync {
 pub struct DaemonOptions {
     /// Child poll / client liveness-check cadence.
     pub poll_interval: Duration,
-    /// Interval between heartbeat frames.
-    pub heartbeat_interval: Duration,
     /// How long a fresh connection may take to deliver its launch frame.
     pub handshake_timeout: Duration,
 }
@@ -770,7 +674,6 @@ impl Default for DaemonOptions {
     fn default() -> Self {
         DaemonOptions {
             poll_interval: Duration::from_millis(25),
-            heartbeat_interval: Duration::from_millis(250),
             handshake_timeout: Duration::from_secs(10),
         }
     }
@@ -844,16 +747,7 @@ pub fn serve_connection(
             return Ok(());
         }
     };
-    let resume = agent.durable_probes(&req).unwrap_or(0);
-    if stream
-        .write_all(
-            &Frame::Accepted {
-                resume_offset: resume,
-            }
-            .encode(),
-        )
-        .is_err()
-    {
+    if stream.write_all(&Frame::Accepted.encode()).is_err() {
         child.kill();
         return Ok(());
     }
@@ -861,7 +755,6 @@ pub fn serve_connection(
     // probe: the supervisor never sends after its launch frame, so EOF
     // (or any stray byte) means this attempt is dead — kill the child.
     stream.set_read_timeout(Some(options.poll_interval))?;
-    let mut last_heartbeat = Instant::now();
     loop {
         match child.try_finish() {
             Ok(Some(exit)) => {
@@ -878,16 +771,6 @@ pub fn serve_connection(
             // without an exit frame — the supervisor records a wait
             // failure and requeues the shard on another attempt.
             Err(_) => {
-                child.kill();
-                return Ok(());
-            }
-        }
-        if last_heartbeat.elapsed() >= options.heartbeat_interval {
-            last_heartbeat = Instant::now();
-            let beat = Frame::Heartbeat {
-                durable_probes: agent.durable_probes(&req).unwrap_or(0),
-            };
-            if stream.write_all(&beat.encode()).is_err() {
                 child.kill();
                 return Ok(());
             }
@@ -937,14 +820,6 @@ where
     fn launch(&self, req: &LaunchRequest) -> io::Result<Box<dyn WorkerHandle + Send>> {
         let child = (self.build)(req).spawn()?;
         Ok(Box::new(ChildHandle(child)))
-    }
-
-    fn durable_probes(&self, req: &LaunchRequest) -> Option<u64> {
-        let plan = (self.admit)(req).ok()?;
-        Some(match persist::scan_part_file(&plan.part_path(req.shard)) {
-            Ok(prefix) => prefix.probes,
-            Err(_) => 0,
-        })
     }
 
     fn shard_checksum(&self, req: &LaunchRequest) -> Option<u64> {

@@ -307,6 +307,8 @@ pub enum PersistError {
     /// merge found overlapping, missing or mismatched shards. The message
     /// names the offending shards and probe ranges.
     Shard(String),
+    /// An injected [`WriteFault`] stopped the writer, as it was armed to.
+    Faulted,
 }
 
 impl fmt::Display for PersistError {
@@ -322,6 +324,7 @@ impl fmt::Display for PersistError {
                 "stale cache: collected under config {found:016x}, requested {expected:016x}"
             ),
             PersistError::Shard(why) => write!(f, "shard coverage error: {why}"),
+            PersistError::Faulted => f.write_str("stopped by an injected write fault"),
         }
     }
 }
@@ -1817,6 +1820,21 @@ pub struct ShardStreamWriter {
     header: FileHeader,
     next_probe: u64,
     resumed: u64,
+    fault: Option<WriteFault>,
+}
+
+/// A crash a shard worker injects into its own write (the worker side of
+/// `orchestrate::Fault`'s `killmid` and `torn`): right after the writer
+/// makes its `chunks`-th probe chunk of this attempt durable, it stops —
+/// when `tear` is set, after cutting the part file into that chunk's
+/// trailing checksum, the classic torn write. Recovery then resumes
+/// `chunks` probes, or `chunks - 1` after a tear.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteFault {
+    /// Probe chunks this attempt makes durable before it stops (>= 1).
+    pub chunks: u64,
+    /// Whether the last durable chunk loses its 8-byte checksum first.
+    pub tear: bool,
 }
 
 impl ShardStreamWriter {
@@ -1882,7 +1900,15 @@ impl ShardStreamWriter {
             header: *header,
             next_probe: header.manifest.probe_start + resumed,
             resumed,
+            fault: None,
         })
+    }
+
+    /// Arms `fault`: the [`append_probe`](Self::append_probe) that makes
+    /// this writer's `fault.chunks`-th chunk durable fails with
+    /// [`PersistError::Faulted`] instead of returning.
+    pub fn inject(&mut self, fault: WriteFault) {
+        self.fault = Some(fault);
     }
 
     /// Probes already durable when this writer opened — the caller
@@ -1927,7 +1953,17 @@ impl ShardStreamWriter {
         self.w.out.flush()?;
         self.w.add_times(times.iter().copied());
         self.next_probe += 1;
-        Ok(())
+        let written = self.next_probe - self.header.manifest.probe_start - self.resumed;
+        match self.fault {
+            Some(f) if f.chunks == written => {
+                if f.tear {
+                    // Cut into the chunk's trailing checksum: a torn write.
+                    self.w.out.get_ref().set_len(self.w.offset - 8)?;
+                }
+                Err(PersistError::Faulted)
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Seals the file — footer, trailer, whole-file checksum — and
@@ -2454,6 +2490,18 @@ pub fn collect_shard_or_resume(
     config: &dyn Experiment,
     shard: ShardSpec,
 ) -> Result<ShardOutcome, PersistError> {
+    collect_shard_with(path, config, shard, None)
+}
+
+/// [`collect_shard_or_resume`] with an optional injected [`WriteFault`]
+/// armed on the shard writer: a fault that fires leaves its part file
+/// behind and returns [`PersistError::Faulted`].
+pub fn collect_shard_with(
+    path: &Path,
+    config: &dyn Experiment,
+    shard: ShardSpec,
+    fault: Option<WriteFault>,
+) -> Result<ShardOutcome, PersistError> {
     let fingerprint = config_fingerprint(config);
     let (status, resumed_probes, bytes) = match fs::read(path) {
         Ok(bytes) => (CacheStatus::Replayed, 0, bytes),
@@ -2473,6 +2521,7 @@ pub fn collect_shard_or_resume(
                 &identity.engine_names,
                 &identity.catalog,
             )?;
+            writer.fault = fault;
             let resumed = writer.resumed_probes();
             pass.stream(shard, resumed as usize, |meta, output| {
                 append_probe_output(&mut writer, meta, output)

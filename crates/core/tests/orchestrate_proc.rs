@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use perfbug_core::exec::ShardSpec;
 use perfbug_core::orchestrate::{
-    run_orchestrator, AttemptOutcome, Fault, OrchestratorConfig, ProcessLauncher,
+    run_orchestrator, AttemptOutcome, Fault, OrchestratorConfig, ProcessLauncher, WorkerFault,
 };
 
 /// Fresh scratch directory per test.
@@ -44,7 +44,9 @@ fn real_workers_complete_a_clean_pass() {
     let dir = scratch("clean");
     let marker = |shard: ShardSpec| dir.join(format!("shard-{}.done", shard.index));
     let mut launcher = ProcessLauncher {
-        build: |shard: ShardSpec, _attempt: u32| sh(format!("touch {}", marker(shard).display())),
+        build: |shard: ShardSpec, _attempt: u32, _fault: Option<WorkerFault>| {
+            sh(format!("touch {}", marker(shard).display()))
+        },
         verify: |shard: ShardSpec| {
             if marker(shard).exists() {
                 Ok(())
@@ -66,7 +68,7 @@ fn nonzero_exit_is_requeued_with_its_code() {
     let dir = scratch("exitcode");
     let marker = |shard: ShardSpec| dir.join(format!("shard-{}.done", shard.index));
     let mut launcher = ProcessLauncher {
-        build: |shard: ShardSpec, attempt: u32| {
+        build: |shard: ShardSpec, attempt: u32, _fault: Option<WorkerFault>| {
             if shard.index == 0 && attempt == 0 {
                 sh("exit 3".into())
             } else {
@@ -99,7 +101,7 @@ fn hung_worker_is_killed_on_timeout_and_shard_recovers() {
     config.shard_timeout = Some(Duration::from_millis(150));
     let t0 = Instant::now();
     let mut launcher = ProcessLauncher {
-        build: |shard: ShardSpec, attempt: u32| {
+        build: |shard: ShardSpec, attempt: u32, _fault: Option<WorkerFault>| {
             if shard.index == 1 && attempt == 0 {
                 sh("sleep 30".into())
             } else {
@@ -135,7 +137,7 @@ fn injected_fault_kills_a_real_worker_and_the_pool_recovers() {
     let mut config = quick_config(3, 6);
     config.faults = Fault::parse_list("kill:1").expect("fault");
     let mut launcher = ProcessLauncher {
-        build: |shard: ShardSpec, attempt: u32| {
+        build: |shard: ShardSpec, attempt: u32, _fault: Option<WorkerFault>| {
             if shard.index == 1 && attempt == 0 {
                 // Long-lived: only the injected kill can end it promptly.
                 sh("sleep 30".into())
@@ -167,7 +169,7 @@ fn unspawnable_worker_is_a_recorded_failure_not_a_crash() {
     let dir = scratch("spawn");
     let marker = |shard: ShardSpec| dir.join(format!("shard-{}.done", shard.index));
     let mut launcher = ProcessLauncher {
-        build: |shard: ShardSpec, attempt: u32| {
+        build: |shard: ShardSpec, attempt: u32, _fault: Option<WorkerFault>| {
             if shard.index == 0 && attempt == 0 {
                 Command::new("/nonexistent/perfbug-worker-binary")
             } else {
@@ -199,7 +201,7 @@ fn zero_exit_without_output_is_retried() {
     let dir = scratch("badout");
     let marker = |shard: ShardSpec| dir.join(format!("shard-{}.done", shard.index));
     let mut launcher = ProcessLauncher {
-        build: |shard: ShardSpec, attempt: u32| {
+        build: |shard: ShardSpec, attempt: u32, _fault: Option<WorkerFault>| {
             if shard.index == 0 && attempt == 0 {
                 sh("true".into()) // exits 0, produces nothing
             } else {

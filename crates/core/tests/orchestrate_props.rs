@@ -5,9 +5,11 @@
 //! bounded.
 //!
 //! Workers here run the real shard-collection path in-process (the fake
-//! launcher calls `collect_shard_or_resume`); "killed" attempts write only
+//! launcher calls `collect_shard_with`); "killed" attempts write only
 //! a junk in-flight temp file — exactly what a worker killed mid-`save`
-//! leaves behind — and report a signal death to the supervisor.
+//! leaves behind — and report a signal death to the supervisor. A
+//! mid-write fault stops the real shard writer as the `worker` subcommand
+//! does and reports its reserved exit code.
 
 use std::collections::HashSet;
 use std::io;
@@ -20,12 +22,12 @@ use perfbug_core::bugs::BugCatalog;
 use perfbug_core::exec::ShardSpec;
 use perfbug_core::experiment::{collect, Collection, CollectionConfig, ProbeScale};
 use perfbug_core::orchestrate::{
-    run_orchestrator, verify_shard_file, CollectPlan, ExitKind, Launcher, OrchestratorConfig,
-    WorkerHandle,
+    run_orchestrator, verify_shard_file, AttemptOutcome, CollectPlan, ExitKind, Fault, Launcher,
+    OrchestratorConfig, WorkerFault, WorkerHandle, FAULT_EXIT_CODE,
 };
 use perfbug_core::persist::{
-    self, collect_shard_or_resume, config_fingerprint, encode_collection, is_temp_file_name,
-    load_or_assemble, CacheStatus, ExperimentKind,
+    self, collect_shard_with, config_fingerprint, encode_collection, is_temp_file_name,
+    load_or_assemble, CacheStatus, ExperimentKind, PersistError,
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
@@ -76,18 +78,11 @@ fn scratch() -> PathBuf {
 }
 
 /// A worker that already ran to completion inside `launch`.
-struct DoneHandle {
-    killed: bool,
-}
+struct DoneHandle(ExitKind);
 
 impl WorkerHandle for DoneHandle {
     fn try_finish(&mut self) -> io::Result<Option<ExitKind>> {
-        Ok(Some(if self.killed {
-            // A killed worker dies by signal: no exit code.
-            ExitKind::Failure { code: None }
-        } else {
-            ExitKind::Success
-        }))
+        Ok(Some(self.0))
     }
 
     fn kill(&mut self) {}
@@ -95,7 +90,8 @@ impl WorkerHandle for DoneHandle {
 
 /// Launcher running the real shard-collection path synchronously;
 /// scheduled kills skip collection and leave only the junk temp file a
-/// worker killed mid-save would.
+/// worker killed mid-save would, and a mid-write fault stops the shard
+/// writer and exits with [`FAULT_EXIT_CODE`].
 struct CollectLauncher<'a> {
     plan: &'a CollectPlan,
     config: &'a CollectionConfig,
@@ -105,7 +101,13 @@ struct CollectLauncher<'a> {
 impl Launcher for CollectLauncher<'_> {
     type Handle = DoneHandle;
 
-    fn launch(&mut self, shard: ShardSpec, attempt: u32, _worker: usize) -> io::Result<DoneHandle> {
+    fn launch(
+        &mut self,
+        shard: ShardSpec,
+        attempt: u32,
+        _worker: usize,
+        fault: Option<WorkerFault>,
+    ) -> io::Result<DoneHandle> {
         if self.kills.contains(&(shard.index, attempt)) {
             // Death mid-save: the atomic-write discipline means at worst
             // an in-flight temp file is left, never a partial `.pbcol`.
@@ -115,24 +117,39 @@ impl Launcher for CollectLauncher<'_> {
                 attempt
             ));
             std::fs::write(&tmp, b"partial bytes from a killed worker")?;
-            return Ok(DoneHandle { killed: true });
+            // A killed worker dies by signal: no exit code.
+            return Ok(DoneHandle(ExitKind::Failure { code: None }));
         }
         let path = self.plan.shard_path(shard);
-        collect_shard_or_resume(&path, self.config, shard)
-            .map_err(|e| io::Error::other(format!("shard collection: {e}")))?;
-        Ok(DoneHandle { killed: false })
+        match collect_shard_with(
+            &path,
+            self.config,
+            shard,
+            fault.map(WorkerFault::write_fault),
+        ) {
+            Ok(_) => Ok(DoneHandle(ExitKind::Success)),
+            Err(PersistError::Faulted) => Ok(DoneHandle(ExitKind::Failure {
+                code: Some(FAULT_EXIT_CODE),
+            })),
+            Err(e) => Err(io::Error::other(format!("shard collection: {e}"))),
+        }
     }
 
     fn verify(&mut self, shard: ShardSpec) -> Result<(), String> {
         verify_shard_file(self.plan, shard)
     }
+
+    fn durable_probes(&mut self, shard: ShardSpec) -> Option<u64> {
+        Some(self.plan.durable_probes(shard))
+    }
 }
 
 /// Runs one orchestrated pass over `shards` shards with the given kill
-/// schedule; returns the scratch dir and the report.
+/// schedule and injected faults; returns the scratch dir and the report.
 fn orchestrated_pass(
     shards: usize,
     kills: &HashSet<(usize, u32)>,
+    faults: Vec<Fault>,
 ) -> (PathBuf, CollectPlan, perfbug_core::orchestrate::RunReport) {
     let dir = scratch();
     let config = tiny_config();
@@ -146,6 +163,7 @@ fn orchestrated_pass(
     orch.max_attempts = MAX_ATTEMPTS;
     orch.poll_interval = Duration::from_millis(1);
     orch.retry_delay = Duration::from_millis(1);
+    orch.faults = faults;
     let mut launcher = CollectLauncher {
         plan: &plan,
         config: &config,
@@ -170,6 +188,45 @@ fn assert_no_partial_pbcol(dir: &Path) {
             _ => {}
         }
     }
+}
+
+/// Asserts that the assembled corpus of `plan` equals the single-process
+/// collection, timings zeroed.
+fn assert_assembles_the_full_corpus(plan: &CollectPlan) {
+    let (mut merged, status) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
+        .expect("assembly")
+        .expect("complete shard set");
+    assert_eq!(status, CacheStatus::Assembled);
+    let mut full = full_collection().clone();
+    merged.zero_timings();
+    full.zero_timings();
+    assert!(
+        encode_collection(&merged, plan.fingerprint) == encode_collection(&full, plan.fingerprint),
+        "{} diverged from the full pass",
+        plan.dir.display()
+    );
+}
+
+/// Derives a first-attempt mid-write fault schedule from a seed: each
+/// shard gets no fault, `killmid` or `torn` from two of the seed's bits,
+/// keeping only faults that can fire on the pass.
+fn fault_schedule(shards: usize, seed: u64) -> Vec<Fault> {
+    let probes = full_collection().probes.len();
+    (0..shards)
+        .filter_map(|shard| {
+            let worker = match seed >> (2 * shard) & 0b11 {
+                0 => return None,
+                1 => WorkerFault::KillMid,
+                _ => WorkerFault::Torn,
+            };
+            Some(Fault {
+                shard,
+                attempt: 0,
+                worker: Some(worker),
+            })
+        })
+        .filter(|f| f.check(shards, MAX_ATTEMPTS, probes).is_ok())
+        .collect()
 }
 
 /// Derives a kill schedule from a seed: each shard's first `k` attempts
@@ -198,7 +255,7 @@ proptest! {
     ) {
         let shards = [2usize, 3, 5][shards_idx];
         let kills = kill_schedule(shards, seed);
-        let (dir, plan, report) = orchestrated_pass(shards, &kills);
+        let (dir, plan, report) = orchestrated_pass(shards, &kills, Vec::new());
         prop_assert!(report.success, "kills {kills:?}: {}", report.summary());
         prop_assert_eq!(
             report.attempts.len(),
@@ -209,19 +266,33 @@ proptest! {
         // No partial `.pbcol` anywhere, and the junk temp files the kills
         // left behind are invisible to assembly.
         assert_no_partial_pbcol(&dir);
-        let (mut merged, status) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
-            .expect("assembly")
-            .expect("complete shard set");
-        prop_assert_eq!(status, CacheStatus::Assembled);
+        assert_assembles_the_full_corpus(&plan);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        let mut full = full_collection().clone();
-        merged.zero_timings();
-        full.zero_timings();
-        prop_assert!(
-            encode_collection(&merged, plan.fingerprint)
-                == encode_collection(&full, plan.fingerprint),
-            "kill schedule {kills:?} over {shards} shards diverged from the full pass"
-        );
+    // A worker that fires its own mid-write fault is fault-killed, its
+    // retry resumes exactly the chunks the fault left durable (k for
+    // killmid, k - 1 after a torn k-th chunk), and the pass still
+    // assembles the single-process corpus.
+    #[test]
+    fn mid_write_faults_resume_and_assemble_bit_identically(
+        shards_idx in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let shards = [1usize, 2, 3][shards_idx];
+        let faults = fault_schedule(shards, seed);
+        let (dir, plan, report) = orchestrated_pass(shards, &HashSet::new(), faults.clone());
+        prop_assert!(report.success, "faults {faults:?}: {}", report.summary());
+        prop_assert_eq!(report.attempts.len(), shards + faults.len());
+        for fault in &faults {
+            let wf = fault.worker.expect("mid-write fault").write_fault();
+            let attempts = report.attempts_for(fault.shard);
+            prop_assert_eq!(&attempts[0].outcome, &AttemptOutcome::FaultKilled);
+            prop_assert!(attempts[1].outcome.is_success());
+            prop_assert_eq!(attempts[1].resumed_probes, Some(wf.chunks - u64::from(wf.tear)));
+        }
+        assert_no_partial_pbcol(&dir);
+        assert_assembles_the_full_corpus(&plan);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -229,7 +300,7 @@ proptest! {
 #[test]
 fn killed_worker_leaves_only_an_ignored_temp_file() {
     let kills: HashSet<(usize, u32)> = [(1usize, 0u32)].into_iter().collect();
-    let (dir, plan, report) = orchestrated_pass(3, &kills);
+    let (dir, plan, report) = orchestrated_pass(3, &kills, Vec::new());
     assert!(report.success, "{}", report.summary());
 
     // The junk temp file is still on disk (prune's job, not assembly's) …
@@ -242,22 +313,14 @@ fn killed_worker_leaves_only_an_ignored_temp_file() {
 
     // … and assembly both ignored it and produced the identical corpus.
     assert_no_partial_pbcol(&dir);
-    let (mut merged, _) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
-        .expect("assembly")
-        .expect("complete shard set");
-    let mut full = full_collection().clone();
-    merged.zero_timings();
-    full.zero_timings();
-    assert!(
-        encode_collection(&merged, plan.fingerprint) == encode_collection(&full, plan.fingerprint)
-    );
+    assert_assembles_the_full_corpus(&plan);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_shard_dying_every_attempt_is_excluded_and_nothing_assembles() {
     let kills: HashSet<(usize, u32)> = (0..MAX_ATTEMPTS).map(|a| (0usize, a)).collect();
-    let (dir, plan, report) = orchestrated_pass(2, &kills);
+    let (dir, plan, report) = orchestrated_pass(2, &kills, Vec::new());
     assert!(!report.success);
     assert_eq!(report.excluded, vec![0]);
     assert_eq!(

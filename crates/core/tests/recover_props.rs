@@ -1,17 +1,18 @@
 //! Crash-recovery properties of the v3 chunked format: a part file
 //! truncated or corrupted at *any* byte offset yields a clean durable
 //! chunk prefix (or a precise rejection) — never wrong probe data — and
-//! resuming from a kill at any point finishes a file bit-identical to an
-//! uninterrupted pass.
+//! resuming from a kill at any point, or from an injected write fault
+//! after any chunk, finishes a file bit-identical to an uninterrupted
+//! pass.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_core::experiment::{CapturedSeries, Collection, EngineResult, ProbeMeta, RunKey};
 use perfbug_core::persist::{
-    encode_collection_with, part_path_for, scan_part, ExperimentKind, FileHeader, ProbeRecord,
-    ShardManifest, ShardStreamWriter, CORPUS_REVISION,
+    encode_collection_with, part_path_for, scan_part, ExperimentKind, FileHeader, PersistError,
+    ProbeRecord, ShardManifest, ShardStreamWriter, WriteFault, CORPUS_REVISION,
 };
 use perfbug_uarch::{ArchSet, BugSpec};
 use perfbug_workloads::Opcode;
@@ -168,6 +169,57 @@ proptest! {
             reference.len()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // A worker whose writer fires an injected fault right after its k-th
+    // durable chunk, for every k and with or without tearing that chunk,
+    // leaves a part that resumes exactly k probes (k - 1 after a tear);
+    // the resumed pass finishes the uninterrupted file. The synthetic
+    // timings are zero, so this is the zero_timings comparison.
+    #[test]
+    fn a_write_fault_after_any_chunk_resumes_its_durable_prefix(
+        n_probes in 1usize..5,
+        floats in prop::collection::vec(-1e9..1e9f64, 8..16),
+    ) {
+        let col = synth_collection(n_probes, &floats);
+        let header = header_for(&col, 0xfa17);
+        let reference = encode_collection_with(&col, &header);
+        let engine_names: Vec<String> =
+            col.engines.iter().map(|e| e.name.clone()).collect();
+        let open = |target: &Path| {
+            ShardStreamWriter::create_or_resume(
+                target, &header, &col.keys, &engine_names, &col.catalog,
+            ).expect("create_or_resume")
+        };
+        let times = [(Duration::ZERO, Duration::ZERO); 2];
+        for chunks in 1..=n_probes as u64 {
+            for tear in [false, true] {
+                let dir = scratch("fault", 2 * chunks + u64::from(tear));
+                let target = dir.join("shard.pbcol");
+                let mut writer = open(&target);
+                writer.inject(WriteFault { chunks, tear });
+                let stopped = (0..n_probes)
+                    .find_map(|p| writer.append_probe(&record_for(&col, p), &times).err().map(|e| (p, e)));
+                prop_assert!(
+                    matches!(stopped, Some((p, PersistError::Faulted)) if p as u64 + 1 == chunks),
+                    "fault after chunk {chunks} (tear {tear}) stopped as {stopped:?}"
+                );
+                drop(writer);
+
+                let mut writer = open(&target);
+                prop_assert_eq!(writer.resumed_probes(), chunks - u64::from(tear));
+                for p in writer.resumed_probes() as usize..n_probes {
+                    writer.append_probe(&record_for(&col, p), &times).expect("append");
+                }
+                writer.finish().expect("finish");
+                let finished = std::fs::read(&target).expect("read finished");
+                prop_assert!(
+                    finished == reference,
+                    "fault after chunk {chunks} (tear {tear}): finished file differs"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     // A part truncated at any offset scans to a clean chunk prefix whose

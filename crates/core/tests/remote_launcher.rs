@@ -5,13 +5,14 @@
 //! state machine's vocabulary: connect refusal ⇒ spawn failure
 //! (requeue), mid-stream hangup ⇒ wait failure (bounded retry),
 //! fingerprint skew ⇒ rejection before any work, supervisor hangup ⇒
-//! daemon-side child kill, heartbeats ⇒ resume accounting.
+//! daemon-side child kill, a worker's own mid-write fault ⇒
+//! `fault-killed` and part-file resume accounting.
 
 use std::collections::VecDeque;
 use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -22,11 +23,11 @@ use perfbug_core::orchestrate::remote::{
 };
 use perfbug_core::orchestrate::{
     run_orchestrator, AttemptOutcome, CollectPlan, ExitKind, Fault, OrchestratorConfig,
-    WorkerHandle,
+    WorkerFault, WorkerHandle, FAULT_EXIT_CODE,
 };
 use perfbug_core::persist::{
-    self, collect_shard_or_resume, config_fingerprint, encode_collection, load_or_assemble,
-    ExperimentKind,
+    self, collect_shard_with, config_fingerprint, encode_collection, load_or_assemble,
+    ExperimentKind, PersistError,
 };
 use perfbug_core::stage1::EngineSpec;
 use perfbug_ml::GbtParams;
@@ -40,7 +41,6 @@ use perfbug_workloads::{benchmark, Opcode};
 fn daemon_options() -> DaemonOptions {
     DaemonOptions {
         poll_interval: Duration::from_millis(5),
-        heartbeat_interval: Duration::from_millis(25),
         handshake_timeout: Duration::from_secs(5),
     }
 }
@@ -72,15 +72,13 @@ fn fast_orch(workers: usize, shards: usize, max_attempts: u32) -> OrchestratorCo
 }
 
 fn accept_all_launcher(endpoints: Vec<String>) -> RemoteLauncher {
-    let mut launcher = RemoteLauncher::with_verify(
-        endpoints,
-        "scripted",
-        ExperimentKind::Core,
-        0x5eed,
-        "unused-cache-dir",
-        None,
-        Box::new(|_, _| Ok(())),
-    );
+    let plan = CollectPlan {
+        dir: "unused-cache-dir".into(),
+        prefix: "scripted".into(),
+        kind: ExperimentKind::Core,
+        fingerprint: 0x5eed,
+    };
+    let mut launcher = RemoteLauncher::with_verify(endpoints, &plan, Box::new(|_, _| Ok(())));
     launcher.set_timeouts(Duration::from_secs(2), Duration::from_secs(5));
     launcher
 }
@@ -94,19 +92,17 @@ fn accept_all_launcher(endpoints: Vec<String>) -> RemoteLauncher {
 enum Script {
     /// Exit successfully on the first poll.
     Succeed,
+    /// Exit with the given code on the first poll.
+    Exit(i32),
     /// `try_finish` errors immediately: the daemon can no longer observe
     /// the worker, kills it and hangs up without an exit frame.
     WaitError,
-    /// Run (poll as "still running") for the given time, then hit the
-    /// wait error.
-    StallThenWaitError(u64),
     /// Run until killed.
     StallForever,
 }
 
 struct ScriptedHandle {
     script: Script,
-    spawned: Instant,
     kills: Arc<AtomicUsize>,
 }
 
@@ -114,14 +110,8 @@ impl WorkerHandle for ScriptedHandle {
     fn try_finish(&mut self) -> io::Result<Option<ExitKind>> {
         match self.script {
             Script::Succeed => Ok(Some(ExitKind::Success)),
+            Script::Exit(code) => Ok(Some(ExitKind::Failure { code: Some(code) })),
             Script::WaitError => Err(io::Error::other("scripted wait failure")),
-            Script::StallThenWaitError(ms) => {
-                if self.spawned.elapsed() >= Duration::from_millis(ms) {
-                    Err(io::Error::other("scripted wait failure"))
-                } else {
-                    Ok(None)
-                }
-            }
             Script::StallForever => Ok(None),
         }
     }
@@ -139,11 +129,6 @@ struct ScriptedAgent {
     kills: Arc<AtomicUsize>,
     /// Fingerprint this daemon insists on; `Some` enables admission.
     expected_fingerprint: Option<u64>,
-    /// Durable probes reported on the accept frame and every heartbeat
-    /// *after* the first call (accept itself sees 0, so resume knowledge
-    /// can only arrive via heartbeats).
-    heartbeat_durable: u64,
-    durable_calls: AtomicU64,
 }
 
 impl ScriptedAgent {
@@ -153,8 +138,6 @@ impl ScriptedAgent {
             launches: Mutex::new(Vec::new()),
             kills: Arc::new(AtomicUsize::new(0)),
             expected_fingerprint: None,
-            heartbeat_durable: 0,
-            durable_calls: AtomicU64::new(0),
         }
     }
 
@@ -187,17 +170,8 @@ impl ShardAgent for ScriptedAgent {
             .unwrap_or(Script::Succeed);
         Ok(Box::new(ScriptedHandle {
             script,
-            spawned: Instant::now(),
             kills: Arc::clone(&self.kills),
         }))
-    }
-
-    fn durable_probes(&self, _req: &LaunchRequest) -> Option<u64> {
-        if self.durable_calls.fetch_add(1, Ordering::SeqCst) == 0 {
-            Some(0)
-        } else {
-            Some(self.heartbeat_durable)
-        }
     }
 }
 
@@ -316,35 +290,6 @@ fn supervisor_fault_kill_hangs_up_and_the_daemon_kills_its_child() {
     assert_eq!(agent.launch_count(), 2, "the shard retried after the kill");
 }
 
-#[test]
-fn heartbeats_carry_durable_progress_into_resume_accounting() {
-    let mut agent = ScriptedAgent::new(vec![Script::StallThenWaitError(120)]);
-    // First durable_probes call backs the accept frame (0); later calls
-    // back heartbeats (7). Only the heartbeat path can deliver the 7.
-    agent.heartbeat_durable = 7;
-    let agent = Arc::new(agent);
-    let live = spawn_daemon(Arc::clone(&agent) as Arc<dyn ShardAgent>);
-    let mut launcher = accept_all_launcher(vec![live]);
-    let report = run_orchestrator(&fast_orch(1, 1, 3), &mut launcher);
-    assert!(report.success, "{}", report.summary());
-    let retry = report
-        .attempts
-        .iter()
-        .find(|a| a.attempt == 1)
-        .expect("the stalled first attempt forces a retry");
-    assert_eq!(
-        retry.resumed_probes,
-        Some(7),
-        "heartbeat-observed durable progress must reach the report"
-    );
-    let launches = agent.launches.lock().expect("launches");
-    assert_eq!(launches.len(), 2);
-    assert_eq!(
-        launches[1].resume_offset, 7,
-        "the retry's launch frame must carry the observed durable prefix"
-    );
-}
-
 // ---------------------------------------------------------------------
 // End-to-end: real shard collection through two daemons
 // ---------------------------------------------------------------------
@@ -382,7 +327,8 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Agent running the real shard-collection path synchronously inside
 /// `launch` — the in-process stand-in for `pborch worker-daemon`'s
-/// re-invocation of the worker binary.
+/// re-invocation of the worker binary, down to the launch frame's
+/// mid-write fault and its reserved exit code.
 struct CollectAgent {
     plan: CollectPlan,
     config: CollectionConfig,
@@ -391,11 +337,14 @@ struct CollectAgent {
 impl ShardAgent for CollectAgent {
     fn launch(&self, req: &LaunchRequest) -> io::Result<Box<dyn WorkerHandle + Send>> {
         let path = self.plan.shard_path(req.shard);
-        collect_shard_or_resume(&path, &self.config, req.shard)
-            .map_err(|e| io::Error::other(format!("shard collection: {e}")))?;
+        let fault = req.fault.map(WorkerFault::write_fault);
+        let script = match collect_shard_with(&path, &self.config, req.shard, fault) {
+            Ok(_) => Script::Succeed,
+            Err(PersistError::Faulted) => Script::Exit(FAULT_EXIT_CODE),
+            Err(e) => return Err(io::Error::other(format!("shard collection: {e}"))),
+        };
         Ok(Box::new(ScriptedHandle {
-            script: Script::Succeed,
-            spawned: Instant::now(),
+            script,
             kills: Arc::new(AtomicUsize::new(0)),
         }))
     }
@@ -406,13 +355,13 @@ impl ShardAgent for CollectAgent {
     }
 }
 
-#[test]
-fn a_two_daemon_pass_assembles_the_bit_identical_corpus() {
-    let dir = scratch("e2e");
+/// A collection plan in a fresh scratch directory, and a `for_plan`
+/// launcher over `daemons` loopback daemons running [`CollectAgent`].
+fn collect_pass(tag: &str, daemons: usize) -> (CollectPlan, RemoteLauncher) {
     let config = tiny_config();
     let plan = CollectPlan {
-        dir: dir.clone(),
-        prefix: "remote-e2e".into(),
+        dir: scratch(tag),
+        prefix: format!("remote-{tag}"),
         kind: ExperimentKind::Core,
         fingerprint: config_fingerprint(&config),
     };
@@ -420,15 +369,16 @@ fn a_two_daemon_pass_assembles_the_bit_identical_corpus() {
         plan: plan.clone(),
         config,
     });
-    let a = spawn_daemon(Arc::clone(&agent) as Arc<dyn ShardAgent>);
-    let b = spawn_daemon(Arc::clone(&agent) as Arc<dyn ShardAgent>);
-    let mut launcher = RemoteLauncher::for_plan(vec![a, b], &plan);
+    let endpoints = (0..daemons)
+        .map(|_| spawn_daemon(Arc::clone(&agent) as Arc<dyn ShardAgent>))
+        .collect();
+    let mut launcher = RemoteLauncher::for_plan(endpoints, &plan);
     launcher.set_timeouts(Duration::from_secs(2), Duration::from_secs(30));
-    let report = run_orchestrator(&fast_orch(2, 3, 2), &mut launcher);
-    assert!(report.success, "{}", report.summary());
-    // Success implies every shard also passed `for_plan`'s verify — the
-    // local decode *and* the cross-check against the daemon-reported
-    // FNV-1a checksum.
+    (plan, launcher)
+}
+
+/// Asserts that `plan`'s shards assemble the single-process corpus.
+fn assert_bit_identical(plan: &CollectPlan) {
     let (mut merged, _status) = load_or_assemble(&plan.full_path(), plan.kind, plan.fingerprint)
         .expect("assembly")
         .expect("complete shard set");
@@ -439,5 +389,34 @@ fn a_two_daemon_pass_assembles_the_bit_identical_corpus() {
         encode_collection(&merged, plan.fingerprint) == encode_collection(&full, plan.fingerprint),
         "a distributed pass must be bit-identical to the single-process one"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_two_daemon_pass_assembles_the_bit_identical_corpus() {
+    let (plan, mut launcher) = collect_pass("e2e", 2);
+    let report = run_orchestrator(&fast_orch(2, 3, 2), &mut launcher);
+    assert!(report.success, "{}", report.summary());
+    // Success implies every shard also passed `for_plan`'s verify — the
+    // local decode *and* the cross-check against the daemon-reported
+    // FNV-1a checksum.
+    assert_bit_identical(&plan);
+    let _ = std::fs::remove_dir_all(&plan.dir);
+}
+
+#[test]
+fn a_remote_torn_fault_is_fault_killed_and_resume_is_read_from_the_part_file() {
+    let (plan, mut launcher) = collect_pass("torn", 1);
+    let mut config = fast_orch(1, 2, 2);
+    config.faults = Fault::parse_list("torn:0").expect("fault spec");
+    let report = run_orchestrator(&config, &mut launcher);
+    assert!(report.success, "{}", report.summary());
+    let attempts = report.attempts_for(0);
+    assert_eq!(attempts.len(), 2, "{}", report.summary());
+    assert_eq!(attempts[0].outcome, AttemptOutcome::FaultKilled);
+    // The worker tore its second durable chunk, so the retry resumed one
+    // probe; `for_plan` read that from the part file before relaunching.
+    assert_eq!(attempts[1].resumed_probes, Some(1));
+    assert!(attempts[1].outcome.is_success());
+    assert_bit_identical(&plan);
+    let _ = std::fs::remove_dir_all(&plan.dir);
 }

@@ -98,7 +98,8 @@ pub const ENV_REGISTRY: &[EnvVar] = &[
     },
     EnvVar {
         name: "PERFBUG_ORCH_FAULT",
-        purpose: "orchestrator fault injection (CI guard test hook)",
+        purpose: "pborch fault injection (CI guard test hook): the supervisor fires kill, \
+                  the worker fires killmid/torn on itself",
     },
     EnvVar {
         name: "PERFBUG_SERVE_ADDR",
