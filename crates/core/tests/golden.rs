@@ -3,14 +3,15 @@
 //! [`GOLDEN_CORE_DIGEST`] and [`GOLDEN_MEM_DIGEST`], and the core
 //! simulator's raw output over every extended-catalogue bug must hash to
 //! [`GOLDEN_SIM_DIGEST`] on Skylake and K8 and to
-//! [`GOLDEN_SIM_ALL_DESIGNS_DIGEST`] on all twenty presets. The memory
-//! simulator's raw output over every design and extended-catalogue memory
-//! bug must hash to [`GOLDEN_MEMSIM_DIGEST`]. The single-stage baseline's
-//! decisions over the tiny core corpus must hash to
-//! [`GOLDEN_BASELINE_DIGEST`], and the same corpus collected with the
-//! Lasso and neural engines must hash to [`GOLDEN_ENGINES_DIGEST`].
-//! Every probe and probe trace of the whole suite, at tiny and default
-//! scale, must hash to [`GOLDEN_PROBES_DIGEST`].
+//! [`GOLDEN_SIM_ALL_DESIGNS_DIGEST`] on all twenty presets; over bugs
+//! whose delays run past 512 cycles it must hash to
+//! [`GOLDEN_SIM_LONG_DELAY_DIGEST`]. The memory simulator's raw output
+//! over every design and extended-catalogue memory bug must hash to
+//! [`GOLDEN_MEMSIM_DIGEST`]. The single-stage baseline's decisions over
+//! the tiny core corpus must hash to [`GOLDEN_BASELINE_DIGEST`], and the
+//! same corpus collected with the Lasso and neural engines must hash to
+//! [`GOLDEN_ENGINES_DIGEST`]. Every probe and probe trace of the whole
+//! suite, at tiny and default scale, must hash to [`GOLDEN_PROBES_DIGEST`].
 //!
 //! This is the machine check behind "the corpus is unchanged": any change
 //! to simulation, counter selection, stage-1 numerics or the PBCL codec
@@ -100,10 +101,6 @@ const GOLDEN_SIM_DIGEST: u64 = 0xbb11_a2f4_cdcc_f50e;
 /// `None` plus every [`BugCatalog::core_extended`] variant, and steps 97
 /// and 500, on the first tiny-scale 426.mcf probe.
 fn simulator_digest(designs: &[perfbug_uarch::MicroarchConfig]) -> u64 {
-    let scale = WorkloadScale::tiny();
-    let spec = benchmark("426.mcf").expect("suite");
-    let program = spec.program(&scale);
-    let trace = spec.probes(&scale)[0].trace(&program);
     let bugs: Vec<Option<BugSpec>> = std::iter::once(None)
         .chain(
             BugCatalog::core_extended()
@@ -113,20 +110,42 @@ fn simulator_digest(designs: &[perfbug_uarch::MicroarchConfig]) -> u64 {
                 .map(Some),
         )
         .collect();
+    runs_digest(designs, &["426.mcf"], &bugs)
+}
+
+/// FNV-1a over the raw simulator output for every design in `designs`,
+/// the first tiny-scale probe of every benchmark in `benches`, every
+/// setting in `bugs`, and steps 97 and 500, in that nesting order.
+fn runs_digest(
+    designs: &[perfbug_uarch::MicroarchConfig],
+    benches: &[&str],
+    bugs: &[Option<BugSpec>],
+) -> u64 {
+    let scale = WorkloadScale::tiny();
+    let traces: Vec<_> = benches
+        .iter()
+        .map(|&name| {
+            let spec = benchmark(name).expect("suite");
+            let program = spec.program(&scale);
+            spec.probes(&scale)[0].trace(&program)
+        })
+        .collect();
     let mut bytes = Vec::new();
     for cfg in designs {
-        for &bug in &bugs {
-            for step in [97, 500] {
-                let run = simulate(cfg, bug, &trace, step);
-                bytes.extend_from_slice(&run.total_cycles.to_le_bytes());
-                bytes.extend_from_slice(&run.total_insts.to_le_bytes());
-                for row in &run.counter_rows {
-                    for v in row {
+        for trace in &traces {
+            for &bug in bugs {
+                for step in [97, 500] {
+                    let run = simulate(cfg, bug, trace, step);
+                    bytes.extend_from_slice(&run.total_cycles.to_le_bytes());
+                    bytes.extend_from_slice(&run.total_insts.to_le_bytes());
+                    for row in &run.counter_rows {
+                        for v in row {
+                            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                        }
+                    }
+                    for v in &run.ipc {
                         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                     }
-                }
-                for v in &run.ipc {
-                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
             }
         }
@@ -159,6 +178,49 @@ fn all_designs_simulator_digest_matches_the_pinned_revision() {
         sim_digest, GOLDEN_SIM_ALL_DESIGNS_DIGEST,
         "simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if intended, \
          bump CORPUS_REVISION and re-pin GOLDEN_SIM_ALL_DESIGNS_DIGEST = {sim_digest:#018x}"
+    );
+}
+
+/// [`runs_digest`] on Skylake and K8, over the first tiny-scale 426.mcf
+/// and 400.perlbench probes, for bugs whose delays run past 512 cycles,
+/// longer than any catalogue variant's: replays 515 and 1,500 cycles out,
+/// a 700-cycle penalty on adds that consume a load, and a 600-cycle L2
+/// tax, so loads that reach L2 complete that far ahead too.
+///
+/// The catalogue's delays all land within a few hundred cycles, so this is
+/// the only digest whose wakeups are scheduled more than 512 cycles ahead
+/// of the cycle that schedules them. Each setting stays well inside the
+/// simulator's watchdog of 400 cycles per instruction. The digest moves
+/// only together with a [`CORPUS_REVISION`] bump.
+const GOLDEN_SIM_LONG_DELAY_DIGEST: u64 = 0xe376_1e58_2aea_4d83;
+
+/// Bug settings whose delays exceed 512 cycles (see
+/// [`GOLDEN_SIM_LONG_DELAY_DIGEST`]).
+fn long_delay_bugs() -> Vec<Option<BugSpec>> {
+    vec![
+        Some(BugSpec::IssueReplayEveryN { n: 97, t: 515 }),
+        Some(BugSpec::IssueReplayEveryN { n: 31, t: 1_500 }),
+        Some(BugSpec::DelayIfDependsOn {
+            x: Opcode::Add,
+            y: Opcode::Load,
+            t: 700,
+        }),
+        Some(BugSpec::L2ExtraLatency { t: 600 }),
+    ]
+}
+
+#[test]
+fn long_delay_simulator_digest_matches_the_pinned_revision() {
+    let sim_digest = runs_digest(
+        &[presets::skylake(), presets::k8()],
+        &["426.mcf", "400.perlbench"],
+        &long_delay_bugs(),
+    );
+    assert_eq!(
+        sim_digest, GOLDEN_SIM_LONG_DELAY_DIGEST,
+        "long-delay simulator output changed under CORPUS_REVISION {CORPUS_REVISION}: if \
+         intended, bump CORPUS_REVISION and re-pin GOLDEN_SIM_LONG_DELAY_DIGEST = \
+         {sim_digest:#018x}"
     );
 }
 
