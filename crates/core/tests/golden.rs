@@ -189,9 +189,11 @@ fn all_designs_simulator_digest_matches_the_pinned_revision() {
 ///
 /// The catalogue's delays all land within a few hundred cycles, so this is
 /// the only digest whose wakeups are scheduled more than 512 cycles ahead
-/// of the cycle that schedules them. Each setting stays well inside the
-/// simulator's watchdog of 400 cycles per instruction. The digest moves
-/// only together with a [`CORPUS_REVISION`] bump.
+/// of the cycle that schedules them: past the span of the core
+/// simulator's wait calendar, where an entry waits out whole laps in its
+/// slot. Each setting stays well inside the simulator's watchdog of 400
+/// cycles per instruction. The digest moves only together with a
+/// [`CORPUS_REVISION`] bump.
 const GOLDEN_SIM_LONG_DELAY_DIGEST: u64 = 0xe376_1e58_2aea_4d83;
 
 /// Bug settings whose delays exceed 512 cycles (see

@@ -20,9 +20,12 @@
 //! pending event, the first recorded time still ahead of `cycle`:
 //!
 //! * the ROB head's `complete_at`;
-//! * the earliest `ready_at` in the wait heap, which holds every unissued
-//!   instruction whose producers have all issued and whose `ready_at` is
-//!   still ahead (see below);
+//! * the first non-empty slot ahead in the wait calendar, which holds
+//!   every unissued instruction whose producers have all issued and whose
+//!   `ready_at` is still ahead (see below). That slot's cycle is at or
+//!   before every entry's `ready_at`: an entry a lap or more ahead sits in
+//!   a slot that comes round first, and stopping there only re-runs a
+//!   quiescent cycle;
 //! * the decode-pipe head's `ready_at`;
 //! * `fetch_resume_at`;
 //! * every non-pipelined divider's `div_busy_until`.
@@ -49,7 +52,15 @@
 //! of each producer that has not. When a producer issues, it walks that
 //! list once: each consumer's `ready_at` rises to the producer's
 //! `complete_at` and its count of unissued producers falls. Once the count
-//! is zero the instruction waits in a min-heap keyed by `ready_at`.
+//! is zero the instruction waits in a calendar until `ready_at`.
+//!
+//! The calendar is a ring of `CALENDAR_SLOTS` (512) slots indexed by cycle,
+//! each heading a list of ROB slots linked through `Slot::next_due`, so
+//! scheduling allocates nothing, plus a bitmap of the non-empty slots.
+//! An entry due a full span or more ahead sits in the slot of its due
+//! cycle and is re-linked there each time an earlier lap comes round.
+//! A bug-16 replay reschedules a squashed instruction the same way, at
+//! `cycle + t`, and the slot records that due cycle in `ready_at`.
 //!
 //! The issue queue is a set of bitsets over ROB positions: instruction
 //! `seq` sits at bit `seq & mask` of a ring of `max(rob_size, 64)` rounded
@@ -57,15 +68,16 @@
 //! ring order from the ROB head is program order. `unissued` holds every
 //! instruction in the IQ, `ready` those whose `ready_at` has passed and
 //! `serial` the unissued serialising ones (bug 1). Each cycle `issue()`
-//! moves the heap's due entries into `ready` and visits only ready bits,
+//! drains the calendar slot of the current cycle into `ready` (a set, so
+//! the order entries arrive in never matters) and visits only ready bits,
 //! oldest first: the first `unissued` bit is the oldest unissued
 //! instruction (bugs 2 and 3), and the first `serial` bit bounds the scan.
-//! `next_event()` reads the heap's earliest entry. Ports are bitmasks: each
-//! functional-unit class has a mask of the ports that reach it, and the
-//! lowest free port in the first acceptable class wins.
+//! `next_event()` scans the bitmap for the first non-empty slot ahead.
+//! Ports are bitmasks: each functional-unit class has a mask of the ports
+//! that reach it, and the lowest free port in the first acceptable class
+//! wins.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use perfbug_memsim::LINE_BYTES;
 use perfbug_workloads::{FuClass, Inst, Opcode, RowMatrix};
@@ -135,6 +147,13 @@ impl ProbeRun {
 /// instruction numbered `seq`.
 const NO_EDGE: u64 = u64::MAX;
 
+/// Slots in the wait calendar (see the module docs), a power of two: the
+/// span of cycles ahead it covers without re-linking an entry.
+const CALENDAR_SLOTS: usize = 512;
+
+/// End of a calendar slot's list.
+const NO_SEQ: u64 = u64::MAX;
+
 /// Number of [`FuClass`] variants, `Branch` being the last (the index
 /// range of the port masks).
 const FU_CLASSES: usize = FuClass::Branch as usize + 1;
@@ -146,7 +165,10 @@ struct Slot {
     /// While producers are unissued: the max of the earliest cycle issue
     /// is permitted and the `complete_at` of every producer issued so far.
     /// The instruction is scheduled at it once the last producer issues.
+    /// Once scheduled: the cycle it becomes ready to issue.
     ready_at: u64,
+    /// While in the wait calendar: the next instruction in its slot's list.
+    next_due: u64,
     /// Producers not yet issued (one per source edge, so at most two).
     pending: u8,
     /// Head of the list of edges from this instruction to its consumers.
@@ -281,9 +303,11 @@ struct Pipeline<'c> {
     unissued: SeqSet,
     ready: SeqSet,
     serial: SeqSet,
-    /// Unissued instructions whose producers have all issued but whose
-    /// `ready_at` is still ahead, as `(ready_at, seq)`, earliest first.
-    waiting: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The wait calendar (see the module docs): per slot, the first
+    /// instruction of its list, and the set of non-empty slots, both
+    /// indexed by cycle.
+    due_heads: Vec<u64>,
+    due_slots: SeqSet,
     /// Instructions in the IQ.
     iq_len: u32,
     lq_count: u32,
@@ -352,7 +376,8 @@ impl<'c> Pipeline<'c> {
             unissued: SeqSet::new(ring),
             ready: SeqSet::new(ring),
             serial: SeqSet::new(ring),
-            waiting: BinaryHeap::new(),
+            due_heads: vec![NO_SEQ; CALENDAR_SLOTS],
+            due_slots: SeqSet::new(CALENDAR_SLOTS),
             iq_len: 0,
             lq_count: 0,
             sq_count: 0,
@@ -455,8 +480,9 @@ impl<'c> Pipeline<'c> {
         for &busy in &self.div_busy_until {
             next = next.min(ahead(busy));
         }
-        if let Some(&Reverse((ready_at, _))) = self.waiting.peek() {
-            next = next.min(ahead(ready_at));
+        let lap_end = cycle + 1 + CALENDAR_SLOTS as u64;
+        if let Some(due) = self.due_slots.first_in(cycle + 1, lap_end) {
+            next = next.min(due);
         }
         next
     }
@@ -579,12 +605,20 @@ impl<'c> Pipeline<'c> {
     /// Issues ready instructions oldest-first; `true` if any issue grant
     /// was made (a squashed grant included).
     fn issue(&mut self) -> bool {
-        while let Some(&Reverse((ready_at, seq))) = self.waiting.peek() {
-            if ready_at > self.cycle {
-                break;
+        let now = self.cycle as usize % CALENDAR_SLOTS;
+        let mut seq = std::mem::replace(&mut self.due_heads[now], NO_SEQ);
+        if seq != NO_SEQ {
+            self.due_slots.remove(self.cycle);
+            while seq != NO_SEQ {
+                let slot = &self.rob[(seq - self.head_seq) as usize];
+                let (next, ready_at) = (slot.next_due, slot.ready_at);
+                if ready_at > self.cycle {
+                    self.link_due(seq, ready_at);
+                } else {
+                    self.ready.insert(seq);
+                }
+                seq = next;
             }
-            self.waiting.pop();
-            self.ready.insert(seq);
         }
         let mut port_used = 0u64;
         let mut issued = 0u32;
@@ -672,13 +706,22 @@ impl<'c> Pipeline<'c> {
 
     /// Lets unissued instruction `seq`, whose producers have all issued,
     /// issue from `ready_at`: at once if that is not ahead, else once the
-    /// wait heap yields it.
+    /// calendar drains it on that cycle.
     fn schedule(&mut self, seq: u64, ready_at: u64) {
         if ready_at > self.cycle {
-            self.waiting.push(Reverse((ready_at, seq)));
+            self.rob[(seq - self.head_seq) as usize].ready_at = ready_at;
+            self.link_due(seq, ready_at);
         } else {
             self.ready.insert(seq);
         }
+    }
+
+    /// Links `seq`, due on cycle `due`, into that cycle's calendar slot.
+    fn link_due(&mut self, seq: u64, due: u64) {
+        let head = &mut self.due_heads[due as usize % CALENDAR_SLOTS];
+        self.rob[(seq - self.head_seq) as usize].next_due = *head;
+        *head = seq;
+        self.due_slots.insert(due);
     }
 
     fn issue_slot(&mut self, rob_idx: usize, port: usize) {
@@ -905,13 +948,11 @@ impl<'c> Pipeline<'c> {
             if serialized {
                 self.serial.insert(seq);
             }
-            if pending == 0 {
-                self.schedule(seq, ready_at);
-            }
             self.rob.push_back(Slot {
                 inst,
                 seq,
                 ready_at,
+                next_due: NO_SEQ,
                 pending,
                 consumers: NO_EDGE,
                 next_edge,
@@ -923,6 +964,9 @@ impl<'c> Pipeline<'c> {
                 mispredicted,
                 replayed: false,
             });
+            if pending == 0 {
+                self.schedule(seq, ready_at);
+            }
             renamed += 1;
         }
         renamed > 0

@@ -9,7 +9,8 @@
 //! `total_cycles` and `total_insts`, and every step-N row's raw counter
 //! columns equal to the sum of the step-1 rows it covers. The same check
 //! runs over random short traces, which reach dependence and port shapes
-//! the suite probes may never produce.
+//! the suite probes may never produce, with two more bug settings whose
+//! delays run past the simulator's 512-cycle wait calendar.
 
 use perfbug_core::bugs::BugCatalog;
 use perfbug_uarch::counters::N_RAW;
@@ -17,7 +18,10 @@ use perfbug_uarch::{presets, simulate, BugSpec, MicroarchConfig, ProbeRun};
 use perfbug_workloads::{benchmark, Inst, WorkloadScale, ALL_OPCODES, NO_REG};
 use proptest::prelude::*;
 
-const STEPS: [u64; 2] = [97, 500];
+/// Sample steps. An idle-cycle jump stops at the next sample boundary, so
+/// only a step longer than the 512-slot wait calendar lets one jump cover
+/// a whole lap of it.
+const STEPS: [u64; 3] = [97, 500, 2_000];
 
 fn probe_trace(bench: &str) -> Vec<Inst> {
     let scale = WorkloadScale::tiny();
@@ -36,6 +40,21 @@ fn bug_settings() -> Vec<Option<BugSpec>> {
                 .map(Some),
         )
         .collect()
+}
+
+/// [`bug_settings`] plus two settings with delays past the wait
+/// calendar's span: every instruction executes 700 cycles longer (its
+/// free-IQ threshold always holds), so each wakeup lands more than a span
+/// ahead; and every second issue grant is replayed 1,100 cycles later,
+/// more than two spans ahead.
+fn long_delay_bug_settings() -> Vec<Option<BugSpec>> {
+    let mut bugs = bug_settings();
+    bugs.push(Some(BugSpec::IqBelowDelay {
+        n: u32::MAX,
+        t: 700,
+    }));
+    bugs.push(Some(BugSpec::IssueReplayEveryN { n: 2, t: 1_100 }));
+    bugs
 }
 
 /// Raw counter columns of one row as exact integers.
@@ -87,10 +106,16 @@ fn matches_reference(reference: &ProbeRun, run: &ProbeRun, step: u64) -> Result<
     Ok(())
 }
 
-/// Runs `trace` under every bug setting on `cfg`: each run must commit
-/// the whole trace and agree with its step-1 reference at every step.
-fn check_trace(cfg: &MicroarchConfig, trace: &[Inst], what: &str) -> Result<(), String> {
-    for bug in bug_settings() {
+/// Runs `trace` under every setting in `bugs` on `cfg`: each run must
+/// commit the whole trace and agree with its step-1 reference at every
+/// step.
+fn check_trace(
+    cfg: &MicroarchConfig,
+    trace: &[Inst],
+    what: &str,
+    bugs: &[Option<BugSpec>],
+) -> Result<(), String> {
+    for &bug in bugs {
         let context = |e: String| format!("{} on {what} with {bug:?}: {e}", cfg.name);
         let reference = simulate(cfg, bug, trace, 1);
         if reference.total_insts != trace.len() as u64 {
@@ -110,7 +135,7 @@ fn check_trace(cfg: &MicroarchConfig, trace: &[Inst], what: &str) -> Result<(), 
 
 fn check_design(cfg: &MicroarchConfig) {
     for bench in ["426.mcf", "444.namd", "400.perlbench"] {
-        if let Err(e) = check_trace(cfg, &probe_trace(bench), bench) {
+        if let Err(e) = check_trace(cfg, &probe_trace(bench), bench, &bug_settings()) {
             panic!("{e}");
         }
     }
@@ -173,7 +198,7 @@ proptest! {
     #[test]
     fn random_traces_sum_to_the_per_cycle_reference(trace in random_trace()) {
         for cfg in [presets::skylake(), presets::k8()] {
-            if let Err(e) = check_trace(&cfg, &trace, "a random trace") {
+            if let Err(e) = check_trace(&cfg, &trace, "a random trace", &long_delay_bug_settings()) {
                 return Err(TestCaseError::Fail(format!("{e}\ntrace: {trace:?}")));
             }
         }
