@@ -81,7 +81,8 @@ shard's worker on that attempt (default: first). Ops: kill (the
 supervisor kills the worker right after launch), killmid (the worker
 stops after its first durable probe chunk), torn (the worker tears its
 second chunk's checksum off the part file, then stops). A fault that
-cannot fire on the pass is an error. Retries resume from the durable
+cannot fire on the pass is an error, and so is one the pass never
+reached (the run exits 1). Retries resume from the durable
 chunk prefix; the supervisor prints `resumed=<k>` per resuming attempt.
 Over --hosts, a supervisor kill closes the daemon connection, which
 kills the remote worker.

@@ -17,8 +17,8 @@ use perfbug_core::exec::ShardSpec;
 use perfbug_core::experiment::{self, Collection, CollectionConfig, Experiment};
 use perfbug_core::memory::{MemCollectionConfig, TargetMetric};
 use perfbug_core::orchestrate::{
-    self, remote, report_path_for, CollectPlan, Fault, OrchestratedRun, OrchestratorConfig,
-    RunReport, WorkerFault,
+    self, remote, report_path_for, AttemptOutcome, CollectPlan, Fault, OrchestratedRun,
+    OrchestratorConfig, RunReport, WorkerFault,
 };
 use perfbug_core::persist::{
     self, ExperimentKind, FileHeader, PersistError, ShardManifest, CORPUS_REVISION,
@@ -252,7 +252,8 @@ pub fn admit_launch(req: &remote::LaunchRequest) -> Result<CollectPlan, String> 
 ///
 /// With `hosts`, shards fan out to `pborch worker-daemon` endpoints;
 /// otherwise each attempt re-invokes `exe` in `worker` mode. `faults` are
-/// `pborch`'s test hook (the service passes none).
+/// `pborch`'s test hook (the service passes none); a pass given faults
+/// fails unless every one of them fired.
 pub fn orchestrate_spec(
     spec: &SpecConfig,
     plan: &CollectPlan,
@@ -283,10 +284,12 @@ pub fn orchestrate_spec(
         persist::load_or_assemble(&full, plan.kind, plan.fingerprint)
             .map_err(|e| format!("{}: {e}", plan.prefix))?
     {
+        let report = RunReport::already_cached(&config);
+        check_faults_fired(&config.faults, &report).map_err(|e| format!("{}: {e}", plan.prefix))?;
         return Ok(OrchestratedRun {
             collection,
             status,
-            report: RunReport::already_cached(&config),
+            report,
             report_path: report_path_for(&full),
         });
     }
@@ -303,7 +306,7 @@ pub fn orchestrate_spec(
             .check(config.shards, config.max_attempts, probes)
             .map_err(|e| format!("{}: {e}", plan.prefix))?;
     }
-    match hosts {
+    let run = match hosts {
         Some(hosts) => {
             let mut launcher = remote::RemoteLauncher::for_plan(hosts, plan);
             orchestrate::orchestrate_collection_with(plan, &config, &mut launcher)
@@ -316,7 +319,41 @@ pub fn orchestrate_spec(
             worker_command(exe, &plan.prefix, &plan.dir, shard, fault)
         }),
     }
-    .map_err(|e| format!("{}: {e}", plan.prefix))
+    .map_err(|e| format!("{}: {e}", plan.prefix))?;
+    check_faults_fired(&config.faults, &run.report).map_err(|e| format!("{}: {e}", plan.prefix))?;
+    Ok(run)
+}
+
+/// Checks that every injected fault fired: `report` must record its
+/// (shard, attempt) as `fault-killed`. [`Fault::check`] rejects only the
+/// faults no pass could fire; this catches the ones a given pass never
+/// reached, such as a fault on a retry of a shard whose first attempt
+/// succeeded, or any fault on a pass that found its corpus cached and
+/// launched nothing. Such a pass would otherwise look like a passing
+/// fault guard.
+fn check_faults_fired(faults: &[Fault], report: &RunReport) -> Result<(), String> {
+    for fault in faults {
+        let attempt = report
+            .attempts
+            .iter()
+            .find(|a| fault.matches(a.shard, a.attempt));
+        let why = match attempt.map(|a| &a.outcome) {
+            Some(AttemptOutcome::FaultKilled) => continue,
+            Some(outcome) => format!("the attempt ended {}", outcome.label()),
+            None if report.attempts.is_empty() => {
+                "the corpus was already cached, so nothing launched".to_string()
+            }
+            None => format!(
+                "shard {} never launched attempt {}",
+                fault.shard, fault.attempt
+            ),
+        };
+        return Err(format!(
+            "injected fault {fault} did not fire: {why} ({})",
+            report.summary()
+        ));
+    }
+    Ok(())
 }
 
 /// The PBCL encoding of `collection` with its wall-clock timings zeroed:
