@@ -9,6 +9,12 @@
 //! per feature per node. The acceptance bar for the histogram engine is a
 //! ≥ 3x win on this shape (see `docs/ENGINES.md` for recorded numbers).
 //!
+//! A second histogram case times one of the single-stage baseline's
+//! per-probe classifiers (100 trees, depth 3): a few dozen designs of
+//! aggregated counters and design parameters with 0/1 bug labels. The
+//! baseline fits hundreds of these per evaluation, so this is the layer
+//! behind perfbench's `baseline.eval_s`, in isolation.
+//!
 //! The exact fit takes tens of seconds at this shape — `sample_size(1)`
 //! keeps the benchmark runnable (one warm-up plus one timed fit per
 //! strategy). Run with:
@@ -38,6 +44,30 @@ fn stage1_shaped(n: usize, f: usize) -> Dataset {
     Dataset::from_rows(&rows, &y).expect("aligned")
 }
 
+/// Baseline-shaped data: `n` designs of `f` aggregated features and a
+/// 0/1 bug label. A third of the columns are distinct per design (mean
+/// counters, IPC), a third design parameters of two to six levels, and a
+/// third counters that are zero on all but a few designs.
+fn baseline_shaped(n: usize, f: usize) -> Dataset {
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            (0..f)
+                .map(|j| match j % 3 {
+                    0 => ((i * (j + 5)) as f64 * 0.173).sin() * (1.0 + j as f64 * 0.1),
+                    1 => ((i * (j + 1)) % (j % 5 + 2)) as f64,
+                    _ if i % 16 == j % 16 => (i + j) as f64 * 0.01,
+                    _ => 0.0,
+                })
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = rows
+        .iter()
+        .map(|r| f64::from(u8::from(r[0] + 0.5 * r[f / 2] - 0.2 * r[1] > 0.0)))
+        .collect();
+    Dataset::from_rows(&rows, &y).expect("aligned")
+}
+
 fn params(strategy: SplitStrategy) -> GbtParams {
     GbtParams {
         n_trees: 250,
@@ -60,6 +90,18 @@ fn bench_gbt_train(c: &mut Criterion) {
         b.iter(|| {
             let mut m = Gbt::new(params(SplitStrategy::Exact));
             m.fit(&data, None);
+            m.n_trees()
+        })
+    });
+    let baseline = baseline_shaped(64, 48);
+    c.bench_function("gbt100_train_baseline_64x48", |b| {
+        b.iter(|| {
+            let mut m = Gbt::new(GbtParams {
+                n_trees: 100,
+                max_depth: 3,
+                ..GbtParams::default()
+            });
+            m.fit(&baseline, None);
             m.n_trees()
         })
     });

@@ -26,6 +26,21 @@
 //!   form to exact trees and [`Regressor::predict_row`] is
 //!   strategy-agnostic.
 //!
+//! The histogram grower does as little as it can per tree without
+//! changing a bit of the trees it grows (pinned against a frozen copy of
+//! the plain grower in `tests/grower_reference.rs`):
+//!
+//! * a tree on every row takes its root histogram as run sums along each
+//!   feature's rows sorted by (bin, row), which adds the same rows in the
+//!   same order as a row-by-row scan;
+//! * histogram buffers, the row index and the gradients are allocated
+//!   once per fit and reused by every node and tree;
+//! * a split candidate first gets a multiply-only score, which is exact
+//!   enough to discard candidates that cannot beat the node's best; only
+//!   the rest compute the divided gain, and compare it exactly as before;
+//! * each row's prediction is updated from the leaf it lands in while the
+//!   tree grows, instead of walking the finished tree for every row.
+//!
 //! When a feature has at most `max_bins` distinct values the binning is
 //! lossless: cut points are the midpoints between adjacent distinct values —
 //! the exact splitter's threshold formula — so histogram training considers
@@ -57,6 +72,7 @@
 //! assert!((exact.predict_row(&[4.0]) - 2.0).abs() < 0.1);
 //! ```
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -153,6 +169,10 @@ struct HistBin {
 /// quantiles of the column. A constant feature produces **zero** cut
 /// points: it occupies a single bin and can never be selected for a split.
 ///
+/// Cut points come from the non-NaN values only, and a NaN value codes to
+/// the last bin, past every cut: every split routes it right, as the
+/// trained tree's `value < threshold` test does at inference.
+///
 /// ```
 /// use perfbug_ml::{BinnedDataset, Dataset};
 ///
@@ -173,6 +193,12 @@ pub struct BinnedDataset {
     codes: Vec<u8>,
     /// Flat histogram offsets per feature (`n_features + 1` entries).
     offsets: Vec<usize>,
+    /// Every feature's rows sorted by (code, row), feature after feature:
+    /// `order[f * n_rows..(f + 1) * n_rows]`.
+    order: Vec<u32>,
+    /// Rows per bin over the whole dataset, laid out like a histogram: the
+    /// run lengths of `order`.
+    bin_counts: Vec<u32>,
 }
 
 impl BinnedDataset {
@@ -186,16 +212,46 @@ impl BinnedDataset {
         let mut codes = vec![0u8; n_features * n_rows];
         let mut offsets = Vec::with_capacity(n_features + 1);
         offsets.push(0);
+        let mut order = vec![0u32; n_features * n_rows];
+        let mut bin_counts = Vec::new();
         let mut column = Vec::with_capacity(n_rows);
+        let mut next = Vec::new();
         for f in 0..n_features {
             column.clear();
-            column.extend((0..n_rows).map(|r| data.sample(r).0[f]));
+            column.extend(
+                (0..n_rows)
+                    .map(|r| data.sample(r).0[f])
+                    .filter(|v| !v.is_nan()),
+            );
             column.sort_by(f64::total_cmp);
             let feature_cuts = quantile_cuts(&column, max_bins);
             let col_codes = &mut codes[f * n_rows..(f + 1) * n_rows];
             for (r, code) in col_codes.iter_mut().enumerate() {
                 let v = data.sample(r).0[f];
-                *code = feature_cuts.partition_point(|&c| c <= v) as u8;
+                *code = if v.is_nan() {
+                    feature_cuts.len()
+                } else {
+                    feature_cuts.partition_point(|&c| c <= v)
+                } as u8;
+            }
+            // Counting sort of the rows by code; rows stay ascending
+            // within a bin.
+            let counts_at = bin_counts.len();
+            bin_counts.resize(counts_at + feature_cuts.len() + 1, 0);
+            let counts = &mut bin_counts[counts_at..];
+            for &code in col_codes.iter() {
+                counts[usize::from(code)] += 1;
+            }
+            next.clear();
+            next.extend(counts.iter().scan(f * n_rows, |start, &count| {
+                let at = *start;
+                *start += count as usize;
+                Some(at)
+            }));
+            for (r, &code) in col_codes.iter().enumerate() {
+                let slot = &mut next[usize::from(code)];
+                order[*slot] = r as u32;
+                *slot += 1;
             }
             offsets.push(offsets[f] + feature_cuts.len() + 1);
             cuts.push(feature_cuts);
@@ -205,6 +261,8 @@ impl BinnedDataset {
             cuts,
             codes,
             offsets,
+            order,
+            bin_counts,
         }
     }
 
@@ -268,6 +326,22 @@ impl BinnedDataset {
         for f in 0..self.n_features() {
             let (lo, hi) = (self.offsets[f], self.offsets[f + 1]);
             self.accumulate_feature(f, rows, grad, &mut hist[lo..hi]);
+        }
+    }
+
+    /// Builds the histogram of a node holding every row in row order as
+    /// run sums along the sorted `order`: each bin adds the same rows in
+    /// the same order as [`Self::build_histogram`] would, so the two
+    /// histograms are identical.
+    fn build_root_histogram(&self, grad: &[f64], hist: &mut [HistBin]) {
+        debug_assert_eq!(hist.len(), self.total_bins());
+        let mut rows = self.order.iter();
+        for (bin, &count) in hist.iter_mut().zip(&self.bin_counts) {
+            let mut sum = 0.0;
+            for &r in rows.by_ref().take(count as usize) {
+                sum += grad[r as usize];
+            }
+            *bin = HistBin { grad: sum, count };
         }
     }
 }
@@ -413,9 +487,10 @@ impl Gbt {
 
     /// Builds one tree on the given rows against gradients with the exact
     /// greedy splitter; returns the tree.
-    fn build_tree(&self, data: &Dataset, rows: &[usize], grad: &[f64]) -> Tree {
+    fn build_tree(&self, data: &Dataset, rows: &[u32], grad: &[f64]) -> Tree {
         let mut tree = Tree { nodes: Vec::new() };
-        self.grow(&mut tree, data, rows.to_vec(), grad, 0);
+        let rows = rows.iter().map(|&r| r as usize).collect();
+        self.grow(&mut tree, data, rows, grad, 0);
         tree
     }
 
@@ -494,127 +569,253 @@ impl Gbt {
             }
         }
     }
+}
 
-    /// Builds one tree with histogram split finding.
-    fn build_tree_hist(&self, binned: &BinnedDataset, rows: &[usize], grad: &[f64]) -> Tree {
-        let rows: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
-        let mut hist = vec![HistBin::default(); binned.total_bins()];
-        binned.build_histogram(&rows, grad, &mut hist);
-        let mut tree = Tree { nodes: Vec::new() };
-        self.grow_hist(&mut tree, binned, rows, hist, grad, 0);
+/// Resets `rows` to `0..rows.len()` and, when `subsample < 1`, shuffles
+/// it: the tree grows on the first `k` rows (returned), in that order.
+fn sample_rows(rows: &mut [u32], subsample: f64, rng: &mut StdRng) -> usize {
+    for (i, r) in rows.iter_mut().enumerate() {
+        *r = i as u32;
+    }
+    if subsample < 1.0 {
+        rows.shuffle(rng);
+        ((rows.len() as f64) * subsample).max(1.0) as usize
+    } else {
+        rows.len()
+    }
+}
+
+/// The histogram grower of one fit: every buffer its trees need,
+/// allocated once and reused by every node and tree.
+struct HistGrower<'a> {
+    params: GbtParams,
+    binned: &'a BinnedDataset,
+    /// The current tree's rows. A node owns a contiguous range, which its
+    /// split partitions stably in place; sampled-out rows sit past the
+    /// tree's range.
+    rows: Vec<u32>,
+    /// The right-hand rows of the partition in progress.
+    right: Vec<u32>,
+    /// The nodes of the tree being grown.
+    nodes: Vec<Node>,
+    /// Free histogram buffers, each `binned.total_bins()` long.
+    pool: Vec<Vec<HistBin>>,
+    /// `inv_h[n] = 1 / (n + lambda)`, the gain pre-filter's multipliers.
+    inv_h: Vec<f64>,
+}
+
+impl<'a> HistGrower<'a> {
+    fn new(params: GbtParams, binned: &'a BinnedDataset) -> Self {
+        let n = binned.n_rows();
+        HistGrower {
+            params,
+            binned,
+            rows: vec![0; n],
+            right: Vec::with_capacity(n),
+            nodes: Vec::new(),
+            pool: Vec::new(),
+            inv_h: (0..=n).map(|h| 1.0 / (h as f64 + params.lambda)).collect(),
+        }
+    }
+
+    /// Grows one tree against `grad` on a fresh row sample and adds its
+    /// shrunken output to every row's `pred`.
+    fn build_tree(
+        &mut self,
+        data: &Dataset,
+        grad: &[f64],
+        pred: &mut [f64],
+        rng: &mut StdRng,
+    ) -> Tree {
+        let k = sample_rows(&mut self.rows, self.params.subsample, rng);
+        let mut hist = self.take_hist();
+        if k == self.rows.len() && self.params.subsample >= 1.0 {
+            self.binned.build_root_histogram(grad, &mut hist);
+        } else {
+            self.binned
+                .build_histogram(&self.rows[..k], grad, &mut hist);
+        }
+        self.nodes.clear();
+        self.grow(grad, pred, 0, k, Some(hist), 0);
+        let tree = Tree {
+            nodes: self.nodes.clone(),
+        };
+        // Rows left out of the sample reach no leaf while growing.
+        for &r in &self.rows[k..] {
+            let r = r as usize;
+            pred[r] += self.params.learning_rate * tree.predict(data.sample(r).0);
+        }
         tree
     }
 
-    /// Recursively grows `tree` from per-feature histograms. `hist` is the
-    /// node's own histogram (consumed: the larger child's histogram is
-    /// derived from it in place via the subtraction trick), or empty for a
-    /// node at `max_depth`, which is always a leaf.
-    fn grow_hist(
-        &self,
-        tree: &mut Tree,
-        binned: &BinnedDataset,
-        rows: Vec<u32>,
-        hist: Vec<HistBin>,
+    fn take_hist(&mut self) -> Vec<HistBin> {
+        self.pool
+            .pop()
+            .unwrap_or_else(|| vec![HistBin::default(); self.binned.total_bins()])
+    }
+
+    /// Recursively grows the node holding `rows[lo..hi]`, returning its
+    /// index in `nodes`. `hist` is the node's own histogram (consumed: the
+    /// larger child's is derived from it in place via the subtraction
+    /// trick), or `None` for a node at `max_depth`, which is always a
+    /// leaf. A leaf adds its shrunken weight to its rows' `pred`.
+    fn grow(
+        &mut self,
         grad: &[f64],
+        pred: &mut [f64],
+        lo: usize,
+        hi: usize,
+        hist: Option<Vec<HistBin>>,
         depth: usize,
     ) -> usize {
         // Node totals from the row list (not the bins): the same
         // summation order as the exact splitter, so leaf weights agree.
-        let g_sum: f64 = rows.iter().map(|&r| grad[r as usize]).sum();
-        let h_sum = rows.len() as f64;
-        let leaf = |tree: &mut Tree| {
-            let weight = -g_sum / (h_sum + self.params.lambda);
-            tree.nodes.push(Node::Leaf { weight });
-            tree.nodes.len() - 1
-        };
-        if depth >= self.params.max_depth || rows.len() < 2 {
-            return leaf(tree);
+        let g_sum: f64 = self.rows[lo..hi].iter().map(|&r| grad[r as usize]).sum();
+        let mut split = None;
+        if let Some(hist) = hist {
+            let found = if depth < self.params.max_depth && hi - lo >= 2 {
+                self.best_split(&hist, g_sum, hi - lo)
+            } else {
+                None
+            };
+            match found {
+                Some(at) => split = Some((hist, at)),
+                None => self.pool.push(hist),
+            }
         }
+        let Some((mut hist, (feature, cut_idx))) = split else {
+            let weight = -g_sum / ((hi - lo) as f64 + self.params.lambda);
+            // The same `learning_rate * weight` a walk of the finished
+            // tree would add for these rows.
+            let step = self.params.learning_rate * weight;
+            for &r in &self.rows[lo..hi] {
+                pred[r as usize] += step;
+            }
+            self.nodes.push(Node::Leaf { weight });
+            return self.nodes.len() - 1;
+        };
 
-        let parent_score = g_sum * g_sum / (h_sum + self.params.lambda);
-        let total = rows.len() as u32;
+        let mid = self.partition(lo, hi, feature, cut_idx);
+        // Reserve our slot before children are pushed.
+        self.nodes.push(Node::Leaf { weight: 0.0 });
+        let me = self.nodes.len() - 1;
+        let (left_hist, right_hist) = if depth + 1 >= self.params.max_depth {
+            // Both children are leaves, and leaf weights come from the
+            // row lists: they never read a histogram.
+            self.pool.push(hist);
+            (None, None)
+        } else {
+            // Subtraction trick: scan only the smaller child; the larger
+            // child's histogram is parent minus sibling.
+            let small_is_left = mid - lo <= hi - mid;
+            let small_rows = if small_is_left { lo..mid } else { mid..hi };
+            let mut small = self.take_hist();
+            self.binned
+                .build_histogram(&self.rows[small_rows], grad, &mut small);
+            for (l, s) in hist.iter_mut().zip(&small) {
+                l.grad -= s.grad;
+                l.count -= s.count;
+            }
+            if small_is_left {
+                (Some(small), Some(hist))
+            } else {
+                (Some(hist), Some(small))
+            }
+        };
+        let left = self.grow(grad, pred, lo, mid, left_hist, depth + 1);
+        let right = self.grow(grad, pred, mid, hi, right_hist, depth + 1);
+        self.nodes[me] = Node::Split {
+            feature,
+            threshold: self.binned.cuts[feature][cut_idx],
+            left,
+            right,
+        };
+        me
+    }
+
+    /// The best split of a node with histogram `hist`, `n` rows and
+    /// gradient sum `g_sum`, as (feature, cut index): the first candidate
+    /// of greatest positive gain, or `None`.
+    ///
+    /// The gain `0.5 * (S - parent) - gamma` is monotone in the score
+    /// `S = gl²/(nl+λ) + gr²/(nr+λ)`, so a candidate whose score is below
+    /// the best one's cannot beat it. Each candidate first gets the
+    /// multiply-only score `gl²·inv_h[nl] + gr²·inv_h[nr]`, within a few
+    /// ulps of `S` (both terms are non-negative when `λ ≥ 0`). Below
+    /// `best_S·(1 − 1e-9)` (less the smallest normal, which covers
+    /// subnormal rounding) its exact score is certainly below `best_S`, so
+    /// it is dropped; every other candidate computes the divided gain and
+    /// compares it exactly as the plain scan does.
+    fn best_split(&self, hist: &[HistBin], g_sum: f64, n: usize) -> Option<(usize, usize)> {
+        let params = &self.params;
+        let h_sum = n as f64;
+        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
+        let total = n as u32;
         let mut best: Option<(f64, usize, usize)> = None; // (gain, feature, cut index)
-        for feature in 0..binned.n_features() {
-            let bins = &hist[binned.offsets[feature]..binned.offsets[feature + 1]];
+        let mut floor = f64::NEG_INFINITY;
+        for (feature, cuts) in self.binned.cuts.iter().enumerate() {
+            let start = self.binned.offsets[feature];
             let mut gl = 0.0;
             let mut nl = 0u32;
             // Candidate b splits between bin b and b+1: threshold cuts[b].
-            for (b, bin) in bins[..binned.cuts[feature].len()].iter().enumerate() {
+            for (b, bin) in hist[start..start + cuts.len()].iter().enumerate() {
+                if bin.count == 0 && bin.grad == 0.0 {
+                    // An empty bin leaves (gl, nl) as they were: candidate
+                    // b repeats candidate b-1. A subtraction residue in an
+                    // empty bin does move gl, so it is scanned.
+                    continue;
+                }
                 gl += bin.grad;
                 nl += bin.count;
-                let hl = f64::from(nl);
                 if nl == 0 {
                     continue; // nothing on the left yet
                 }
                 if nl == total {
                     break; // nothing left on the right
                 }
-                if hl < self.params.min_child_weight || (h_sum - hl) < self.params.min_child_weight
-                {
+                let hl = f64::from(nl);
+                if hl < params.min_child_weight || (h_sum - hl) < params.min_child_weight {
                     continue;
                 }
                 let gr = g_sum - gl;
+                let approx =
+                    gl * gl * self.inv_h[nl as usize] + gr * gr * self.inv_h[(total - nl) as usize];
+                if approx < floor {
+                    continue;
+                }
                 let hr = h_sum - hl;
-                let gain = 0.5
-                    * (gl * gl / (hl + self.params.lambda) + gr * gr / (hr + self.params.lambda)
-                        - parent_score)
-                    - self.params.gamma;
+                let score = gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda);
+                let gain = 0.5 * (score - parent_score) - params.gamma;
                 if gain > 0.0 && best.is_none_or(|(g, _, _)| gain > g) {
                     best = Some((gain, feature, b));
+                    if params.lambda >= 0.0 {
+                        floor = score * (1.0 - 1e-9) - f64::MIN_POSITIVE;
+                    }
                 }
             }
         }
+        best.map(|(_, feature, b)| (feature, b))
+    }
 
-        match best {
-            None => leaf(tree),
-            Some((_, feature, cut_idx)) => {
-                let threshold = binned.cuts[feature][cut_idx];
-                let col = binned.feature_codes(feature);
-                // code <= cut_idx  <=>  value < cuts[cut_idx]: the same
-                // rows the trained tree will route left at inference.
-                let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = rows
-                    .into_iter()
-                    .partition(|&r| (col[r as usize] as usize) <= cut_idx);
-                // Reserve our slot before children are pushed.
-                tree.nodes.push(Node::Leaf { weight: 0.0 });
-                let me = tree.nodes.len() - 1;
-                let (left_hist, right_hist) = if depth + 1 >= self.params.max_depth {
-                    // Both children are leaves, and leaf weights come
-                    // from the row lists: they never read a histogram.
-                    (Vec::new(), Vec::new())
-                } else {
-                    // Subtraction trick: scan only the smaller child; the
-                    // larger child's histogram is parent minus sibling.
-                    let small_is_left = left_rows.len() <= right_rows.len();
-                    let small = if small_is_left {
-                        &left_rows
-                    } else {
-                        &right_rows
-                    };
-                    let mut small_hist = vec![HistBin::default(); hist.len()];
-                    binned.build_histogram(small, grad, &mut small_hist);
-                    let mut large_hist = hist;
-                    for (l, s) in large_hist.iter_mut().zip(&small_hist) {
-                        l.grad -= s.grad;
-                        l.count -= s.count;
-                    }
-                    if small_is_left {
-                        (small_hist, large_hist)
-                    } else {
-                        (large_hist, small_hist)
-                    }
-                };
-                let left = self.grow_hist(tree, binned, left_rows, left_hist, grad, depth + 1);
-                let right = self.grow_hist(tree, binned, right_rows, right_hist, grad, depth + 1);
-                tree.nodes[me] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
-                me
+    /// Stably partitions `rows[lo..hi]` on "code ≤ `cut_idx`" of `feature`
+    /// and returns the boundary. Code ≤ `cut_idx` ⇔ value <
+    /// `cuts[cut_idx]` (NaN included): the same rows the trained tree
+    /// routes left at inference.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, cut_idx: usize) -> usize {
+        let col = self.binned.feature_codes(feature);
+        self.right.clear();
+        let mut mid = lo;
+        for i in lo..hi {
+            let r = self.rows[i];
+            if usize::from(col[r as usize]) <= cut_idx {
+                self.rows[mid] = r;
+                mid += 1;
+            } else {
+                self.right.push(r);
             }
         }
+        self.rows[mid..hi].copy_from_slice(&self.right);
+        mid
     }
 }
 
@@ -636,30 +837,29 @@ impl Regressor for Gbt {
             }
             _ => None,
         };
+        let mut grower = binned.as_ref().map(|b| HistGrower::new(self.params, b));
 
         let mut pred = vec![self.base_score; train.len()];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.params.seed);
-        let all_rows: Vec<usize> = (0..train.len()).collect();
+        let mut grad = vec![0.0; train.len()];
+        let mut exact_rows = vec![0u32; train.len()];
+        let mut rng = StdRng::seed_from_u64(self.params.seed);
         for _ in 0..self.params.n_trees {
             // Squared loss: grad = pred - y; hess = 1, so the splitters
             // take a node's row count as its hessian sum.
-            let grad: Vec<f64> = pred.iter().zip(train.y()).map(|(p, y)| p - y).collect();
-            let rows: Vec<usize> = if self.params.subsample < 1.0 {
-                let k = ((train.len() as f64) * self.params.subsample).max(1.0) as usize;
-                let mut shuffled = all_rows.clone();
-                shuffled.shuffle(&mut rng);
-                shuffled.truncate(k);
-                shuffled
-            } else {
-                all_rows.clone()
-            };
-            let tree = match &binned {
-                Some(b) => self.build_tree_hist(b, &rows, &grad),
-                None => self.build_tree(train, &rows, &grad),
-            };
-            for (i, p) in pred.iter_mut().enumerate() {
-                *p += self.params.learning_rate * tree.predict(train.sample(i).0);
+            for ((g, p), y) in grad.iter_mut().zip(&pred).zip(train.y()) {
+                *g = p - y;
             }
+            let tree = match &mut grower {
+                Some(grower) => grower.build_tree(train, &grad, &mut pred, &mut rng),
+                None => {
+                    let k = sample_rows(&mut exact_rows, self.params.subsample, &mut rng);
+                    let tree = self.build_tree(train, &exact_rows[..k], &grad);
+                    for (i, p) in pred.iter_mut().enumerate() {
+                        *p += self.params.learning_rate * tree.predict(train.sample(i).0);
+                    }
+                    tree
+                }
+            };
             self.trees.push(tree);
         }
     }
@@ -883,6 +1083,53 @@ mod tests {
                 "{strategy:?} split on a constant feature"
             );
             assert!(!m.split_thresholds().is_empty());
+        }
+    }
+
+    #[test]
+    fn nan_values_train_on_the_side_prediction_takes() {
+        // 16 rows of value i with target 0 and 4 NaN rows with target 10.
+        // NaN used to produce NaN cut points and code into bin 0, so
+        // training routed it left while `Tree::predict` routes it right:
+        // the model predicted ~0.015 for NaN. Cuts now come from the
+        // non-NaN values and NaN codes past the last cut; NaN rows share
+        // the last bin with value 15, whose leaf learns their mean, 8.
+        let rows: Vec<Vec<f64>> = (0..20)
+            .map(|i| vec![if i < 16 { i as f64 } else { f64::NAN }])
+            .collect();
+        let y: Vec<f64> = (0..20).map(|i| if i < 16 { 0.0 } else { 10.0 }).collect();
+        let data = Dataset::from_rows(&rows, &y).unwrap();
+        let binned = BinnedDataset::from_dataset(&data, 255);
+        assert_eq!(binned.n_bins(0), 16);
+        assert!(binned.cuts(0).iter().all(|c| c.is_finite()));
+        assert!(binned.feature_codes(0)[16..].iter().all(|&c| c == 15));
+        let mut m = Gbt::new(GbtParams {
+            n_trees: 50,
+            ..GbtParams::default()
+        });
+        m.fit(&data, None);
+        let nan = m.predict_row(&[f64::NAN]);
+        assert!((nan - 8.0).abs() < 0.5, "NaN predicts {nan}");
+        assert_eq!(nan.to_bits(), m.predict_row(&[15.0]).to_bits());
+        assert!(m.predict_row(&[3.0]).abs() < 0.5);
+    }
+
+    #[test]
+    fn root_histogram_equals_the_row_order_scan() {
+        // The sorted run sums add each bin's rows in row order, so they
+        // must reproduce the row-by-row histogram bit for bit.
+        let data = wave_data(300);
+        let grad: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        for max_bins in [2, 7, 255] {
+            let binned = BinnedDataset::from_dataset(&data, max_bins);
+            let rows: Vec<u32> = (0..300).collect();
+            let mut scan = vec![HistBin::default(); binned.total_bins()];
+            binned.build_histogram(&rows, &grad, &mut scan);
+            let mut runs = vec![HistBin::default(); binned.total_bins()];
+            binned.build_root_histogram(&grad, &mut runs);
+            for (a, b) in scan.iter().zip(&runs) {
+                assert_eq!((a.grad.to_bits(), a.count), (b.grad.to_bits(), b.count));
+            }
         }
     }
 }

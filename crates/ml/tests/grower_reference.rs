@@ -355,10 +355,19 @@ proptest! {
         let reference = reference_fit(&data, &params);
         let mut model = Gbt::new(params);
         model.fit(&data, None);
+        // Splits as (feature, threshold bits), reported from the first
+        // difference on.
         let bits = |s: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
             s.into_iter().map(|(f, t)| (f, t.to_bits())).collect()
         };
-        prop_assert_eq!(bits(model.split_thresholds()), bits(reference.split_thresholds()));
+        let (got, want) = (bits(model.split_thresholds()), bits(reference.split_thresholds()));
+        let first = got.iter().zip(&want).take_while(|(a, b)| a == b).count();
+        prop_assert!(
+            got == want,
+            "{params:?}: splits differ from split {first}: {:?} vs {:?}",
+            got.get(first),
+            want.get(first)
+        );
         for r in 0..data.len() {
             let x = data.sample(r).0;
             prop_assert_eq!(model.predict_row(x).to_bits(), reference.predict_row(x).to_bits());
