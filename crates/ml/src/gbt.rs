@@ -629,7 +629,8 @@ impl<'a> HistGrower<'a> {
     ) -> Tree {
         let k = sample_rows(&mut self.rows, self.params.subsample, rng);
         let mut hist = self.take_hist();
-        if k == self.rows.len() && self.params.subsample >= 1.0 {
+        if self.params.subsample >= 1.0 {
+            // Unshuffled: the tree holds every row, in row order.
             self.binned.build_root_histogram(grad, &mut hist);
         } else {
             self.binned
