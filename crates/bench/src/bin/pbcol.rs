@@ -857,10 +857,20 @@ mod tests {
     /// A shard writer for `target` whose single run key names `arch`, so
     /// two writers differing only in `arch` disagree on the meta chunk.
     fn open_writer(target: &Path, manifest: ShardManifest, arch: &str) -> ShardStreamWriter {
+        open_writer_for(target, FP, manifest, arch)
+    }
+
+    /// [`open_writer`] with the header's fingerprint given.
+    fn open_writer_for(
+        target: &Path,
+        fingerprint: u64,
+        manifest: ShardManifest,
+        arch: &str,
+    ) -> ShardStreamWriter {
         let header = FileHeader {
             kind: ExperimentKind::Core,
             corpus_revision: CORPUS_REVISION,
-            fingerprint: FP,
+            fingerprint,
             manifest,
         };
         let keys = [RunKey {
@@ -969,6 +979,50 @@ mod tests {
             [SetVerdict::Fails(why)] => assert!(why.contains("meta chunk"), "{why}"),
             other => panic!("expected one failing set, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file whose name disagrees with its header is refused by every
+    /// entry point: assembly errs (`Shard` for another shard's bytes,
+    /// `Corrupt` for another fingerprint's), `verify` counts an error and
+    /// `prune` evicts it as stale.
+    #[test]
+    fn misnamed_files_are_rejected_by_assembly_verify_and_prune() {
+        // Shard 1/2's bytes saved under shard 0/2's name.
+        let dir = scratch("misnamed-shard");
+        let shard1 = write_shard(&dir, "demo", 1, 2, "Skylake");
+        let misnamed = dir.join(shard_file_name("demo", ExperimentKind::Core, FP, 0, 2));
+        std::fs::rename(&shard1, &misnamed).expect("rename");
+        let target = dir.join(cache_file_name("demo", ExperimentKind::Core, FP));
+        assert!(matches!(
+            load_or_assemble(&target, ExperimentKind::Core, FP),
+            Err(PersistError::Shard(_))
+        ));
+        let (errors, _) = verify_files(&pbcol_files(&dir).expect("list"));
+        assert_eq!(errors, 1, "verify must fail the misnamed shard");
+        prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
+        assert!(!misnamed.exists(), "prune must evict the misnamed shard");
+        assert!(!target.exists(), "nothing was assembled");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A shard whose name gives fingerprint 7 while its header gives 8.
+        let dir = scratch("misnamed-fingerprint");
+        let misnamed = dir.join(shard_file_name("demo", ExperimentKind::Core, 7, 0, 2));
+        let manifest = ShardManifest::of(ShardSpec::new(0, 2), 2);
+        let mut writer = open_writer_for(&misnamed, 8, manifest, "Skylake");
+        writer
+            .append_probe(&probe_record(0), &[(Duration::ZERO, Duration::ZERO)])
+            .expect("append");
+        writer.finish().expect("finish");
+        let target = dir.join(cache_file_name("demo", ExperimentKind::Core, 7));
+        assert!(matches!(
+            load_or_assemble(&target, ExperimentKind::Core, 7),
+            Err(PersistError::Corrupt(_))
+        ));
+        let (errors, _) = verify_files(&pbcol_files(&dir).expect("list"));
+        assert_eq!(errors, 1, "verify must fail the misnamed shard");
+        prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
+        assert!(!misnamed.exists(), "prune must evict the misnamed shard");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

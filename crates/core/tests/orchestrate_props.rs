@@ -338,3 +338,84 @@ fn a_shard_dying_every_attempt_is_excluded_and_nothing_assembles() {
     assert!(assembled.is_none(), "an incomplete pass must not assemble");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Launcher whose shard-0 workers exit zero after writing `impostor` to
+/// the shard's path; every other shard's file is already in place.
+struct ImpostorLauncher<'a> {
+    plan: &'a CollectPlan,
+    impostor: &'a [u8],
+}
+
+impl Launcher for ImpostorLauncher<'_> {
+    type Handle = DoneHandle;
+
+    fn launch(
+        &mut self,
+        shard: ShardSpec,
+        _attempt: u32,
+        _worker: usize,
+        _fault: Option<WorkerFault>,
+    ) -> io::Result<DoneHandle> {
+        if shard.index == 0 {
+            std::fs::write(self.plan.shard_path(shard), self.impostor)?;
+        }
+        Ok(DoneHandle(ExitKind::Success))
+    }
+
+    fn verify(&mut self, shard: ShardSpec) -> Result<(), String> {
+        verify_shard_file(self.plan, shard)
+    }
+}
+
+/// A zero-exit worker whose shard path holds another shard's file, or
+/// another configuration's, fails `verify_shard_file`: each such attempt
+/// is recorded as bad output, never as a success, and the shard is
+/// excluded once its budget is spent.
+#[test]
+fn a_shard_path_holding_another_shard_or_config_is_bad_output() {
+    let (dir, plan, report) = orchestrated_pass(2, &HashSet::new(), Vec::new());
+    assert!(report.success, "{}", report.summary());
+    let [s0, s1] = [0, 1].map(|index| ShardSpec::new(index, 2));
+    let other_shard = std::fs::read(plan.shard_path(s1)).expect("shard 1");
+    let own = std::fs::read(plan.shard_path(s0)).expect("shard 0");
+    let (col, header) = persist::decode_collection_with(&own, None).expect("shard 0 decodes");
+    let other_config = persist::encode_collection_with(
+        &col,
+        &persist::FileHeader {
+            fingerprint: plan.fingerprint ^ 1,
+            ..header
+        },
+    );
+    for (what, impostor) in [
+        ("another shard", other_shard),
+        ("another config", other_config),
+    ] {
+        std::fs::write(plan.shard_path(s0), &impostor).expect("write impostor");
+        assert!(
+            verify_shard_file(&plan, s0).is_err(),
+            "{what}'s file passed verification"
+        );
+        let mut orch = OrchestratorConfig::new(2, 2);
+        orch.max_attempts = MAX_ATTEMPTS;
+        orch.poll_interval = Duration::from_millis(1);
+        orch.retry_delay = Duration::from_millis(1);
+        let mut launcher = ImpostorLauncher {
+            plan: &plan,
+            impostor: &impostor,
+        };
+        let report = run_orchestrator(&orch, &mut launcher);
+        assert!(!report.success, "{what}: {}", report.summary());
+        assert_eq!(report.excluded, vec![0], "{what}");
+        let attempts = report.attempts_for(0);
+        assert_eq!(attempts.len(), MAX_ATTEMPTS as usize, "{what}");
+        for attempt in attempts {
+            assert!(
+                matches!(attempt.outcome, AttemptOutcome::BadOutput { .. }),
+                "{what}: {:?}",
+                attempt.outcome
+            );
+        }
+        assert!(report.attempts_for(1)[0].outcome.is_success(), "{what}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
