@@ -24,6 +24,13 @@
 //! resumable — those are crash-recovery state the shard's next attempt
 //! continues from (see `docs/FORMAT.md`).
 //!
+//! `verify` and `prune` check each file through one path,
+//! `persist::verify_stream` (O(chunk) memory), which also holds the
+//! header to the file's name by the one cache-file identity rule,
+//! `persist::check_file_name`. `verify` groups shard files by
+//! `persist::ShardSetKey`, the key shard assembly uses, so the two never
+//! disagree on which files form a set.
+//!
 //! The on-disk format is specified byte-by-byte in `docs/FORMAT.md`.
 
 use std::collections::BTreeMap;
@@ -35,9 +42,8 @@ use perfbug_core::experiment::Collection;
 use perfbug_core::orchestrate::{report_path_for, REPORT_EXTENSION};
 use perfbug_core::persist::{
     check_shard_set, decode_collection_with, is_part_file_name, is_temp_file_name,
-    merge_shard_files, parse_cache_file_name, read_header, scan_part_file, verify_stream,
-    ChunkEntry, FileHeader, PersistError, ProbeReader, CORPUS_REVISION, FILE_EXTENSION,
-    FORMAT_VERSION,
+    merge_shard_files, read_header, scan_part_file, verify_stream, ChunkEntry, FileHeader,
+    PersistError, ProbeReader, ShardSetKey, CORPUS_REVISION, FILE_EXTENSION, FORMAT_VERSION,
 };
 use perfbug_core::serve::is_tenant_dir_name;
 
@@ -86,21 +92,34 @@ USAGE:
 
 The on-disk format is documented in docs/FORMAT.md.";
 
+/// The entries of `dir` that `keep` selects, sorted for deterministic
+/// output: the one directory listing every subcommand goes through.
+fn list_dir(dir: &Path, keep: impl Fn(&Path) -> bool) -> Result<Vec<PathBuf>, String> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
+    let mut files = Vec::new();
+    for entry in entries {
+        let p = entry.map_err(|e| e.to_string())?.path();
+        if keep(&p) {
+            files.push(p);
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// `path`'s file name, or `""` when it has none readable.
+fn file_name(path: &Path) -> &str {
+    path.file_name().and_then(|n| n.to_str()).unwrap_or("")
+}
+
 /// All `.pbcol` files under `path` (or `path` itself when it is a file),
 /// sorted for deterministic output.
 fn pbcol_files(path: &Path) -> Result<Vec<PathBuf>, String> {
     if path.is_dir() {
-        let entries = std::fs::read_dir(path)
-            .map_err(|e| format!("cannot read directory {}: {e}", path.display()))?;
-        let mut files = Vec::new();
-        for entry in entries {
-            let p = entry.map_err(|e| e.to_string())?.path();
-            if p.extension().and_then(|e| e.to_str()) == Some(FILE_EXTENSION) {
-                files.push(p);
-            }
-        }
-        files.sort();
-        Ok(files)
+        list_dir(path, |p| {
+            p.extension().and_then(|e| e.to_str()) == Some(FILE_EXTENSION)
+        })
     } else {
         Ok(vec![path.to_path_buf()])
     }
@@ -157,11 +176,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
         println!("{}:", path.display());
         // A `*.pbcol.part.tmp` is a crash-recovery artifact, not a
         // finished file: report its durably recoverable chunk prefix.
-        if path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(is_part_file_name)
-        {
+        if is_part_file_name(file_name(path)) {
             match scan_part_file(path) {
                 Ok(prefix) => {
                     print_header(&prefix.header);
@@ -252,32 +267,6 @@ fn print_provenance(path: &Path) {
     }
 }
 
-/// The shard set a shard file belongs to, keyed exactly as
-/// `persist::load_or_assemble` groups its candidates: same directory,
-/// name prefix, experiment kind, fingerprint and partition width.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct SetKey {
-    dir: PathBuf,
-    prefix: String,
-    kind: &'static str,
-    fingerprint: u64,
-    count: u32,
-}
-
-impl std::fmt::Display for SetKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} {} {:016x} in {} ({}-way)",
-            self.prefix,
-            self.kind,
-            self.fingerprint,
-            self.dir.display(),
-            self.count
-        )
-    }
-}
-
 /// What `verify` concluded about one shard set.
 #[derive(Debug)]
 enum SetVerdict {
@@ -311,13 +300,15 @@ fn verify(args: &[String]) -> Result<(), String> {
 }
 
 /// Validates every file chunk-by-chunk with `verify_stream` (O(chunk)
-/// memory), checks that its name agrees with its header, then checks
-/// each shard set: a set whose every shard index is present must pass
-/// `check_shard_set`, the validation `merge_shard_files` runs before it
-/// writes. Returns the failure count and the verdict on each shard set.
-fn verify_files(files: &[PathBuf]) -> (usize, BTreeMap<SetKey, SetVerdict>) {
+/// memory), which also holds its header to its name
+/// (`persist::check_file_name`), then checks each shard set
+/// (`persist::ShardSetKey`, the grouping assembly uses): a set whose
+/// every shard index is present must pass `check_shard_set`, the
+/// validation `merge_shard_files` runs before it writes. Returns the
+/// failure count and the verdict on each shard set.
+fn verify_files(files: &[PathBuf]) -> (usize, BTreeMap<ShardSetKey, SetVerdict>) {
     let mut errors = 0usize;
-    let mut sets: BTreeMap<SetKey, BTreeMap<u32, PathBuf>> = BTreeMap::new();
+    let mut sets: BTreeMap<ShardSetKey, BTreeMap<u32, PathBuf>> = BTreeMap::new();
     for path in files {
         let mut chunks = 0usize;
         let header = match verify_stream(path, None, |_| chunks += 1) {
@@ -328,33 +319,6 @@ fn verify_files(files: &[PathBuf]) -> (usize, BTreeMap<SetKey, SetVerdict>) {
                 continue;
             }
         };
-        // The name must agree with the header — a renamed or hand-copied
-        // file would otherwise serve the wrong configuration or shard.
-        let parsed = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_cache_file_name);
-        let header_shard =
-            (!header.manifest.is_full()).then_some((header.manifest.index, header.manifest.count));
-        if let Some(parsed) = &parsed {
-            if parsed.fingerprint != header.fingerprint
-                || parsed.kind != header.kind
-                || parsed.shard != header_shard
-            {
-                println!(
-                    "FAIL {}: file name says {} {:016x} shard {:?}, header says {} {:016x} {}",
-                    path.display(),
-                    parsed.kind,
-                    parsed.fingerprint,
-                    parsed.shard,
-                    header.kind,
-                    header.fingerprint,
-                    header.manifest
-                );
-                errors += 1;
-                continue;
-            }
-        }
         if header.manifest.is_full() {
             println!(
                 "ok   {}: full, {}, {chunks} chunks",
@@ -368,18 +332,9 @@ fn verify_files(files: &[PathBuf]) -> (usize, BTreeMap<SetKey, SetVerdict>) {
             path.display(),
             header.manifest
         );
-        match parsed {
-            Some(parsed) => {
-                let key = SetKey {
-                    dir: path.parent().map(Path::to_path_buf).unwrap_or_default(),
-                    prefix: parsed.prefix,
-                    kind: header.kind.as_str(),
-                    fingerprint: header.fingerprint,
-                    count: header.manifest.count,
-                };
-                sets.entry(key)
-                    .or_default()
-                    .insert(header.manifest.index, path.clone());
+        match ShardSetKey::of(path) {
+            Some((key, index)) => {
+                sets.entry(key).or_default().insert(index, path.clone());
             }
             None => println!(
                 "note {}: not named as a shard file, so no cache load assembles it",
@@ -448,45 +403,20 @@ fn merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Why `prune` evicts a file; `None` means the file is kept.
-fn stale_reason(path: &Path, bytes: &[u8]) -> Option<String> {
-    let header = match read_header(bytes) {
-        Ok(h) => h,
-        Err(PersistError::Version { found, expected }) => {
-            return Some(format!(
-                "format version {found} (this build reads {expected})"
-            ));
-        }
-        Err(e) => return Some(format!("unreadable header: {e}")),
-    };
-    if header.corpus_revision != CORPUS_REVISION {
-        return Some(format!(
+/// Why `prune` evicts a file; `Ok(None)` keeps it. The file goes through
+/// `verify_stream`, the O(chunk) walk `verify` runs, name rule included,
+/// so prune evicts what verify fails and intact files of another corpus
+/// revision. An i/o error aborts the prune rather than evict the file.
+fn stale_reason(path: &Path) -> Result<Option<String>, String> {
+    match verify_stream(path, None, |_| {}) {
+        Ok(header) if header.corpus_revision != CORPUS_REVISION => Ok(Some(format!(
             "corpus revision {} (this build collects under {CORPUS_REVISION})",
             header.corpus_revision
-        ));
+        ))),
+        Ok(_) => Ok(None),
+        Err(PersistError::Io(e)) => Err(format!("cannot read {}: {e}", path.display())),
+        Err(e) => Ok(Some(e.to_string())),
     }
-    if let Err(e) = decode_collection_with(bytes, None) {
-        return Some(format!("corrupt payload: {e}"));
-    }
-    if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-        if let Some(parsed) = parse_cache_file_name(name) {
-            if parsed.fingerprint != header.fingerprint || parsed.kind != header.kind {
-                return Some(format!(
-                    "stale fingerprint: name says {} {:016x}, header says {} {:016x}",
-                    parsed.kind, parsed.fingerprint, header.kind, header.fingerprint
-                ));
-            }
-            let header_shard = (!header.manifest.is_full())
-                .then_some((header.manifest.index, header.manifest.count));
-            if parsed.shard != header_shard {
-                return Some(format!(
-                    "stale shard name: name says shard {:?}, header says {}",
-                    parsed.shard, header.manifest
-                ));
-            }
-        }
-    }
-    None
 }
 
 /// A `*.pbcol.*.tmp` in-flight temp file this old is orphaned: writers
@@ -494,44 +424,6 @@ fn stale_reason(path: &Path, bytes: &[u8]) -> Option<String> {
 /// rename, so no healthy writer holds one open for minutes — only a
 /// worker that was killed (or crashed) mid-write leaves one behind.
 const ORPHAN_TEMP_AGE: Duration = Duration::from_secs(15 * 60);
-
-/// The atomic-write temp files under `dir` (see
-/// `persist::is_temp_file_name`), sorted for deterministic output.
-fn temp_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
-    let mut files = Vec::new();
-    for entry in entries {
-        let p = entry.map_err(|e| e.to_string())?.path();
-        if p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(is_temp_file_name)
-        {
-            files.push(p);
-        }
-    }
-    files.sort();
-    Ok(files)
-}
-
-/// The orchestrator run reports (`*.orchrun.json`) under `dir`, sorted
-/// for deterministic output.
-fn report_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
-    let mut files = Vec::new();
-    for entry in entries {
-        let p = entry.map_err(|e| e.to_string())?.path();
-        if p.file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(&format!(".{REPORT_EXTENSION}")))
-        {
-            files.push(p);
-        }
-    }
-    files.sort();
-    Ok(files)
-}
 
 /// Whether a temp file is old enough to be orphaned. A file whose mtime
 /// is unreadable or in the future is treated as fresh (kept) — a live
@@ -572,18 +464,7 @@ fn prune(args: &[String]) -> Result<(), String> {
 /// complete shard set. Non-tenant subdirectories are left alone.
 fn prune_tree(dir: &Path, dry_run: bool, temp_age: Duration) -> Result<(), String> {
     prune_dir(dir, dry_run, temp_age)?;
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
-    let mut tenants = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let path = entry.path();
-        if path.is_dir() && entry.file_name().to_str().is_some_and(is_tenant_dir_name) {
-            tenants.push(path);
-        }
-    }
-    tenants.sort();
-    for tenant in tenants {
+    for tenant in list_dir(dir, |p| p.is_dir() && is_tenant_dir_name(file_name(p)))? {
         println!("tenant {}:", tenant.display());
         prune_dir(&tenant, dry_run, temp_age)?;
     }
@@ -605,22 +486,17 @@ fn prune_dir(dir: &Path, dry_run: bool, temp_age: Duration) -> Result<(), String
         Ok(())
     };
     for path in pbcol_files(dir)? {
-        let bytes = read_bytes(&path)?;
-        match stale_reason(&path, &bytes) {
+        match stale_reason(&path)? {
             None => kept += 1,
             Some(reason) => evict(&path, &reason)?,
         }
     }
-    for path in temp_files(dir)? {
+    for path in list_dir(dir, |p| is_temp_file_name(file_name(p)))? {
         // A shard part file (`*.pbcol.part.tmp`) with a valid chunk
         // prefix is crash-recovery state, not garbage: the next attempt
         // of its shard resumes from it instead of re-collecting. Only a
         // part with nothing durably recoverable is a dead orphan.
-        if path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(is_part_file_name)
-        {
+        if is_part_file_name(file_name(&path)) {
             if let Ok(prefix) = scan_part_file(&path) {
                 if prefix.probes > 0 {
                     kept += 1;
@@ -652,11 +528,10 @@ fn prune_dir(dir: &Path, dry_run: bool, temp_age: Duration) -> Result<(), String
     // Run reports whose corpus is gone (evicted above, or pruned in an
     // earlier pass) are stale provenance: without this, `pbcol inspect`
     // could attribute a later re-collected corpus to the old pass.
-    for path in report_files(dir)? {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let stem = name
-            .strip_suffix(&format!(".{REPORT_EXTENSION}"))
-            .unwrap_or(name);
+    let report_suffix = format!(".{REPORT_EXTENSION}");
+    for path in list_dir(dir, |p| file_name(p).ends_with(&report_suffix))? {
+        let name = file_name(&path);
+        let stem = name.strip_suffix(&report_suffix).unwrap_or(name);
         if path
             .with_file_name(format!("{stem}.{FILE_EXTENSION}"))
             .exists()
@@ -1059,7 +934,7 @@ mod tests {
             load_or_assemble(&path, ExperimentKind::Core, FP).map(drop)
         ));
         assert_eq!(
-            stale_reason(&path, &bytes).as_deref(),
+            stale_reason(&path).expect("readable").as_deref(),
             Some("format version 2 (this build reads 3)")
         );
         prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");

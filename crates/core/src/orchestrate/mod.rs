@@ -999,35 +999,19 @@ impl From<PersistError> for OrchestrateError {
     }
 }
 
-/// Verifies one shard file of `plan`: present, intact, matching
-/// fingerprint and manifest. This is the orchestrator's success check
-/// for a zero-exit worker. It runs [`persist::verify_stream`], so every
-/// chunk and the whole-file checksum are checked in O(chunk) memory —
-/// the same walk the assembly step's merge repeats before it publishes.
+/// Verifies one shard file of `plan`: present, intact, and holding what
+/// its name says — shard `shard` of the plan's fingerprint, by the one
+/// cache-file identity rule ([`persist::check_file_name`]). This is the
+/// orchestrator's success check for a zero-exit worker. It runs
+/// [`persist::verify_stream`], so every chunk and the whole-file checksum
+/// are checked in O(chunk) memory — the same walk the assembly step's
+/// merge repeats before it publishes.
 pub fn verify_shard_file(plan: &CollectPlan, shard: ShardSpec) -> Result<(), String> {
     let path = plan.shard_path(shard);
-    let header = persist::verify_stream(&path, None, |_| {})
-        .map_err(|e| format!("shard file {}: {e}", path.display()))?;
-    if header.fingerprint != plan.fingerprint {
-        return Err(format!(
-            "shard file {} was collected under config {:016x}, expected {:016x}",
-            path.display(),
-            header.fingerprint,
-            plan.fingerprint
-        ));
+    match persist::verify_stream(&path, None, |_| {}) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(format!("shard file {}: {e}", path.display())),
     }
-    if header.manifest.index as usize != shard.index
-        || header.manifest.count as usize != shard.count
-    {
-        return Err(format!(
-            "shard file {} holds {}, expected shard {}/{}",
-            path.display(),
-            header.manifest,
-            shard.index,
-            shard.count
-        ));
-    }
-    Ok(())
 }
 
 /// Orchestrates a full collection pass end to end:

@@ -41,8 +41,10 @@
 //! Pair them with [`cache_file_name`] / [`shard_file_name`], which embed
 //! the experiment kind and the fingerprint in the file name so distinct
 //! configurations — and the core and memory experiments sharing one cache
-//! directory — can never collide on one path. `collect_memory_or_load`
-//! and `mem_config_fingerprint` are the same functions under the older
+//! directory — can never collide on one path. [`check_file_name`] is the
+//! one rule that a file holds what its name says, and [`ShardSetKey`] the
+//! one grouping of shard files into sets. `collect_memory_or_load` and
+//! `mem_config_fingerprint` are the same functions under the older
 //! memory-experiment names existing callers use.
 //!
 //! Framing lives in three private pieces. `ChunkWriter` frames and seals
@@ -502,6 +504,62 @@ pub fn parse_cache_file_name(name: &str) -> Option<ParsedCacheName> {
         fingerprint,
         shard,
     })
+}
+
+/// [`parse_cache_file_name`] of `path`'s file name.
+fn parse_cache_path(path: &Path) -> Option<ParsedCacheName> {
+    parse_cache_file_name(path.file_name()?.to_str()?)
+}
+
+/// The cache-file identity rule: a file named in the [`cache_file_name`]
+/// or [`shard_file_name`] grammar holds what its name says. A header of
+/// another fingerprint is `Corrupt`, of another kind or shard `Shard` (a
+/// name without a shard segment claims a full file); a name outside the
+/// grammar claims nothing. Shard assembly and [`verify_stream`] — so
+/// also `pbcol` and the orchestrator — judge every file by this rule.
+pub fn check_file_name(path: &Path, header: &FileHeader) -> Result<(), PersistError> {
+    let Some(named) = parse_cache_path(path) else {
+        return Ok(());
+    };
+    let (h, m, p) = (header, header.manifest, path.display());
+    let why = || format!("{p} holds {} {:016x} {m}", h.kind, h.fingerprint);
+    if named.fingerprint != h.fingerprint {
+        Err(PersistError::Corrupt(why()))
+    } else if named.kind != h.kind || named.shard.unwrap_or((0, 1)) != (m.index, m.count) {
+        Err(PersistError::Shard(why()))
+    } else {
+        Ok(())
+    }
+}
+
+/// The shard set a shard file's name puts it in: the full cache file the
+/// set assembles into and the partition's width. [`load_or_assemble`]
+/// and `pbcol verify` both group shard files by it.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ShardSetKey {
+    /// The full cache file ([`cache_file_name`]) of the set's pass.
+    pub target: PathBuf,
+    /// Shard count of the partition.
+    pub count: u32,
+}
+
+impl ShardSetKey {
+    /// The set `path` is named into, with its shard index there; `None`
+    /// unless the name follows the [`shard_file_name`] grammar.
+    pub fn of(path: &Path) -> Option<(ShardSetKey, u32)> {
+        let named = parse_cache_path(path)?;
+        let (index, count) = named.shard?;
+        let (prefix, kind, fp) = (&named.prefix, named.kind, named.fingerprint);
+        let target = path.with_file_name(cache_file_name(prefix, kind, fp));
+        Some((ShardSetKey { target, count }, index))
+    }
+}
+
+impl fmt::Display for ShardSetKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (n, target) = (self.count, self.target.display());
+        write!(f, "{n}-way shard set of {target}")
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -1917,16 +1975,6 @@ impl ShardStreamWriter {
         self.resumed
     }
 
-    /// Absolute index of the next probe this writer expects.
-    pub fn next_probe(&self) -> u64 {
-        self.next_probe
-    }
-
-    /// The header this writer writes under.
-    pub fn header(&self) -> &FileHeader {
-        &self.header
-    }
-
     /// Appends one probe as one chunk and flushes it to the OS, making
     /// it durable against a process kill. `times` are this probe's
     /// per-engine `(train, infer)` wall-clock contributions, accumulated
@@ -2022,11 +2070,6 @@ impl ProbeReader {
         })
     }
 
-    /// The file's header.
-    pub fn header(&self) -> &FileHeader {
-        &self.header
-    }
-
     /// The footer's chunk index (meta chunk first).
     pub fn chunk_index(&self) -> &[ChunkEntry] {
         &self.chunks
@@ -2076,7 +2119,8 @@ impl ProbeReader {
 /// bounds and chunk-table consistency first, then one sequential pass
 /// that revalidates every chunk's checksum *and* payload decode against
 /// the footer index while folding the whole-file checksum incrementally,
-/// finally compared against the stored trailer value. `on_chunk` fires
+/// finally compared against the stored trailer value. The header must
+/// agree with the file's name ([`check_file_name`]). `on_chunk` fires
 /// after each chunk validates — tooling uses it for per-chunk status.
 /// Returns the header on success.
 pub fn verify_stream(
@@ -2086,6 +2130,7 @@ pub fn verify_stream(
 ) -> Result<FileHeader, PersistError> {
     let mut src = Source::open(path)?;
     let index = read_index(&mut src, expected)?;
+    check_file_name(path, &index.header)?;
     let (mut walk, _) = ChunkWalk::start(&mut src, &index)?;
     on_chunk(&index.chunks[0]);
     while let Some((entry, _)) = walk.next(drop)? {
@@ -2281,12 +2326,6 @@ fn write_atomically(
     result
 }
 
-/// Saves an encoded collection to `path` (atomically: write to a sibling
-/// temp file, then rename).
-fn save_bytes(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    write_atomically(path, |tmp| Ok(fs::write(tmp, bytes)?))
-}
-
 /// Saves a full core-experiment collection to `path` (atomically), tagged
 /// with `fingerprint`.
 pub fn save_collection(
@@ -2294,7 +2333,8 @@ pub fn save_collection(
     col: &Collection,
     fingerprint: u64,
 ) -> Result<(), PersistError> {
-    save_bytes(path, &encode_collection(col, fingerprint))
+    let bytes = encode_collection(col, fingerprint);
+    write_atomically(path, |tmp| Ok(fs::write(tmp, bytes)?))
 }
 
 /// Loads a full collection from `path`, rejecting version, checksum and
@@ -2316,95 +2356,58 @@ pub enum CacheStatus {
     Collected,
 }
 
-/// Scans `dir` for shard files of the pass identified by `(prefix, kind,
-/// fingerprint)` and returns the first complete partition's paths in
-/// shard-index order. `Ok(None)` when no group is complete — other worker
-/// processes may still be collecting.
+/// Scans the directory of `target`, a full cache file, for the shard sets
+/// of its pass and returns the first complete set's paths in shard-index
+/// order. `Ok(None)` when no set is complete — other worker processes may
+/// still be collecting.
 ///
-/// Candidates are selected **by file name** ([`shard_file_name`]
-/// grammar): only names whose prefix (when `prefix` is given), kind and
-/// fingerprint segments match are even opened, and then only their fixed
-/// header is read, so foreign `.pbcol` files — including other targets'
-/// shards under a shared directory and large full corpora — cost nothing.
-/// A candidate whose header fails to decode, or disagrees with its name,
-/// is an error — like a stale cache, never silently ignored.
-///
-/// Shards are grouped by their partition's shard count (a crashed
-/// `n`-way pass may leave stale shards beside a complete `m`-way one);
-/// a group is complete when it holds every shard index once.
-fn complete_shard_group(
-    dir: &Path,
-    prefix: Option<&str>,
-    kind: ExperimentKind,
-    fingerprint: u64,
-) -> Result<Option<Vec<PathBuf>>, PersistError> {
+/// Candidates are selected **by file name**: only shard files whose
+/// [`ShardSetKey`] names `target` are even opened, and then only their
+/// fixed header is read, so foreign `.pbcol` files — including other
+/// targets' shards under a shared directory and large full corpora — cost
+/// nothing. A candidate whose header fails to decode, or disagrees with
+/// its name ([`check_file_name`]), is an error — never silently ignored.
+/// A crashed `n`-way pass may leave stale shards beside a complete
+/// `m`-way set; a set is complete when it holds every shard index once.
+fn complete_shard_set(target: &Path) -> Result<Option<Vec<PathBuf>>, PersistError> {
+    let dir = target.parent().unwrap_or_else(|| Path::new("."));
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut groups: BTreeMap<u32, BTreeMap<u32, PathBuf>> = BTreeMap::new();
+    let mut sets: BTreeMap<ShardSetKey, BTreeMap<u32, PathBuf>> = BTreeMap::new();
     for entry in entries {
         let path = entry?.path();
-        let parsed = match path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_cache_file_name)
-        {
-            Some(parsed) => parsed,
-            None => continue,
-        };
-        if parsed.kind != kind
-            || parsed.fingerprint != fingerprint
-            || parsed.shard.is_none()
-            || prefix.is_some_and(|p| parsed.prefix != p)
-        {
+        let Some((key, index)) = ShardSetKey::of(&path).filter(|(key, _)| key.target == target)
+        else {
             continue;
-        }
+        };
         let mut src = match Source::open(&path) {
             Ok(src) => src,
             // Pruned or still being renamed into place: not ours to judge.
             Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        let corrupt =
-            |e: PersistError| PersistError::Corrupt(format!("shard file {}: {e}", path.display()));
-        let header = src.header().map_err(corrupt)?;
-        if header.fingerprint != fingerprint {
-            return Err(corrupt(PersistError::Fingerprint {
-                found: header.fingerprint,
-                expected: fingerprint,
-            }));
-        }
-        if header.kind != kind
-            || parsed.shard != Some((header.manifest.index, header.manifest.count))
-        {
-            return Err(PersistError::Shard(format!(
-                "{} is named for a different shard than its header ({})",
-                path.display(),
-                header.manifest
-            )));
-        }
-        groups
-            .entry(header.manifest.count)
-            .or_default()
-            .insert(header.manifest.index, path);
+        let corrupt = |e| PersistError::Corrupt(format!("shard file {}: {e}", path.display()));
+        check_file_name(&path, &src.header().map_err(corrupt)?)?;
+        sets.entry(key).or_default().insert(index, path);
     }
-    // An incomplete group's workers may still be running; try the next
+    // An incomplete set's workers may still be running; try the next
     // partition width.
-    Ok(groups
+    Ok(sets
         .into_iter()
-        .find(|(count, members)| members.len() == *count as usize)
+        .find(|(key, members)| members.len() == key.count as usize)
         .map(|(_, members)| members.into_values().collect()))
 }
 
 /// Replays `path` when it exists, otherwise tries to assemble the corpus
-/// from shard files beside it (saving the merged result to `path`).
-/// When `path`'s file name follows the [`cache_file_name`] grammar, only
-/// shards sharing its prefix are considered, so targets with identical
-/// configurations never cross-assemble in a shared directory. Returns
-/// `Ok(None)` on a genuine cache miss — a stale or corrupt cache is
-/// still an error.
+/// from shard files beside it (saving the merged result to `path`). The
+/// shards are those of `path`'s prefix, `kind` and `fingerprint`
+/// ([`ShardSetKey`]), so targets with identical configurations never
+/// cross-assemble in a shared directory; a `path` outside the
+/// [`cache_file_name`] grammar names no shard set. Returns `Ok(None)` on
+/// a genuine cache miss — a stale or corrupt cache is still an error.
 ///
 /// A complete shard set assembles by [`merge_shard_files`] — streaming
 /// concatenation in O(chunk) memory — and the merged file is then decoded
@@ -2422,13 +2425,11 @@ pub fn load_or_assemble(
         Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e),
     }
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let parsed = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .and_then(parse_cache_file_name);
-    let prefix = parsed.as_ref().map(|p| p.prefix.as_str());
-    let Some(paths) = complete_shard_group(dir, prefix, kind, fingerprint)? else {
+    let Some(named) = parse_cache_path(path) else {
+        return Ok(None);
+    };
+    let target = path.with_file_name(cache_file_name(&named.prefix, kind, fingerprint));
+    let Some(paths) = complete_shard_set(&target)? else {
         return Ok(None);
     };
     merge_shard_files(&paths, path)?;
@@ -2535,12 +2536,10 @@ pub fn collect_shard_with(
     // every chunk — recovered or new — decodes under a reader's checks.
     let (collection, header) = decode_collection_with(&bytes, Some(fingerprint))?;
     let m = header.manifest;
-    if m.index as usize != shard.index || m.count as usize != shard.count {
+    if (m.index as usize, m.count as usize) != (shard.index, shard.count) {
+        let (p, i, c) = (path.display(), shard.index, shard.count);
         return Err(PersistError::Shard(format!(
-            "{} holds {m}, expected shard {}/{}",
-            path.display(),
-            shard.index,
-            shard.count
+            "{p} holds {m}, expected shard {i}/{c}"
         )));
     }
     Ok(ShardOutcome {
@@ -2844,7 +2843,7 @@ mod tests {
             m.index as usize,
             m.count as usize,
         ));
-        save_bytes(&path, &encode_collection_with(col, header)).expect("save shard");
+        fs::write(&path, encode_collection_with(col, header)).expect("save shard");
         path
     }
 
@@ -3014,7 +3013,7 @@ mod tests {
         // never silently used.
         let misnamed = dir.join(shard_file_name("c", kind, 7, 0, 2));
         let bytes = encode_collection_with(&shard_part(1), &shard_header(1, 2, 1, 2, 2));
-        save_bytes(&misnamed, &bytes).expect("save");
+        fs::write(&misnamed, &bytes).expect("save");
         assert!(matches!(
             load_or_assemble(&target("c", 7), kind, 7),
             Err(PersistError::Shard(_))

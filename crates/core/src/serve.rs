@@ -619,7 +619,7 @@ fn dispatch(
             // Assembled after a worker pass), this submission did the
             // collecting.
             let _ = outcome.status;
-            emit_done_sims(stream, "collected", sims, outcome.probes)
+            emit_done(stream, "collected", sims, outcome.probes)
         }
     }
 }
@@ -686,15 +686,6 @@ fn emit_report(stream: &mut TcpStream, plan: &CollectPlan) -> Result<(), String>
 }
 
 fn emit_done(stream: &mut TcpStream, status: &str, sims: u64, probes: usize) -> Result<(), String> {
-    emit_done_sims(stream, status, sims, probes)
-}
-
-fn emit_done_sims(
-    stream: &mut TcpStream,
-    status: &str,
-    sims: u64,
-    probes: usize,
-) -> Result<(), String> {
     emit_r(
         stream,
         &format!(

@@ -63,11 +63,6 @@ impl Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    /// Number of update steps performed so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
 }
 
 #[cfg(test)]
