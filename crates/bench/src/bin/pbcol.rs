@@ -93,7 +93,7 @@ USAGE:
 The on-disk format is documented in docs/FORMAT.md.";
 
 /// The entries of `dir` that `keep` selects, sorted for deterministic
-/// output: the one directory listing every subcommand goes through.
+/// output: every directory scan in this tool goes through it.
 fn list_dir(dir: &Path, keep: impl Fn(&Path) -> bool) -> Result<Vec<PathBuf>, String> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;

@@ -1001,7 +1001,7 @@ impl From<PersistError> for OrchestrateError {
 
 /// Verifies one shard file of `plan`: present, intact, and holding what
 /// its name says — shard `shard` of the plan's fingerprint, by the one
-/// cache-file identity rule ([`persist::check_file_name`]). This is the
+/// cache-file identity rule (`persist::check_file_name`). This is the
 /// orchestrator's success check for a zero-exit worker. It runs
 /// [`persist::verify_stream`], so every chunk and the whole-file checksum
 /// are checked in O(chunk) memory — the same walk the assembly step's

@@ -41,7 +41,7 @@
 //! Pair them with [`cache_file_name`] / [`shard_file_name`], which embed
 //! the experiment kind and the fingerprint in the file name so distinct
 //! configurations — and the core and memory experiments sharing one cache
-//! directory — can never collide on one path. [`check_file_name`] is the
+//! directory — can never collide on one path. `check_file_name` is the
 //! one rule that a file holds what its name says, and [`ShardSetKey`] the
 //! one grouping of shard files into sets. `collect_memory_or_load` and
 //! `mem_config_fingerprint` are the same functions under the older
@@ -517,7 +517,7 @@ fn parse_cache_path(path: &Path) -> Option<ParsedCacheName> {
 /// name without a shard segment claims a full file); a name outside the
 /// grammar claims nothing. Shard assembly and [`verify_stream`] — so
 /// also `pbcol` and the orchestrator — judge every file by this rule.
-pub fn check_file_name(path: &Path, header: &FileHeader) -> Result<(), PersistError> {
+pub(crate) fn check_file_name(path: &Path, header: &FileHeader) -> Result<(), PersistError> {
     let Some(named) = parse_cache_path(path) else {
         return Ok(());
     };
@@ -2120,7 +2120,7 @@ impl ProbeReader {
 /// that revalidates every chunk's checksum *and* payload decode against
 /// the footer index while folding the whole-file checksum incrementally,
 /// finally compared against the stored trailer value. The header must
-/// agree with the file's name ([`check_file_name`]). `on_chunk` fires
+/// agree with the file's name (`check_file_name`). `on_chunk` fires
 /// after each chunk validates — tooling uses it for per-chunk status.
 /// Returns the header on success.
 pub fn verify_stream(
