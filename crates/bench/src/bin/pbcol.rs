@@ -125,10 +125,6 @@ fn pbcol_files(path: &Path) -> Result<Vec<PathBuf>, String> {
     }
 }
 
-fn read_bytes(path: &Path) -> Result<Vec<u8>, String> {
-    std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-}
-
 fn print_header(header: &FileHeader) {
     println!("  format version:  {FORMAT_VERSION}");
     println!(
@@ -193,7 +189,8 @@ fn inspect(args: &[String]) -> Result<(), String> {
             }
             continue;
         }
-        let bytes = read_bytes(path)?;
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let header = match read_header(&bytes) {
             Ok(header) => header,
             Err(e) => {
