@@ -898,6 +898,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A one-shard orchestrated pass names its file `-s0000of0001` and
+    /// writes a full header, which is what that name claims: verify
+    /// passes the file and prune keeps it.
+    #[test]
+    fn a_one_shard_pass_file_verifies_and_is_kept() {
+        let dir = scratch("one-shard");
+        let path = write_shard(&dir, "demo", 0, 1, "Skylake");
+        let (errors, sets) = verify_files(&pbcol_files(&dir).expect("list"));
+        assert_eq!(errors, 0, "the name agrees with the full header");
+        assert!(sets.is_empty(), "a full file belongs to no shard set");
+        prune_dir(&dir, false, ORPHAN_TEMP_AGE).expect("prune");
+        assert!(path.exists(), "prune must keep the file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn v2_files_are_rejected_by_version_and_pruned() {
         let dir = scratch("v2");
